@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: fmt build vet test race allocs bench-smoke metrics-lint service-e2e recover-e2e dynamic-e2e tenant-e2e chaos cluster-e2e flaky-guard fuzz-smoke bench profile verify
+.PHONY: fmt build vet test race allocs bench-smoke metrics-lint service-e2e recover-e2e dynamic-e2e tenant-e2e chaos cluster-e2e flaky-guard fuzz-smoke profile verify
 
 fmt:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
@@ -37,11 +37,11 @@ allocs:
 # bench-smoke is the candidate engine's fast perf gate: the zero-alloc
 # assertions on the sweep (full and granular) and the searcher's generate
 # path, plus one untimed pass over the 400-customer benchmarks so a broken
-# benchmark fails here rather than in a long scripts/bench.sh run.
+# benchmark fails here. Timed measurements are scripts/tsmobench's job.
 bench-smoke:
 	$(GO) test -run 'TestCandidatesZeroAlloc|TestGranularSweepDeterministic' -count 1 -v ./internal/operators/
 	$(GO) test -run 'TestGenerateZeroAlloc' -count 1 -v ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkCandidates400|BenchmarkNeighborhood400|BenchmarkCandidatesInto400|BenchmarkCandidatesGranular400' \
+	$(GO) test -run '^$$' -bench 'BenchmarkCandidatesInto400|BenchmarkCandidatesGranular400' \
 	  -benchtime 1x ./internal/operators/
 	$(GO) test -run '^$$' -bench 'BenchmarkSearcherIteration' -benchtime 1x ./internal/core/
 
@@ -135,12 +135,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeltaMatchesApply -fuzztime $(FUZZTIME) ./internal/operators/
 	$(GO) test -run '^$$' -fuzz FuzzFeasibilityGuard -fuzztime $(FUZZTIME) ./internal/operators/
 	$(GO) test -run '^$$' -fuzz FuzzClusterMessages -fuzztime $(FUZZTIME) ./internal/cluster/
-
-# bench refreshes BENCH_delta.json, BENCH_telemetry.json and
-# BENCH_service.json via scripts/bench.sh (prior numbers are archived to
-# BENCH_history.jsonl).
-bench:
-	./scripts/bench.sh
 
 # profile runs a short goroutine-backend asynchronous search with the
 # observability endpoints live and saves CPU and heap profiles next to a

@@ -9,9 +9,8 @@ import (
 // benchCheckpointRun measures a complete sequential run on the simulator,
 // checkpointing every `every` master iterations (0 = off) through a sink
 // that pays the full cost of a durable snapshot short of the disk write:
-// state capture, encoding, checksum. The Off/On pair gates the
-// checkpointing overhead at the service's default interval — scripts/
-// bench.sh writes the comparison to BENCH_checkpoint.json with a <2%
+// state capture, encoding, checksum. The Off/On pair measures the
+// checkpointing overhead at the service's default interval against a <2%
 // target.
 func benchCheckpointRun(b *testing.B, every int) {
 	in := testInstance(b, 100)

@@ -241,7 +241,8 @@ type Config struct {
 	// worker idle accounting, and (when the layer carries sinks) the
 	// structured event stream and JSONL run report. nil — the default —
 	// disables all of it at a cost of one branch per instrumentation
-	// point; see internal/telemetry and BENCH_telemetry.json.
+	// point; see internal/telemetry and scripts/tsmobench's
+	// telemetry.overhead_pct.
 	Telemetry *telemetry.Telemetry
 
 	// ctx carries the run's cancellation signal; set by RunContext, nil

@@ -113,7 +113,7 @@ type searcher struct {
 
 // sweepBatchIters is the number of iterations folded into one "sweep"
 // span — small enough to localize a stall, large enough to stay within
-// the <=3% enabled-tracing overhead gate (BENCH_trace.json).
+// the <=3% enabled-tracing budget (scripts/tsmobench: trace.overhead_pct).
 const sweepBatchIters = 128
 
 // procOutcome is what each algorithm body hands back to Run.
@@ -341,16 +341,8 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 	p.Compute(s.cfg.Cost.OverheadPerNeighbor * float64(len(cands)))
 
 	// The candidate set's non-dominated indices feed both the selection
-	// and the M_nondom update. The front is folded incrementally into the
-	// searcher's reusable buffer — one pass over the candidates against
-	// the running front instead of the full O(n²) pairwise scan, and zero
-	// allocations in steady state. The result is index-identical to
-	// pareto.NondominatedIndices (duplicates kept, ascending order).
-	s.nd = s.nd[:0]
-	for i := range cands {
-		s.foldFront(cands, i)
-	}
-	nd := s.nd
+	// and the M_nondom update.
+	nd := s.foldFront(cands)
 	sel := s.selectCand(cands, nd)
 	if s.rec != nil {
 		for i := range cands {
@@ -470,46 +462,39 @@ func (s *searcher) closeSweep() {
 	s.sweep = nil
 }
 
-// foldFront inserts candidate i into the running non-dominated front s.nd:
-// if any front member dominates it, the front is unchanged; otherwise front
-// members it dominates are compacted out and i is appended. Because front
-// members are mutually non-dominated, no removal can precede finding a
-// dominator (dominance is transitive), so the early return is safe — and
-// the final front equals pareto.NondominatedIndices over the whole set,
-// duplicates kept, indices ascending.
-func (s *searcher) foldFront(cands []cand, i int) {
-	obj := cands[i].obj
-	w := 0
-	for _, j := range s.nd {
-		if cands[j].obj.Dominates(obj) {
-			return // dominated; nothing before j can have been removed
-		}
-		if !obj.Dominates(cands[j].obj) {
-			s.nd[w] = j
-			w++
-		}
-	}
-	s.nd = append(s.nd[:w], i)
-}
-
-// nondomIndices returns the indices of the candidates whose objectives are
-// non-dominated within the set. The searcher's step folds the front
-// incrementally instead; this remains as the reference implementation for
-// tests and one-off callers.
-func nondomIndices(cands []cand) []int {
-	if len(cands) == 0 {
-		return nil
-	}
-	objs := make([]solution.Objectives, len(cands))
+// foldFront returns the indices of the candidates non-dominated within the
+// set, folding them one at a time into the reusable buffer s.nd: a
+// candidate that some front member dominates leaves the front unchanged;
+// otherwise the members it dominates are compacted out and it is appended.
+// Because front members are mutually non-dominated, no removal can precede
+// finding a dominator (dominance is transitive), so the early exit is safe
+// — and the result equals pareto.NondominatedIndices over the whole set,
+// duplicates kept, indices ascending. That is one pass against the running
+// front instead of the full O(n²) pairwise scan, with zero allocations in
+// steady state.
+func (s *searcher) foldFront(cands []cand) []int {
+	s.nd = s.nd[:0]
+next:
 	for i := range cands {
-		objs[i] = cands[i].obj
+		obj := cands[i].obj
+		w := 0
+		for _, j := range s.nd {
+			if cands[j].obj.Dominates(obj) {
+				continue next // dominated; nothing before j can have been removed
+			}
+			if !obj.Dominates(cands[j].obj) {
+				s.nd[w] = j
+				w++
+			}
+		}
+		s.nd = append(s.nd[:w], i)
 	}
-	return pareto.NondominatedIndices(objs)
+	return s.nd
 }
 
 // selectCand picks the next current solution from the candidate set: among
 // the candidates non-dominated within the set (nd, as computed by
-// nondomIndices) and not forbidden by the tabu list (with archive-entry
+// foldFront) and not forbidden by the tabu list (with archive-entry
 // aspiration), it prefers one that dominates the current solution and
 // otherwise draws uniformly. It returns -1 when every candidate is
 // unavailable — the paper's "s not in N" restart trigger.

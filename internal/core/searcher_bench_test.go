@@ -63,7 +63,7 @@ func BenchmarkSearcherIteration(b *testing.B) {
 
 // BenchmarkSearcherIterationFull is the same iteration with the paper's
 // full neighborhoods (no granular lists) — the before side of the granular
-// comparison in BENCH_granular.json.
+// comparison.
 func BenchmarkSearcherIterationFull(b *testing.B) {
 	s, p, size := benchSearcher(b, nil)
 	b.ReportAllocs()
@@ -86,10 +86,9 @@ func BenchmarkSearcherIterationParallel(b *testing.B) {
 }
 
 // BenchmarkSearcherIterationTelemetry is the granular iteration with every
-// instrument recording: the pair gates the enabled-telemetry overhead
-// (scripts/bench.sh writes the comparison to BENCH_telemetry.json; the
-// disabled layer is additionally pinned to <2% and zero extra allocations
-// against BenchmarkSearcherIteration).
+// instrument recording; against BenchmarkSearcherIteration it isolates the
+// enabled-telemetry cost in the kernel (end to end, scripts/tsmobench
+// reports it as telemetry.overhead_pct).
 func BenchmarkSearcherIterationTelemetry(b *testing.B) {
 	s, p, size := benchSearcherCfg(b, telemetry.New(nil, nil), benchGranularK, 0)
 	b.ReportAllocs()
@@ -101,8 +100,9 @@ func BenchmarkSearcherIterationTelemetry(b *testing.B) {
 
 // BenchmarkSearcherIterationTrace is the granular iteration with an
 // enabled span recorder: the searcher batches iterations into "sweep"
-// spans, so the pair against BenchmarkSearcherIteration gates the
-// enabled-tracing overhead at <=3% (scripts/bench.sh → BENCH_trace.json).
+// spans, so the pair against BenchmarkSearcherIteration isolates the
+// enabled-tracing cost (<=3% budget; end to end, scripts/tsmobench
+// reports it as trace.overhead_pct).
 func BenchmarkSearcherIterationTrace(b *testing.B) {
 	s, p, size := benchSearcherCfg(b, nil, benchGranularK, 0)
 	tr := trace.New(0)
@@ -112,31 +112,6 @@ func BenchmarkSearcherIterationTrace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.step(p, s.generate(p, size))
-	}
-}
-
-// BenchmarkSearcherIterationMaterialized replays the pre-delta iteration:
-// every neighbor is fully materialized before selection, as the search did
-// before the schedule-cache refactor. Kept as the benchmark baseline.
-func BenchmarkSearcherIterationMaterialized(b *testing.B) {
-	s, p, size := benchSearcher(b, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nbh := s.gen.Neighborhood(s.cur, s.r, size)
-		cands := make([]cand, len(nbh))
-		for j, nb := range nbh {
-			cands[j] = cand{
-				base: s.cur,
-				obj:  nb.Sol.Obj,
-				sol:  nb.Sol, // pre-materialized; the flat move is not needed
-				attr: nb.Move.Attribute(),
-				op:   nb.Move.Operator(),
-				born: s.iter,
-			}
-		}
-		s.evals += len(cands)
-		s.step(p, cands)
 	}
 }
 

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/deme"
+	"repro/internal/pareto"
 	"repro/internal/rng"
 	"repro/internal/solution"
 	"repro/internal/tabu"
@@ -47,6 +50,42 @@ func newTestSearcher(t *testing.T) (*searcher, *stubProc) {
 	return s, p
 }
 
+// TestFoldFrontMatchesNondominatedIndices checks foldFront's contract
+// against the reference pareto.NondominatedIndices on random candidate
+// sets: objectives are drawn from a coarse grid so dominance ties are
+// common, and some candidates copy an earlier candidate's objectives
+// outright. Both must keep every duplicate, in ascending index order.
+func TestFoldFrontMatchesNondominatedIndices(t *testing.T) {
+	var s searcher
+	f := func(seed uint64, size uint8) bool {
+		r := rng.New(seed)
+		n := int(size % 64)
+		cands := make([]cand, n)
+		objs := make([]solution.Objectives, n)
+		for i := range cands {
+			if i > 0 && r.Intn(4) == 0 {
+				objs[i] = objs[r.Intn(i)] // forced duplicate
+			} else {
+				objs[i] = solution.Objectives{
+					Distance:  float64(r.Intn(6)),
+					Vehicles:  float64(r.Intn(3)),
+					Tardiness: float64(r.Intn(3)),
+				}
+			}
+			cands[i].obj = objs[i]
+		}
+		want := pareto.NondominatedIndices(objs)
+		got := s.foldFront(cands)
+		if len(want) == 0 {
+			return len(got) == 0
+		}
+		return slices.Equal(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestSelectCandPrefersDominating(t *testing.T) {
 	s, _ := newTestSearcher(t)
 	cur := s.cur.Obj
@@ -56,7 +95,7 @@ func TestSelectCandPrefersDominating(t *testing.T) {
 		mkCand(cur.Distance+5, cur.Vehicles-1, cur.Tardiness, 3), // trade-off
 	}
 	for trial := 0; trial < 20; trial++ {
-		got := s.selectCand(cands, nondomIndices(cands))
+		got := s.selectCand(cands, s.foldFront(cands))
 		if got != 1 {
 			t.Fatalf("selectCand picked %d, want the dominating candidate 1", got)
 		}
@@ -72,7 +111,7 @@ func TestSelectCandSkipsTabu(t *testing.T) {
 	cands := []cand{
 		mkCand(cur.Distance+10, cur.Vehicles, cur.Tardiness+1, 7),
 	}
-	if got := s.selectCand(cands, nondomIndices(cands)); got != -1 {
+	if got := s.selectCand(cands, s.foldFront(cands)); got != -1 {
 		t.Fatalf("tabu candidate selected (%d)", got)
 	}
 }
@@ -83,11 +122,11 @@ func TestSelectCandAspiration(t *testing.T) {
 	s.tl.Add(9)
 	// Tabu but archive-improving (dominates everything stored).
 	cands := []cand{mkCand(cur.Distance-50, cur.Vehicles, 0, 9)}
-	if got := s.selectCand(cands, nondomIndices(cands)); got != 0 {
+	if got := s.selectCand(cands, s.foldFront(cands)); got != 0 {
 		t.Fatal("aspiration did not admit an archive-improving tabu candidate")
 	}
 	s.cfg.DisableAspiration = true
-	if got := s.selectCand(cands, nondomIndices(cands)); got != -1 {
+	if got := s.selectCand(cands, s.foldFront(cands)); got != -1 {
 		t.Fatal("DisableAspiration did not suppress the aspiration criterion")
 	}
 	s.cfg.DisableAspiration = false

@@ -52,8 +52,7 @@ func benchCheckpoint(b *testing.B, in *vrptw.Instance, cfg core.Config, barrier 
 }
 
 // reportPercentiles attaches per-op latency percentiles to the benchmark
-// output so scripts/bench.sh can gate the p99 (<10ms target) instead of
-// the mean.
+// output, so the p99 (<10ms target) is read instead of the mean.
 func reportPercentiles(b *testing.B, durs []time.Duration) {
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	pick := func(q float64) float64 {

@@ -105,8 +105,8 @@ func mutate(in *vrptw.Instance, s *solution.Solution, ops []operators.Operator, 
 	cur := s
 	for i := 0; i < k; i++ {
 		op := ops[r.Intn(len(ops))]
-		if m, ok := op.Propose(in, cur, r); ok {
-			cur = m.Apply(in, cur)
+		if d, ok := op.Propose(in, cur, r); ok {
+			cur = d.Apply(in, cur)
 		}
 	}
 	if cur == s {

@@ -29,7 +29,6 @@ func spliceInto(obj *solution.Objectives, in *vrptw.Instance, s *solution.Soluti
 	obj.Tardiness += t
 }
 
-// Delta implements Move.
 func (m relocateMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
 	rf, rt := s.Routes[m.from], s.Routes[m.to]
 	obj := s.Obj
@@ -47,7 +46,6 @@ func (m relocateMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solutio
 	return obj, true
 }
 
-// Delta implements Move.
 func (m exchangeMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
 	a, b := s.Routes[m.r1], s.Routes[m.r2]
 	obj := s.Obj
@@ -62,7 +60,6 @@ func (m exchangeMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solutio
 	return obj, true
 }
 
-// Delta implements Move.
 func (m twoOptMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
 	route := s.Routes[m.route]
 	obj := s.Obj
@@ -73,7 +70,6 @@ func (m twoOptMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.
 	return obj, true
 }
 
-// Delta implements Move.
 func (m twoOptStarMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
 	a, b := s.Routes[m.r1], s.Routes[m.r2]
 	obj := s.Obj
@@ -94,7 +90,6 @@ func (m twoOptStarMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solut
 	return obj, true
 }
 
-// Delta implements Move.
 func (m orOptMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
 	return orOptDelta(in, s, e, m.route, m.seg, 2, m.dst)
 }
@@ -121,12 +116,10 @@ func orOptDelta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval, rout
 	return obj, true
 }
 
-// Delta implements Move.
 func (m orOptNMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
 	return orOptDelta(in, s, e, m.route, m.seg, m.length, m.dst)
 }
 
-// Delta implements Move.
 func (m relocateNewMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
 	rf := s.Routes[m.from]
 	obj := s.Obj
@@ -140,7 +133,6 @@ func (m relocateNewMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solu
 	return obj, true
 }
 
-// Delta implements Move.
 func (m crossExchangeMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
 	a, b := s.Routes[m.r1], s.Routes[m.r2]
 	obj := s.Obj

@@ -51,12 +51,7 @@ type orOptNMove struct {
 }
 
 // Propose implements Operator.
-func (o OrOptN) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	return boxed(o, in, s, r)
-}
-
-// ProposeData implements Operator.
-func (o OrOptN) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+func (o OrOptN) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	for try := 0; try < proposeAttempts; try++ {
 		ri := r.Intn(len(s.Routes))
 		route := s.Routes[ri]
@@ -101,7 +96,6 @@ func (m orOptNMove) Apply(in *vrptw.Instance, s *solution.Solution) *solution.So
 }
 
 func (m orOptNMove) Attribute() tabu.Attribute { return attribute(tagOrOptN, m.c1, m.c2) }
-func (m orOptNMove) Operator() string          { return orOptNName(m.length) }
 
 // RelocateNew moves one customer out of a multi-customer route into a
 // fresh route of its own. It is the inverse pressure to the paper's
@@ -119,12 +113,7 @@ type relocateNewMove struct {
 }
 
 // Propose implements Operator.
-func (o RelocateNew) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	return boxed(o, in, s, r)
-}
-
-// ProposeData implements Operator.
-func (RelocateNew) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+func (RelocateNew) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) >= in.Vehicles {
 		return MoveData{}, false // fleet exhausted
 	}
@@ -165,7 +154,6 @@ func (m relocateNewMove) Apply(in *vrptw.Instance, s *solution.Solution) *soluti
 }
 
 func (m relocateNewMove) Attribute() tabu.Attribute { return attribute(tagRelocateNew, m.cust, 0) }
-func (m relocateNewMove) Operator() string          { return "relocate-new" }
 
 // CrossExchange swaps two segments of up to MaxLen consecutive customers
 // between different routes (Taillard et al. 1997), generalizing the
@@ -192,12 +180,7 @@ type crossExchangeMove struct {
 }
 
 // Propose implements Operator.
-func (c CrossExchange) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	return boxed(c, in, s, r)
-}
-
-// ProposeData implements Operator.
-func (c CrossExchange) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+func (c CrossExchange) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -254,4 +237,3 @@ func (m crossExchangeMove) Attribute() tabu.Attribute {
 	}
 	return attribute(tagCrossExchange, lo, hi)
 }
-func (m crossExchangeMove) Operator() string { return "cross-exchange" }

@@ -43,7 +43,7 @@ func TestOrOptNSegmentLengths(t *testing.T) {
 		if !ok {
 			continue
 		}
-		mv := m.(orOptNMove)
+		mv := m.asOrOptN()
 		if mv.length < 1 || mv.length > 3 {
 			t.Fatalf("segment length %d out of [1,3]", mv.length)
 		}
@@ -126,7 +126,7 @@ func TestCrossExchangeSwapsSegments(t *testing.T) {
 		if err := solution.Validate(in, next); err != nil {
 			t.Fatal(err)
 		}
-		mv := m.(crossExchangeMove)
+		mv := m.asCrossExchange()
 		if mv.l1 != mv.l2 {
 			// Unequal lengths change route sizes.
 			if len(next.Routes[0]) == 5 && len(next.Routes[1]) == 5 {
@@ -174,14 +174,15 @@ func TestGeneratorWithExtendedOperators(t *testing.T) {
 	in := genInstance(t, vrptw.RC2, 40, 2)
 	s := greedyFill(in)
 	g := NewGenerator(in, Extended())
-	nbh := g.Neighborhood(s, rng.New(4), 60)
-	if len(nbh) != 60 {
-		t.Fatalf("neighborhood size %d, want 60", len(nbh))
+	var buf CandidateBuffer
+	g.MovesInto(&buf, s, rng.New(4), 60)
+	if len(buf.Data) != 60 {
+		t.Fatalf("neighborhood size %d, want 60", len(buf.Data))
 	}
 	names := map[string]bool{}
-	for _, nb := range nbh {
-		names[nb.Move.Operator()] = true
-		if err := solution.Validate(in, nb.Sol); err != nil {
+	for _, d := range buf.Data {
+		names[d.OperatorName()] = true
+		if err := solution.Validate(in, d.Apply(in, s)); err != nil {
 			t.Fatal(err)
 		}
 	}

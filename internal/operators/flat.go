@@ -8,14 +8,12 @@ import (
 	"repro/internal/vrptw"
 )
 
-// This file is the flat move encoding of the candidate engine. The Move
-// interface reifies moves as boxed values — convenient, but boxing one
-// value struct per proposed candidate costs one heap allocation, and at
-// 200 candidates per iteration that boxing dominated the searcher's
-// allocation profile. MoveData is the same information as a plain tagged
-// union: one fixed-size struct, no pointers, storable in reusable slices.
-// The hot path (Generator.CandidatesInto → searcher) deals exclusively in
-// MoveData; Move remains as the boxed compatibility view.
+// This file is the move encoding of the candidate engine. MoveData is a
+// plain tagged union — one fixed-size struct, no pointers — so a sweep's
+// moves live in reusable slices and proposing one never touches the heap.
+// It is the package's only move type: every operator proposes MoveData,
+// and every caller (the TSMO variants, the baselines, the benchmarks)
+// applies, delta-evaluates and tabu-tags moves through it.
 
 // MoveKind discriminates the MoveData union. KindNone is the zero value
 // and marks "no move" (e.g. a checkpoint-restored candidate that is
@@ -34,9 +32,9 @@ const (
 	KindCrossExchange
 )
 
-// MoveData is one neighborhood move in flat form. The parameter fields
-// A..H are interpreted per kind exactly as the corresponding move struct's
-// fields, in declaration order:
+// MoveData is one neighborhood move. The parameter fields A..H are
+// interpreted per kind exactly as the fields, in declaration order, of the
+// unexported struct the kind decodes to:
 //
 //	KindRelocate:      A=from  B=fpos C=to     D=tpos E=cust
 //	KindExchange:      A=r1    B=p1   C=r2     D=p2   E=c1 F=c2
@@ -51,8 +49,8 @@ type MoveData struct {
 	A, B, C, D, E, F, G, H int32
 }
 
-// decode rebuilds the concrete move value on the stack; the value methods
-// below dispatch through it without boxing.
+// decode rebuilds the per-kind move value on the stack; the methods below
+// dispatch through it without allocating.
 
 func (d MoveData) asRelocate() relocateMove {
 	return relocateMove{from: int(d.A), fpos: int(d.B), to: int(d.C), tpos: int(d.D), cust: int(d.E)}
@@ -86,7 +84,9 @@ func (d MoveData) asCrossExchange() crossExchangeMove {
 	return crossExchangeMove{r1: int(d.A), p1: int(d.B), l1: int(d.C), r2: int(d.D), p2: int(d.E), l2: int(d.F), a1: int(d.G), a2: int(d.H)}
 }
 
-// Apply materializes the move on s, exactly as Move.Apply.
+// Apply materializes the move on s, the solution it was proposed on,
+// returning a new evaluated solution; s is not modified. It is the
+// reference Delta is tested against.
 func (d MoveData) Apply(in *vrptw.Instance, s *solution.Solution) *solution.Solution {
 	switch d.Kind {
 	case KindRelocate:
@@ -109,8 +109,12 @@ func (d MoveData) Apply(in *vrptw.Instance, s *solution.Solution) *solution.Solu
 	panic(fmt.Sprintf("operators: Apply on MoveData kind %d", d.Kind))
 }
 
-// Delta delta-evaluates the move against s's schedule cache, exactly as
-// Move.Delta.
+// Delta returns the objectives of the solution Apply would produce,
+// agreeing with it to within floating-point noise (well below 1e-9), in
+// time proportional to the changed segments rather than the touched
+// routes. e must be the schedule cache of s. The second result reports
+// whether the delta could be computed; callers fall back to Apply when it
+// is false.
 func (d MoveData) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
 	switch d.Kind {
 	case KindRelocate:
@@ -133,7 +137,8 @@ func (d MoveData) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Ev
 	panic(fmt.Sprintf("operators: Delta on MoveData kind %d", d.Kind))
 }
 
-// Attribute is the move's tabu identity, exactly as Move.Attribute.
+// Attribute is the move's tabu identity: the operator and the customers
+// it touches.
 func (d MoveData) Attribute() tabu.Attribute {
 	switch d.Kind {
 	case KindRelocate:
@@ -178,30 +183,6 @@ func (d MoveData) OperatorName() string {
 		return "cross-exchange"
 	}
 	return "none"
-}
-
-// Move returns the boxed Move view of the data (allocating; compatibility
-// and tests only — the hot path never boxes).
-func (d MoveData) Move() Move {
-	switch d.Kind {
-	case KindRelocate:
-		return d.asRelocate()
-	case KindExchange:
-		return d.asExchange()
-	case KindTwoOpt:
-		return d.asTwoOpt()
-	case KindTwoOptStar:
-		return d.asTwoOptStar()
-	case KindOrOpt:
-		return d.asOrOpt()
-	case KindOrOptN:
-		return d.asOrOptN()
-	case KindRelocateNew:
-		return d.asRelocateNew()
-	case KindCrossExchange:
-		return d.asCrossExchange()
-	}
-	return nil
 }
 
 // orOptNName returns the static operator name of a length-l Or-opt move.

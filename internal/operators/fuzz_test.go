@@ -26,8 +26,8 @@ func fuzzInstance(t *testing.T, class, n, seed uint64) (*vrptw.Instance, *soluti
 }
 
 // FuzzDeltaMatchesApply drives a random walk over fuzzer-chosen instances
-// and checks, at every step, that Move.Delta agrees with the objectives of
-// the fully materialized Move.Apply to within deltaTol — the contract the
+// and checks, at every step, that MoveData.Delta agrees with the objectives
+// of the fully materialized MoveData.Apply to within deltaTol — the contract the
 // parallel variants rely on when workers delta-evaluate shipped moves.
 func FuzzDeltaMatchesApply(f *testing.F) {
 	f.Add(uint64(0), uint64(35), uint64(11), uint64(1))
@@ -38,24 +38,25 @@ func FuzzDeltaMatchesApply(f *testing.F) {
 		in, s := fuzzInstance(t, class, n, seed)
 		g := NewGenerator(in, All())
 		r := rng.New(walk)
+		var buf CandidateBuffer
 		for step := 0; step < 12; step++ {
-			moves := g.Moves(s, r, 6)
-			if len(moves) == 0 {
+			g.MovesInto(&buf, s, r, 6)
+			if len(buf.Data) == 0 {
 				return
 			}
 			e := g.eval(s)
 			var next *solution.Solution
-			for _, m := range moves {
+			for _, m := range buf.Data {
 				applied := m.Apply(in, s)
 				if err := solution.Validate(in, applied); err != nil {
-					t.Fatalf("%s produced an invalid solution: %v", m.Operator(), err)
+					t.Fatalf("%s produced an invalid solution: %v", m.OperatorName(), err)
 				}
 				if got, ok := m.Delta(in, s, e); ok {
 					want := applied.Obj
 					if math.Abs(got.Distance-want.Distance) > deltaTol ||
 						got.Vehicles != want.Vehicles ||
 						math.Abs(got.Tardiness-want.Tardiness) > deltaTol {
-						t.Fatalf("%s: Delta %+v != Apply %+v for %v", m.Operator(), got, want, m)
+						t.Fatalf("%s: Delta %+v != Apply %+v for %v", m.OperatorName(), got, want, m)
 					}
 				}
 				next = applied
@@ -93,18 +94,19 @@ func FuzzFeasibilityGuard(f *testing.F) {
 		in, s := fuzzInstance(t, class, n, seed)
 		g := NewGenerator(in, All())
 		r := rng.New(walk)
+		var buf CandidateBuffer
 		for step := 0; step < 12; step++ {
-			moves := g.Moves(s, r, 6)
-			if len(moves) == 0 {
+			g.MovesInto(&buf, s, r, 6)
+			if len(buf.Data) == 0 {
 				return
 			}
 			base := arcSet(s)
 			var next *solution.Solution
-			for _, m := range moves {
+			for _, m := range buf.Data {
 				applied := m.Apply(in, s)
 				for i, load := range applied.Load {
 					if load > in.Capacity {
-						t.Fatalf("%s overloaded route %d: %g > %g", m.Operator(), i, load, in.Capacity)
+						t.Fatalf("%s overloaded route %d: %g > %g", m.OperatorName(), i, load, in.Capacity)
 					}
 				}
 				for arc := range arcSet(applied) {
@@ -113,7 +115,7 @@ func FuzzFeasibilityGuard(f *testing.F) {
 					}
 					if !arcOK(in, arc[0], arc[1]) {
 						t.Fatalf("%s created arc %d->%d violating the local feasibility criterion",
-							m.Operator(), arc[0], arc[1])
+							m.OperatorName(), arc[0], arc[1])
 					}
 				}
 				next = applied

@@ -212,28 +212,6 @@ func benchSweep(b *testing.B, granularK int) (*Generator, *solution.Solution, *r
 	return g, s, rng.New(1)
 }
 
-// BenchmarkNeighborhood400 measures the pre-delta sweep (propose + apply
-// every move) on the 400-customer instance.
-func BenchmarkNeighborhood400(b *testing.B) {
-	g, s, r := benchSweep(b, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Neighborhood(s, r, 200)
-	}
-}
-
-// BenchmarkCandidates400 measures the allocating delta-path sweep
-// (Candidates) on the 400-customer instance.
-func BenchmarkCandidates400(b *testing.B) {
-	g, s, r := benchSweep(b, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Candidates(s, r, 200)
-	}
-}
-
 // BenchmarkCandidatesInto400 measures the zero-alloc full-neighborhood
 // sweep into a reused buffer on the 400-customer instance.
 func BenchmarkCandidatesInto400(b *testing.B) {

@@ -1,8 +1,6 @@
 package operators
 
 import (
-	"fmt"
-
 	"repro/internal/rng"
 	"repro/internal/solution"
 	"repro/internal/tabu"
@@ -17,7 +15,9 @@ type Relocate struct{}
 // Name implements Operator.
 func (Relocate) Name() string { return "relocate" }
 
-// relocateMove is the reified Relocate move.
+// relocateMove is the decoded view of a KindRelocate MoveData; it and the
+// other per-kind structs below hold the Apply, Delta and Attribute bodies
+// that MoveData dispatches to.
 type relocateMove struct {
 	from, fpos int // donor route index and customer position
 	to, tpos   int // receiving route index and insertion position
@@ -25,12 +25,7 @@ type relocateMove struct {
 }
 
 // Propose implements Operator.
-func (o Relocate) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	return boxed(o, in, s, r)
-}
-
-// ProposeData implements Operator.
-func (Relocate) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+func (Relocate) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -74,7 +69,6 @@ func (m relocateMove) Apply(in *vrptw.Instance, s *solution.Solution) *solution.
 }
 
 func (m relocateMove) Attribute() tabu.Attribute { return attribute(tagRelocate, m.cust, 0) }
-func (m relocateMove) Operator() string          { return "relocate" }
 
 // Exchange swaps two customers between different routes — Osman's (1,1)
 // λ-exchange.
@@ -90,12 +84,7 @@ type exchangeMove struct {
 }
 
 // Propose implements Operator.
-func (o Exchange) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	return boxed(o, in, s, r)
-}
-
-// ProposeData implements Operator.
-func (Exchange) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+func (Exchange) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -138,7 +127,6 @@ func (m exchangeMove) Attribute() tabu.Attribute {
 	}
 	return attribute(tagExchange, lo, hi)
 }
-func (m exchangeMove) Operator() string { return "exchange" }
 
 // TwoOpt reverses a contiguous segment of a single route (or the whole
 // route).
@@ -153,12 +141,7 @@ type twoOptMove struct {
 }
 
 // Propose implements Operator.
-func (o TwoOpt) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	return boxed(o, in, s, r)
-}
-
-// ProposeData implements Operator.
-func (TwoOpt) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+func (TwoOpt) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	for try := 0; try < proposeAttempts; try++ {
 		ri := r.Intn(len(s.Routes))
 		route := s.Routes[ri]
@@ -195,7 +178,6 @@ func (m twoOptMove) Attribute() tabu.Attribute {
 	}
 	return attribute(tagTwoOpt, lo, hi)
 }
-func (m twoOptMove) Operator() string { return "2-opt" }
 
 // TwoOptStar interchanges the tails of two routes: the first part of one
 // route continues with the second part of the other and vice versa. Cutting
@@ -212,12 +194,7 @@ type twoOptStarMove struct {
 }
 
 // Propose implements Operator.
-func (o TwoOptStar) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	return boxed(o, in, s, r)
-}
-
-// ProposeData implements Operator.
-func (TwoOptStar) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+func (TwoOptStar) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -277,7 +254,6 @@ func (m twoOptStarMove) Attribute() tabu.Attribute {
 	}
 	return attribute(tagTwoOptStar, lo, hi)
 }
-func (m twoOptStarMove) Operator() string { return "2-opt*" }
 
 // OrOpt moves two consecutive customers to a different place in the same
 // route.
@@ -294,12 +270,7 @@ type orOptMove struct {
 }
 
 // Propose implements Operator.
-func (o OrOpt) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	return boxed(o, in, s, r)
-}
-
-// ProposeData implements Operator.
-func (OrOpt) ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+func (OrOpt) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	for try := 0; try < proposeAttempts; try++ {
 		ri := r.Intn(len(s.Routes))
 		route := s.Routes[ri]
@@ -346,22 +317,3 @@ func (m orOptMove) Apply(in *vrptw.Instance, s *solution.Solution) *solution.Sol
 }
 
 func (m orOptMove) Attribute() tabu.Attribute { return attribute(tagOrOpt, m.c1, m.c2) }
-func (m orOptMove) Operator() string          { return "or-opt" }
-
-// String implementations aid debugging and the trajectory tool.
-
-func (m relocateMove) String() string {
-	return fmt.Sprintf("relocate c%d r%d@%d -> r%d@%d", m.cust, m.from, m.fpos, m.to, m.tpos)
-}
-func (m exchangeMove) String() string {
-	return fmt.Sprintf("exchange c%d (r%d@%d) <-> c%d (r%d@%d)", m.c1, m.r1, m.p1, m.c2, m.r2, m.p2)
-}
-func (m twoOptMove) String() string {
-	return fmt.Sprintf("2-opt r%d [%d..%d]", m.route, m.i, m.j)
-}
-func (m twoOptStarMove) String() string {
-	return fmt.Sprintf("2-opt* r%d@%d x r%d@%d", m.r1, m.p1, m.r2, m.p2)
-}
-func (m orOptMove) String() string {
-	return fmt.Sprintf("or-opt r%d seg@%d -> %d", m.route, m.seg, m.dst)
-}

@@ -22,51 +22,13 @@ import (
 	"repro/internal/vrptw"
 )
 
-// Move is a reified neighborhood move: it can be applied to the solution it
-// was proposed on (producing a new, evaluated solution) or delta-evaluated
-// against that solution's schedule cache, and carries a tabu attribute
-// identifying the operator and the customers it touches.
-type Move interface {
-	// Apply materializes the move on s, the same solution it was
-	// proposed on, returning a new evaluated solution. s is not
-	// modified.
-	Apply(in *vrptw.Instance, s *solution.Solution) *solution.Solution
-	// Delta returns the objectives of the solution Apply would produce,
-	// agreeing with it to within floating-point noise (well below 1e-9),
-	// in time proportional to the changed segments rather than the
-	// touched routes. e must be the schedule cache of s. The second
-	// result reports whether the delta could be computed; callers fall
-	// back to Apply when it is false.
-	Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool)
-	// Attribute is the move's tabu identity.
-	Attribute() tabu.Attribute
-	// Operator names the operator that produced the move.
-	Operator() string
-}
-
 // Operator proposes random feasible moves on a solution.
 type Operator interface {
 	Name() string
-	// Propose attempts to generate one random move on s that passes
-	// the local feasibility criterion. It reports failure when it finds
-	// none within its internal attempt budget.
-	Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool)
-	// ProposeData is Propose in the flat encoding: the same proposal
-	// logic and random draws, returning the move as a MoveData instead of
-	// a boxed Move. The hot path uses it exclusively — it never heap-
-	// allocates.
-	ProposeData(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool)
-}
-
-// boxed adapts an operator's ProposeData to the Move-returning Propose
-// signature. Every operator's Propose is this one-liner, so the two paths
-// cannot drift apart.
-func boxed(o Operator, in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Move, bool) {
-	d, ok := o.ProposeData(in, s, r)
-	if !ok {
-		return nil, false
-	}
-	return d.Move(), true
+	// Propose attempts to generate one random move on s that passes the
+	// local feasibility criterion. It reports failure when it finds none
+	// within its internal attempt budget. It never heap-allocates.
+	Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool)
 }
 
 // All returns fresh instances of the paper's five operators, in the order
@@ -87,12 +49,6 @@ const proposeAttempts = 30
 // fallback, after which further draws of the operator fail fast.
 const granFallbackBudget = 1
 
-// Neighbor pairs a move with the evaluated solution it produces.
-type Neighbor struct {
-	Move Move
-	Sol  *solution.Solution
-}
-
 // Generator draws random moves on a solution from a set of operators with
 // equal probability. The zero value is unusable; construct with
 // NewGenerator. A Generator is not safe for concurrent use: it shares the
@@ -101,10 +57,6 @@ type Neighbor struct {
 type Generator struct {
 	in  *vrptw.Instance
 	ops []Operator
-	// MaxFailures bounds the total number of failed proposals in one
-	// Neighborhood call, preventing livelock on solutions with very few
-	// feasible moves. Defaults to 50 failures per requested neighbor.
-	MaxFailures int
 	// DeltaStats, when non-nil, counts delta-evaluated candidates vs.
 	// full-simulation Apply fallbacks; SpliceStats is handed to the
 	// schedule cache to classify SpliceMetrics exits. Both default to nil
@@ -149,61 +101,6 @@ func NewGenerator(in *vrptw.Instance, ops []Operator) *Generator {
 	return g
 }
 
-// Neighborhood proposes up to size moves on s and applies each one,
-// returning the evaluated neighbors. Fewer than size neighbors are
-// returned only when the failure budget is exhausted. Every returned
-// neighbor counts as one objective-function evaluation.
-func (g *Generator) Neighborhood(s *solution.Solution, r *rng.Rand, size int) []Neighbor {
-	moves := g.Moves(s, r, size)
-	out := make([]Neighbor, len(moves))
-	for i, m := range moves {
-		out[i] = Neighbor{Move: m, Sol: m.Apply(g.in, s)}
-	}
-	return out
-}
-
-// Candidate pairs a proposed move with the objectives of the solution it
-// would produce. The solution itself is not materialized; apply the move
-// when (and only when) the full solution is needed.
-type Candidate struct {
-	Move Move
-	Obj  solution.Objectives
-}
-
-// Candidates proposes up to size moves on s and delta-evaluates each one
-// against s's schedule cache, returning objectives-only candidates. This
-// is the search's hot path: one route-schedule rebuild per distinct s,
-// then O(1)–O(segment) per candidate, instead of one full materialization
-// per candidate. Every returned candidate counts as one objective-function
-// evaluation, exactly like a materialized neighbor.
-func (g *Generator) Candidates(s *solution.Solution, r *rng.Rand, size int) []Candidate {
-	return g.EvalMoves(s, g.Moves(s, r, size))
-}
-
-// EvalMoves delta-evaluates an already-proposed move set against s's
-// schedule cache, falling back to Apply per move when the delta declines.
-// The synchronous master proposes the whole neighborhood itself (keeping
-// its random stream — and so its trajectory — identical to the sequential
-// searcher's) and ships move slices to the workers, who evaluate them with
-// this method. Evaluation is deterministic in (s, moves): a chunk
-// re-evaluated by the master after a worker loss yields bit-identical
-// objectives.
-func (g *Generator) EvalMoves(s *solution.Solution, moves []Move) []Candidate {
-	e := g.eval(s)
-	out := make([]Candidate, len(moves))
-	for i, m := range moves {
-		obj, ok := m.Delta(g.in, s, e)
-		if !ok {
-			g.DeltaStats.Fallback()
-			obj = m.Apply(g.in, s).Obj
-		} else {
-			g.DeltaStats.Fast()
-		}
-		out[i] = Candidate{Move: m, Obj: obj}
-	}
-	return out
-}
-
 // eval returns the schedule cache for s, rebuilding only when s differs
 // from the last evaluated solution.
 func (g *Generator) eval(s *solution.Solution) *solution.Eval {
@@ -216,25 +113,10 @@ func (g *Generator) eval(s *solution.Solution) *solution.Eval {
 	return g.lastEval
 }
 
-// Moves proposes up to size moves on s without applying them, boxed. The
-// ablation benchmarks and tests use it; the search drives MovesInto.
-func (g *Generator) Moves(s *solution.Solution, r *rng.Rand, size int) []Move {
-	budget := g.MaxFailures
-	if budget == 0 {
-		budget = 50 * size
-	}
-	moves := make([]Move, 0, size)
-	for len(moves) < size && budget > 0 {
-		oi := r.Intn(len(g.ops))
-		if m, ok := g.ops[oi].Propose(g.in, s, r); ok {
-			moves = append(moves, m)
-		} else {
-			g.Ops.Get(g.names[oi]).Exhaust()
-			budget--
-		}
-	}
-	return moves
-}
+// failuresPerMove bounds the failed proposals of one sweep at this many
+// per requested move, so a solution with very few feasible moves yields a
+// short neighborhood instead of livelocking the sweep.
+const failuresPerMove = 50
 
 // CandidateBuffer holds the reusable storage of one candidate sweep: the
 // flat move list, the index-aligned delta objectives, and the position
@@ -249,21 +131,20 @@ type CandidateBuffer struct {
 }
 
 // MovesInto proposes up to size moves on s into buf.Data (reusing its
-// storage), drawing from the granular paths when g.Granular is set. Failed
-// proposals consume the shared failure budget exactly as Moves; a granular
-// path that finds nothing within its attempt budget falls back to the full
-// path before the failure is charged, so granular search degrades — never
-// livelocks — on solutions whose sparse neighborhoods are exhausted. The
+// storage), drawing from the granular paths when g.Granular is set. Each
+// draw picks an operator uniformly; failed proposals consume a budget of
+// failuresPerMove*size per sweep, so fewer than size moves are returned
+// only when that budget is exhausted. A granular path that finds nothing
+// within its attempt budget falls back to the full path before the
+// failure is charged, so granular search degrades — never livelocks — on
+// solutions whose sparse neighborhoods are exhausted. The
 // solution is fixed for the whole sweep, so each operator's fallbacks are
 // memoized: after granFallbackBudget fallbacks, further draws of the same
 // operator count as exhausted and the sweep redraws — keeping the
 // neighborhood granular (the point of the sparse graph) instead of
 // silently degrading to the dense proposal path.
 func (g *Generator) MovesInto(buf *CandidateBuffer, s *solution.Solution, r *rng.Rand, size int) {
-	budget := g.MaxFailures
-	if budget == 0 {
-		budget = 50 * size
-	}
+	budget := failuresPerMove * size
 	buf.Data = buf.Data[:0]
 	granular := g.Granular != nil
 	if granular {
@@ -282,13 +163,13 @@ func (g *Generator) MovesInto(buf *CandidateBuffer, s *solution.Solution, r *rng
 			if !ok {
 				g.granFB[oi]++
 				g.Ops.Get(g.names[oi]).Fallback()
-				d, ok = g.ops[oi].ProposeData(g.in, s, r)
+				d, ok = g.ops[oi].Propose(g.in, s, r)
 			}
 		case granular && g.gran[oi] != nil:
 			// Memoized: the granular path already exhausted on this
 			// solution and the fallback budget is spent; fail the draw.
 		default:
-			d, ok = g.ops[oi].ProposeData(g.in, s, r)
+			d, ok = g.ops[oi].Propose(g.in, s, r)
 		}
 		if ok {
 			buf.Data = append(buf.Data, d)
@@ -300,7 +181,10 @@ func (g *Generator) MovesInto(buf *CandidateBuffer, s *solution.Solution, r *rng
 }
 
 // CandidatesInto is the hot-path candidate sweep: MovesInto followed by
-// EvalDataInto, entirely within buf's reusable storage.
+// EvalDataInto, entirely within buf's reusable storage — one
+// route-schedule rebuild per distinct s, then O(1)–O(segment) per
+// candidate instead of one full materialization. Every returned candidate
+// counts as one objective-function evaluation.
 func (g *Generator) CandidatesInto(buf *CandidateBuffer, s *solution.Solution, r *rng.Rand, size int) {
 	g.MovesInto(buf, s, r, size)
 	n := len(buf.Data)
@@ -326,7 +210,13 @@ func (g *Generator) EvalDataInto(s *solution.Solution, data []MoveData, objs []s
 		g.evalDataParallel(s, data, objs)
 		return
 	}
-	e := g.eval(s)
+	g.evalSpan(g.eval(s), s, data, objs)
+}
+
+// evalSpan delta-evaluates data against e, the schedule cache of s, into
+// objs, falling back to Apply per move when the delta declines. It is the
+// one evaluation loop of both EvalDataInto paths.
+func (g *Generator) evalSpan(e *solution.Eval, s *solution.Solution, data []MoveData, objs []solution.Objectives) {
 	for i, d := range data {
 		obj, ok := d.Delta(g.in, s, e)
 		if !ok {
@@ -374,16 +264,7 @@ func (g *Generator) evalDataParallel(s *solution.Solution, data []MoveData, objs
 		wg.Add(1)
 		go func(e *solution.Eval, data []MoveData, objs []solution.Objectives) {
 			defer wg.Done()
-			for i, d := range data {
-				obj, ok := d.Delta(g.in, s, e)
-				if !ok {
-					g.DeltaStats.Fallback()
-					obj = d.Apply(g.in, s).Obj
-				} else {
-					g.DeltaStats.Fast()
-				}
-				objs[i] = obj
-			}
+			g.evalSpan(e, s, data, objs)
 		}(evals[k], data[lo:hi], objs[lo:hi])
 	}
 	wg.Wait()

@@ -261,16 +261,13 @@ func TestGeneratorNeighborhoodSize(t *testing.T) {
 	in := genInstance(t, vrptw.R1, 50, 13)
 	s := greedyFill(in)
 	g := NewGenerator(in, nil)
-	r := rng.New(5)
-	nbh := g.Neighborhood(s, r, 40)
-	if len(nbh) != 40 {
-		t.Fatalf("neighborhood size %d, want 40", len(nbh))
+	var buf CandidateBuffer
+	g.CandidatesInto(&buf, s, rng.New(5), 40)
+	if len(buf.Data) != 40 || len(buf.Objs) != 40 {
+		t.Fatalf("neighborhood size %d moves / %d objectives, want 40", len(buf.Data), len(buf.Objs))
 	}
-	for i, nb := range nbh {
-		if nb.Move == nil || nb.Sol == nil {
-			t.Fatalf("neighbor %d incomplete", i)
-		}
-		if err := solution.Validate(in, nb.Sol); err != nil {
+	for i, d := range buf.Data {
+		if err := solution.Validate(in, d.Apply(in, s)); err != nil {
 			t.Fatalf("neighbor %d invalid: %v", i, err)
 		}
 	}
@@ -288,9 +285,10 @@ func TestGeneratorFailureBudget(t *testing.T) {
 	}
 	s := solution.New(in, [][]int{{1}})
 	g := NewGenerator(in, nil)
-	nbh := g.Neighborhood(s, rng.New(1), 10)
-	if len(nbh) != 0 {
-		t.Fatalf("expected empty neighborhood, got %d", len(nbh))
+	var buf CandidateBuffer
+	g.CandidatesInto(&buf, s, rng.New(1), 10)
+	if len(buf.Data) != 0 || len(buf.Objs) != 0 {
+		t.Fatalf("expected empty neighborhood, got %d", len(buf.Data))
 	}
 }
 
@@ -298,13 +296,14 @@ func TestGeneratorDeterminism(t *testing.T) {
 	in := genInstance(t, vrptw.C1, 40, 17)
 	s := greedyFill(in)
 	g := NewGenerator(in, nil)
-	a := g.Neighborhood(s, rng.New(42), 30)
-	b := g.Neighborhood(s, rng.New(42), 30)
-	if len(a) != len(b) {
-		t.Fatalf("sizes differ: %d vs %d", len(a), len(b))
+	var a, b CandidateBuffer
+	g.CandidatesInto(&a, s, rng.New(42), 30)
+	g.CandidatesInto(&b, s, rng.New(42), 30)
+	if len(a.Data) != len(b.Data) {
+		t.Fatalf("sizes differ: %d vs %d", len(a.Data), len(b.Data))
 	}
-	for i := range a {
-		if a[i].Sol.Obj != b[i].Sol.Obj {
+	for i := range a.Data {
+		if a.Data[i] != b.Data[i] || a.Objs[i] != b.Objs[i] {
 			t.Fatalf("neighbor %d differs between identical seeds", i)
 		}
 	}
@@ -323,8 +322,8 @@ func TestAttributesStableAndOperatorSpecific(t *testing.T) {
 					t.Fatalf("%s: unstable attribute", op.Name())
 				}
 				seen[op.Name()][uint64(m.Attribute())] = true
-				if m.Operator() != op.Name() {
-					t.Fatalf("move operator %q != %q", m.Operator(), op.Name())
+				if m.OperatorName() != op.Name() {
+					t.Fatalf("move operator %q != %q", m.OperatorName(), op.Name())
 				}
 			}
 		}
@@ -338,11 +337,12 @@ func TestMovesEvaluateLazily(t *testing.T) {
 	in := genInstance(t, vrptw.R1, 40, 23)
 	s := greedyFill(in)
 	g := NewGenerator(in, nil)
-	moves := g.Moves(s, rng.New(2), 25)
-	if len(moves) != 25 {
-		t.Fatalf("got %d moves, want 25", len(moves))
+	var buf CandidateBuffer
+	g.MovesInto(&buf, s, rng.New(2), 25)
+	if len(buf.Data) != 25 {
+		t.Fatalf("got %d moves, want 25", len(buf.Data))
 	}
-	for _, m := range moves {
+	for _, m := range buf.Data {
 		next := m.Apply(in, s)
 		if err := solution.Validate(in, next); err != nil {
 			t.Fatalf("deferred apply invalid: %v", err)
@@ -375,20 +375,6 @@ func TestOperatorChainProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkNeighborhood200(b *testing.B) {
-	in, err := vrptw.Generate(vrptw.GenConfig{Class: vrptw.R1, N: 100, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := greedyFill(in)
-	g := NewGenerator(in, nil)
-	r := rng.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Neighborhood(s, r, 200)
 	}
 }
 

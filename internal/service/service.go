@@ -163,9 +163,10 @@ func (c *Config) applyDefaults() {
 // when Config.CheckpointEvery is unset. A snapshot costs a state capture
 // plus an encode+checksum+fsync, so the interval trades recovery
 // granularity against steady-state overhead; 500 master iterations keeps
-// the overhead under 2% (gated by BenchmarkRunCheckpointOff/On via
-// scripts/bench.sh → BENCH_checkpoint.json) while bounding lost work on a
-// crash to well under a second of search.
+// the overhead under 2% (the BenchmarkRunCheckpointOff/On pair in
+// internal/core; scripts/tsmobench reports the snapshot's cost as
+// core.ckpt_encode_ms) while bounding lost work on a crash to well under a
+// second of search.
 const DefaultCheckpointEvery = 500
 
 // Service is the job-queue daemon. Create with New, expose with Handler,

@@ -7,8 +7,9 @@
 // The disabled path costs nothing measurable: a nil *Telemetry disables
 // every instrument, and each recording method nil-checks its group
 // receiver, so an uninstrumented run pays exactly one predictable branch
-// per call site and zero allocations (enforced by the zero-alloc tests and
-// the <2% gate in scripts/bench.sh → BENCH_telemetry.json). Instruments
+// per call site and zero allocations (enforced by the zero-alloc tests; the
+// enabled layer's cost is scripts/tsmobench's telemetry.overhead_pct on
+// the seq-r1-400 solve). Instruments
 // are safe for concurrent use by all processes of a run; event emission
 // (Event, Snapshot) happens off the hot path only.
 package telemetry

@@ -2,8 +2,23 @@ package repro
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"testing"
 )
+
+// frontDigest hashes a front's objectives (exact bits) and routes, in
+// order, so a baseline's whole trajectory is pinned by one string.
+func frontDigest(front []*Solution) string {
+	h := sha256.New()
+	for _, s := range front {
+		fmt.Fprintf(h, "%x %x %x %v\n", math.Float64bits(s.Obj.Distance),
+			math.Float64bits(s.Obj.Vehicles), math.Float64bits(s.Obj.Tardiness), s.Routes)
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
 
 // TestFacadeEndToEnd exercises the public API the way the README's
 // quickstart does.
@@ -73,12 +88,15 @@ func TestFacadeNSGA2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveNSGA2(in, NSGA2Config{PopulationSize: 16, MaxEvaluations: 600, Seed: 1})
+	res, err := SolveNSGA2(in, NSGA2Config{PopulationSize: 16, MaxEvaluations: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Front) == 0 {
 		t.Fatal("empty NSGA-II front")
+	}
+	if got, want := frontDigest(res.Front), "765aa2dfaea2e547"; got != want {
+		t.Errorf("NSGA-II front digest %s, want %s", got, want)
 	}
 }
 
@@ -105,12 +123,15 @@ func TestFacadeMOTSAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveMOTS(in, MOTSConfig{Points: 3, MaxEvaluations: 600, Seed: 2})
+	res, err := SolveMOTS(in, MOTSConfig{Points: 3, MaxEvaluations: 4000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Front) == 0 {
 		t.Fatal("empty MOTS front")
+	}
+	if got, want := frontDigest(res.Front), "927be20ab59e82fd"; got != want {
+		t.Errorf("MOTS front digest %s, want %s", got, want)
 	}
 	// RuntimeStats through the facade.
 	cfg := DefaultConfig()
@@ -137,7 +158,7 @@ func TestFacadeWeighted(t *testing.T) {
 	}
 	res, err := SolveWeighted(in, WeightedConfig{
 		Weights:          WeightLattice(1),
-		MaxEvaluations:   600,
+		MaxEvaluations:   4000,
 		NeighborhoodSize: 20,
 		Seed:             1,
 	})
@@ -146,5 +167,8 @@ func TestFacadeWeighted(t *testing.T) {
 	}
 	if len(res.Front) == 0 || len(res.PerWeight) != 3 {
 		t.Fatalf("unexpected weighted result: %d front, %d per-weight", len(res.Front), len(res.PerWeight))
+	}
+	if got, want := frontDigest(res.Front), "dd809e20eb213a0e"; got != want {
+		t.Errorf("weighted-sum front digest %s, want %s", got, want)
 	}
 }
