@@ -1,7 +1,8 @@
 # Developer verify loop. `make verify` is the full gate a change must pass:
 # formatting, build, vet, the complete test suite, the race detector over
-# the concurrency-heavy packages (the search core and the process
-# simulator), and the zero-allocation assertion on the disabled-telemetry
+# the concurrency-heavy packages (the search core, the process simulator,
+# the cluster, and the telemetry and flight recorder the solver goroutines
+# write to), and the zero-allocation assertion on the disabled-telemetry
 # hot path.
 
 GO ?= go
@@ -22,17 +23,18 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/deme/... ./internal/cluster/...
+	$(GO) test -race ./internal/core/... ./internal/deme/... ./internal/cluster/... ./internal/telemetry/... ./internal/flight/...
 	$(GO) test -race -count 1 -run 'TestShareSSEFanoutRace|TestShareIngressConcurrentSubscribers' ./internal/service/
 
 # allocs asserts the observability overhead contract: disabled-path
 # telemetry and tracing calls allocate nothing, and a full searcher
 # iteration allocates no more with the instruments (or a live trace span)
-# than with the layers off.
+# than with the layers off — nor does a restarting, sampling step, since
+# solver events are built only when a sink is attached.
 allocs:
 	$(GO) test -run 'TestDisabledZeroAlloc|TestEnabledZeroAlloc' -count 1 -v ./internal/telemetry/
 	$(GO) test -run 'TestDisabledZeroAlloc' -count 1 -v ./internal/trace/
-	$(GO) test -run 'TestSearcherIterationTelemetryAllocs|TestSearcherIterationTraceAllocs' -count 1 -v ./internal/core/
+	$(GO) test -run 'TestSearcherIterationTelemetryAllocs|TestSearcherIterationTraceAllocs|TestRestartStepTelemetryAllocs' -count 1 -v ./internal/core/
 
 # bench-smoke is the candidate engine's fast perf gate: the zero-alloc
 # assertions on the sweep (full and granular) and the searcher's generate

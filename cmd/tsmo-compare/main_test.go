@@ -130,3 +130,34 @@ func TestDivergentRunsFailGate(t *testing.T) {
 		t.Fatalf("missing FAIL line:\n%s", out.String())
 	}
 }
+
+// parentFormatRecording is a flight recording in the format served before
+// samples carried best_distance/best_vehicles.
+const parentFormatRecording = `{"job":"j000001","instance":"R1_40","algorithm":"sequential","seed":7,"sample_every":500,"dropped":0,"samples":[
+{"evals":601,"iteration":3,"time":0.5,"archive_size":2,"nondom_size":4,"hypervolume":1234.5,"spacing":0,"evals_per_sec":1202,"accept_rates":{"relocate":0.25}},
+{"evals":1201,"iteration":6,"time":1,"archive_size":3,"nondom_size":5,"hypervolume":1500.25,"spacing":1.5,"evals_per_sec":1201,"marker":"mutation@1"}]}`
+
+// TestParentFormatRecordingDiffsToZero checks that a recording without the
+// best-feasible sample fields still decodes and diffs to zero.
+func TestParentFormatRecordingDiffsToZero(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.flight.json")
+	if err := os.WriteFile(path, []byte(parentFormatRecording), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Samples) != 2 || rec.Samples[1].Hypervolume != 1500.25 ||
+		rec.Samples[0].AcceptRates["relocate"] != 0.25 || rec.Samples[1].Marker != "mutation@1" {
+		t.Fatalf("decoded recording = %+v", rec)
+	}
+	var out bytes.Buffer
+	code, err := run(&out, path, path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 0 || !strings.Contains(out.String(), "2 shared intervals") || !strings.Contains(out.String(), "max |delta_hv| 0\n") {
+		t.Fatalf("parent-format recording did not diff to zero (exit %d):\n%s", code, out.String())
+	}
+}

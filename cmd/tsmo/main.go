@@ -228,7 +228,7 @@ func run(ctx context.Context, o options) error {
 		rt = frt
 	}
 
-	tel.Event("run_start", map[string]any{
+	tel.Event(telemetry.Record{Kind: "run_start", Values: map[string]any{
 		"instance":  in.Name,
 		"customers": in.N(),
 		"algorithm": alg.String(),
@@ -236,7 +236,7 @@ func run(ctx context.Context, o options) error {
 		"evals":     o.evals,
 		"backend":   o.backend,
 		"seed":      o.seed,
-	})
+	}})
 	tel.Logger().Info("run starting", "instance", in.Name, "algorithm", alg.String(), "procs", o.procs)
 
 	res, err := core.RunContext(ctx, alg, in, cfg, rt)
@@ -293,7 +293,9 @@ func run(ctx context.Context, o options) error {
 	}
 
 	if tel.Enabled() {
-		tel.Summary(map[string]any{
+		// The final record the report tooling greps for: run totals plus
+		// every instrument's value.
+		tel.Event(telemetry.Record{Kind: "summary", Values: map[string]any{
 			"instance":        in.Name,
 			"algorithm":       res.Algorithm.String(),
 			"procs":           res.Processors,
@@ -302,7 +304,8 @@ func run(ctx context.Context, o options) error {
 			"shares":          res.Shares,
 			"elapsed_seconds": res.Elapsed,
 			"front_size":      len(res.Front),
-		})
+			"counters":        tel.Snapshot(),
+		}})
 		if err := tel.Close(); err != nil {
 			return err
 		}

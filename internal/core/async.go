@@ -276,17 +276,9 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 				}
 			}
 			as.Step(len(pending), late, p.Now()-waitStart)
-			// Sinks (not Enabled) keeps instruments-only runs
-			// allocation-free on this per-iteration path.
 			if s.tel.Sinks() {
-				s.tel.Event("decision", map[string]any{
-					"proc":         p.ID(),
-					"iteration":    s.iter,
-					"reason":       fired.String(),
-					"pending":      len(pending),
-					"late":         late,
-					"wait_seconds": p.Now() - waitStart,
-				})
+				s.tel.Event(telemetry.DecisionEvent{Proc: p.ID(), Iteration: s.iter, Reason: fired,
+					Pending: len(pending), Late: late, WaitSeconds: p.Now() - waitStart})
 			}
 		}
 

@@ -33,6 +33,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/solution"
 	"repro/internal/tabu"
+	"repro/internal/telemetry"
 	"repro/internal/vrptw"
 )
 
@@ -108,8 +109,8 @@ type SearcherState struct {
 	Archive [][][]int           `json:"archive,omitempty"`
 	HVRef   solution.Objectives `json:"hv_ref"`
 
-	LastSample int             `json:"last_sample,omitempty"`
-	Samples    []QualitySample `json:"samples,omitempty"`
+	LastSample int                           `json:"last_sample,omitempty"`
+	Samples    []telemetry.ConvergenceSample `json:"samples,omitempty"`
 
 	// Asynchronous master: candidates received but not yet consumed by a
 	// step. Their delta-evaluated objectives are stored verbatim.
@@ -456,7 +457,7 @@ func (s *searcher) capture(p deme.Proc, barrier int, done bool) *SearcherState {
 		Archive:       routesOfAll(s.archive.Items()),
 		HVRef:         s.hvRef,
 		LastSample:    s.lastSample,
-		Samples:       append([]QualitySample(nil), s.samples...),
+		Samples:       append([]telemetry.ConvergenceSample(nil), s.samples...),
 	}
 	q := s.tl.Queue()
 	st.Tabu = make([]uint64, len(q))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"testing"
 
 	"repro/internal/deme"
@@ -188,5 +189,54 @@ func TestCheckpointConfigGuards(t *testing.T) {
 	bad.Islands = 2
 	if _, err := Run(Combined, in, bad, deme.NewSim(deme.Ideal())); err == nil {
 		t.Error("checkpointing accepted the combined variant")
+	}
+}
+
+// TestResumeParentCheckpoint resumes from a checkpoint written before the
+// convergence samples carried iteration, nondom size, hypervolume and
+// spacing (testdata/parent_checkpoint.json, the second barrier of the run
+// below): it must decode and finish on the uninterrupted run's front, with
+// the fields the old samples did carry unchanged.
+func TestResumeParentCheckpoint(t *testing.T) {
+	data, err := os.ReadFile("testdata/parent_checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := testInstance(t, 20)
+	cfg := smallConfig()
+	cfg.MaxEvaluations = 1200
+	cfg.NeighborhoodSize = 30
+	cfg.SampleEvery = 200
+	cfg.CheckpointEvery = 10
+	ref, err := Run(Sequential, in, cfg, deme.NewSim(deme.Origin3800()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ResumeContext(t.Context(), ck, in, cfg, deme.NewSim(deme.Origin3800()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluations != ref.Evaluations || res.Elapsed != ref.Elapsed || len(res.Front) != len(ref.Front) {
+		t.Fatalf("resumed run: %d evals, %v s, %d front; want %d, %v, %d",
+			res.Evaluations, res.Elapsed, len(res.Front), ref.Evaluations, ref.Elapsed, len(ref.Front))
+	}
+	for i := range ref.Front {
+		if res.Front[i].Obj != ref.Front[i].Obj {
+			t.Errorf("front[%d]: got %+v, want %+v", i, res.Front[i].Obj, ref.Front[i].Obj)
+		}
+	}
+	if len(res.Samples) != len(ref.Samples) {
+		t.Fatalf("samples: got %d, want %d", len(res.Samples), len(ref.Samples))
+	}
+	for i, want := range ref.Samples {
+		got := res.Samples[i]
+		if got.Evals != want.Evals || got.Time != want.Time || got.ArchiveSize != want.ArchiveSize ||
+			got.BestDistance != want.BestDistance || got.BestVehicles != want.BestVehicles {
+			t.Errorf("sample[%d]: got %+v, want %+v", i, got, want)
+		}
 	}
 }

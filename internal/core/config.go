@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -281,64 +280,6 @@ func (c *Config) cancelled() bool {
 	return c.ctx != nil && c.ctx.Err() != nil
 }
 
-// QualitySample is one point of a convergence curve.
-type QualitySample struct {
-	// Evals seen by the sampling process when the sample was taken.
-	Evals int
-	// Time is the process-local runtime at the sample.
-	Time float64
-	// BestDistance is the smallest feasible distance in the archive
-	// (+Inf when the archive holds no feasible solution yet).
-	BestDistance float64
-	// BestVehicles is the smallest feasible vehicle count (+Inf as above).
-	BestVehicles float64
-	// ArchiveSize is the number of stored non-dominated solutions.
-	ArchiveSize int
-}
-
-// qualitySampleJSON is the wire form of QualitySample: the best-feasible
-// fields are pointers so the +Inf sentinel (archive holds no feasible
-// solution yet) marshals as an omitted field instead of breaking
-// encoding/json, which rejects non-finite float64 values.
-type qualitySampleJSON struct {
-	Evals        int      `json:"evals"`
-	Time         float64  `json:"time"`
-	BestDistance *float64 `json:"best_distance,omitempty"`
-	BestVehicles *float64 `json:"best_vehicles,omitempty"`
-	ArchiveSize  int      `json:"archive_size"`
-}
-
-// MarshalJSON implements json.Marshaler, omitting the best-feasible fields
-// while they are still +Inf.
-func (q QualitySample) MarshalJSON() ([]byte, error) {
-	w := qualitySampleJSON{Evals: q.Evals, Time: q.Time, ArchiveSize: q.ArchiveSize}
-	if !math.IsInf(q.BestDistance, 1) {
-		w.BestDistance = &q.BestDistance
-	}
-	if !math.IsInf(q.BestVehicles, 1) {
-		w.BestVehicles = &q.BestVehicles
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON implements json.Unmarshaler, restoring the +Inf sentinel
-// for omitted best-feasible fields so marshaling round-trips.
-func (q *QualitySample) UnmarshalJSON(data []byte) error {
-	var w qualitySampleJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	q.Evals, q.Time, q.ArchiveSize = w.Evals, w.Time, w.ArchiveSize
-	q.BestDistance, q.BestVehicles = math.Inf(1), math.Inf(1)
-	if w.BestDistance != nil {
-		q.BestDistance = *w.BestDistance
-	}
-	if w.BestVehicles != nil {
-		q.BestVehicles = *w.BestVehicles
-	}
-	return nil
-}
-
 // DefaultConfig returns the paper's experimental configuration.
 func DefaultConfig() Config {
 	return Config{
@@ -488,7 +429,7 @@ type Result struct {
 	Trajectory *Trajectory
 	// Samples holds the master's convergence curve when
 	// Config.SampleEvery was set.
-	Samples []QualitySample
+	Samples []telemetry.ConvergenceSample
 }
 
 // FeasibleFront returns the solutions of Front without time-window

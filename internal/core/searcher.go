@@ -75,7 +75,7 @@ type searcher struct {
 
 	rec        *Trajectory
 	sampleOn   bool
-	samples    []QualitySample
+	samples    []telemetry.ConvergenceSample
 	lastSample int
 
 	// Reusable hot-path storage, all owned by this searcher: the
@@ -93,8 +93,8 @@ type searcher struct {
 
 	// Telemetry (all nil when disabled — every recording call below is a
 	// single branch then). tel is the whole layer for event emission, ts
-	// and ops are the hot-path groups, hvRef is the fixed hypervolume
-	// reference point of the periodic front-quality snapshots.
+	// and ops are the hot-path groups. hvRef is the fixed hypervolume
+	// reference point of the convergence samples.
 	tel   *telemetry.Telemetry
 	ts    *telemetry.SearchStats
 	ops   *telemetry.OpTable
@@ -122,7 +122,7 @@ type procOutcome struct {
 	evals   int
 	iters   int
 	shares  int
-	samples []QualitySample
+	samples []telemetry.ConvergenceSample
 	err     error // a malformed payload or similar protocol violation
 }
 
@@ -167,58 +167,29 @@ func (s *searcher) evalDataSpan(p deme.Proc, data []operators.MoveData, objs []s
 	sp.End()
 }
 
-// maybeSample records a convergence sample when due.
+// maybeSample records a convergence sample when due: archive and memory
+// sizes, the best feasible distance and vehicle count, and the feasible
+// archive's hypervolume (against the reference fixed at init) and Schott's
+// spacing, so convergence is observable while the run is still going.
 func (s *searcher) maybeSample(p deme.Proc) {
 	if !s.sampleOn || s.cfg.SampleEvery <= 0 || s.evals-s.lastSample < s.cfg.SampleEvery {
 		return
 	}
 	s.lastSample = s.evals
-	sm := QualitySample{
-		Evals:        s.evals,
-		Time:         p.Now(),
-		ArchiveSize:  s.archive.Len(),
-		BestDistance: math.Inf(1),
-		BestVehicles: math.Inf(1),
+	objs := metrics.FeasibleObjs(s.archive.Items())
+	sm := telemetry.ConvergenceSample{
+		Evals: s.evals, Iteration: s.iter, Time: p.Now(),
+		ArchiveSize: s.archive.Len(), NondomSize: s.nondom.Len(),
+		BestDistance: math.Inf(1), BestVehicles: math.Inf(1),
+		Hypervolume: metrics.Hypervolume(objs, s.hvRef), Spacing: metrics.Spacing(objs),
 	}
-	for _, sol := range s.archive.Items() {
-		if !sol.Obj.Feasible() {
-			continue
-		}
-		if sol.Obj.Distance < sm.BestDistance {
-			sm.BestDistance = sol.Obj.Distance
-		}
-		if sol.Obj.Vehicles < sm.BestVehicles {
-			sm.BestVehicles = sol.Obj.Vehicles
-		}
+	for _, o := range objs {
+		sm.BestDistance = min(sm.BestDistance, o.Distance)
+		sm.BestVehicles = min(sm.BestVehicles, o.Vehicles)
 	}
 	s.samples = append(s.samples, sm)
-
-	// Periodic front-quality snapshot on the telemetry stream: archive
-	// hypervolume (against the per-run reference fixed at init) and
-	// Schott's spacing, so convergence is observable while the run is
-	// still going.
-	if s.tel.Enabled() {
-		objs := metrics.FeasibleObjs(s.archive.Items())
-		fields := map[string]any{
-			"proc":         p.ID(),
-			"evals":        s.evals,
-			"iteration":    s.iter,
-			"time":         p.Now(),
-			"archive_size": s.archive.Len(),
-			"nondom_size":  s.nondom.Len(),
-			"hypervolume":  metrics.Hypervolume(objs, s.hvRef),
-			"spacing":      metrics.Spacing(objs),
-			"hv_ref": map[string]float64{
-				"distance":  s.hvRef.Distance,
-				"vehicles":  s.hvRef.Vehicles,
-				"tardiness": s.hvRef.Tardiness,
-			},
-		}
-		if !math.IsInf(sm.BestDistance, 1) {
-			fields["best_distance"] = sm.BestDistance
-			fields["best_vehicles"] = sm.BestVehicles
-		}
-		s.tel.Event("snapshot", fields)
+	if s.tel.Sinks() {
+		s.tel.Event(telemetry.SnapshotEvent{Proc: p.ID(), HVRef: telemetry.Objectives(s.hvRef), Sample: sm})
 	}
 }
 
@@ -276,21 +247,9 @@ func (s *searcher) init(p deme.Proc) {
 	if s.rec != nil {
 		s.rec.add(0, 0, s.cur.Obj, true)
 	}
-	// Fix the hypervolume reference of the telemetry snapshots relative to
-	// the construction solution so successive snapshots are comparable
-	// within a run (emitted with every snapshot event for interpretation).
-	s.hvRef = solution.Objectives{
-		Distance:  2*s.cur.Obj.Distance + 1,
-		Vehicles:  s.cur.Obj.Vehicles + 1,
-		Tardiness: 2*s.cur.Obj.Tardiness + 1,
-	}
-	if s.tel.Enabled() {
-		s.tel.Event("init", map[string]any{
-			"proc":      p.ID(),
-			"distance":  s.cur.Obj.Distance,
-			"vehicles":  s.cur.Obj.Vehicles,
-			"tardiness": s.cur.Obj.Tardiness,
-		})
+	s.hvRef = metrics.HVReference(s.cur.Obj)
+	if s.tel.Sinks() {
+		s.tel.Event(telemetry.InitEvent{Proc: p.ID(), Obj: telemetry.Objectives(s.cur.Obj)})
 	}
 }
 
@@ -356,19 +315,9 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 		noCandidate := sel < 0
 		consumed := s.restart()
 		s.ts.Restart(noCandidate, consumed)
-		if s.tel.Enabled() {
-			trigger := "stagnation"
-			if noCandidate {
-				trigger = "no_candidate"
-			}
-			s.tel.Event("restart", map[string]any{
-				"proc":            p.ID(),
-				"iteration":       s.iter,
-				"trigger":         trigger,
-				"nondom_consumed": consumed,
-				"nondom_size":     s.nondom.Len(),
-				"archive_size":    s.archive.Len(),
-			})
+		if s.tel.Sinks() {
+			s.tel.Event(telemetry.RestartEvent{Proc: p.ID(), Iteration: s.iter, NoCandidate: noCandidate,
+				NondomConsumed: consumed, NondomSize: s.nondom.Len(), ArchiveSize: s.archive.Len()})
 		}
 		s.noImprovement = false
 	} else {
@@ -401,20 +350,11 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 			s.shareOut = append(s.shareOut, s.cur.Routes)
 		}
 		// Stream the accepted point: the solver service forwards these
-		// to its subscribers as the evolving Pareto front. Sinks (not
-		// Enabled) keeps instruments-only runs allocation-free here.
+		// to its subscribers as the evolving Pareto front.
 		if s.tel.Sinks() {
-			s.tel.Event("archive_accept", map[string]any{
-				"proc":         p.ID(),
-				"iteration":    s.iter,
-				"time":         p.Now(),
-				"distance":     s.cur.Obj.Distance,
-				"vehicles":     s.cur.Obj.Vehicles,
-				"tardiness":    s.cur.Obj.Tardiness,
-				"feasible":     s.cur.Obj.Feasible(),
-				"operator":     selectedOp,
-				"archive_size": s.archive.Len(),
-			})
+			s.tel.Event(telemetry.AcceptEvent{Proc: p.ID(), Iteration: s.iter, Time: p.Now(),
+				Obj: telemetry.Objectives(s.cur.Obj), Feasible: s.cur.Obj.Feasible(),
+				Operator: selectedOp, ArchiveSize: s.archive.Len()})
 		}
 	}
 	if improved {

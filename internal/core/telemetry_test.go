@@ -1,9 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -250,51 +247,40 @@ func TestSearcherIterationTelemetryAllocs(t *testing.T) {
 	}
 }
 
-// TestQualitySampleJSON is the regression test for the +Inf sentinel: a
-// sample without any feasible solution must marshal to valid JSON with the
-// best-feasible fields omitted, and round-trip back to +Inf.
-func TestQualitySampleJSON(t *testing.T) {
-	infSample := QualitySample{
-		Evals:        500,
-		Time:         1.25,
-		BestDistance: math.Inf(1),
-		BestVehicles: math.Inf(1),
-		ArchiveSize:  3,
+// TestRestartStepTelemetryAllocs pins the event gating rule: solver events
+// are built only when a sink is attached. A step that restarts ("s ∉ N")
+// and takes a convergence sample must allocate no more under an
+// instruments-only layer than with telemetry off.
+func TestRestartStepTelemetryAllocs(t *testing.T) {
+	measure := func(tel *telemetry.Telemetry) float64 {
+		in := testInstance(t, 20)
+		cfg := smallConfig()
+		cfg.SampleEvery = 1
+		cfg.Telemetry = tel
+		if err := cfg.validate(in, Sequential); err != nil {
+			t.Fatal(err)
+		}
+		s := newSearcher(in, &cfg, rng.New(1), 0, 0, 0)
+		s.sampleOn = true
+		p := &stubProc{}
+		s.init(p)
+		cur := s.cur.Obj
+		s.tl.Add(7)
+		// Tabu, and dominated by the archived construction solution: no
+		// aspiration, so every step restarts.
+		bad := []cand{mkCand(cur.Distance+10, cur.Vehicles, cur.Tardiness+1, 7)}
+		return testing.AllocsPerRun(50, func() {
+			s.lastSample = s.evals - 1
+			s.step(p, bad)
+		})
 	}
-	b, err := json.Marshal(infSample)
-	if err != nil {
-		t.Fatalf("marshaling the +Inf sample: %v", err)
+	off := measure(nil)
+	tel := telemetry.New(nil, nil)
+	instruments := measure(tel)
+	if got := tel.Search.RestartsNoCand.Load(); got < 50 {
+		t.Fatalf("RestartsNoCand = %d, want every step to restart", got)
 	}
-	if strings.Contains(string(b), "best_distance") || strings.Contains(string(b), "best_vehicles") {
-		t.Errorf("+Inf fields not omitted: %s", b)
-	}
-	var back QualitySample
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(back.BestDistance, 1) || !math.IsInf(back.BestVehicles, 1) {
-		t.Errorf("+Inf sentinel not restored: %+v", back)
-	}
-	if back.Evals != 500 || back.Time != 1.25 || back.ArchiveSize != 3 {
-		t.Errorf("plain fields lost: %+v", back)
-	}
-
-	finite := QualitySample{Evals: 1000, Time: 2, BestDistance: 321.5, BestVehicles: 7, ArchiveSize: 9}
-	b, err = json.Marshal(finite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back2 QualitySample
-	if err := json.Unmarshal(b, &back2); err != nil {
-		t.Fatal(err)
-	}
-	if back2 != finite {
-		t.Errorf("finite sample did not round-trip: %+v vs %+v", back2, finite)
-	}
-
-	// A slice of mixed samples — the Result.Samples shape — must also be
-	// marshalable (this is what used to fail with +Inf members).
-	if _, err := json.Marshal([]QualitySample{infSample, finite}); err != nil {
-		t.Errorf("marshaling mixed samples: %v", err)
+	if instruments > off {
+		t.Errorf("instruments-only telemetry allocates more on a restarting step: %.1f vs %.1f", instruments, off)
 	}
 }

@@ -3,15 +3,24 @@ package flight
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/telemetry"
 )
+
+// sample returns a flight sample at the given evaluation count.
+func sample(evals int) Sample {
+	return Sample{ConvergenceSample: telemetry.ConvergenceSample{Evals: evals}}
+}
 
 func TestRingOrderAndOverflow(t *testing.T) {
 	r := NewRing(4)
 	for i := 1; i <= 7; i++ {
-		r.Observe(Sample{Evals: int64(i * 100)})
+		r.Observe(sample(i * 100))
 	}
 	got, dropped := r.Snapshot()
 	if dropped != 3 {
@@ -21,7 +30,7 @@ func TestRingOrderAndOverflow(t *testing.T) {
 		t.Fatalf("retained %d, want 4", len(got))
 	}
 	for i, s := range got {
-		if want := int64((4 + i) * 100); s.Evals != want {
+		if want := (4 + i) * 100; s.Evals != want {
 			t.Errorf("sample %d evals = %d, want %d", i, s.Evals, want)
 		}
 	}
@@ -29,7 +38,7 @@ func TestRingOrderAndOverflow(t *testing.T) {
 
 func TestRingNilSafe(t *testing.T) {
 	var r *Ring
-	r.Observe(Sample{Evals: 1})
+	r.Observe(sample(1))
 	if s, d := r.Snapshot(); s != nil || d != 0 {
 		t.Error("nil ring snapshot not empty")
 	}
@@ -47,7 +56,9 @@ func TestRingConcurrentRoundTrip(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				r.Observe(Sample{Evals: int64(g*perWriter + i), AcceptRates: map[string]float64{"2opt": 0.5}})
+				sm := sample(g*perWriter + i)
+				sm.AcceptRates = map[string]float64{"2opt": 0.5}
+				r.Observe(sm)
 			}
 		}(g)
 	}
@@ -80,9 +91,9 @@ func TestRingConcurrentRoundTrip(t *testing.T) {
 func mkRecording(hvs ...float64) Recording {
 	rec := Recording{Instance: "R1_4_1", Algorithm: "sequential", Seed: 42, SampleEvery: 100}
 	for i, hv := range hvs {
-		rec.Samples = append(rec.Samples, Sample{
-			Evals: int64((i + 1) * 100), Hypervolume: hv, Spacing: 0.1, ArchiveSize: i + 1,
-		})
+		sm := sample((i + 1) * 100)
+		sm.Hypervolume, sm.Spacing, sm.ArchiveSize = hv, 0.1, i+1
+		rec.Samples = append(rec.Samples, sm)
 	}
 	return rec
 }
@@ -104,7 +115,9 @@ func TestDiffIdenticalIsZero(t *testing.T) {
 func TestDiffAlignsAndReportsUnmatched(t *testing.T) {
 	a := mkRecording(1, 2, 3)
 	b := mkRecording(1, 2.5)
-	b.Samples = append(b.Samples, Sample{Evals: 999, Hypervolume: 9}) // off-grid
+	off := sample(999) // off-grid
+	off.Hypervolume = 9
+	b.Samples = append(b.Samples, off)
 	rows, onlyA, onlyB := Diff(a, b)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows))
@@ -112,8 +125,8 @@ func TestDiffAlignsAndReportsUnmatched(t *testing.T) {
 	if onlyA != 1 || onlyB != 1 {
 		t.Errorf("onlyA/onlyB = %d/%d, want 1/1", onlyA, onlyB)
 	}
-	if rows[1].DeltaHV != 0.5 {
-		t.Errorf("delta at evals 200 = %g, want 0.5", rows[1].DeltaHV)
+	if rows[1].DeltaHV() != 0.5 {
+		t.Errorf("delta at evals 200 = %g, want 0.5", rows[1].DeltaHV())
 	}
 	if MaxAbsDeltaHV(rows) != 0.5 {
 		t.Errorf("max delta = %g, want 0.5", MaxAbsDeltaHV(rows))
@@ -138,23 +151,41 @@ func TestWriteTable(t *testing.T) {
 	}
 }
 
+// TestRecordingJSONRoundTrip checks that the flat wire form keeps both the
+// solver's sample fields and the service's annotations.
 func TestRecordingJSONRoundTrip(t *testing.T) {
 	rec := mkRecording(1, 2)
 	rec.Job = "j000001"
 	rec.Dropped = 5
 	rec.Samples[0].AcceptRates = map[string]float64{"relocate": 0.25}
+	rec.Samples[0].Time = 4
+	rec.Samples[0].BestDistance, rec.Samples[0].BestVehicles = math.Inf(1), math.Inf(1)
+	rec.Samples[1].Marker = "mutation@3"
+	rec.Samples[1].BestDistance, rec.Samples[1].BestVehicles = 812.5, 9
 	b, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var wire struct {
+		Samples []map[string]any `json:"samples"`
+	}
+	if err := json.Unmarshal(b, &wire); err != nil {
+		t.Fatal(err)
+	}
+	if got := wire.Samples[0]["evals_per_sec"]; got != 25.0 {
+		t.Errorf("evals_per_sec = %v, want 25", got)
+	}
+	if _, ok := wire.Samples[0]["best_distance"]; ok {
+		t.Errorf("+Inf best_distance not omitted: %v", wire.Samples[0])
 	}
 	var back Recording
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Job != rec.Job || back.Seed != rec.Seed || len(back.Samples) != 2 {
-		t.Errorf("round-trip lost fields: %+v", back)
+		t.Fatalf("round-trip lost fields: %+v", back)
 	}
-	if back.Samples[0].AcceptRates["relocate"] != 0.25 {
-		t.Errorf("accept rates lost: %+v", back.Samples[0])
+	if !reflect.DeepEqual(back.Samples, rec.Samples) {
+		t.Errorf("samples did not round-trip:\n got %+v\nwant %+v", back.Samples, rec.Samples)
 	}
 }

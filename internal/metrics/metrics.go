@@ -108,6 +108,13 @@ func Hypervolume(front []solution.Objectives, ref solution.Objectives) float64 {
 	return volume
 }
 
+// HVReference returns a run's hypervolume reference point, fixed from its
+// construction solution c so that all of the run's front measurements
+// compare: (2·distance+1, vehicles+1, 2·tardiness+1), comfortably beyond c.
+func HVReference(c solution.Objectives) solution.Objectives {
+	return solution.Objectives{Distance: 2*c.Distance + 1, Vehicles: c.Vehicles + 1, Tardiness: 2*c.Tardiness + 1}
+}
+
 // area2D returns the area of the union of rectangles
 // [p.Distance, ref.Distance] × [p.Tardiness, ref.Tardiness].
 func area2D(pts []solution.Objectives, ref solution.Objectives) float64 {

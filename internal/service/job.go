@@ -461,54 +461,31 @@ func newJob(spec JobSpec, limits *Config) (*Job, error) {
 
 // observe is the telemetry event hook. It runs on solver goroutines while
 // the job is running, so everything it touches is guarded by j.mu. The
-// fields map is freshly allocated per emission by the call sites, so
-// retaining it is safe.
-func (j *Job) observe(name string, fields map[string]any) {
+// typed solver events feed the live front mirror and the flight recorder;
+// every event is rendered once into the job's event buffer.
+func (j *Job) observe(ev telemetry.Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch name {
-	case "init":
-		obj := objFromFields(fields)
+	switch e := ev.(type) {
+	case telemetry.InitEvent:
+		obj := solution.Objectives(e.Obj)
 		if !j.haveRef {
-			// Same reference-point convention as the searcher's own
-			// hypervolume telemetry: a box comfortably dominating the
-			// construction solution.
-			j.hvRef = solution.Objectives{
-				Distance:  2*obj.Distance + 1,
-				Vehicles:  obj.Vehicles + 1,
-				Tardiness: 2*obj.Tardiness + 1,
-			}
-			j.haveRef = true
+			j.hvRef, j.haveRef = metrics.HVReference(obj), true
 		}
-		j.insertPointLocked(FrontPoint{
-			Distance: obj.Distance, Vehicles: obj.Vehicles, Tardiness: obj.Tardiness,
-			Feasible: obj.Feasible(), Proc: fieldInt(fields, "proc"),
-		})
-	case "archive_accept":
-		obj := objFromFields(fields)
-		j.insertPointLocked(FrontPoint{
-			Distance: obj.Distance, Vehicles: obj.Vehicles, Tardiness: obj.Tardiness,
-			Feasible:  obj.Feasible(),
-			Proc:      fieldInt(fields, "proc"),
-			Iteration: fieldInt(fields, "iteration"),
-			Time:      fieldFloat(fields, "time"),
-		})
-	case "snapshot":
-		// Periodic convergence snapshot (Config.SampleEvery grid): feed
-		// the flight recorder. Only run-deterministic fields go in, so two
+		j.insertPointLocked(FrontPoint{Distance: obj.Distance, Vehicles: obj.Vehicles, Tardiness: obj.Tardiness,
+			Feasible: obj.Feasible(), Proc: e.Proc})
+	case telemetry.AcceptEvent:
+		j.insertPointLocked(FrontPoint{Distance: e.Obj.Distance, Vehicles: e.Obj.Vehicles, Tardiness: e.Obj.Tardiness,
+			Feasible: e.Feasible, Proc: e.Proc, Iteration: e.Iteration, Time: e.Time})
+	case telemetry.SnapshotEvent:
+		// Periodic convergence sample (Config.SampleEvery grid): feed the
+		// flight recorder. Only run-deterministic fields go in, so two
 		// same-seed sim recordings are bit-identical (see package flight).
-		sm := flight.Sample{
-			Evals:       int64(fieldInt(fields, "evals")),
-			Iteration:   int64(fieldInt(fields, "iteration")),
-			Time:        fieldFloat(fields, "time"),
-			ArchiveSize: fieldInt(fields, "archive_size"),
-			NondomSize:  fieldInt(fields, "nondom_size"),
-			Hypervolume: fieldFloat(fields, "hypervolume"),
-			Spacing:     fieldFloat(fields, "spacing"),
-		}
-		if sm.Time > 0 {
-			sm.EvalsPerSec = float64(sm.Evals) / sm.Time
-		}
+		// The first sample after a mutation epoch carries its marker,
+		// derived from the run-deterministic mutation log, so identical
+		// (seed, mutation log) replays carry identical markers.
+		sm := flight.Sample{ConvergenceSample: e.Sample, Marker: j.pendingMarker}
+		j.pendingMarker = ""
 		if ops := j.tel.Operators().Snapshot(); len(ops) > 0 {
 			sm.AcceptRates = make(map[string]float64, len(ops))
 			for op, st := range ops {
@@ -517,14 +494,9 @@ func (j *Job) observe(name string, fields map[string]any) {
 				}
 			}
 		}
-		// The first sample after a mutation epoch carries its marker.
-		// Derived from the run-deterministic mutation log, so identical
-		// (seed, mutation log) replays carry identical markers.
-		sm.Marker = j.pendingMarker
-		j.pendingMarker = ""
 		j.fr.Observe(sm)
 	}
-	j.appendEventLocked(name, fields)
+	j.appendEventLocked(ev.Render())
 }
 
 // mutationApplied observes one applied mutation epoch (the schedule's
@@ -903,37 +875,4 @@ func (j *Job) Cancel() State {
 	state := j.state
 	j.mu.Unlock()
 	return state
-}
-
-// objFromFields decodes the objective triple carried by solver events.
-func objFromFields(fields map[string]any) solution.Objectives {
-	return solution.Objectives{
-		Distance:  fieldFloat(fields, "distance"),
-		Vehicles:  fieldFloat(fields, "vehicles"),
-		Tardiness: fieldFloat(fields, "tardiness"),
-	}
-}
-
-func fieldFloat(fields map[string]any, key string) float64 {
-	switch v := fields[key].(type) {
-	case float64:
-		return v
-	case int:
-		return float64(v)
-	case int64:
-		return float64(v)
-	}
-	return 0
-}
-
-func fieldInt(fields map[string]any, key string) int {
-	switch v := fields[key].(type) {
-	case int:
-		return v
-	case int64:
-		return int(v)
-	case float64:
-		return int(v)
-	}
-	return 0
 }

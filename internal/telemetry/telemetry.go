@@ -10,8 +10,8 @@
 // per call site and zero allocations (enforced by the zero-alloc tests; the
 // enabled layer's cost is scripts/tsmobench's telemetry.overhead_pct on
 // the seq-r1-400 solve). Instruments
-// are safe for concurrent use by all processes of a run; event emission
-// (Event, Snapshot) happens off the hot path only.
+// are safe for concurrent use by all processes of a run; events are
+// typed values (events.go), built only when a sink is attached.
 package telemetry
 
 import (
@@ -844,12 +844,13 @@ type Telemetry struct {
 	hook   EventHook
 }
 
-// EventHook receives every emitted event in-process. Hooks run on the
-// emitting goroutine and must be safe for concurrent use; the fields map
-// is owned by the hook after the call (emitters build a fresh map per
-// event). The solver service uses a hook to stream archive updates to
+// EventHook receives every emitted event in-process, as its typed value
+// (InitEvent, AcceptEvent, RestartEvent, DecisionEvent, SnapshotEvent or a
+// Record). Hooks run on the emitting goroutine and must be safe for
+// concurrent use; a hook that needs the wire fields renders them with
+// ev.Render(). The solver service uses a hook to stream archive updates to
 // HTTP subscribers as they happen.
-type EventHook func(name string, fields map[string]any)
+type EventHook func(ev Event)
 
 // New returns an enabled telemetry layer. logger and w may each be nil:
 // events then skip that sink; the instruments record regardless.
@@ -871,9 +872,8 @@ func (t *Telemetry) SetHook(h EventHook) {
 func (t *Telemetry) Enabled() bool { return t != nil }
 
 // Sinks reports whether any event sink (logger, JSONL writer, or hook) is
-// attached. Emitters that would fire per-iteration build their field maps
-// only when this is true, keeping an instruments-only layer allocation-free
-// on the hot path.
+// attached. Every solver event is constructed only when this is true, so
+// an instruments-only layer stays allocation-free on the hot path.
 func (t *Telemetry) Sinks() bool {
 	return t != nil && (t.log != nil || t.writer != nil || t.hook != nil)
 }

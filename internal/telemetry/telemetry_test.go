@@ -181,8 +181,7 @@ func TestNilSafety(t *testing.T) {
 	tel.FaultGroup().DegradedIteration()
 	tel.FaultGroup().Malformed()
 	tel.Operators().Get("swap").Propose()
-	tel.Event("ignored", map[string]any{"k": 1})
-	tel.Summary(nil)
+	tel.Event(Record{Kind: "ignored", Values: map[string]any{"k": 1}})
 	tel.Logger().Info("dropped")
 	if tel.Snapshot() != nil {
 		t.Error("nil layer snapshot not nil")
@@ -247,8 +246,8 @@ func TestWriterJSONL(t *testing.T) {
 	w := NewWriter(&buf)
 	tel := New(nil, w)
 	tel.SearchGroup().Iteration()
-	tel.Event("restart", map[string]any{"trigger": "stagnation", "proc": 0})
-	tel.Summary(map[string]any{"instance": "R1_40"})
+	tel.Event(RestartEvent{Proc: 0})
+	tel.Event(Record{Kind: "summary", Values: map[string]any{"instance": "R1_40", "counters": tel.Snapshot()}})
 	if err := tel.Close(); err != nil {
 		t.Fatal(err)
 	}

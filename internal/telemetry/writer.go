@@ -79,53 +79,35 @@ func (w *Writer) Close() error {
 	return w.err
 }
 
-// Event records one structured occurrence on every sink: as a JSONL line
-// ({"ts": ..., "event": name, ...fields}), as a Debug message on the slog
-// stream, and on the in-process hook when one is installed. A nil
-// receiver drops it. fields may be nil.
-func (t *Telemetry) Event(name string, fields map[string]any) {
+// Event records one event on every sink: its rendered fields as a JSONL
+// line ({"ts": ..., "event": name, ...fields}) and as a Debug message on
+// the slog stream, and the typed value on the in-process hook when one is
+// installed. A nil receiver drops it.
+func (t *Telemetry) Event(ev Event) {
 	if t == nil {
 		return
 	}
-	if t.log != nil {
-		attrs := make([]any, 0, 2*len(fields))
-		for k, v := range fields {
-			attrs = append(attrs, slog.Any(k, v))
+	if t.log != nil || t.writer != nil {
+		name, fields := ev.Render()
+		if t.log != nil {
+			attrs := make([]any, 0, 2*len(fields))
+			for k, v := range fields {
+				attrs = append(attrs, slog.Any(k, v))
+			}
+			t.log.Debug(name, attrs...)
 		}
-		t.log.Debug(name, attrs...)
-	}
-	if t.writer != nil {
-		rec := make(map[string]any, len(fields)+2)
-		for k, v := range fields {
-			rec[k] = v
+		if t.writer != nil {
+			rec := make(map[string]any, len(fields)+2)
+			for k, v := range fields {
+				rec[k] = v
+			}
+			rec["ts"] = time.Now().UTC().Format(time.RFC3339Nano)
+			rec["event"] = name
+			t.writer.Emit(rec)
 		}
-		rec["ts"] = time.Now().UTC().Format(time.RFC3339Nano)
-		rec["event"] = name
-		t.writer.Emit(rec)
 	}
-	// The hook runs last: it owns the fields map after the call (it may
-	// retain it or hand it to another goroutine), so the logger and writer
-	// must finish iterating it first.
 	if t.hook != nil {
-		t.hook(name, fields)
-	}
-}
-
-// Summary emits the final "summary" event: the caller's run-level fields
-// plus the full instrument snapshot under "counters". It is the line the
-// overhead and report tooling greps for.
-func (t *Telemetry) Summary(fields map[string]any) {
-	if t == nil {
-		return
-	}
-	rec := make(map[string]any, len(fields)+1)
-	for k, v := range fields {
-		rec[k] = v
-	}
-	rec["counters"] = t.Snapshot()
-	t.Event("summary", rec)
-	if t.log != nil {
-		t.log.Info("run summary written")
+		t.hook(ev)
 	}
 }
 
