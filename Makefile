@@ -1,9 +1,10 @@
 # Developer verify loop. `make verify` is the full gate a change must pass:
 # formatting, build, vet, the complete test suite, the race detector over
 # the concurrency-heavy packages (the search core, the process simulator,
-# the cluster, and the telemetry and flight recorder the solver goroutines
-# write to), and the zero-allocation assertion on the disabled-telemetry
-# hot path.
+# the cluster, the telemetry and flight recorder the solver goroutines
+# write to, and the operators, solution and pareto packages whose shared
+# counters the parallel delta evaluator writes from several goroutines),
+# and the zero-allocation assertion on the disabled-telemetry hot path.
 
 GO ?= go
 
@@ -23,7 +24,8 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/deme/... ./internal/cluster/... ./internal/telemetry/... ./internal/flight/...
+	$(GO) test -race ./internal/core/... ./internal/deme/... ./internal/cluster/... ./internal/telemetry/... ./internal/flight/... \
+	  ./internal/operators/... ./internal/solution/... ./internal/pareto/...
 	$(GO) test -race -count 1 -run 'TestShareSSEFanoutRace|TestShareIngressConcurrentSubscribers' ./internal/service/
 
 # allocs asserts the observability overhead contract: disabled-path

@@ -224,7 +224,7 @@ func run(ctx context.Context, o options) error {
 			return err
 		}
 		frt := deme.NewFaulty(rt, plans)
-		frt.Faults = tel.FaultGroup()
+		frt.Telemetry = tel
 		rt = frt
 	}
 

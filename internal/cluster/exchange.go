@@ -31,12 +31,16 @@ func Dialer(coordinator string, client *http.Client) func(group string, shard, s
 	}
 	return func(group string, shard, shards int, tel *telemetry.Telemetry) (service.ShareGatherer, error) {
 		ctx, cancel := context.WithCancel(context.Background())
+		var shares *telemetry.PeerShareTable // nil-safe: counts nothing
+		if tel != nil {
+			shares = &tel.Peers
+		}
 		g := &gatherer{
 			base:   coordinator,
 			group:  group,
 			shards: shards,
 			client: client,
-			tel:    tel,
+			shares: shares,
 			ctx:    ctx,
 			cancel: cancel,
 			peers:  make(map[int]*peerFeed),
@@ -73,7 +77,7 @@ type gatherer struct {
 	group  string
 	shards int
 	client *http.Client
-	tel    *telemetry.Telemetry
+	shares *telemetry.PeerShareTable // per-peer ingress counters
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -163,7 +167,7 @@ func (g *gatherer) follow(shard int) {
 			err = nil // mid-flight cancel, not a countable peer failure
 		}
 		if err != nil && g.ctx.Err() == nil {
-			g.tel.PeerShares().Get(peer).Bad()
+			g.shares.Get(peer).Bad()
 		}
 		select {
 		case <-g.ctx.Done():
@@ -263,11 +267,11 @@ func (g *gatherer) dispatch(shard int, peer, event, data string, cursor *int) (b
 	case "share":
 		var b core.ShareBatch
 		if err := json.Unmarshal([]byte(data), &b); err != nil {
-			g.tel.PeerShares().Get(peer).Bad()
+			g.shares.Get(peer).Bad()
 			return false, nil // counted; the stream goes on
 		}
 		if b.Shard != shard || b.Epoch <= 0 {
-			g.tel.PeerShares().Get(peer).Bad()
+			g.shares.Get(peer).Bad()
 			return false, nil
 		}
 		g.mu.Lock()
@@ -277,7 +281,7 @@ func (g *gatherer) dispatch(shard int, peer, event, data string, cursor *int) (b
 			g.wake()
 		}
 		g.mu.Unlock()
-		g.tel.PeerShares().Get(peer).Batch(len(b.Solutions))
+		g.shares.Get(peer).Batch(len(b.Solutions))
 		return false, nil
 	case "done":
 		return true, nil

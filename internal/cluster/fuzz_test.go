@@ -45,7 +45,7 @@ func FuzzClusterMessages(f *testing.F) {
 		tel := telemetry.New(nil, nil)
 		g := &gatherer{
 			shards: 2,
-			tel:    tel,
+			shares: &tel.Peers,
 			peers:  map[int]*peerFeed{1: {epochs: make(map[int]core.ShareBatch)}},
 			notify: make(chan struct{}),
 		}

@@ -42,7 +42,7 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 	} else {
 		s.init(p)
 	}
-	fg := cfg.Telemetry.FaultGroup()
+	tel := cfg.Telemetry
 
 	initial := append([]int(nil), workers...)
 	workers = append([]int(nil), workers...)
@@ -87,7 +87,7 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 		kept := workers[:0]
 		for _, w := range workers {
 			if !p.Alive(w) {
-				fg.Evicted()
+				tel.Inc(telemetry.WorkerEvictions)
 				idle[w] = false
 				changed = true
 				continue
@@ -96,10 +96,10 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 				if !struck[w] {
 					struck[w] = true
 					strikes[w]++
-					fg.RecvTimeout()
+					tel.Inc(telemetry.RecvTimeouts)
 				}
 				if strikes[w] >= cfg.EvictAfter {
-					fg.Evicted()
+					tel.Inc(telemetry.WorkerEvictions)
 					idle[w] = false
 					changed = true
 					continue
@@ -133,28 +133,25 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 		r.Shuffle(len(commList), func(i, j int) { commList[i], commList[j] = commList[j], commList[i] })
 	}
 
-	as := cfg.Telemetry.AsyncGroup()
-	sh := cfg.Telemetry.ShareGroup()
-
 	// handle folds one message into the master state.
 	handle := func(m deme.Message) error {
 		switch m.Tag {
 		case tagResult:
 			rm, ok := m.Data.(resultMsg)
 			if !ok {
-				fg.Malformed()
+				tel.Inc(telemetry.MalformedMsgs)
 				return fmt.Errorf("worker %d sent a malformed result payload %T", m.From, m.Data)
 			}
 			pending = append(pending, rm.cands...)
 			s.evals += len(rm.cands)
-			s.ts.Evals(len(rm.cands))
+			tel.Add(telemetry.Evaluations, len(rm.cands))
 			strikes[m.From], struck[m.From] = 0, false
 			if inSet(m.From) {
 				idle[m.From] = true
 			} else if wasInitial(m.From) && p.Alive(m.From) {
 				// An evicted worker came back (e.g. its stall ended):
 				// re-admit it.
-				fg.Revived()
+				tel.Inc(telemetry.WorkerRevivals)
 				workers = append(workers, m.From)
 				idle[m.From] = true
 				rebalance()
@@ -162,11 +159,11 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 		case tagShare:
 			sol, ok := m.Data.(*solution.Solution)
 			if !ok {
-				fg.Malformed()
+				tel.Inc(telemetry.MalformedMsgs)
 				return fmt.Errorf("peer %d sent a malformed share payload %T", m.From, m.Data)
 			}
 			p.Compute(shareHandlingFactor * cfg.Cost.OverheadPerNeighbor)
-			sh.Received(s.nondom.Add(sol))
+			tel.Inc(shareOutcome(s.nondom.Add(sol)))
 		}
 		return nil
 	}
@@ -174,7 +171,7 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 	for !s.done(p) && protoErr == nil {
 		reap()
 		if len(workers) < len(initial) {
-			fg.DegradedIteration()
+			tel.Inc(telemetry.DegradedIters)
 		}
 		// Dispatch new work to every idle worker.
 		for _, w := range workers {
@@ -267,17 +264,19 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 		if protoErr != nil {
 			break
 		}
-		as.Fire(fired)
-		if as != nil {
+		if tel != nil {
 			late := 0
 			for i := range pending {
 				if pending[i].born < s.iter {
 					late++
 				}
 			}
-			as.Step(len(pending), late, p.Now()-waitStart)
-			if s.tel.Sinks() {
-				s.tel.Event(telemetry.DecisionEvent{Proc: p.ID(), Iteration: s.iter, Reason: fired,
+			tel.Inc(fired.Counter())
+			tel.Add(telemetry.LateCandidates, late)
+			tel.Async.PartialSizes.Observe(int64(len(pending)))
+			tel.Async.WaitSeconds.ObserveSeconds(p.Now() - waitStart)
+			if tel.Sinks() {
+				tel.Event(telemetry.DecisionEvent{Proc: p.ID(), Iteration: s.iter, Reason: fired,
 					Pending: len(pending), Late: late, WaitSeconds: p.Now() - waitStart})
 			}
 		}
@@ -290,7 +289,7 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 		}
 		if len(commList) > 0 && !initialPhase && improved {
 			sp := s.tr.Start(s.phase, "share").SetInt("proc", int64(p.ID()))
-			dropDeadPeers(p, &commList, fg)
+			dropDeadPeers(p, &commList, tel)
 			if len(commList) > 0 {
 				shares += sendShare(p, in, cfg, s.cur, &commList)
 			}
@@ -364,7 +363,7 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 				}
 				cfg.emitCheckpoint(b)
 			} else {
-				cfg.Telemetry.CheckpointGroup().Skip()
+				tel.Inc(telemetry.CkptSkipped)
 			}
 			ckptSpan.End()
 		}
@@ -380,13 +379,13 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 
 // dropDeadPeers removes peers whose process is gone — crashed or already
 // finished — from a share ring, so searchers stop addressing the dead.
-func dropDeadPeers(p deme.Proc, commList *[]int, fg *telemetry.FaultStats) {
+func dropDeadPeers(p deme.Proc, commList *[]int, tel *telemetry.Telemetry) {
 	kept := (*commList)[:0]
 	for _, peer := range *commList {
 		if p.Alive(peer) {
 			kept = append(kept, peer)
 		} else {
-			fg.PeerDrop()
+			tel.Inc(telemetry.PeerDrops)
 		}
 	}
 	*commList = kept

@@ -69,53 +69,53 @@ func TestChaosScenarios(t *testing.T) {
 		matchesSeq bool
 		plans      map[int]deme.FaultPlan
 		// want maps counter names to loaders; each must end up > 0.
-		want map[string]func(*telemetry.FaultStats) int64
+		want map[string]telemetry.CounterID
 	}{
 		{
 			name: "sync/worker-crash", alg: Synchronous, procs: 3,
 			minEvals: 2000, matchesSeq: true,
 			plans: map[int]deme.FaultPlan{1: {CrashAt: 1.0}},
-			want: map[string]func(*telemetry.FaultStats) int64{
-				"crashes":   func(f *telemetry.FaultStats) int64 { return f.Crashes.Load() },
-				"evictions": func(f *telemetry.FaultStats) int64 { return f.WorkerEvictions.Load() },
-				"degraded":  func(f *telemetry.FaultStats) int64 { return f.DegradedIters.Load() },
+			want: map[string]telemetry.CounterID{
+				"crashes":   telemetry.Crashes,
+				"evictions": telemetry.WorkerEvictions,
+				"degraded":  telemetry.DegradedIters,
 			},
 		},
 		{
 			name: "sync/all-workers-crash", alg: Synchronous, procs: 3,
 			minEvals: 2000, matchesSeq: true,
 			plans: map[int]deme.FaultPlan{1: {CrashAt: 1.0}, 2: {CrashAt: 1.2}},
-			want: map[string]func(*telemetry.FaultStats) int64{
-				"crashes":   func(f *telemetry.FaultStats) int64 { return f.Crashes.Load() },
-				"evictions": func(f *telemetry.FaultStats) int64 { return f.WorkerEvictions.Load() },
-				"degraded":  func(f *telemetry.FaultStats) int64 { return f.DegradedIters.Load() },
+			want: map[string]telemetry.CounterID{
+				"crashes":   telemetry.Crashes,
+				"evictions": telemetry.WorkerEvictions,
+				"degraded":  telemetry.DegradedIters,
 			},
 		},
 		{
 			name: "sync/result-drop", alg: Synchronous, procs: 3,
 			minEvals: 2000, matchesSeq: true,
 			plans: map[int]deme.FaultPlan{0: {DropProb: 0.4, FaultTags: []int{tagResult}, Seed: 11}},
-			want: map[string]func(*telemetry.FaultStats) int64{
-				"dropped":      func(f *telemetry.FaultStats) int64 { return f.MsgsDropped.Load() },
-				"timeouts":     func(f *telemetry.FaultStats) int64 { return f.RecvTimeouts.Load() },
-				"redispatches": func(f *telemetry.FaultStats) int64 { return f.Redispatches.Load() },
+			want: map[string]telemetry.CounterID{
+				"dropped":      telemetry.MsgsDropped,
+				"timeouts":     telemetry.RecvTimeouts,
+				"redispatches": telemetry.Redispatches,
 			},
 		},
 		{
 			name: "sync/master-stall", alg: Synchronous, procs: 3,
 			minEvals: 2000, matchesSeq: true,
 			plans: map[int]deme.FaultPlan{0: {StallAt: 1.0, StallFor: 5.0}},
-			want: map[string]func(*telemetry.FaultStats) int64{
-				"stalls": func(f *telemetry.FaultStats) int64 { return f.Stalls.Load() },
+			want: map[string]telemetry.CounterID{
+				"stalls": telemetry.Stalls,
 			},
 		},
 		{
 			name: "sync/worker-stall", alg: Synchronous, procs: 3,
 			minEvals: 2000, matchesSeq: true,
 			plans: map[int]deme.FaultPlan{1: {StallAt: 1.0, StallFor: 3.0}},
-			want: map[string]func(*telemetry.FaultStats) int64{
-				"stalls":   func(f *telemetry.FaultStats) int64 { return f.Stalls.Load() },
-				"timeouts": func(f *telemetry.FaultStats) int64 { return f.RecvTimeouts.Load() },
+			want: map[string]telemetry.CounterID{
+				"stalls":   telemetry.Stalls,
+				"timeouts": telemetry.RecvTimeouts,
 			},
 		},
 		{
@@ -125,37 +125,37 @@ func TestChaosScenarios(t *testing.T) {
 				DupProb: 0.5, DelayProb: 0.5, DelayMax: 0.3,
 				FaultTags: []int{tagResult}, Seed: 4,
 			}},
-			want: map[string]func(*telemetry.FaultStats) int64{
-				"duplicated": func(f *telemetry.FaultStats) int64 { return f.MsgsDuplicated.Load() },
-				"delayed":    func(f *telemetry.FaultStats) int64 { return f.MsgsDelayed.Load() },
-				"stale":      func(f *telemetry.FaultStats) int64 { return f.StaleResults.Load() },
+			want: map[string]telemetry.CounterID{
+				"duplicated": telemetry.MsgsDuplicated,
+				"delayed":    telemetry.MsgsDelayed,
+				"stale":      telemetry.StaleResults,
 			},
 		},
 		{
 			name: "async/worker-crash", alg: Asynchronous, procs: 3,
 			minEvals: 2000,
 			plans:    map[int]deme.FaultPlan{1: {CrashAt: 0.8}},
-			want: map[string]func(*telemetry.FaultStats) int64{
-				"crashes":   func(f *telemetry.FaultStats) int64 { return f.Crashes.Load() },
-				"evictions": func(f *telemetry.FaultStats) int64 { return f.WorkerEvictions.Load() },
+			want: map[string]telemetry.CounterID{
+				"crashes":   telemetry.Crashes,
+				"evictions": telemetry.WorkerEvictions,
 			},
 		},
 		{
 			name: "async/result-drop", alg: Asynchronous, procs: 3,
 			minEvals: 2000,
 			plans:    map[int]deme.FaultPlan{0: {DropProb: 0.3, FaultTags: []int{tagResult}, Seed: 5}},
-			want: map[string]func(*telemetry.FaultStats) int64{
-				"dropped": func(f *telemetry.FaultStats) int64 { return f.MsgsDropped.Load() },
+			want: map[string]telemetry.CounterID{
+				"dropped": telemetry.MsgsDropped,
 			},
 		},
 		{
 			name: "async/stall-revive", alg: Asynchronous, procs: 3,
 			evictAfter: 1, minEvals: 2000,
 			plans: map[int]deme.FaultPlan{1: {StallAt: 0.3, StallFor: 0.6}},
-			want: map[string]func(*telemetry.FaultStats) int64{
-				"stalls":    func(f *telemetry.FaultStats) int64 { return f.Stalls.Load() },
-				"evictions": func(f *telemetry.FaultStats) int64 { return f.WorkerEvictions.Load() },
-				"revivals":  func(f *telemetry.FaultStats) int64 { return f.WorkerRevivals.Load() },
+			want: map[string]telemetry.CounterID{
+				"stalls":    telemetry.Stalls,
+				"evictions": telemetry.WorkerEvictions,
+				"revivals":  telemetry.WorkerRevivals,
 			},
 		},
 		{
@@ -168,23 +168,23 @@ func TestChaosScenarios(t *testing.T) {
 			name: "collab/searcher-crash", alg: Collaborative, procs: 3,
 			minEvals: 4000, // the two surviving searchers spend full budgets
 			plans:    map[int]deme.FaultPlan{2: {CrashAt: 2.0}},
-			want: map[string]func(*telemetry.FaultStats) int64{
-				"crashes": func(f *telemetry.FaultStats) int64 { return f.Crashes.Load() },
+			want: map[string]telemetry.CounterID{
+				"crashes": telemetry.Crashes,
 			},
 		},
 		{
 			name: "combined/island-master-crash", alg: Combined, procs: 4, islands: 2,
 			minEvals: 2000, // the surviving island's master spends its budget
 			plans:    map[int]deme.FaultPlan{2: {CrashAt: 0.8}},
-			want: map[string]func(*telemetry.FaultStats) int64{
-				"crashes": func(f *telemetry.FaultStats) int64 { return f.Crashes.Load() },
+			want: map[string]telemetry.CounterID{
+				"crashes": telemetry.Crashes,
 			},
 		},
 	}
 
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			run := func() (*Result, *telemetry.FaultStats) {
+			run := func() (*Result, *telemetry.Telemetry) {
 				cfg := chaosConfig()
 				cfg.Processors = sc.procs
 				cfg.Islands = sc.islands
@@ -194,12 +194,12 @@ func TestChaosScenarios(t *testing.T) {
 				tel := telemetry.New(nil, nil)
 				cfg.Telemetry = tel
 				ft := deme.NewFaulty(deme.NewSim(deme.Ideal()), sc.plans)
-				ft.Faults = tel.FaultGroup()
+				ft.Telemetry = tel
 				res, err := Run(sc.alg, in, cfg, ft)
 				if err != nil {
 					t.Fatalf("run under faults failed: %v", err)
 				}
-				return res, tel.FaultGroup()
+				return res, tel
 			}
 			a, fs := run()
 			b, _ := run()
@@ -212,8 +212,8 @@ func TestChaosScenarios(t *testing.T) {
 			if sc.matchesSeq {
 				sameSearch(t, "vs sequential", seqRef, a)
 			}
-			for name, load := range sc.want {
-				if load(fs) == 0 {
+			for name, id := range sc.want {
+				if fs.Load(id) == 0 {
 					t.Errorf("counter %s stayed 0", name)
 				}
 			}
@@ -365,7 +365,7 @@ func TestMalformedPayloadSurfacesAsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkResult(t, in, res, cfg.MaxEvaluations)
-	if tel.FaultGroup().MalformedMsgs.Load() == 0 {
+	if tel.Load(telemetry.MalformedMsgs) == 0 {
 		t.Error("workers counted no malformed work messages")
 	}
 	seqCfg := chaosConfig()

@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"repro/internal/deme"
+	"repro/internal/operators"
 	"repro/internal/rng"
 	"repro/internal/solution"
 	"repro/internal/tabu"
@@ -406,13 +407,12 @@ func (c *Config) resumePart(id int) *SearcherState {
 // a final part) skips the barrier; a sink error is counted and the run
 // continues — durability degrades, the search does not.
 func (c *Config) emitCheckpoint(barrier int) {
-	cs := c.Telemetry.CheckpointGroup()
 	parts := c.coll.assemble(barrier)
 	if parts == nil {
-		cs.Skip()
+		c.Telemetry.Inc(telemetry.CkptSkipped)
 		return
 	}
-	cs.Snapshot()
+	c.Telemetry.Inc(telemetry.CkptSnapshots)
 	if c.CheckpointSink == nil {
 		return
 	}
@@ -432,7 +432,7 @@ func (c *Config) emitCheckpoint(barrier int) {
 		Parts:          parts,
 	}
 	if err := c.CheckpointSink(ck); err != nil {
-		cs.SinkError()
+		c.Telemetry.Inc(telemetry.CkptSinkErrors)
 	}
 }
 
@@ -501,7 +501,7 @@ func (s *searcher) restoreFrom(st *SearcherState) {
 		s.xshares = st.XShares
 		s.cfg.Share.Prime(st.ShareSent)
 	}
-	s.cfg.Telemetry.CheckpointGroup().Resumed()
+	s.cfg.Telemetry.Inc(telemetry.CkptResumes)
 }
 
 // routesOfAll snapshots the route lists of a solution slice. Inner route
@@ -535,7 +535,7 @@ func capturePending(in *vrptw.Instance, pending []cand) []PendingCand {
 			Routes: sol.Routes,
 			Obj:    pending[i].obj,
 			Attr:   uint64(pending[i].attr),
-			Op:     pending[i].op,
+			Op:     pending[i].op.String(),
 			Born:   pending[i].born,
 		}
 	}
@@ -553,7 +553,7 @@ func restorePending(in *vrptw.Instance, ps []PendingCand) []cand {
 			obj:  pc.Obj,
 			sol:  sol,
 			attr: tabu.Attribute(pc.Attr),
-			op:   pc.Op,
+			op:   operators.ParseKind(pc.Op),
 			born: pc.Born,
 		}
 	}
@@ -576,9 +576,8 @@ func chunkSeed(seed uint64, iter int) uint64 {
 // skipping the barrier, never the run — when a worker stays silent past
 // EvictAfter receive timeouts.
 func ckptWorkers(p deme.Proc, cfg *Config, workers []int, barrier int) bool {
-	cs := cfg.Telemetry.CheckpointGroup()
 	start := p.Now()
-	defer func() { cs.Barrier(p.Now() - start) }()
+	defer func() { cfg.Telemetry.AddFloat(telemetry.CkptBarrierSeconds, p.Now()-start) }()
 	awaiting := make(map[int]bool, len(workers))
 	for _, w := range workers {
 		if p.Alive(w) {
@@ -633,9 +632,8 @@ func ckptWorkers(p deme.Proc, cfg *Config, workers []int, barrier int) bool {
 // coordinator abandons the barrier and searches on. It returns whether
 // the barrier completed with every part deposited (false: skipped).
 func collabBarrier(p deme.Proc, cfg *Config, barrier int, halt bool, fold func(deme.Message) error, capture func()) (bool, error) {
-	cs := cfg.Telemetry.CheckpointGroup()
 	start := p.Now()
-	defer func() { cs.Barrier(p.Now() - start) }()
+	defer func() { cfg.Telemetry.AddFloat(telemetry.CkptBarrierSeconds, p.Now()-start) }()
 
 	awaiting := make(map[int]bool, p.P()-1)
 	for id := 1; id < p.P(); id++ {
@@ -699,7 +697,7 @@ func collabBarrier(p deme.Proc, cfg *Config, barrier int, halt bool, fold func(d
 		return false, err
 	}
 	if !ok {
-		cs.Skip()
+		cfg.Telemetry.Inc(telemetry.CkptSkipped)
 		return false, nil
 	}
 	aw2 := make(map[int]bool, len(acked))
@@ -721,7 +719,7 @@ func collabBarrier(p deme.Proc, cfg *Config, barrier int, halt bool, fold func(d
 			cfg.emitCheckpoint(barrier)
 		}
 	} else {
-		cs.Skip()
+		cfg.Telemetry.Inc(telemetry.CkptSkipped)
 		if halt {
 			// Peers already halted on the go message; a coordinator that
 			// searched on would leave them stranded. Surface the fault.

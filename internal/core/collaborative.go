@@ -6,6 +6,7 @@ import (
 	"repro/internal/deme"
 	"repro/internal/rng"
 	"repro/internal/solution"
+	"repro/internal/telemetry"
 	"repro/internal/vrptw"
 )
 
@@ -47,8 +48,7 @@ func collaborativeBody(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand
 	s.rec = rec
 	s.sampleOn = p.ID() == 0
 	s.shareOn = cfg.Share != nil && p.ID() == 0
-	sh := cfg.Telemetry.ShareGroup()
-	fg := cfg.Telemetry.FaultGroup()
+	tel := cfg.Telemetry
 
 	commList := make([]int, 0, p.P()-1)
 	initialPhase := true
@@ -86,13 +86,13 @@ func collaborativeBody(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand
 		}
 		sol, okPayload := m.Data.(*solution.Solution)
 		if !okPayload {
-			fg.Malformed()
+			tel.Inc(telemetry.MalformedMsgs)
 			return fmt.Errorf("peer %d sent a malformed share payload %T", m.From, m.Data)
 		}
 		// Deserializing a foreign solution and checking it against the
 		// 50-entry M_nondom costs several times a plain neighbor update.
 		p.Compute(shareHandlingFactor * cfg.Cost.OverheadPerNeighbor)
-		sh.Received(s.nondom.Add(sol))
+		tel.Inc(shareOutcome(s.nondom.Add(sol)))
 		return nil
 	}
 
@@ -167,7 +167,7 @@ func collaborativeBody(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand
 			if m.Tag == tagCkptReq && p.ID() > 0 {
 				cm, okPayload := m.Data.(ckptMsg)
 				if !okPayload {
-					fg.Malformed()
+					tel.Inc(telemetry.MalformedMsgs)
 					continue
 				}
 				h, err := pause(cm.barrier)
@@ -200,7 +200,7 @@ func collaborativeBody(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand
 		}
 		if !initialPhase && improved && len(commList) > 0 {
 			sp := s.tr.Start(s.phase, "share").SetInt("proc", int64(p.ID()))
-			dropDeadPeers(p, &commList, fg)
+			dropDeadPeers(p, &commList, tel)
 			if len(commList) > 0 {
 				shares += sendShare(p, in, cfg, s.cur, &commList)
 			}
@@ -256,12 +256,12 @@ func sendShare(p deme.Proc, in *vrptw.Instance, cfg *Config, sol *solution.Solut
 		for _, peer := range *commList {
 			p.Send(peer, tagShare, sol, solBytes(in))
 		}
-		cfg.Telemetry.ShareGroup().SendN(len(*commList))
+		cfg.Telemetry.Add(telemetry.SharesSent, len(*commList))
 		return len(*commList)
 	}
 	peer := (*commList)[0]
 	*commList = append((*commList)[1:], peer)
 	p.Send(peer, tagShare, sol, solBytes(in))
-	cfg.Telemetry.ShareGroup().SendN(1)
+	cfg.Telemetry.Inc(telemetry.SharesSent)
 	return 1
 }

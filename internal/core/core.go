@@ -23,6 +23,7 @@ import (
 	"repro/internal/operators"
 	"repro/internal/rng"
 	"repro/internal/solution"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/vrptw"
 )
@@ -218,7 +219,7 @@ func RunContext(ctx context.Context, alg Algorithm, in *vrptw.Instance, cfg Conf
 		}
 		cfg.resume = newCk
 		restoreRuntime(rt, newCk, cfg.Processors)
-		cfg.Telemetry.DynamicGroup().WarmRestart()
+		cfg.Telemetry.Inc(telemetry.WarmRestarts)
 		wsp.End()
 	}
 

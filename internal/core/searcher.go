@@ -28,7 +28,7 @@ type cand struct {
 	obj  solution.Objectives // delta-evaluated objectives of the result
 	sol  *solution.Solution  // materialized lazily; nil until needed
 	attr tabu.Attribute
-	op   string
+	op   operators.MoveKind // the proposing operator (data.Kind, or restored)
 	born int
 }
 
@@ -91,13 +91,10 @@ type searcher struct {
 	allowed    []int
 	dominating []int
 
-	// Telemetry (all nil when disabled — every recording call below is a
-	// single branch then). tel is the whole layer for event emission, ts
-	// and ops are the hot-path groups. hvRef is the fixed hypervolume
-	// reference point of the convergence samples.
+	// Telemetry (nil when disabled — every recording call below is a
+	// single branch then). hvRef is the fixed hypervolume reference point
+	// of the convergence samples.
 	tel   *telemetry.Telemetry
-	ts    *telemetry.SearchStats
-	ops   *telemetry.OpTable
 	hvRef solution.Objectives
 
 	// Tracing (nil when the run carries no recorder). Iterations are far
@@ -217,20 +214,16 @@ func newSearcher(in *vrptw.Instance, cfg *Config, r *rng.Rand, neighborhood, ten
 		nondom:       pareto.NewArchive(cfg.NondomSize),
 		archive:      pareto.NewArchive(cfg.ArchiveSize),
 		tel:          cfg.Telemetry,
-		ts:           cfg.Telemetry.SearchGroup(),
-		ops:          cfg.Telemetry.Operators(),
 		tr:           cfg.tracer,
 		phase:        cfg.span,
 	}
-	s.gen.DeltaStats = cfg.Telemetry.DeltaGroup()
-	s.gen.SpliceStats = cfg.Telemetry.SpliceGroup()
-	s.gen.Ops = s.ops
+	s.gen.Telemetry = cfg.Telemetry
 	if cfg.GranularK > 0 {
 		s.gen.Granular = in.NeighborLists(cfg.GranularK)
 	}
 	s.gen.EvalWorkers = cfg.EvalWorkers
-	s.archive.SetStats(cfg.Telemetry.ArchiveGroup())
-	s.nondom.SetStats(cfg.Telemetry.NondomGroup())
+	s.archive.SetStats(cfg.Telemetry, telemetry.ArchiveAccepts)
+	s.nondom.SetStats(cfg.Telemetry, telemetry.NondomAccepts)
 	return s
 }
 
@@ -242,7 +235,7 @@ func (s *searcher) init(p deme.Proc) {
 	s.cur = construct.I1(s.in, construct.RandomParams(s.r))
 	p.Compute(s.cfg.Cost.ConstructPerCustomer * float64(s.in.N()))
 	s.evals++
-	s.ts.Evals(1)
+	s.tel.Inc(telemetry.Evaluations)
 	s.archive.Add(s.cur)
 	if s.rec != nil {
 		s.rec.add(0, 0, s.cur.Obj, true)
@@ -274,21 +267,15 @@ func (s *searcher) generate(p deme.Proc, n int) []cand {
 			base: s.cur,
 			obj:  obj,
 			attr: d.Attribute(),
-			op:   d.OperatorName(),
+			op:   d.Kind,
 			born: s.iter,
 		}
+		s.tel.IncOp(uint8(d.Kind), d.Kind.String(), telemetry.OpProposed)
 		cost += s.cfg.Cost.evalCost(s.in, int(obj.Vehicles))
-	}
-	// ops.Get is not inlinable; keep the disabled path free of the 200
-	// per-candidate calls by hoisting its nil check out of the loop.
-	if s.ops != nil {
-		for i := range cands {
-			s.ops.Get(cands[i].op).Propose()
-		}
 	}
 	p.Compute(cost)
 	s.evals += k
-	s.ts.Evals(k)
+	s.tel.Add(telemetry.Evaluations, k)
 	return cands
 }
 
@@ -308,13 +295,18 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 			s.rec.add(s.iter+1, cands[i].born, cands[i].obj, false)
 		}
 	}
-	selectedOp := ""
+	selectedOp := operators.KindNone
 	if sel < 0 || s.noImprovement {
 		// Restart from the memories: M_nondom entries are consumed,
 		// archive entries survive.
 		noCandidate := sel < 0
 		consumed := s.restart()
-		s.ts.Restart(noCandidate, consumed)
+		if noCandidate {
+			s.tel.Inc(telemetry.RestartsNoCandidate)
+		} else {
+			s.tel.Inc(telemetry.RestartsStagnation)
+		}
+		s.tel.Add(telemetry.NondomConsumed, consumed)
 		if s.tel.Sinks() {
 			s.tel.Event(telemetry.RestartEvent{Proc: p.ID(), Iteration: s.iter, NoCandidate: noCandidate,
 				NondomConsumed: consumed, NondomSize: s.nondom.Len(), ArchiveSize: s.archive.Len()})
@@ -324,7 +316,7 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 		s.cur = cands[sel].materialize(s.in)
 		s.tl.Add(cands[sel].attr)
 		selectedOp = cands[sel].op
-		s.ops.Get(selectedOp).Select()
+		s.tel.IncOp(uint8(selectedOp), selectedOp.String(), telemetry.OpSelected)
 	}
 	if s.rec != nil {
 		s.rec.add(s.iter+1, s.iter, s.cur.Obj, true)
@@ -341,9 +333,7 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 	}
 	if s.archive.Add(s.cur) {
 		improved = true
-		if selectedOp != "" {
-			s.ops.Get(selectedOp).Accept()
-		}
+		s.tel.IncOp(uint8(selectedOp), selectedOp.String(), telemetry.OpAccepted)
 		if s.shareOn {
 			// Egress capture for the cluster exchange: route slices are
 			// immutable once attached, so sharing them is safe.
@@ -352,9 +342,13 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 		// Stream the accepted point: the solver service forwards these
 		// to its subscribers as the evolving Pareto front.
 		if s.tel.Sinks() {
+			op := "" // after a restart
+			if selectedOp != operators.KindNone {
+				op = selectedOp.String()
+			}
 			s.tel.Event(telemetry.AcceptEvent{Proc: p.ID(), Iteration: s.iter, Time: p.Now(),
 				Obj: telemetry.Objectives(s.cur.Obj), Feasible: s.cur.Obj.Feasible(),
-				Operator: selectedOp, ArchiveSize: s.archive.Len()})
+				Operator: op, ArchiveSize: s.archive.Len()})
 		}
 	}
 	if improved {
@@ -367,7 +361,7 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 		}
 	}
 	s.iter++
-	s.ts.Iteration()
+	s.tel.Inc(telemetry.Iterations)
 	s.traceIter(p)
 	s.maybeSample(p)
 	return improved
@@ -448,10 +442,10 @@ func (s *searcher) selectCand(cands []cand, nd []int) int {
 		if !s.tl.Contains(cands[i].attr) {
 			allowed = append(allowed, i)
 		} else if aspires {
-			s.ts.Aspiration()
+			s.tel.Inc(telemetry.AspirationFires)
 			allowed = append(allowed, i)
 		} else {
-			s.ts.TabuReject()
+			s.tel.Inc(telemetry.TabuRejected)
 		}
 	}
 	s.allowed = allowed[:0]

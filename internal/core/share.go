@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/deme"
 	"repro/internal/solution"
+	"repro/internal/telemetry"
 	"repro/internal/vrptw"
 )
 
@@ -78,15 +79,14 @@ func (s *searcher) exchange(p deme.Proc) {
 
 	out := ShareBatch{Epoch: epoch, Solutions: s.shareOut}
 	s.shareOut = nil
-	sh := cfg.Telemetry.ShareGroup()
-	fg := cfg.Telemetry.FaultGroup()
+	tel := cfg.Telemetry
 	if err := cfg.Share.Publish(out); err != nil {
-		fg.Malformed()
+		tel.Inc(telemetry.MalformedMsgs)
 		sp.SetAttr("error", err.Error())
 		return
 	}
 	s.xshares += len(out.Solutions)
-	sh.SendN(len(out.Solutions))
+	tel.Add(telemetry.SharesSent, len(out.Solutions))
 
 	ctx := cfg.ctx
 	if ctx == nil {
@@ -98,7 +98,7 @@ func (s *searcher) exchange(p deme.Proc) {
 		// failures (a mid-migration sibling, say) skip the fold — the
 		// epoch content degrades deterministically to "nothing arrived".
 		if ctx.Err() == nil {
-			fg.Malformed()
+			tel.Inc(telemetry.MalformedMsgs)
 			sp.SetAttr("error", err.Error())
 		}
 		return
@@ -109,17 +109,17 @@ func (s *searcher) exchange(p deme.Proc) {
 	folded := 0
 	for _, b := range batches {
 		if b.Epoch != epoch {
-			fg.Malformed()
+			tel.Inc(telemetry.MalformedMsgs)
 			continue
 		}
 		for _, routes := range b.Solutions {
 			sol, err := safeSolution(s.in, routes)
 			if err != nil {
-				fg.Malformed()
+				tel.Inc(telemetry.MalformedMsgs)
 				continue
 			}
 			p.Compute(shareHandlingFactor * cfg.Cost.OverheadPerNeighbor)
-			sh.Received(s.nondom.Add(sol))
+			tel.Inc(shareOutcome(s.nondom.Add(sol)))
 			folded++
 		}
 	}
@@ -167,4 +167,13 @@ func safeSolution(in *vrptw.Instance, routes [][]int) (*solution.Solution, error
 		return nil, fmt.Errorf("core: shared solution routes %d of %d customers", total, in.N())
 	}
 	return solution.New(in, routes), nil
+}
+
+// shareOutcome is the counter of one received share: accepted into
+// M_nondom, or dominated on arrival.
+func shareOutcome(accepted bool) telemetry.CounterID {
+	if accepted {
+		return telemetry.SharesAccepted
+	}
+	return telemetry.SharesRejected
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/operators"
 	"repro/internal/rng"
 	"repro/internal/solution"
+	"repro/internal/telemetry"
 	"repro/internal/vrptw"
 )
 
@@ -37,7 +38,7 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 	} else {
 		s.init(p)
 	}
-	fg := cfg.Telemetry.FaultGroup()
+	tel := cfg.Telemetry
 
 	alive := procRange(1, p.P())
 	strikes := make([]int, p.P())
@@ -45,7 +46,7 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 		for i, a := range alive {
 			if a == w {
 				alive = append(alive[:i], alive[i+1:]...)
-				fg.Evicted()
+				tel.Inc(telemetry.WorkerEvictions)
 				return
 			}
 		}
@@ -60,21 +61,19 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 			if p.Alive(w) {
 				kept = append(kept, w)
 			} else {
-				fg.Evicted()
+				tel.Inc(telemetry.WorkerEvictions)
 			}
 		}
 		alive = kept
 		if len(alive) < p.P()-1 {
-			fg.DegradedIteration()
+			tel.Inc(telemetry.DegradedIters)
 		}
 
 		s.gen.MovesInto(&s.buf, s.cur, s.r, s.neighborhood)
 		data := s.buf.Data
 		n := len(data)
-		if s.ops != nil {
-			for i := range data {
-				s.ops.Get(data[i].OperatorName()).Propose()
-			}
+		for i := range data {
+			tel.IncOp(uint8(data[i].Kind), data[i].Kind.String(), telemetry.OpProposed)
 		}
 		if cap(objs) < n {
 			objs = make([]solution.Objectives, n)
@@ -105,10 +104,10 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 			if !ok {
 				// Deadline expired (or the system drained): strike every
 				// outstanding worker and recover its span locally.
-				fg.RecvTimeout()
+				tel.Inc(telemetry.RecvTimeouts)
 				for _, sp := range outstanding {
 					strikes[sp.w]++
-					fg.Redispatch()
+					tel.Inc(telemetry.Redispatches)
 					s.evalDataSpan(p, data[sp.lo:sp.hi], objs[sp.lo:sp.hi])
 					if strikes[sp.w] >= cfg.EvictAfter || !p.Alive(sp.w) {
 						evict(sp.w)
@@ -122,7 +121,7 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 			}
 			rm, okPayload := m.Data.(resultMsg)
 			if !okPayload {
-				fg.Malformed()
+				tel.Inc(telemetry.MalformedMsgs)
 				stopWorkers(p)
 				return s.failOutcome(fmt.Errorf("worker %d sent a malformed result payload %T", m.From, m.Data))
 			}
@@ -136,12 +135,12 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 			if idx < 0 {
 				// A duplicate, or a late reply to a chunk already
 				// recovered locally or belonging to a past iteration.
-				fg.Stale()
+				tel.Inc(telemetry.StaleResults)
 				continue
 			}
 			sp := outstanding[idx]
 			if len(rm.objs) != sp.hi-sp.lo {
-				fg.Malformed()
+				tel.Inc(telemetry.MalformedMsgs)
 				stopWorkers(p)
 				return s.failOutcome(fmt.Errorf("worker %d returned %d objectives for a %d-move span",
 					m.From, len(rm.objs), sp.hi-sp.lo))
@@ -152,7 +151,7 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 		}
 
 		s.evals += n
-		s.ts.Evals(n)
+		tel.Add(telemetry.Evaluations, n)
 		if n == 0 {
 			// Degenerate instance with no feasible moves: charge the
 			// failed attempt so the budget still runs out (as sequential).
@@ -169,7 +168,7 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 				base: s.cur,
 				obj:  objs[i],
 				attr: d.Attribute(),
-				op:   d.OperatorName(),
+				op:   d.Kind,
 				born: s.iter,
 			}
 		}
@@ -203,7 +202,7 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 				}
 				cfg.emitCheckpoint(b)
 			} else {
-				cfg.Telemetry.CheckpointGroup().Skip()
+				tel.Inc(telemetry.CkptSkipped)
 			}
 			sp.End()
 		}

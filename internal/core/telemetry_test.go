@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/operators"
 	"repro/internal/rng"
 	"repro/internal/solution"
 	"repro/internal/tabu"
@@ -36,16 +37,16 @@ func TestTelemetryRestartNoCandidate(t *testing.T) {
 	bad := mkCand(cur.Distance+10, cur.Vehicles, cur.Tardiness+1, 7)
 	s.step(p, []cand{bad})
 
-	if got := tel.Search.RestartsNoCand.Load(); got != 1 {
+	if got := tel.Load(telemetry.RestartsNoCandidate); got != 1 {
 		t.Errorf("RestartsNoCand = %d, want 1", got)
 	}
-	if got := tel.Search.RestartsStagn.Load(); got != 0 {
+	if got := tel.Load(telemetry.RestartsStagnation); got != 0 {
 		t.Errorf("RestartsStagn = %d, want 0", got)
 	}
-	if got := tel.Search.TabuRejected.Load(); got != 1 {
+	if got := tel.Load(telemetry.TabuRejected); got != 1 {
 		t.Errorf("TabuRejected = %d, want 1", got)
 	}
-	if got := tel.Search.Iterations.Load(); got != 1 {
+	if got := tel.Load(telemetry.Iterations); got != 1 {
 		t.Errorf("Iterations = %d, want 1", got)
 	}
 }
@@ -62,15 +63,15 @@ func TestTelemetryRestartStagnation(t *testing.T) {
 	if !s.noImprovement {
 		t.Fatal("stagnation flag not raised")
 	}
-	if got := tel.Search.RestartsStagn.Load(); got != 0 {
+	if got := tel.Load(telemetry.RestartsStagnation); got != 0 {
 		t.Fatalf("stagnation restart fired early: %d", got)
 	}
 	good := mkCand(cur.Obj.Distance-1, cur.Obj.Vehicles, cur.Obj.Tardiness, 999)
 	s.step(p, []cand{good})
-	if got := tel.Search.RestartsStagn.Load(); got != 1 {
+	if got := tel.Load(telemetry.RestartsStagnation); got != 1 {
 		t.Errorf("RestartsStagn = %d, want 1", got)
 	}
-	if got := tel.Search.RestartsNoCand.Load(); got != 0 {
+	if got := tel.Load(telemetry.RestartsNoCandidate); got != 0 {
 		t.Errorf("RestartsNoCand = %d, want 0", got)
 	}
 }
@@ -97,7 +98,7 @@ func TestTelemetryRestartConsumesNondom(t *testing.T) {
 	if consumed == 0 {
 		t.Fatal("no M_nondom entry consumed over 50 restarts")
 	}
-	if got := tel.Search.NondomConsumed.Load(); got != 0 {
+	if got := tel.Load(telemetry.NondomConsumed); got != 0 {
 		// restart() itself does not count; step() does. Counted below.
 		t.Fatalf("restart() counted NondomConsumed directly: %d", got)
 	}
@@ -113,14 +114,14 @@ func TestTelemetryRestartConsumesNondom(t *testing.T) {
 	cur := s.cur.Obj
 	s.nondom.Add(&solution.Solution{Obj: solution.Objectives{Distance: 1, Vehicles: 1}})
 	p := &stubProc{}
-	for i := 0; i < 50 && tel.Search.NondomConsumed.Load() == 0; i++ {
+	for i := 0; i < 50 && tel.Load(telemetry.NondomConsumed) == 0; i++ {
 		s.tl.Add(tabu.Attribute(500 + i))
 		bad := mkCand(cur.Distance+10, cur.Vehicles+1, cur.Tardiness+1, tabu.Attribute(500+i))
 		s.step(p, []cand{bad})
 		// Refill so a consumable entry is always available.
 		s.nondom.Add(&solution.Solution{Obj: solution.Objectives{Distance: 1, Vehicles: 1}})
 	}
-	if got := tel.Search.NondomConsumed.Load(); got == 0 {
+	if got := tel.Load(telemetry.NondomConsumed); got == 0 {
 		t.Error("NondomConsumed never counted through step()")
 	}
 }
@@ -135,49 +136,79 @@ func TestTelemetryAspirationCounter(t *testing.T) {
 	if got := s.selectCand(cands, s.foldFront(cands)); got != 0 {
 		t.Fatal("aspiration did not admit the candidate")
 	}
-	if got := tel.Search.AspirationFires.Load(); got != 1 {
+	if got := tel.Load(telemetry.AspirationFires); got != 1 {
 		t.Errorf("AspirationFires = %d, want 1", got)
 	}
-	if got := tel.Search.TabuRejected.Load(); got != 0 {
+	if got := tel.Load(telemetry.TabuRejected); got != 0 {
 		t.Errorf("TabuRejected = %d, want 0", got)
 	}
 }
 
 // TestTelemetryOperatorFunnel runs real iterations and checks the operator
 // funnel invariants: proposals cover the neighborhood, selections and
-// acceptances never exceed proposals.
+// acceptances never exceed proposals, and generation-side failures land on
+// the row of the operator that proposes — also for the extension operators,
+// whose moves of several lengths must share their operator's one row.
 func TestTelemetryOperatorFunnel(t *testing.T) {
-	s, p, tel := newTelemetrySearcher(t)
-	for i := 0; i < 30; i++ {
-		s.step(p, s.generate(p, s.neighborhood))
-	}
-	snap := tel.Operators().Snapshot()
-	if len(snap) == 0 {
-		t.Fatal("no operator stats recorded")
-	}
-	var proposed, selected int64
-	for name, e := range snap {
-		prop := e["proposed"].(int64)
-		sel := e["selected"].(int64)
-		acc := e["accepted"].(int64)
-		if sel > prop || acc > prop {
-			t.Errorf("operator %s funnel inverted: %v", name, e)
-		}
-		proposed += prop
-		selected += sel
-	}
-	if proposed != tel.Search.Evaluations.Load()-1 { // -1: the construction eval
-		t.Errorf("proposals %d != evaluations-1 %d", proposed, tel.Search.Evaluations.Load()-1)
-	}
-	if selected == 0 {
-		t.Error("no operator was ever selected over 30 iterations")
-	}
-	if tel.Delta.DeltaFast.Load()+tel.Delta.ApplyFallback.Load() != proposed {
-		t.Errorf("delta fast %d + fallback %d != proposals %d",
-			tel.Delta.DeltaFast.Load(), tel.Delta.ApplyFallback.Load(), proposed)
-	}
-	if tel.Splice.Calls.Load() == 0 {
-		t.Error("SpliceMetrics instrument never fired")
+	for _, tc := range []struct {
+		name      string
+		n         int
+		ops       []operators.Operator
+		granularK int
+		seed      uint64
+		iters     int
+	}{
+		{"default", 20, nil, 0, 1, 30},
+		{"extended-granular", 40, operators.Extended(), 5, 3, 200},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := testInstance(t, tc.n)
+			cfg := smallConfig()
+			cfg.Operators = tc.ops
+			cfg.GranularK = tc.granularK
+			cfg.Telemetry = telemetry.New(nil, nil)
+			if err := cfg.validate(in, Sequential); err != nil {
+				t.Fatal(err)
+			}
+			tel := cfg.Telemetry
+			s := newSearcher(in, &cfg, rng.New(tc.seed), 0, 0, 0)
+			p := &stubProc{}
+			s.init(p)
+			for i := 0; i < tc.iters; i++ {
+				s.step(p, s.generate(p, s.neighborhood))
+			}
+			snap := tel.Snapshot()["operators"].(map[string]map[string]any)
+			if len(snap) == 0 {
+				t.Fatal("no operator stats recorded")
+			}
+			var proposed, selected int64
+			for name, e := range snap {
+				prop := e["proposed"].(int64)
+				sel := e["selected"].(int64)
+				acc := e["accepted"].(int64)
+				if sel > prop || acc > prop {
+					t.Errorf("operator %s funnel inverted: %v", name, e)
+				}
+				if (e["exhausted"].(int64) > 0 || e["granular_fallbacks"].(int64) > 0) && prop == 0 {
+					t.Errorf("operator %s counts generation failures but no proposals: %v", name, e)
+				}
+				proposed += prop
+				selected += sel
+			}
+			if proposed != tel.Load(telemetry.Evaluations)-1 { // -1: the construction eval
+				t.Errorf("proposals %d != evaluations-1 %d", proposed, tel.Load(telemetry.Evaluations)-1)
+			}
+			if selected == 0 {
+				t.Errorf("no operator was ever selected over %d iterations", tc.iters)
+			}
+			if tel.Load(telemetry.DeltaFast)+tel.Load(telemetry.DeltaFallback) != proposed {
+				t.Errorf("delta fast %d + fallback %d != proposals %d",
+					tel.Load(telemetry.DeltaFast), tel.Load(telemetry.DeltaFallback), proposed)
+			}
+			if tel.Load(telemetry.SpliceCalls) == 0 {
+				t.Error("SpliceMetrics instrument never fired")
+			}
+		})
 	}
 }
 
@@ -277,7 +308,7 @@ func TestRestartStepTelemetryAllocs(t *testing.T) {
 	off := measure(nil)
 	tel := telemetry.New(nil, nil)
 	instruments := measure(tel)
-	if got := tel.Search.RestartsNoCand.Load(); got < 50 {
+	if got := tel.Load(telemetry.RestartsNoCandidate); got < 50 {
 		t.Fatalf("RestartsNoCand = %d, want every step to restart", got)
 	}
 	if instruments > off {

@@ -5,6 +5,7 @@ import (
 	"repro/internal/operators"
 	"repro/internal/rng"
 	"repro/internal/solution"
+	"repro/internal/telemetry"
 	"repro/internal/vrptw"
 )
 
@@ -28,16 +29,12 @@ import (
 // the worker to deposit that snapshot into the run's collector and ack.
 func workerLoop(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, seed uint64, master int) {
 	gen := operators.NewGenerator(in, cfg.Operators)
-	gen.DeltaStats = cfg.Telemetry.DeltaGroup()
-	gen.SpliceStats = cfg.Telemetry.SpliceGroup()
-	ops := cfg.Telemetry.Operators()
-	gen.Ops = ops
+	tel := cfg.Telemetry
+	gen.Telemetry = tel
 	if cfg.GranularK > 0 {
 		gen.Granular = in.NeighborLists(cfg.GranularK)
 	}
 	var buf operators.CandidateBuffer
-	ws := cfg.Telemetry.WorkerGroup()
-	fg := cfg.Telemetry.FaultGroup()
 	for {
 		if cfg.cancelled() {
 			return // the run was cancelled; the master is unwinding too
@@ -56,7 +53,7 @@ func workerLoop(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, seed 
 		if m.Tag == tagCkpt {
 			cm, okPayload := m.Data.(ckptMsg)
 			if !okPayload {
-				fg.Malformed()
+				tel.Inc(telemetry.MalformedMsgs)
 				continue
 			}
 			part := &SearcherState{ID: p.ID(), Barrier: cm.barrier, Worker: true}
@@ -81,7 +78,7 @@ func workerLoop(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, seed 
 		busyStart := p.Now()
 		w, okPayload := m.Data.(workMsg)
 		if !okPayload {
-			fg.Malformed()
+			tel.Inc(telemetry.MalformedMsgs)
 			continue // the master guards its own payloads; drop garbage here
 		}
 		if w.data != nil {
@@ -99,7 +96,7 @@ func workerLoop(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, seed 
 			}
 			p.Compute(cost)
 			p.Send(master, tagResult, resultMsg{objs: objs, lo: w.lo, iter: w.iter}, len(objs)*solBytes(in))
-			ws.Chunk(len(objs), busyStart-idleStart, p.Now()-busyStart)
+			countChunk(tel, len(objs), busyStart-idleStart, p.Now()-busyStart)
 			sp.End()
 			continue
 		}
@@ -119,19 +116,24 @@ func workerLoop(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, seed 
 				base: w.cur,
 				obj:  buf.Objs[i],
 				attr: d.Attribute(),
-				op:   d.OperatorName(),
+				op:   d.Kind,
 				born: w.iter,
 			}
+			tel.IncOp(uint8(d.Kind), d.Kind.String(), telemetry.OpProposed)
 			cost += cfg.Cost.evalCost(in, int(buf.Objs[i].Vehicles))
-		}
-		if ops != nil {
-			for i := range cands {
-				ops.Get(cands[i].op).Propose()
-			}
 		}
 		p.Compute(cost)
 		p.Send(master, tagResult, resultMsg{cands: cands}, len(cands)*solBytes(in))
-		ws.Chunk(len(cands), busyStart-idleStart, p.Now()-busyStart)
+		countChunk(tel, len(cands), busyStart-idleStart, p.Now()-busyStart)
 		sp.End()
 	}
+}
+
+// countChunk records one served work chunk of n candidates together with
+// the idle time that preceded it and the busy time it took.
+func countChunk(tel *telemetry.Telemetry, n int, idle, busy float64) {
+	tel.Inc(telemetry.WorkerChunks)
+	tel.Add(telemetry.WorkerCandidates, n)
+	tel.AddFloat(telemetry.WorkerIdleSeconds, idle)
+	tel.AddFloat(telemetry.WorkerBusySeconds, busy)
 }

@@ -67,8 +67,9 @@ func (fp *FaultPlan) active() bool {
 type Faulty struct {
 	inner Runtime
 	plans map[int]FaultPlan
-	// Faults, when non-nil, counts injected faults. nil disables counting.
-	Faults *telemetry.FaultStats
+	// Telemetry, when non-nil, counts injected faults. nil disables
+	// counting.
+	Telemetry *telemetry.Telemetry
 }
 
 // WildcardProc is the FaultPlan map key applying to every process that has
@@ -123,7 +124,7 @@ func (f *Faulty) runCtx(ctx context.Context, n int, body func(Proc)) error {
 		fp := &faultyProc{
 			Proc: p,
 			plan: plan,
-			fs:   f.Faults,
+			tel:  f.Telemetry,
 			r:    rng.New(plan.Seed ^ (uint64(p.ID())+1)*0x9e3779b97f4a7c15),
 		}
 		defer func() {
@@ -150,7 +151,7 @@ type pendingMsg struct {
 type faultyProc struct {
 	Proc
 	plan    FaultPlan
-	fs      *telemetry.FaultStats
+	tel     *telemetry.Telemetry
 	r       *rng.Rand
 	stalled bool
 	pending []pendingMsg // sorted by release time
@@ -164,12 +165,12 @@ func (fp *faultyProc) checkpoint() {
 	t := fp.Proc.Now()
 	if !fp.stalled && fp.plan.StallFor > 0 && t >= fp.plan.StallAt {
 		fp.stalled = true
-		fp.fs.Stalled()
+		fp.tel.Inc(telemetry.Stalls)
 		fp.Proc.Compute(fp.plan.StallFor)
 		t = fp.Proc.Now()
 	}
 	if fp.plan.CrashAt > 0 && t >= fp.plan.CrashAt {
-		fp.fs.Crashed()
+		fp.tel.Inc(telemetry.Crashes)
 		panic(crashSignal{})
 	}
 }
@@ -213,15 +214,15 @@ func (fp *faultyProc) filter(m Message) bool {
 		return true
 	}
 	if fp.plan.DropProb > 0 && fp.r.Float64() < fp.plan.DropProb {
-		fp.fs.Dropped()
+		fp.tel.Inc(telemetry.MsgsDropped)
 		return false
 	}
 	if fp.plan.DupProb > 0 && fp.r.Float64() < fp.plan.DupProb {
-		fp.fs.Duplicated()
+		fp.tel.Inc(telemetry.MsgsDuplicated)
 		fp.enqueue(fp.Proc.Now(), m)
 	}
 	if fp.plan.DelayProb > 0 && fp.plan.DelayMax > 0 && fp.r.Float64() < fp.plan.DelayProb {
-		fp.fs.Delayed()
+		fp.tel.Inc(telemetry.MsgsDelayed)
 		fp.enqueue(fp.Proc.Now()+fp.plan.DelayMax*fp.r.Float64(), m)
 		return false
 	}

@@ -28,7 +28,7 @@ import (
 // exact trajectory. All methods are safe for concurrent use; the service
 // calls Add from HTTP handlers while the run polls HaltAt.
 type Schedule struct {
-	// Telemetry receives the dynamic counter group; nil is fine.
+	// Telemetry receives the dynamic-subsystem counters; nil is fine.
 	Telemetry *telemetry.Telemetry
 	// OnApplied, when set, observes every applied epoch's report (called
 	// from the run's process, after the splice and before the warm
@@ -199,7 +199,7 @@ func (sc *Schedule) HaltAt(b int) bool {
 func (sc *Schedule) Apply(ctx context.Context, in *vrptw.Instance, ck *core.Checkpoint) (*vrptw.Instance, *core.Checkpoint, error) {
 	start := time.Now()
 	tr, parent := trace.FromContext(ctx)
-	ds := sc.Telemetry.DynamicGroup()
+	tel := sc.Telemetry
 
 	sc.mu.Lock()
 	var muts []Mutation
@@ -233,7 +233,7 @@ func (sc *Schedule) Apply(ctx context.Context, in *vrptw.Instance, ck *core.Chec
 			// Skipping (not failing) keeps the run alive under racy input:
 			// a cancel for a customer another batch already cancelled, say.
 			rep.Rejected++
-			ds.Reject()
+			tel.Inc(telemetry.MutationsRejected)
 			continue
 		}
 		cur = d
@@ -255,10 +255,10 @@ func (sc *Schedule) Apply(ctx context.Context, in *vrptw.Instance, ck *core.Chec
 		// Every mutation of the epoch was invalid: the instance is
 		// unchanged and the checkpoint resumes as-is — the halt still
 		// consumed the epoch, so the run simply warm-restarts in place.
-		sc.finish(&rep, applied, start, ds)
+		sc.finish(&rep, applied, start)
 		return in, ck, nil
 	}
-	ds.Apply(rep.Applied)
+	tel.Add(telemetry.MutationsApplied, rep.Applied)
 
 	// Repair: patch every part's stored solutions onto the new instance.
 	psp := tr.Start(parent, "repair").SetInt("parts", int64(len(ck.Parts)))
@@ -275,17 +275,20 @@ func (sc *Schedule) Apply(ctx context.Context, in *vrptw.Instance, ck *core.Chec
 	rep.ListsReused = rstats.ListsReused
 	rep.ListsPatched = rstats.ListsPatched
 	rep.ListsRebuilt = rstats.ListsRebuilt
-	ds.Orphan(rep.Orphans)
-	ds.Invalidate(rep.Invalidated)
-	ds.DropPending(rep.PendingDropped)
-	sc.finish(&rep, applied, start, ds)
+	tel.Add(telemetry.Orphans, rep.Orphans)
+	tel.Add(telemetry.Invalidated, rep.Invalidated)
+	tel.Add(telemetry.PendingDropped, rep.PendingDropped)
+	sc.finish(&rep, applied, start)
 	return cur, &nck, nil
 }
 
 // finish stamps the report's wall time, records it, and fires the hook.
-func (sc *Schedule) finish(rep *Report, applied []Mutation, start time.Time, ds *telemetry.DynamicStats) {
+func (sc *Schedule) finish(rep *Report, applied []Mutation, start time.Time) {
 	rep.Seconds = time.Since(start).Seconds()
-	ds.Splice(rep.Seconds)
+	if tel := sc.Telemetry; tel != nil {
+		tel.AddFloat(telemetry.SpliceSeconds, rep.Seconds)
+		tel.SpliceNanos.Observe(int64(rep.Seconds * 1e9))
+	}
 	sc.mu.Lock()
 	sc.log = append(sc.log, applied...)
 	sc.reports = append(sc.reports, *rep)

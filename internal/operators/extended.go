@@ -38,6 +38,9 @@ type OrOptN struct {
 // Name implements Operator.
 func (o OrOptN) Name() string { return fmt.Sprintf("or-opt-%d", o.maxLen()) }
 
+// Kind implements Operator.
+func (OrOptN) Kind() MoveKind { return KindOrOptN }
+
 func (o OrOptN) maxLen() int {
 	if o.MaxLen < 1 {
 		return 3
@@ -107,6 +110,9 @@ type RelocateNew struct{}
 // Name implements Operator.
 func (RelocateNew) Name() string { return "relocate-new" }
 
+// Kind implements Operator.
+func (RelocateNew) Kind() MoveKind { return KindRelocateNew }
+
 type relocateNewMove struct {
 	from, fpos int
 	cust       int
@@ -165,6 +171,9 @@ type CrossExchange struct {
 
 // Name implements Operator.
 func (c CrossExchange) Name() string { return fmt.Sprintf("cross-exchange-%d", c.maxLen()) }
+
+// Kind implements Operator.
+func (CrossExchange) Kind() MoveKind { return KindCrossExchange }
 
 func (c CrossExchange) maxLen() int {
 	if c.MaxLen < 1 {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/solution"
 	"repro/internal/tabu"
+	"repro/internal/telemetry"
 	"repro/internal/vrptw"
 )
 
@@ -31,6 +32,44 @@ const (
 	KindRelocateNew
 	KindCrossExchange
 )
+
+// kindNames is the static operator name of each kind: what
+// MoveData.OperatorName reports and the label of the kind's telemetry
+// funnel row.
+var kindNames = [...]string{
+	KindNone:          "none",
+	KindRelocate:      "relocate",
+	KindExchange:      "exchange",
+	KindTwoOpt:        "2-opt",
+	KindTwoOptStar:    "2-opt*",
+	KindOrOpt:         "or-opt",
+	KindOrOptN:        "or-opt-n",
+	KindRelocateNew:   "relocate-new",
+	KindCrossExchange: "cross-exchange",
+}
+
+// The telemetry funnel has one row per kind.
+var _ [telemetry.OpKinds - len(kindNames)]struct{}
+
+// String returns the kind's static operator name ("none" for KindNone and
+// unknown kinds).
+func (k MoveKind) String() string {
+	if int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return kindNames[KindNone]
+}
+
+// ParseKind returns the kind whose String is name, or KindNone for an
+// unknown name.
+func ParseKind(name string) MoveKind {
+	for k, n := range kindNames {
+		if n == name {
+			return MoveKind(k)
+		}
+	}
+	return KindNone
+}
 
 // MoveData is one neighborhood move. The parameter fields A..H are
 // interpreted per kind exactly as the fields, in declaration order, of the
@@ -161,36 +200,6 @@ func (d MoveData) Attribute() tabu.Attribute {
 	return 0
 }
 
-// OperatorName names the operator that produced the move. All returned
-// strings are static so the call never allocates.
-func (d MoveData) OperatorName() string {
-	switch d.Kind {
-	case KindRelocate:
-		return "relocate"
-	case KindExchange:
-		return "exchange"
-	case KindTwoOpt:
-		return "2-opt"
-	case KindTwoOptStar:
-		return "2-opt*"
-	case KindOrOpt:
-		return "or-opt"
-	case KindOrOptN:
-		return orOptNName(int(d.C))
-	case KindRelocateNew:
-		return "relocate-new"
-	case KindCrossExchange:
-		return "cross-exchange"
-	}
-	return "none"
-}
-
-// orOptNName returns the static operator name of a length-l Or-opt move.
-var orOptNNames = [...]string{"or-opt-0", "or-opt-1", "or-opt-2", "or-opt-3", "or-opt-4", "or-opt-5"}
-
-func orOptNName(l int) string {
-	if l >= 0 && l < len(orOptNNames) {
-		return orOptNNames[l]
-	}
-	return fmt.Sprintf("or-opt-%d", l)
-}
+// OperatorName names the operator that produced the move: its kind's
+// static name, so the call never allocates.
+func (d MoveData) OperatorName() string { return d.Kind.String() }

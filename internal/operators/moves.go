@@ -15,6 +15,9 @@ type Relocate struct{}
 // Name implements Operator.
 func (Relocate) Name() string { return "relocate" }
 
+// Kind implements Operator.
+func (Relocate) Kind() MoveKind { return KindRelocate }
+
 // relocateMove is the decoded view of a KindRelocate MoveData; it and the
 // other per-kind structs below hold the Apply, Delta and Attribute bodies
 // that MoveData dispatches to.
@@ -77,6 +80,9 @@ type Exchange struct{}
 // Name implements Operator.
 func (Exchange) Name() string { return "exchange" }
 
+// Kind implements Operator.
+func (Exchange) Kind() MoveKind { return KindExchange }
+
 type exchangeMove struct {
 	r1, p1 int
 	r2, p2 int
@@ -135,6 +141,9 @@ type TwoOpt struct{}
 // Name implements Operator.
 func (TwoOpt) Name() string { return "2-opt" }
 
+// Kind implements Operator.
+func (TwoOpt) Kind() MoveKind { return KindTwoOpt }
+
 type twoOptMove struct {
 	route, i, j int // reverse positions i..j inclusive, i < j
 	ci, cj      int
@@ -186,6 +195,9 @@ type TwoOptStar struct{}
 
 // Name implements Operator.
 func (TwoOptStar) Name() string { return "2-opt*" }
+
+// Kind implements Operator.
+func (TwoOptStar) Kind() MoveKind { return KindTwoOptStar }
 
 type twoOptStarMove struct {
 	r1, p1 int // cut positions: route[:p] keeps, route[p:] swaps
@@ -261,6 +273,9 @@ type OrOpt struct{}
 
 // Name implements Operator.
 func (OrOpt) Name() string { return "or-opt" }
+
+// Kind implements Operator.
+func (OrOpt) Kind() MoveKind { return KindOrOpt }
 
 type orOptMove struct {
 	route  int

@@ -25,6 +25,8 @@ import (
 // Operator proposes random feasible moves on a solution.
 type Operator interface {
 	Name() string
+	// Kind is the kind of every move the operator proposes.
+	Kind() MoveKind
 	// Propose attempts to generate one random move on s that passes the
 	// local feasibility criterion. It reports failure when it finds none
 	// within its internal attempt budget. It never heap-allocates.
@@ -57,15 +59,12 @@ const granFallbackBudget = 1
 type Generator struct {
 	in  *vrptw.Instance
 	ops []Operator
-	// DeltaStats, when non-nil, counts delta-evaluated candidates vs.
-	// full-simulation Apply fallbacks; SpliceStats is handed to the
-	// schedule cache to classify SpliceMetrics exits. Both default to nil
-	// (disabled, one branch per candidate).
-	DeltaStats  *telemetry.DeltaStats
-	SpliceStats *telemetry.SpliceStats
-	// Ops, when non-nil, receives the generation-side funnel telemetry:
-	// per-operator proposal exhaustions and granular-list fallbacks.
-	Ops *telemetry.OpTable
+	// Telemetry, when non-nil, counts delta-evaluated candidates vs.
+	// full-simulation Apply fallbacks, the SpliceMetrics exits of the
+	// schedule caches, and the generation side of the operator funnel:
+	// proposal exhaustions and granular-list fallbacks, per move kind.
+	// nil (the default) disables it at one branch per candidate.
+	Telemetry *telemetry.Telemetry
 	// Granular, when non-nil, switches MovesInto to the granular proposal
 	// paths: operators draw only moves whose key created arc lies in the
 	// sparse k-nearest graph, falling back to the full proposal path when
@@ -78,7 +77,7 @@ type Generator struct {
 	EvalWorkers int
 
 	lastEval *solution.Eval
-	names    []string           // static operator names, aligned with ops
+	kinds    []MoveKind         // each operator's move kind, aligned with ops
 	gran     []granularProposer // granular paths, aligned with ops (nil entries: full only)
 	granFB   []uint8            // per-sweep fallback count; granular path memoized dead at the budget
 	parEvals []*solution.Eval   // per-worker schedule caches for EvalWorkers
@@ -91,11 +90,11 @@ func NewGenerator(in *vrptw.Instance, ops []Operator) *Generator {
 		ops = All()
 	}
 	g := &Generator{in: in, ops: ops}
-	g.names = make([]string, len(ops))
+	g.kinds = make([]MoveKind, len(ops))
 	g.gran = make([]granularProposer, len(ops))
 	g.granFB = make([]uint8, len(ops))
 	for i, op := range ops {
-		g.names[i] = op.Name()
+		g.kinds[i] = op.Kind()
 		g.gran[i], _ = op.(granularProposer)
 	}
 	return g
@@ -109,7 +108,7 @@ func (g *Generator) eval(s *solution.Solution) *solution.Eval {
 	} else if g.lastEval.Solution() != s {
 		g.lastEval.Reset(g.in, s)
 	}
-	g.lastEval.Stats = g.SpliceStats
+	g.lastEval.Telemetry = g.Telemetry
 	return g.lastEval
 }
 
@@ -162,7 +161,7 @@ func (g *Generator) MovesInto(buf *CandidateBuffer, s *solution.Solution, r *rng
 			d, ok = g.gran[oi].proposeGranular(g.in, s, &buf.pos, g.Granular, r)
 			if !ok {
 				g.granFB[oi]++
-				g.Ops.Get(g.names[oi]).Fallback()
+				g.Telemetry.IncOp(uint8(g.kinds[oi]), g.kinds[oi].String(), telemetry.OpFallbacks)
 				d, ok = g.ops[oi].Propose(g.in, s, r)
 			}
 		case granular && g.gran[oi] != nil:
@@ -174,7 +173,7 @@ func (g *Generator) MovesInto(buf *CandidateBuffer, s *solution.Solution, r *rng
 		if ok {
 			buf.Data = append(buf.Data, d)
 		} else {
-			g.Ops.Get(g.names[oi]).Exhaust()
+			g.Telemetry.IncOp(uint8(g.kinds[oi]), g.kinds[oi].String(), telemetry.OpExhausted)
 			budget--
 		}
 	}
@@ -220,10 +219,10 @@ func (g *Generator) evalSpan(e *solution.Eval, s *solution.Solution, data []Move
 	for i, d := range data {
 		obj, ok := d.Delta(g.in, s, e)
 		if !ok {
-			g.DeltaStats.Fallback()
+			g.Telemetry.Inc(telemetry.DeltaFallback)
 			obj = d.Apply(g.in, s).Obj
 		} else {
-			g.DeltaStats.Fast()
+			g.Telemetry.Inc(telemetry.DeltaFast)
 		}
 		objs[i] = obj
 	}
@@ -231,7 +230,7 @@ func (g *Generator) evalSpan(e *solution.Eval, s *solution.Solution, data []Move
 
 // evalDataParallel is EvalDataInto's sharded path: contiguous chunks of
 // the span, one goroutine and one schedule cache per worker. Only the
-// delta arithmetic runs concurrently; DeltaStats/SpliceStats are atomic
+// delta arithmetic runs concurrently; the telemetry counters are atomic
 // and every result lands at its own index.
 func (g *Generator) evalDataParallel(s *solution.Solution, data []MoveData, objs []solution.Objectives) {
 	w := g.EvalWorkers
@@ -260,7 +259,7 @@ func (g *Generator) evalDataParallel(s *solution.Solution, data []MoveData, objs
 		} else if evals[k].Solution() != s {
 			evals[k].Reset(g.in, s)
 		}
-		evals[k].Stats = g.SpliceStats
+		evals[k].Telemetry = g.Telemetry
 		wg.Add(1)
 		go func(e *solution.Eval, data []MoveData, objs []solution.Objectives) {
 			defer wg.Done()

@@ -393,3 +393,32 @@ func BenchmarkProposeByOperator(b *testing.B) {
 		})
 	}
 }
+
+// TestOperatorKinds pins the kind-name table behind OperatorName and the
+// telemetry funnel: names are unique and parse back to their kind, and
+// every operator proposes only moves of its own kind.
+func TestOperatorKinds(t *testing.T) {
+	seen := map[string]bool{}
+	for k := KindNone; int(k) < len(kindNames); k++ {
+		if seen[k.String()] {
+			t.Errorf("kind %d reuses name %q", k, k.String())
+		}
+		seen[k.String()] = true
+		if got := ParseKind(k.String()); got != k {
+			t.Errorf("ParseKind(%q) = %d, want %d", k.String(), got, k)
+		}
+	}
+	if got := ParseKind("or-opt-2"); got != KindNone {
+		t.Errorf("unknown name parsed as kind %d", got)
+	}
+	in := genInstance(t, vrptw.RC2, 40, 2)
+	s := greedyFill(in)
+	r := rng.New(5)
+	for _, op := range Extended() {
+		for try := 0; try < 50; try++ {
+			if m, ok := op.Propose(in, s, r); ok && m.Kind != op.Kind() {
+				t.Fatalf("%s proposed a %s move, Kind() = %s", op.Name(), m.Kind, op.Kind())
+			}
+		}
+	}
+}

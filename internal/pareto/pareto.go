@@ -19,7 +19,8 @@ import (
 type Archive struct {
 	capacity int
 	items    []*solution.Solution
-	stats    *telemetry.ArchiveStats
+	tel      *telemetry.Telemetry
+	base     telemetry.CounterID // the store block: ArchiveAccepts or NondomAccepts
 	// Eviction scratch, reused so the accept path of a full archive —
 	// taken nearly every searcher iteration by the medium-term memory —
 	// stays allocation-free.
@@ -28,9 +29,13 @@ type Archive struct {
 	idxScratch []int
 }
 
-// SetStats attaches acceptance/rejection/eviction instrumentation. nil
-// (the default) disables it at the cost of one branch per Add outcome.
-func (a *Archive) SetStats(s *telemetry.ArchiveStats) { a.stats = s }
+// SetStats attaches acceptance/rejection/eviction counting into tel's
+// store block starting at base (telemetry.ArchiveAccepts or
+// telemetry.NondomAccepts). A nil tel (the default) disables it at the
+// cost of one branch per Add outcome.
+func (a *Archive) SetStats(tel *telemetry.Telemetry, base telemetry.CounterID) {
+	a.tel, a.base = tel, base
+}
 
 // NewArchive returns an empty archive holding at most capacity solutions.
 // It panics if capacity < 1.
@@ -75,7 +80,7 @@ func (a *Archive) Restore(items []*solution.Solution) {
 func (a *Archive) Add(s *solution.Solution) bool {
 	for _, m := range a.items {
 		if m.Obj.WeaklyDominates(s.Obj) {
-			a.stats.Reject()
+			a.tel.Inc(a.base + telemetry.StoreReject)
 			return false
 		}
 	}
@@ -89,7 +94,7 @@ func (a *Archive) Add(s *solution.Solution) bool {
 	a.items = a.items[:w]
 	a.items = append(a.items, s)
 	if len(a.items) <= a.capacity {
-		a.stats.Accept()
+		a.tel.Inc(a.base + telemetry.StoreAccept)
 		return true
 	}
 	// Evict the most crowded member.
@@ -114,12 +119,12 @@ func (a *Archive) Add(s *solution.Solution) bool {
 	evicted := a.items[victim]
 	a.items[victim] = a.items[len(a.items)-1]
 	a.items = a.items[:len(a.items)-1]
-	a.stats.Evict()
+	a.tel.Inc(a.base + telemetry.StoreEvict)
 	if evicted != s {
-		a.stats.Accept()
+		a.tel.Inc(a.base + telemetry.StoreAccept)
 		return true
 	}
-	a.stats.Reject()
+	a.tel.Inc(a.base + telemetry.StoreReject)
 	return false
 }
 

@@ -486,11 +486,12 @@ func (j *Job) observe(ev telemetry.Event) {
 		// (seed, mutation log) replays carry identical markers.
 		sm := flight.Sample{ConvergenceSample: e.Sample, Marker: j.pendingMarker}
 		j.pendingMarker = ""
-		if ops := j.tel.Operators().Snapshot(); len(ops) > 0 {
+		c := j.tel.Counters()
+		if ops := c.Funnel(); len(ops) > 0 {
 			sm.AcceptRates = make(map[string]float64, len(ops))
-			for op, st := range ops {
-				if r, ok := st["accept_rate"].(float64); ok {
-					sm.AcceptRates[op] = r
+			for _, op := range ops {
+				if p := op.N[telemetry.OpProposed]; p > 0 {
+					sm.AcceptRates[op.Name] = float64(op.N[telemetry.OpAccepted]) / float64(p)
 				}
 			}
 		}
@@ -690,9 +691,8 @@ func (j *Job) Status() Status {
 	if !haveResult {
 		// Live counters are atomics on the immutable per-job telemetry
 		// layer; no lock needed.
-		search := j.tel.SearchGroup()
-		st.Evaluations = search.Evaluations.Load()
-		st.Iterations = search.Iterations.Load()
+		st.Evaluations = j.tel.Load(telemetry.Evaluations)
+		st.Iterations = j.tel.Load(telemetry.Iterations)
 	}
 	if haveRef {
 		st.HVRef = &ref
@@ -831,7 +831,7 @@ func (j *Job) terminalLocked(state State, fields map[string]any) {
 			}
 			j.svc.met.complete(string(state), j.Spec.Tenant, start.Sub(j.submitted),
 				j.finished.Sub(j.submitted), !j.firstPoint.IsZero(), j.firstPoint.Sub(j.submitted))
-			j.svc.met.fold(j.ID, j.tel.Samples())
+			j.svc.met.fold(j.ID, j.tel)
 			// Persist before releasing the drain waiter: once jobDone
 			// returns, a clean shutdown may proceed, and the result plus
 			// its journal record must already be on disk.

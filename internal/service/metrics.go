@@ -17,7 +17,7 @@ import (
 //
 //   - The lifecycle counters and SLO histograms only ever increment.
 //   - Solver counters (tsmo_*) are the sum of a retired ledger plus the
-//     live counters of running jobs. A job's final counter values are
+//     live counters of running jobs, both telemetry.Counters tables. A job's final counter values are
 //     folded into the ledger exactly once as it turns terminal (inside the
 //     job's doneOnce), and folded jobs are skipped by the live sum, so a
 //     series can never go backwards when a job finishes or is evicted —
@@ -30,7 +30,8 @@ type svcMetrics struct {
 	submitted int64
 	rejected  map[string]int64 // reason -> submissions refused
 	completed map[string]int64 // terminal state -> jobs
-	retired   map[string]telemetry.Sample
+	retired   telemetry.Counters
+	anyJob    bool            // some job's counters were folded: the solver series exist
 	folded    map[string]bool // job IDs whose telemetry is in retired
 
 	// Per-tenant admission counters and SLO histograms, keyed by
@@ -53,7 +54,6 @@ func newSvcMetrics() *svcMetrics {
 	return &svcMetrics{
 		rejected:         make(map[string]int64),
 		completed:        make(map[string]int64),
-		retired:          make(map[string]telemetry.Sample),
 		folded:           make(map[string]bool),
 		tenantSubmitted:  make(map[string]int64),
 		tenantRejected:   make(map[string]int64),
@@ -112,15 +112,11 @@ func (m *svcMetrics) complete(state, tn string, queued, total time.Duration, saw
 
 // fold moves a terminal job's final telemetry into the retired ledger.
 // Called exactly once per job (the job's doneOnce).
-func (m *svcMetrics) fold(jobID string, samples []telemetry.Sample) {
+func (m *svcMetrics) fold(jobID string, tel *telemetry.Telemetry) {
+	c := tel.Counters()
 	m.mu.Lock()
-	for _, s := range samples {
-		k := s.Key()
-		r := m.retired[k]
-		r.Name, r.LabelKey, r.LabelValue = s.Name, s.LabelKey, s.LabelValue
-		r.V += s.V
-		m.retired[k] = r
-	}
+	m.retired.Add(&c)
+	m.anyJob = true
 	m.folded[jobID] = true
 	m.mu.Unlock()
 }
@@ -225,21 +221,14 @@ func (m *svcMetrics) writeMetrics(w io.Writer, st Stats, jobs []*Job) error {
 	sort.Slice(tfp, func(i, j int) bool { return tfp[i].Labels[0][1] < tfp[j].Labels[0][1] })
 
 	// Solver counters: retired ledger + live counters of unfolded jobs.
-	agg := make(map[string]telemetry.Sample, len(m.retired))
-	for k, s := range m.retired {
-		agg[k] = s
-	}
+	agg, anyJob := m.retired, m.anyJob
 	for _, j := range jobs {
 		if m.folded[j.ID] {
 			continue
 		}
-		for _, s := range j.tel.Samples() {
-			k := s.Key()
-			r := agg[k]
-			r.Name, r.LabelKey, r.LabelValue = s.Name, s.LabelKey, s.LabelValue
-			r.V += s.V
-			agg[k] = r
-		}
+		c := j.tel.Counters()
+		agg.Add(&c)
+		anyJob = true
 	}
 	m.mu.Unlock()
 
@@ -273,14 +262,8 @@ func (m *svcMetrics) writeMetrics(w io.Writer, st Stats, jobs []*Job) error {
 			return err
 		}
 	}
-	keys := make([]string, 0, len(agg))
-	for k := range agg {
-		keys = append(keys, k)
+	if !anyJob {
+		return nil
 	}
-	sort.Strings(keys)
-	solver := make([]telemetry.Sample, 0, len(agg))
-	for _, k := range keys {
-		solver = append(solver, agg[k])
-	}
-	return telemetry.WritePromSamples(w, solver)
+	return telemetry.WritePromSamples(w, agg.Samples())
 }

@@ -98,10 +98,10 @@ func sized(buf []float64, n int) []float64 {
 type Eval struct {
 	sol *Solution
 	R   []RouteEval
-	// Stats, when non-nil, classifies every SpliceMetrics exit (prefix
+	// Telemetry, when non-nil, classifies every SpliceMetrics exit (prefix
 	// fold, suffix early exit, resynchronization, full walk). nil — the
 	// default — records nothing and costs one branch per exit.
-	Stats *telemetry.SpliceStats
+	Telemetry *telemetry.Telemetry
 }
 
 // NewEval builds the schedule cache for every route of s.
@@ -188,7 +188,7 @@ func Single(cust int) Seg { return Seg{Route: -1, Cust: cust} }
 // incurs no further tardiness (arrival at or before Latest) or
 // resynchronizes with the cached schedule (equal departure times).
 func (e *Eval) SpliceMetrics(in *vrptw.Instance, segs ...Seg) (dist, tard float64) {
-	e.Stats.Call()
+	e.Telemetry.Inc(telemetry.SpliceCalls)
 	depot := &in.Sites[0]
 	t := depot.Ready
 	prev := 0
@@ -223,7 +223,7 @@ segments:
 
 		// A leading prefix of a cached route: fold in O(1).
 		if si == 0 && !seg.Rev && seg.From == 0 {
-			e.Stats.PrefixFold()
+			e.Telemetry.Inc(telemetry.SplicePrefixFolds)
 			t = re.Depart[seg.To]
 			dist = re.Dist[seg.To]
 			tard = re.Tard[seg.To]
@@ -242,7 +242,7 @@ segments:
 				if arr <= re.Latest[j] {
 					// The whole remaining suffix is served without
 					// tardiness; its arcs are time-independent.
-					e.Stats.SuffixEarlyExit()
+					e.Telemetry.Inc(telemetry.SpliceSuffixEarlyExits)
 					return dist + leg + totalDist - re.Dist[j+1], tard
 				}
 				dist += leg
@@ -257,7 +257,7 @@ segments:
 				if t == re.Depart[j+1] {
 					// Resynchronized with the cached schedule: the rest
 					// of the suffix behaves exactly as cached.
-					e.Stats.SuffixResync()
+					e.Telemetry.Inc(telemetry.SpliceSuffixResyncs)
 					return dist + totalDist - re.Dist[j+1], tard + totalTard - re.Tard[j+1]
 				}
 			}
@@ -278,7 +278,7 @@ segments:
 
 	// No suffix shortcut applied: the splice was simulated all the way to
 	// the depot return.
-	e.Stats.FullWalk()
+	e.Telemetry.Inc(telemetry.SpliceFullWalks)
 	leg := in.Dist(prev, 0)
 	dist += leg
 	t += leg

@@ -9,12 +9,12 @@ import (
 	"strings"
 )
 
-// Prometheus text exposition (format 0.0.4) for the instrument groups.
+// Prometheus text exposition (format 0.0.4) for the counter table.
 // Samples flattens every counter into (name, one label pair, value)
 // triples; the Write* helpers render them with one HELP/TYPE header per
 // metric family, sorted so the exposition is stable and duplicate-free.
-// The service layer aggregates Samples across per-job Telemetry instances
-// before rendering; the standalone telemetry server renders one instance
+// The service layer sums per-job Counters before rendering their Samples;
+// the standalone telemetry server renders one instance
 // directly (WriteProm).
 
 // Sample is one exposition sample: a metric name, at most one label pair
@@ -26,8 +26,8 @@ type Sample struct {
 	V          float64
 }
 
-// Key identifies the series: metric name plus rendered label set. Used by
-// aggregators that must sum the same series across Telemetry instances.
+// Key identifies the series: metric name plus rendered label set, for
+// consumers that key samples by series.
 func (s Sample) Key() string {
 	if s.LabelKey == "" {
 		return s.Name
@@ -35,120 +35,16 @@ func (s Sample) Key() string {
 	return s.Name + "{" + s.LabelKey + "=" + s.LabelValue + "}"
 }
 
-// Samples flattens every counter instrument into exposition samples. All
-// values are cumulative (counters), so an aggregator summing them across
+// Samples flattens the counter table into exposition samples. All values
+// are cumulative (counters), so an aggregator summing them across
 // instances stays monotone as long as it retires finished instances into
 // a persistent sum. Nil-safe: a disabled layer yields nil.
 func (t *Telemetry) Samples() []Sample {
 	if t == nil {
 		return nil
 	}
-	var out []Sample
-	add := func(name, lk, lv string, v float64) {
-		out = append(out, Sample{Name: name, LabelKey: lk, LabelValue: lv, V: v})
-	}
-	addc := func(name string, c *Counter) { add(name, "", "", float64(c.Load())) }
-
-	addc("tsmo_search_iterations_total", &t.Search.Iterations)
-	addc("tsmo_search_evaluations_total", &t.Search.Evaluations)
-	add("tsmo_search_restarts_total", "trigger", "no_candidate", float64(t.Search.RestartsNoCand.Load()))
-	add("tsmo_search_restarts_total", "trigger", "stagnation", float64(t.Search.RestartsStagn.Load()))
-	addc("tsmo_search_nondom_consumed_total", &t.Search.NondomConsumed)
-	addc("tsmo_search_tabu_rejected_total", &t.Search.TabuRejected)
-	addc("tsmo_search_aspiration_fires_total", &t.Search.AspirationFires)
-
-	for i := range t.Async.Fires {
-		add("tsmo_async_decision_total", "reason", DecisionReason(i).String(), float64(t.Async.Fires[i].Load()))
-	}
-	addc("tsmo_async_late_candidates_total", &t.Async.LateCandidates)
-
-	addc("tsmo_worker_chunks_total", &t.Worker.Chunks)
-	addc("tsmo_worker_candidates_total", &t.Worker.Candidates)
-	add("tsmo_worker_idle_seconds_total", "", "", t.Worker.IdleSeconds.Load())
-	add("tsmo_worker_busy_seconds_total", "", "", t.Worker.BusySeconds.Load())
-
-	addc("tsmo_share_sent_total", &t.Share.Sent)
-	add("tsmo_share_received_total", "outcome", "accepted", float64(t.Share.Accepted.Load()))
-	add("tsmo_share_received_total", "outcome", "rejected", float64(t.Share.Rejected.Load()))
-
-	for _, m := range []struct {
-		label string
-		a     *ArchiveStats
-	}{{"archive", &t.Archive}, {"nondom", &t.Nondom}} {
-		add("tsmo_store_accepts_total", "memory", m.label, float64(m.a.Accepts.Load()))
-		add("tsmo_store_rejects_total", "memory", m.label, float64(m.a.Rejects.Load()))
-		add("tsmo_store_evictions_total", "memory", m.label, float64(m.a.Evictions.Load()))
-	}
-
-	add("tsmo_delta_evals_total", "path", "fast", float64(t.Delta.DeltaFast.Load()))
-	add("tsmo_delta_evals_total", "path", "apply_fallback", float64(t.Delta.ApplyFallback.Load()))
-
-	addc("tsmo_splice_calls_total", &t.Splice.Calls)
-	add("tsmo_splice_exits_total", "kind", "prefix_fold", float64(t.Splice.PrefixFolds.Load()))
-	add("tsmo_splice_exits_total", "kind", "suffix_early_exit", float64(t.Splice.SuffixEarlyExits.Load()))
-	add("tsmo_splice_exits_total", "kind", "suffix_resync", float64(t.Splice.SuffixResyncs.Load()))
-	add("tsmo_splice_exits_total", "kind", "full_walk", float64(t.Splice.FullWalks.Load()))
-
-	for _, f := range []struct {
-		kind string
-		c    *Counter
-	}{
-		{"msg_dropped", &t.Fault.MsgsDropped},
-		{"msg_duplicated", &t.Fault.MsgsDuplicated},
-		{"msg_delayed", &t.Fault.MsgsDelayed},
-		{"crash", &t.Fault.Crashes},
-		{"stall", &t.Fault.Stalls},
-	} {
-		add("tsmo_faults_injected_total", "kind", f.kind, float64(f.c.Load()))
-	}
-	for _, f := range []struct {
-		kind string
-		c    *Counter
-	}{
-		{"recv_timeout", &t.Fault.RecvTimeouts},
-		{"redispatch", &t.Fault.Redispatches},
-		{"stale_result", &t.Fault.StaleResults},
-		{"worker_eviction", &t.Fault.WorkerEvictions},
-		{"worker_revival", &t.Fault.WorkerRevivals},
-		{"peer_drop", &t.Fault.PeerDrops},
-		{"degraded_iteration", &t.Fault.DegradedIters},
-		{"malformed_msg", &t.Fault.MalformedMsgs},
-	} {
-		add("tsmo_fault_recovery_total", "kind", f.kind, float64(f.c.Load()))
-	}
-
-	addc("tsmo_checkpoint_snapshots_total", &t.Ckpt.Snapshots)
-	addc("tsmo_checkpoint_sink_errors_total", &t.Ckpt.SinkErrors)
-	addc("tsmo_checkpoint_skipped_total", &t.Ckpt.Skipped)
-	addc("tsmo_checkpoint_resumes_total", &t.Ckpt.Resumes)
-	add("tsmo_checkpoint_barrier_seconds_total", "", "", t.Ckpt.BarrierSecs.Load())
-
-	add("tsmo_dynamic_mutations_total", "outcome", "applied", float64(t.Dynamic.Applied.Load()))
-	add("tsmo_dynamic_mutations_total", "outcome", "rejected", float64(t.Dynamic.Rejected.Load()))
-	addc("tsmo_dynamic_orphans_total", &t.Dynamic.Orphans)
-	addc("tsmo_dynamic_invalidated_total", &t.Dynamic.Invalidated)
-	addc("tsmo_dynamic_pending_dropped_total", &t.Dynamic.PendingDropped)
-	addc("tsmo_dynamic_warm_restarts_total", &t.Dynamic.WarmRestarts)
-	add("tsmo_dynamic_splice_seconds_total", "", "", t.Dynamic.SpliceSeconds.Load())
-
-	type opRow struct {
-		name  string
-		stats *OpStats
-	}
-	var ops []opRow
-	t.Ops.m.Range(func(k, v any) bool {
-		ops = append(ops, opRow{name: k.(string), stats: v.(*OpStats)})
-		return true
-	})
-	sort.Slice(ops, func(i, j int) bool { return ops[i].name < ops[j].name })
-	for _, o := range ops {
-		add("tsmo_operator_proposed_total", "op", o.name, float64(o.stats.Proposed.Load()))
-		add("tsmo_operator_selected_total", "op", o.name, float64(o.stats.Selected.Load()))
-		add("tsmo_operator_accepted_total", "op", o.name, float64(o.stats.Accepted.Load()))
-		add("tsmo_operator_exhausted_total", "op", o.name, float64(o.stats.Exhausted.Load()))
-		add("tsmo_operator_fallbacks_total", "op", o.name, float64(o.stats.Fallbacks.Load()))
-	}
-	return out
+	c := t.Counters()
+	return c.Samples()
 }
 
 func escapeLabel(v string) string {
@@ -210,22 +106,7 @@ func WritePromGauge(w io.Writer, name, help string, labels [][2]string, v float6
 	if err := writePromHeader(w, name, help, "gauge"); err != nil {
 		return err
 	}
-	var lb strings.Builder
-	for i, kv := range labels {
-		if i == 0 {
-			lb.WriteByte('{')
-		} else {
-			lb.WriteByte(',')
-		}
-		lb.WriteString(kv[0])
-		lb.WriteString(`="`)
-		lb.WriteString(escapeLabel(kv[1]))
-		lb.WriteByte('"')
-	}
-	if lb.Len() > 0 {
-		lb.WriteByte('}')
-	}
-	_, err := fmt.Fprintf(w, "%s%s %s\n", name, lb.String(), formatFloat(v))
+	_, err := fmt.Fprintf(w, "%s%s %s\n", name, renderLabels(labels), formatFloat(v))
 	return err
 }
 

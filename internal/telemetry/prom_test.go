@@ -9,8 +9,8 @@ import (
 
 func TestSamplesCoverGroups(t *testing.T) {
 	tel := New(nil, nil)
-	tel.Search.Iterations.Add(7)
-	tel.Operators().Get("2opt*").Propose()
+	tel.Add(Iterations, 7)
+	tel.IncOp(4, "2opt*", OpProposed)
 	samples := tel.Samples()
 	if len(samples) == 0 {
 		t.Fatal("no samples")
@@ -45,11 +45,52 @@ func TestSamplesCoverGroups(t *testing.T) {
 	if nilTel.Samples() != nil {
 		t.Error("nil telemetry produced samples")
 	}
+
+	// Table invariants: every counter is placed in both reports, and no
+	// two counters share a snapshot path or a series.
+	paths := map[string]bool{}
+	series := map[string]bool{}
+	check := func(what string, d counterDesc) {
+		if d.group == "" || d.key == "" || d.family == "" {
+			t.Errorf("%s has an empty group/key/family: %+v", what, d)
+		}
+		if (d.label == "") != (d.labelValue == "") {
+			t.Errorf("%s has a half label pair: %+v", what, d)
+		}
+		if p := d.group + "/" + d.key; paths[p] {
+			t.Errorf("%s duplicates snapshot path %s", what, p)
+		} else {
+			paths[p] = true
+		}
+		if k := d.sample(0).Key(); series[k] {
+			t.Errorf("%s duplicates series %s", what, k)
+		} else {
+			series[k] = true
+		}
+	}
+	for id, d := range counterTable {
+		check("counter "+strconv.Itoa(id), d)
+	}
+	for id, d := range floatTable {
+		check("float "+strconv.Itoa(id), d)
+	}
+	for st, d := range opStageTable {
+		check("op stage "+strconv.Itoa(st), counterDesc{group: "operators", key: d.key, family: d.family, label: "op", labelValue: "x"})
+	}
+	// The two store blocks share one layout.
+	if NondomAccepts+StoreReject != NondomRejects || NondomAccepts+StoreEvict != NondomEvictions {
+		t.Error("nondom store block does not mirror the archive block")
+	}
+	for r := FireIdleWorker; r <= FireBudget; r++ {
+		if d := counterTable[r.Counter()]; d.labelValue != r.String() {
+			t.Errorf("reason %s counts into %+v", r, d)
+		}
+	}
 }
 
 func TestWritePromSamplesFormat(t *testing.T) {
 	tel := New(nil, nil)
-	tel.Search.Iterations.Add(3)
+	tel.Add(Iterations, 3)
 	var buf bytes.Buffer
 	if err := WritePromSamples(&buf, tel.Samples()); err != nil {
 		t.Fatal(err)

@@ -1,17 +1,18 @@
 // Package telemetry is the search's near-zero-overhead observability
-// layer: atomic counters, float accumulators and lock-free exponential
-// histograms grouped per subsystem (searcher, async decision function,
-// workers, share traffic, archives, delta evaluation), plus a structured
-// slog event stream and a JSONL run-report writer.
+// layer: one table of atomic counters keyed by CounterID (searcher, async
+// decision function, workers, share traffic, archives, delta evaluation,
+// faults, checkpoints, mutations), a few float accumulators, a per-operator
+// funnel indexed by move kind and lock-free exponential histograms, plus a
+// structured slog event stream and a JSONL run-report writer.
 //
 // The disabled path costs nothing measurable: a nil *Telemetry disables
-// every instrument, and each recording method nil-checks its group
-// receiver, so an uninstrumented run pays exactly one predictable branch
-// per call site and zero allocations (enforced by the zero-alloc tests; the
-// enabled layer's cost is scripts/tsmobench's telemetry.overhead_pct on
-// the seq-r1-400 solve). Instruments
-// are safe for concurrent use by all processes of a run; events are
-// typed values (events.go), built only when a sink is attached.
+// every instrument, and the inlinable recording methods (Inc, Add,
+// AddFloat, IncOp) nil-check it, so an uninstrumented run pays exactly one
+// predictable branch per call site and zero allocations (enforced by the
+// zero-alloc tests; the enabled layer's cost is scripts/tsmobench's
+// telemetry.overhead_pct on the seq-r1-400 solve). Instruments are safe
+// for concurrent use by all processes of a run; events are typed values
+// (events.go), built only when a sink is attached.
 package telemetry
 
 import (
@@ -141,67 +142,6 @@ func bucketUpper(k int) int64 {
 	return int64(1) << k
 }
 
-// SearchStats instruments one run's searchers (Algorithm 1): iteration and
-// evaluation counts, the two restart triggers, medium-term-memory
-// consumption, and tabu-list dynamics. Shared by all processes of a run.
-type SearchStats struct {
-	Iterations      Counter // selection steps performed
-	Evaluations     Counter // delta/full objective evaluations observed
-	RestartsNoCand  Counter // restarts from the "s ∉ N" trigger (empty admissible set)
-	RestartsStagn   Counter // restarts from the stagnation trigger (RestartIterations without archive improvement)
-	NondomConsumed  Counter // M_nondom entries consumed (the paper's ↓↑)
-	TabuRejected    Counter // candidates rejected by the tabu list
-	AspirationFires Counter // tabu candidates admitted by archive aspiration
-}
-
-// Iteration counts one selection step.
-func (s *SearchStats) Iteration() {
-	if s == nil {
-		return
-	}
-	s.Iterations.Inc()
-}
-
-// Evals counts n objective evaluations.
-func (s *SearchStats) Evals(n int) {
-	if s == nil {
-		return
-	}
-	s.Evaluations.Add(int64(n))
-}
-
-// Restart counts one restart: noCandidate distinguishes the "s ∉ N"
-// trigger from the stagnation trigger; consumed is the number of M_nondom
-// entries the restart removed.
-func (s *SearchStats) Restart(noCandidate bool, consumed int) {
-	if s == nil {
-		return
-	}
-	if noCandidate {
-		s.RestartsNoCand.Inc()
-	} else {
-		s.RestartsStagn.Inc()
-	}
-	s.NondomConsumed.Add(int64(consumed))
-}
-
-// TabuReject counts one candidate forbidden by the tabu list.
-func (s *SearchStats) TabuReject() {
-	if s == nil {
-		return
-	}
-	s.TabuRejected.Inc()
-}
-
-// Aspiration counts one tabu candidate admitted because it would enter the
-// archive.
-func (s *SearchStats) Aspiration() {
-	if s == nil {
-		return
-	}
-	s.AspirationFires.Inc()
-}
-
 // DecisionReason labels why the asynchronous master's decision function
 // (Algorithm 2) stopped waiting for worker results.
 type DecisionReason int
@@ -224,82 +164,15 @@ func (d DecisionReason) String() string {
 	return decisionNames[d]
 }
 
-// AsyncStats instruments the asynchronous master–worker variant: per-reason
-// decision-function firings, the size of the partial neighborhoods the
-// master proceeds with, late candidates (born in an earlier iteration than
-// the one that considered them — the paper's Figure 1 phenomenon), and the
-// virtual/wall time spent waiting per iteration.
+// Counter returns the ID of the counter of firings for the reason.
+func (d DecisionReason) Counter() CounterID { return FiresIdleWorker + CounterID(d) }
+
+// AsyncStats holds the asynchronous master's two histograms: the size of
+// the candidate set each step proceeded with, and how long the master
+// waited for it.
 type AsyncStats struct {
-	Fires          [len(decisionNames)]Counter
-	PartialSizes   Histogram // candidate-set size at each step
-	LateCandidates Counter   // candidates considered in a later iteration than they were born
-	WaitSeconds    Histogram // per-iteration master wait, in ns (virtual or wall)
-}
-
-// Fire counts one decision-function firing for the given reason.
-func (a *AsyncStats) Fire(reason DecisionReason) {
-	if a == nil {
-		return
-	}
-	a.Fires[reason].Inc()
-}
-
-// Step records the candidate set a master iteration proceeded with: its
-// size, how many members were late, and how long the master waited.
-func (a *AsyncStats) Step(size, late int, waitSeconds float64) {
-	if a == nil {
-		return
-	}
-	a.PartialSizes.Observe(int64(size))
-	a.LateCandidates.Add(int64(late))
-	a.WaitSeconds.ObserveSeconds(waitSeconds)
-}
-
-// WorkerStats instruments the worker loops of the master–worker variants.
-type WorkerStats struct {
-	Chunks      Counter      // work messages served
-	Candidates  Counter      // candidates evaluated by workers
-	IdleSeconds FloatCounter // time blocked waiting for work
-	BusySeconds FloatCounter // time generating and evaluating candidates
-}
-
-// Chunk records one served work chunk of n candidates together with the
-// idle time that preceded it and the busy time it took.
-func (w *WorkerStats) Chunk(n int, idle, busy float64) {
-	if w == nil {
-		return
-	}
-	w.Chunks.Inc()
-	w.Candidates.Add(int64(n))
-	w.IdleSeconds.Add(idle)
-	w.BusySeconds.Add(busy)
-}
-
-// ShareStats instruments the collaborative share traffic.
-type ShareStats struct {
-	Sent     Counter // share messages sent
-	Accepted Counter // received shares accepted into M_nondom
-	Rejected Counter // received shares dominated on arrival
-}
-
-// SendN counts n sent share messages.
-func (s *ShareStats) SendN(n int) {
-	if s == nil {
-		return
-	}
-	s.Sent.Add(int64(n))
-}
-
-// Received counts one received share and whether M_nondom accepted it.
-func (s *ShareStats) Received(accepted bool) {
-	if s == nil {
-		return
-	}
-	if accepted {
-		s.Accepted.Inc()
-	} else {
-		s.Rejected.Inc()
-	}
+	PartialSizes Histogram // candidate-set size at each step
+	WaitSeconds  Histogram // per-iteration master wait, in ns (virtual or wall)
 }
 
 // PeerShareStats instruments the cross-node share traffic received from
@@ -362,480 +235,18 @@ func (t *PeerShareTable) Snapshot() map[string]map[string]int64 {
 	return out
 }
 
-// ArchiveStats instruments one class of bounded non-dominated store
-// (M_archive or M_nondom, aggregated over all processes).
-type ArchiveStats struct {
-	Accepts   Counter // offers that ended up stored
-	Rejects   Counter // offers weakly dominated (or evicted straight back out)
-	Evictions Counter // crowding-distance evictions on overflow
-}
-
-// Accept counts one stored offer.
-func (a *ArchiveStats) Accept() {
-	if a == nil {
-		return
-	}
-	a.Accepts.Inc()
-}
-
-// Reject counts one dominated (or bounced) offer.
-func (a *ArchiveStats) Reject() {
-	if a == nil {
-		return
-	}
-	a.Rejects.Inc()
-}
-
-// Evict counts one crowding eviction.
-func (a *ArchiveStats) Evict() {
-	if a == nil {
-		return
-	}
-	a.Evictions.Inc()
-}
-
-// DeltaStats splits candidate evaluation between the O(1)-ish delta
-// fast path and the full Apply simulation fallback.
-type DeltaStats struct {
-	DeltaFast     Counter // Move.Delta succeeded (schedule-cache splice)
-	ApplyFallback Counter // Move.Delta declined; full materialization used
-}
-
-// Fast counts one delta-evaluated candidate.
-func (d *DeltaStats) Fast() {
-	if d == nil {
-		return
-	}
-	d.DeltaFast.Inc()
-}
-
-// Fallback counts one full-simulation fallback.
-func (d *DeltaStats) Fallback() {
-	if d == nil {
-		return
-	}
-	d.ApplyFallback.Inc()
-}
-
-// SpliceStats classifies the exits of solution.Eval.SpliceMetrics — the
-// innermost hot function of the search. PrefixFolds and the two suffix
-// shortcuts are the cheap exits; FullWalks are splices that simulated every
-// customer of their segments.
-type SpliceStats struct {
-	Calls            Counter // SpliceMetrics invocations
-	PrefixFolds      Counter // leading cached prefix folded in O(1)
-	SuffixEarlyExits Counter // trailing suffix proved tardiness-free (Latest bound)
-	SuffixResyncs    Counter // trailing suffix resynchronized with the cached schedule
-	FullWalks        Counter // no suffix shortcut applied; every segment customer simulated
-}
-
-// Call counts one SpliceMetrics invocation.
-func (s *SpliceStats) Call() {
-	if s == nil {
-		return
-	}
-	s.Calls.Inc()
-}
-
-// PrefixFold counts one O(1) prefix fold.
-func (s *SpliceStats) PrefixFold() {
-	if s == nil {
-		return
-	}
-	s.PrefixFolds.Inc()
-}
-
-// SuffixEarlyExit counts one tardiness-free suffix termination.
-func (s *SpliceStats) SuffixEarlyExit() {
-	if s == nil {
-		return
-	}
-	s.SuffixEarlyExits.Inc()
-}
-
-// SuffixResync counts one schedule resynchronization exit.
-func (s *SpliceStats) SuffixResync() {
-	if s == nil {
-		return
-	}
-	s.SuffixResyncs.Inc()
-}
-
-// FullWalk counts one splice that simulated all of its segments.
-func (s *SpliceStats) FullWalk() {
-	if s == nil {
-		return
-	}
-	s.FullWalks.Inc()
-}
-
-// FaultStats instruments the fault-injection runtime (deme.Faulty) and the
-// self-healing reactions of the parallel variants. The injection counters
-// record faults as they fire; the recovery counters record how the masters
-// and searchers absorbed them (timeouts, local re-evaluation of lost
-// chunks, evictions of persistently silent workers, iterations run with a
-// reduced worker set).
-type FaultStats struct {
-	// Injection side (deme.Faulty).
-	MsgsDropped    Counter // incoming messages silently discarded
-	MsgsDuplicated Counter // incoming messages delivered twice
-	MsgsDelayed    Counter // incoming messages held back
-	Crashes        Counter // processes terminated by a crash-at-time fault
-	Stalls         Counter // stall windows served
-
-	// Recovery side (core masters and searchers).
-	RecvTimeouts    Counter // receive deadlines that expired on a master
-	Redispatches    Counter // work chunks re-evaluated after a silent worker
-	StaleResults    Counter // results discarded as duplicate or out-of-iteration
-	WorkerEvictions Counter // workers removed after persistent silence or death
-	WorkerRevivals  Counter // evicted workers re-admitted after a late result
-	PeerDrops       Counter // dead peers removed from a share ring
-	DegradedIters   Counter // master iterations run with a reduced worker set
-	MalformedMsgs   Counter // payloads that failed their type assertion
-}
-
-// Dropped counts one discarded incoming message.
-func (f *FaultStats) Dropped() {
-	if f == nil {
-		return
-	}
-	f.MsgsDropped.Inc()
-}
-
-// Duplicated counts one duplicated incoming message.
-func (f *FaultStats) Duplicated() {
-	if f == nil {
-		return
-	}
-	f.MsgsDuplicated.Inc()
-}
-
-// Delayed counts one delayed incoming message.
-func (f *FaultStats) Delayed() {
-	if f == nil {
-		return
-	}
-	f.MsgsDelayed.Inc()
-}
-
-// Crashed counts one crash-at-time firing.
-func (f *FaultStats) Crashed() {
-	if f == nil {
-		return
-	}
-	f.Crashes.Inc()
-}
-
-// Stalled counts one served stall window.
-func (f *FaultStats) Stalled() {
-	if f == nil {
-		return
-	}
-	f.Stalls.Inc()
-}
-
-// RecvTimeout counts one expired receive deadline.
-func (f *FaultStats) RecvTimeout() {
-	if f == nil {
-		return
-	}
-	f.RecvTimeouts.Inc()
-}
-
-// Redispatch counts one locally re-evaluated work chunk.
-func (f *FaultStats) Redispatch() {
-	if f == nil {
-		return
-	}
-	f.Redispatches.Inc()
-}
-
-// Stale counts one discarded duplicate or out-of-iteration result.
-func (f *FaultStats) Stale() {
-	if f == nil {
-		return
-	}
-	f.StaleResults.Inc()
-}
-
-// Evicted counts one worker eviction.
-func (f *FaultStats) Evicted() {
-	if f == nil {
-		return
-	}
-	f.WorkerEvictions.Inc()
-}
-
-// Revived counts one re-admitted worker.
-func (f *FaultStats) Revived() {
-	if f == nil {
-		return
-	}
-	f.WorkerRevivals.Inc()
-}
-
-// PeerDrop counts one peer removed from a share ring.
-func (f *FaultStats) PeerDrop() {
-	if f == nil {
-		return
-	}
-	f.PeerDrops.Inc()
-}
-
-// DegradedIteration counts one master iteration with a reduced worker set.
-func (f *FaultStats) DegradedIteration() {
-	if f == nil {
-		return
-	}
-	f.DegradedIters.Inc()
-}
-
-// Malformed counts one payload that failed its type assertion.
-func (f *FaultStats) Malformed() {
-	if f == nil {
-		return
-	}
-	f.MalformedMsgs.Inc()
-}
-
-// CheckpointStats instruments the durability layer: periodic search-state
-// snapshots taken by the checkpoint barriers of internal/core and the
-// resume/recovery paths that consume them. All methods are nil-safe, so a
-// disabled layer costs one branch per site.
-type CheckpointStats struct {
-	Snapshots   Counter      // checkpoints assembled and handed to the sink
-	SinkErrors  Counter      // sink rejections (the run continues regardless)
-	Skipped     Counter      // barriers abandoned with incomplete parts
-	Resumes     Counter      // runs restored from a checkpoint
-	BarrierSecs FloatCounter // modeled seconds spent quiescing at barriers
-}
-
-// Snapshot counts one checkpoint handed to the sink.
-func (c *CheckpointStats) Snapshot() {
-	if c == nil {
-		return
-	}
-	c.Snapshots.Inc()
-}
-
-// SinkError counts one checkpoint the sink failed to persist.
-func (c *CheckpointStats) SinkError() {
-	if c == nil {
-		return
-	}
-	c.SinkErrors.Inc()
-}
-
-// Skip counts one barrier abandoned because a process part was missing.
-func (c *CheckpointStats) Skip() {
-	if c == nil {
-		return
-	}
-	c.Skipped.Inc()
-}
-
-// Resumed counts one run restored from a checkpoint.
-func (c *CheckpointStats) Resumed() {
-	if c == nil {
-		return
-	}
-	c.Resumes.Inc()
-}
-
-// Barrier accounts the modeled time one process spent inside a
-// checkpoint barrier.
-func (c *CheckpointStats) Barrier(seconds float64) {
-	if c == nil {
-		return
-	}
-	c.BarrierSecs.Add(seconds)
-}
-
-// DynamicStats instruments the dynamic (online) subsystem: live instance
-// mutations, the incremental splice/repair they trigger, and the warm
-// restarts that resume the interrupted search segments. All methods are
-// nil-safe, so a disabled layer costs one branch per site.
-type DynamicStats struct {
-	Applied        Counter      // mutations validated and spliced into a run
-	Rejected       Counter      // mutations refused by validation
-	Orphans        Counter      // customers greedily re-inserted during repair
-	Invalidated    Counter      // archived solutions dropped or patched by repair
-	PendingDropped Counter      // async pending candidates discarded at a mutation barrier
-	WarmRestarts   Counter      // search segments resumed after a mutation
-	SpliceSeconds  FloatCounter // wall seconds spent in splice+repair
-	SpliceNanos    Histogram    // per-mutation splice+repair latency (ns)
-}
-
-// Apply counts n mutations spliced into a run.
-func (d *DynamicStats) Apply(n int) {
-	if d == nil {
-		return
-	}
-	d.Applied.Add(int64(n))
-}
-
-// Reject counts one mutation refused by validation.
-func (d *DynamicStats) Reject() {
-	if d == nil {
-		return
-	}
-	d.Rejected.Inc()
-}
-
-// Orphan counts n customers re-inserted by the repair pass.
-func (d *DynamicStats) Orphan(n int) {
-	if d == nil {
-		return
-	}
-	d.Orphans.Add(int64(n))
-}
-
-// Invalidate counts n archived solutions dropped or patched by repair.
-func (d *DynamicStats) Invalidate(n int) {
-	if d == nil {
-		return
-	}
-	d.Invalidated.Add(int64(n))
-}
-
-// DropPending counts n async candidates discarded at a mutation barrier.
-func (d *DynamicStats) DropPending(n int) {
-	if d == nil {
-		return
-	}
-	d.PendingDropped.Add(int64(n))
-}
-
-// WarmRestart counts one search segment resumed after a mutation.
-func (d *DynamicStats) WarmRestart() {
-	if d == nil {
-		return
-	}
-	d.WarmRestarts.Inc()
-}
-
-// Splice accounts one splice+repair pass's wall time.
-func (d *DynamicStats) Splice(seconds float64) {
-	if d == nil {
-		return
-	}
-	d.SpliceSeconds.Add(seconds)
-	d.SpliceNanos.Observe(int64(seconds * 1e9))
-}
-
-// OpStats tracks one neighborhood operator's funnel: proposals drawn,
-// selections as the next current solution, and acceptances into the
-// archive, plus two generation-side failure counters: Propose calls that
-// exhausted their attempt budget without finding a feasible move, and
-// granular proposals that fell back to the full-neighborhood path.
-type OpStats struct {
-	Proposed  Counter
-	Selected  Counter
-	Accepted  Counter
-	Exhausted Counter // Propose returned no move within its attempt budget
-	Fallbacks Counter // granular draw failed; full proposal path used instead
-}
-
-// Propose counts one proposal.
-func (o *OpStats) Propose() {
-	if o == nil {
-		return
-	}
-	o.Proposed.Inc()
-}
-
-// Select counts one selection.
-func (o *OpStats) Select() {
-	if o == nil {
-		return
-	}
-	o.Selected.Inc()
-}
-
-// Accept counts one archive acceptance.
-func (o *OpStats) Accept() {
-	if o == nil {
-		return
-	}
-	o.Accepted.Inc()
-}
-
-// Exhaust counts one proposal-budget exhaustion.
-func (o *OpStats) Exhaust() {
-	if o == nil {
-		return
-	}
-	o.Exhausted.Inc()
-}
-
-// Fallback counts one granular-list fallback to the full proposal path.
-func (o *OpStats) Fallback() {
-	if o == nil {
-		return
-	}
-	o.Fallbacks.Inc()
-}
-
-// OpTable maps operator names to their OpStats, lock-free on the hit path.
-type OpTable struct{ m sync.Map }
-
-// Get returns the stats for the named operator, creating them on first
-// use. It returns nil on a nil table, so chained calls like
-// tel.Operators().Get(name).Propose() cost one branch when disabled.
-func (t *OpTable) Get(name string) *OpStats {
-	if t == nil {
-		return nil
-	}
-	if v, ok := t.m.Load(name); ok {
-		return v.(*OpStats)
-	}
-	v, _ := t.m.LoadOrStore(name, &OpStats{})
-	return v.(*OpStats)
-}
-
-// Snapshot returns the per-operator funnel with derived rates.
-func (t *OpTable) Snapshot() map[string]map[string]any {
-	if t == nil {
-		return nil
-	}
-	out := make(map[string]map[string]any)
-	t.m.Range(func(k, v any) bool {
-		o := v.(*OpStats)
-		p, s, a := o.Proposed.Load(), o.Selected.Load(), o.Accepted.Load()
-		e := map[string]any{
-			"proposed":           p,
-			"selected":           s,
-			"accepted":           a,
-			"exhausted":          o.Exhausted.Load(),
-			"granular_fallbacks": o.Fallbacks.Load(),
-		}
-		if p > 0 {
-			e["select_rate"] = float64(s) / float64(p)
-			e["accept_rate"] = float64(a) / float64(p)
-		}
-		out[k.(string)] = e
-		return true
-	})
-	return out
-}
-
-// Telemetry aggregates every instrument group of one run plus the optional
-// event sinks (a slog logger and a JSONL writer). A nil *Telemetry is the
-// disabled layer: every group accessor returns nil and every event is
-// dropped, at the cost of one branch per call site.
+// Telemetry aggregates every instrument of one run — the counter table
+// (counters.go), the histograms and the per-peer share table — plus the
+// optional event sinks (a slog logger and a JSONL writer). A nil
+// *Telemetry is the disabled layer: every recording call is a no-op and
+// every event is dropped, at the cost of one branch per call site.
 type Telemetry struct {
-	Search  SearchStats
-	Async   AsyncStats
-	Worker  WorkerStats
-	Share   ShareStats
-	Archive ArchiveStats // M_archive dynamics (all processes)
-	Nondom  ArchiveStats // M_nondom dynamics (all processes)
-	Delta   DeltaStats
-	Splice  SpliceStats
-	Fault   FaultStats
-	Ckpt    CheckpointStats
-	Dynamic DynamicStats
-	Ops     OpTable
+	counters [numCounters]Counter
+	floats   [numFloats]FloatCounter
+	ops      [OpKinds]opRow
+
+	Async       AsyncStats
+	SpliceNanos Histogram // per-mutation splice+repair latency (ns)
 	// Peers breaks the cross-node share ingress down by sibling shard.
 	Peers PeerShareTable
 
@@ -888,206 +299,3 @@ func (t *Telemetry) Logger() *slog.Logger {
 }
 
 var discardLogger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
-
-// SearchGroup returns the searcher instruments (nil when disabled).
-func (t *Telemetry) SearchGroup() *SearchStats {
-	if t == nil {
-		return nil
-	}
-	return &t.Search
-}
-
-// AsyncGroup returns the decision-function instruments (nil when disabled).
-func (t *Telemetry) AsyncGroup() *AsyncStats {
-	if t == nil {
-		return nil
-	}
-	return &t.Async
-}
-
-// WorkerGroup returns the worker instruments (nil when disabled).
-func (t *Telemetry) WorkerGroup() *WorkerStats {
-	if t == nil {
-		return nil
-	}
-	return &t.Worker
-}
-
-// PeerShares returns the per-peer cross-node share instruments (nil when
-// disabled).
-func (t *Telemetry) PeerShares() *PeerShareTable {
-	if t == nil {
-		return nil
-	}
-	return &t.Peers
-}
-
-// ShareGroup returns the share-traffic instruments (nil when disabled).
-func (t *Telemetry) ShareGroup() *ShareStats {
-	if t == nil {
-		return nil
-	}
-	return &t.Share
-}
-
-// ArchiveGroup returns the M_archive instruments (nil when disabled).
-func (t *Telemetry) ArchiveGroup() *ArchiveStats {
-	if t == nil {
-		return nil
-	}
-	return &t.Archive
-}
-
-// NondomGroup returns the M_nondom instruments (nil when disabled).
-func (t *Telemetry) NondomGroup() *ArchiveStats {
-	if t == nil {
-		return nil
-	}
-	return &t.Nondom
-}
-
-// DeltaGroup returns the delta-vs-fallback instruments (nil when disabled).
-func (t *Telemetry) DeltaGroup() *DeltaStats {
-	if t == nil {
-		return nil
-	}
-	return &t.Delta
-}
-
-// SpliceGroup returns the SpliceMetrics instruments (nil when disabled).
-func (t *Telemetry) SpliceGroup() *SpliceStats {
-	if t == nil {
-		return nil
-	}
-	return &t.Splice
-}
-
-// FaultGroup returns the fault-injection and self-healing instruments (nil
-// when disabled).
-func (t *Telemetry) FaultGroup() *FaultStats {
-	if t == nil {
-		return nil
-	}
-	return &t.Fault
-}
-
-// CheckpointGroup returns the durability instruments (nil when disabled).
-func (t *Telemetry) CheckpointGroup() *CheckpointStats {
-	if t == nil {
-		return nil
-	}
-	return &t.Ckpt
-}
-
-// DynamicGroup returns the dynamic-subsystem instruments (nil when
-// disabled).
-func (t *Telemetry) DynamicGroup() *DynamicStats {
-	if t == nil {
-		return nil
-	}
-	return &t.Dynamic
-}
-
-// Operators returns the per-operator funnel table (nil when disabled).
-func (t *Telemetry) Operators() *OpTable {
-	if t == nil {
-		return nil
-	}
-	return &t.Ops
-}
-
-// Snapshot returns every instrument's current value in a JSON-ready tree —
-// the payload of the run report's "summary" event, the expvar export and
-// the /telemetry endpoint.
-func (t *Telemetry) Snapshot() map[string]any {
-	if t == nil {
-		return nil
-	}
-	fires := make(map[string]int64, len(decisionNames))
-	for i := range t.Async.Fires {
-		fires[DecisionReason(i).String()] = t.Async.Fires[i].Load()
-	}
-	return map[string]any{
-		"search": map[string]int64{
-			"iterations":          t.Search.Iterations.Load(),
-			"evaluations":         t.Search.Evaluations.Load(),
-			"restarts_no_cand":    t.Search.RestartsNoCand.Load(),
-			"restarts_stagnation": t.Search.RestartsStagn.Load(),
-			"nondom_consumed":     t.Search.NondomConsumed.Load(),
-			"tabu_rejected":       t.Search.TabuRejected.Load(),
-			"aspiration_fires":    t.Search.AspirationFires.Load(),
-		},
-		"async": map[string]any{
-			"decision_fires":  fires,
-			"partial_sizes":   t.Async.PartialSizes.Snapshot(),
-			"late_candidates": t.Async.LateCandidates.Load(),
-			"wait_ns":         t.Async.WaitSeconds.Snapshot(),
-		},
-		"worker": map[string]any{
-			"chunks":       t.Worker.Chunks.Load(),
-			"candidates":   t.Worker.Candidates.Load(),
-			"idle_seconds": t.Worker.IdleSeconds.Load(),
-			"busy_seconds": t.Worker.BusySeconds.Load(),
-		},
-		"share": map[string]int64{
-			"sent":     t.Share.Sent.Load(),
-			"accepted": t.Share.Accepted.Load(),
-			"rejected": t.Share.Rejected.Load(),
-		},
-		"peer_shares": t.Peers.Snapshot(),
-		"archive": map[string]int64{
-			"accepts":   t.Archive.Accepts.Load(),
-			"rejects":   t.Archive.Rejects.Load(),
-			"evictions": t.Archive.Evictions.Load(),
-		},
-		"nondom": map[string]int64{
-			"accepts":   t.Nondom.Accepts.Load(),
-			"rejects":   t.Nondom.Rejects.Load(),
-			"evictions": t.Nondom.Evictions.Load(),
-		},
-		"delta": map[string]int64{
-			"fast":           t.Delta.DeltaFast.Load(),
-			"apply_fallback": t.Delta.ApplyFallback.Load(),
-		},
-		"splice": map[string]int64{
-			"calls":              t.Splice.Calls.Load(),
-			"prefix_folds":       t.Splice.PrefixFolds.Load(),
-			"suffix_early_exits": t.Splice.SuffixEarlyExits.Load(),
-			"suffix_resyncs":     t.Splice.SuffixResyncs.Load(),
-			"full_walks":         t.Splice.FullWalks.Load(),
-		},
-		"faults": map[string]int64{
-			"msgs_dropped":     t.Fault.MsgsDropped.Load(),
-			"msgs_duplicated":  t.Fault.MsgsDuplicated.Load(),
-			"msgs_delayed":     t.Fault.MsgsDelayed.Load(),
-			"crashes":          t.Fault.Crashes.Load(),
-			"stalls":           t.Fault.Stalls.Load(),
-			"recv_timeouts":    t.Fault.RecvTimeouts.Load(),
-			"redispatches":     t.Fault.Redispatches.Load(),
-			"stale_results":    t.Fault.StaleResults.Load(),
-			"worker_evictions": t.Fault.WorkerEvictions.Load(),
-			"worker_revivals":  t.Fault.WorkerRevivals.Load(),
-			"peer_drops":       t.Fault.PeerDrops.Load(),
-			"degraded_iters":   t.Fault.DegradedIters.Load(),
-			"malformed_msgs":   t.Fault.MalformedMsgs.Load(),
-		},
-		"checkpoint": map[string]any{
-			"snapshots":       t.Ckpt.Snapshots.Load(),
-			"sink_errors":     t.Ckpt.SinkErrors.Load(),
-			"skipped":         t.Ckpt.Skipped.Load(),
-			"resumes":         t.Ckpt.Resumes.Load(),
-			"barrier_seconds": t.Ckpt.BarrierSecs.Load(),
-		},
-		"dynamic": map[string]any{
-			"applied":         t.Dynamic.Applied.Load(),
-			"rejected":        t.Dynamic.Rejected.Load(),
-			"orphans":         t.Dynamic.Orphans.Load(),
-			"invalidated":     t.Dynamic.Invalidated.Load(),
-			"pending_dropped": t.Dynamic.PendingDropped.Load(),
-			"warm_restarts":   t.Dynamic.WarmRestarts.Load(),
-			"splice_seconds":  t.Dynamic.SpliceSeconds.Load(),
-			"splice_ns":       t.Dynamic.SpliceNanos.Snapshot(),
-		},
-		"operators": t.Ops.Snapshot(),
-	}
-}

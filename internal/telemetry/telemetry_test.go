@@ -117,15 +117,20 @@ func TestDecisionReasonString(t *testing.T) {
 	}
 }
 
+// TestOpTable drives the operator funnel table: rows are keyed by kind,
+// labelled with the name of their first count, and derive their rates.
 func TestOpTable(t *testing.T) {
-	var tab OpTable
-	op := tab.Get("swap")
-	op.Propose()
-	op.Propose()
-	op.Select()
-	op.Accept()
-	tab.Get("shift").Propose()
-	snap := tab.Snapshot()
+	tel := New(nil, nil)
+	tel.IncOp(1, "swap", OpProposed)
+	tel.IncOp(1, "swap", OpProposed)
+	tel.IncOp(1, "swap", OpSelected)
+	tel.IncOp(1, "swap", OpAccepted)
+	tel.IncOp(2, "shift", OpProposed)
+	tel.IncOp(0, "none", OpProposed) // kind 0 is no operator: never counted
+	snap := tel.Snapshot()["operators"].(map[string]map[string]any)
+	if len(snap) != 2 {
+		t.Fatalf("funnel rows = %v, want swap and shift", snap)
+	}
 	swap := snap["swap"]
 	if swap["proposed"].(int64) != 2 || swap["selected"].(int64) != 1 || swap["accepted"].(int64) != 1 {
 		t.Errorf("swap funnel = %v", swap)
@@ -136,51 +141,33 @@ func TestOpTable(t *testing.T) {
 	if _, ok := snap["shift"]["select_rate"]; !ok {
 		t.Errorf("shift missing select_rate: %v", snap["shift"])
 	}
+	c := tel.Counters()
+	if f := c.Funnel(); len(f) != 2 || f[0].Name != "swap" || f[1].N[OpProposed] != 1 {
+		t.Errorf("Funnel() = %+v", f)
+	}
 }
 
-// TestNilSafety drives every recording method and accessor through a nil
-// layer: the disabled path must be a silent no-op everywhere.
+// TestNilSafety drives every recording method through a nil layer: the
+// disabled path must be a silent no-op everywhere.
 func TestNilSafety(t *testing.T) {
 	var tel *Telemetry
 	if tel.Enabled() {
 		t.Fatal("nil layer reports enabled")
 	}
-	tel.SearchGroup().Iteration()
-	tel.SearchGroup().Evals(3)
-	tel.SearchGroup().Restart(true, 1)
-	tel.SearchGroup().Restart(false, 0)
-	tel.SearchGroup().TabuReject()
-	tel.SearchGroup().Aspiration()
-	tel.AsyncGroup().Fire(FireIdleWorker)
-	tel.AsyncGroup().Step(10, 2, 0.5)
-	tel.WorkerGroup().Chunk(5, 0.1, 0.2)
-	tel.ShareGroup().SendN(2)
-	tel.ShareGroup().Received(true)
-	tel.ArchiveGroup().Accept()
-	tel.ArchiveGroup().Reject()
-	tel.ArchiveGroup().Evict()
-	tel.NondomGroup().Accept()
-	tel.DeltaGroup().Fast()
-	tel.DeltaGroup().Fallback()
-	tel.SpliceGroup().Call()
-	tel.SpliceGroup().PrefixFold()
-	tel.SpliceGroup().SuffixEarlyExit()
-	tel.SpliceGroup().SuffixResync()
-	tel.SpliceGroup().FullWalk()
-	tel.FaultGroup().Dropped()
-	tel.FaultGroup().Duplicated()
-	tel.FaultGroup().Delayed()
-	tel.FaultGroup().Crashed()
-	tel.FaultGroup().Stalled()
-	tel.FaultGroup().RecvTimeout()
-	tel.FaultGroup().Redispatch()
-	tel.FaultGroup().Stale()
-	tel.FaultGroup().Evicted()
-	tel.FaultGroup().Revived()
-	tel.FaultGroup().PeerDrop()
-	tel.FaultGroup().DegradedIteration()
-	tel.FaultGroup().Malformed()
-	tel.Operators().Get("swap").Propose()
+	for id := CounterID(0); id < numCounters; id++ {
+		tel.Inc(id)
+		tel.Add(id, 3)
+		if tel.Load(id) != 0 {
+			t.Errorf("nil layer loaded a non-zero counter %d", id)
+		}
+	}
+	for id := FloatID(0); id < numFloats; id++ {
+		tel.AddFloat(id, 0.5)
+	}
+	tel.IncOp(1, "swap", OpProposed)
+	if c := tel.Counters(); c != (Counters{}) {
+		t.Error("nil layer counters not zero")
+	}
 	tel.Event(Record{Kind: "ignored", Values: map[string]any{"k": 1}})
 	tel.Logger().Info("dropped")
 	if tel.Snapshot() != nil {
@@ -201,20 +188,15 @@ func TestNilSafety(t *testing.T) {
 func TestDisabledZeroAlloc(t *testing.T) {
 	var tel *Telemetry
 	if allocs := testing.AllocsPerRun(100, func() {
-		tel.SearchGroup().Iteration()
-		tel.SearchGroup().Evals(200)
-		tel.SearchGroup().TabuReject()
-		tel.SearchGroup().Aspiration()
-		tel.AsyncGroup().Fire(FireTimeout)
-		tel.AsyncGroup().Step(50, 3, 1.0)
-		tel.WorkerGroup().Chunk(50, 0.01, 0.02)
-		tel.ShareGroup().Received(true)
-		tel.ArchiveGroup().Accept()
-		tel.DeltaGroup().Fast()
-		tel.SpliceGroup().Call()
-		tel.FaultGroup().RecvTimeout()
-		tel.FaultGroup().Redispatch()
-		tel.Operators().Get("swap").Propose()
+		tel.Inc(Iterations)
+		tel.Add(Evaluations, 200)
+		tel.Inc(TabuRejected)
+		tel.Inc(FireTimeout.Counter())
+		tel.AddFloat(WorkerIdleSeconds, 0.01)
+		tel.Inc(DeltaFast)
+		tel.Inc(SpliceCalls)
+		tel.Inc(RecvTimeouts)
+		tel.IncOp(1, "swap", OpProposed)
 	}); allocs != 0 {
 		t.Errorf("disabled telemetry allocates %v times per iteration, want 0", allocs)
 	}
@@ -224,18 +206,17 @@ func TestDisabledZeroAlloc(t *testing.T) {
 // too — only event emission may allocate.
 func TestEnabledZeroAlloc(t *testing.T) {
 	tel := New(nil, nil)
-	tel.Operators().Get("swap") // pre-create so the hot path is the sync.Map hit
 	if allocs := testing.AllocsPerRun(100, func() {
-		tel.SearchGroup().Iteration()
-		tel.SearchGroup().Evals(200)
-		tel.AsyncGroup().Fire(FireIdleWorker)
-		tel.AsyncGroup().Step(50, 3, 1.0)
-		tel.WorkerGroup().Chunk(50, 0.01, 0.02)
-		tel.DeltaGroup().Fast()
-		tel.SpliceGroup().Call()
-		tel.FaultGroup().RecvTimeout()
-		tel.FaultGroup().Redispatch()
-		tel.Operators().Get("swap").Propose()
+		tel.Inc(Iterations)
+		tel.Add(Evaluations, 200)
+		tel.Inc(FireIdleWorker.Counter())
+		tel.Async.PartialSizes.Observe(50)
+		tel.Async.WaitSeconds.ObserveSeconds(1.0)
+		tel.AddFloat(WorkerIdleSeconds, 0.01)
+		tel.Inc(DeltaFast)
+		tel.Inc(SpliceCalls)
+		tel.Inc(RecvTimeouts)
+		tel.IncOp(1, "swap", OpProposed)
 	}); allocs != 0 {
 		t.Errorf("enabled instruments allocate %v times per iteration, want 0", allocs)
 	}
@@ -245,7 +226,7 @@ func TestWriterJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	tel := New(nil, w)
-	tel.SearchGroup().Iteration()
+	tel.Inc(Iterations)
 	tel.Event(RestartEvent{Proc: 0})
 	tel.Event(Record{Kind: "summary", Values: map[string]any{"instance": "R1_40", "counters": tel.Snapshot()}})
 	if err := tel.Close(); err != nil {
@@ -336,7 +317,7 @@ func TestNewLoggerLevels(t *testing.T) {
 
 func TestServeEndpoints(t *testing.T) {
 	tel := New(nil, nil)
-	tel.SearchGroup().Iteration()
+	tel.Inc(Iterations)
 	srv, err := Serve("127.0.0.1:0", tel)
 	if err != nil {
 		t.Fatal(err)
@@ -380,8 +361,8 @@ func TestServeEndpoints(t *testing.T) {
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	tel := New(nil, nil)
-	tel.AsyncGroup().Step(12, 1, 0.25)
-	tel.Operators().Get("relocate").Propose()
+	tel.Async.PartialSizes.Observe(12)
+	tel.IncOp(1, "relocate", OpProposed)
 	b, err := json.Marshal(tel.Snapshot())
 	if err != nil {
 		t.Fatal(err)
