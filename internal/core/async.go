@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/deme"
 	"repro/internal/rng"
-	"repro/internal/solution"
 	"repro/internal/telemetry"
 	"repro/internal/vrptw"
 )
@@ -32,52 +32,26 @@ import (
 // rotating communication list, and solutions received from peers are merged
 // into M_nondom.
 func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, workers, peers []int, rec *Trajectory) procOutcome {
-	s := newSearcher(in, cfg, r, 0, 0, 0)
-	s.rec = rec
-	s.sampleOn = rec != nil || len(peers) == 0 || p.ID() == 0
-	s.shareOn = cfg.Share != nil && p.ID() == 0
-	rp := cfg.resumePart(p.ID())
-	if rp != nil {
-		s.restoreFrom(rp)
-	} else {
-		s.init(p)
-	}
+	// On a resume the checkpoint was taken at a quiesced barrier: every
+	// worker idle, no results in flight — exactly the state the worker
+	// bookkeeping below initializes to. Pending candidates and the ring
+	// come from the checkpoint part.
+	s := startSearcher(p, in, cfg, r, rec, &shareRing{peers: peers})
 	tel := cfg.Telemetry
 
 	initial := append([]int(nil), workers...)
 	workers = append([]int(nil), workers...)
-	chunk := s.neighborhood / (len(workers) + 1)
-	if chunk < 1 {
-		chunk = 1
-	}
+	var chunk int
 	rebalance := func() {
-		chunk = s.neighborhood / (len(workers) + 1)
-		if chunk < 1 {
-			chunk = 1
-		}
+		chunk = max(1, s.neighborhood/(len(workers)+1))
 	}
+	rebalance()
 	idle := make([]bool, p.P())
 	sentAt := make([]float64, p.P())
 	struck := make([]bool, p.P()) // this dispatch already collected its strike
 	strikes := make([]int, p.P())
 	for _, w := range workers {
 		idle[w] = true
-	}
-	inSet := func(w int) bool {
-		for _, v := range workers {
-			if v == w {
-				return true
-			}
-		}
-		return false
-	}
-	wasInitial := func(w int) bool {
-		for _, v := range initial {
-			if v == w {
-				return true
-			}
-		}
-		return false
 	}
 	// reap drops dead workers immediately and strikes (and eventually
 	// evicts) busy ones whose reply is overdue, so the decision function
@@ -113,25 +87,7 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 		}
 	}
 
-	commList := append([]int(nil), peers...)
-	initialPhase := true
-	shares := 0
-
-	var pending []cand
 	var protoErr error
-
-	if rp != nil {
-		// The checkpoint was taken at a quiesced barrier: every worker
-		// idle, no results in flight — exactly the state the arrays above
-		// initialize to. Pending candidates and sharing state come from
-		// the checkpoint; the commList shuffle must not re-consume RNG.
-		pending = restorePending(in, rp.Pending)
-		commList = append(commList[:0], rp.CommList...)
-		initialPhase = rp.InitialPhase
-		shares = rp.Shares
-	} else {
-		r.Shuffle(len(commList), func(i, j int) { commList[i], commList[j] = commList[j], commList[i] })
-	}
 
 	// handle folds one message into the master state.
 	handle := func(m deme.Message) error {
@@ -142,13 +98,13 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 				tel.Inc(telemetry.MalformedMsgs)
 				return fmt.Errorf("worker %d sent a malformed result payload %T", m.From, m.Data)
 			}
-			pending = append(pending, rm.cands...)
+			s.pending = append(s.pending, rm.cands...)
 			s.evals += len(rm.cands)
 			tel.Add(telemetry.Evaluations, len(rm.cands))
 			strikes[m.From], struck[m.From] = 0, false
-			if inSet(m.From) {
+			if slices.Contains(workers, m.From) {
 				idle[m.From] = true
-			} else if wasInitial(m.From) && p.Alive(m.From) {
+			} else if slices.Contains(initial, m.From) && p.Alive(m.From) {
 				// An evicted worker came back (e.g. its stall ended):
 				// re-admit it.
 				tel.Inc(telemetry.WorkerRevivals)
@@ -157,13 +113,7 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 				rebalance()
 			}
 		case tagShare:
-			sol, ok := m.Data.(*solution.Solution)
-			if !ok {
-				tel.Inc(telemetry.MalformedMsgs)
-				return fmt.Errorf("peer %d sent a malformed share payload %T", m.From, m.Data)
-			}
-			p.Compute(shareHandlingFactor * cfg.Cost.OverheadPerNeighbor)
-			tel.Inc(shareOutcome(s.nondom.Add(sol)))
+			return s.foldShare(p, m)
 		}
 		return nil
 	}
@@ -183,11 +133,7 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 			}
 		}
 		// The master's own share of the neighborhood.
-		own := s.generate(p, chunk)
-		if len(own) == 0 {
-			s.evals++
-		}
-		pending = append(pending, own...)
+		s.pending = append(s.pending, s.generate(p, chunk)...)
 
 		// Decision function (Algorithm 2): stop waiting when a worker
 		// is idle (c1), a collected candidate dominates the current
@@ -238,8 +184,8 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 				}
 			}
 			c2 := false
-			for i := range pending {
-				if pending[i].obj.Dominates(s.cur.Obj) {
+			for i := range s.pending {
+				if s.pending[i].obj.Dominates(s.cur.Obj) {
 					c2 = true
 					break
 				}
@@ -266,52 +212,32 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 		}
 		if tel != nil {
 			late := 0
-			for i := range pending {
-				if pending[i].born < s.iter {
+			for i := range s.pending {
+				if s.pending[i].born < s.iter {
 					late++
 				}
 			}
 			tel.Inc(fired.Counter())
 			tel.Add(telemetry.LateCandidates, late)
-			tel.Async.PartialSizes.Observe(int64(len(pending)))
+			tel.Async.PartialSizes.Observe(int64(len(s.pending)))
 			tel.Async.WaitSeconds.ObserveSeconds(p.Now() - waitStart)
 			if tel.Sinks() {
 				tel.Event(telemetry.DecisionEvent{Proc: p.ID(), Iteration: s.iter, Reason: fired,
-					Pending: len(pending), Late: late, WaitSeconds: p.Now() - waitStart})
+					Pending: len(s.pending), Late: late, WaitSeconds: p.Now() - waitStart})
 			}
 		}
 
-		improved := s.step(p, pending)
-		pending = pending[:0]
+		improved := s.step(p, s.pending)
+		s.pending = s.pending[:0]
+		s.share(p, improved)
 
-		if initialPhase && s.noImprovement {
-			initialPhase = false
-		}
-		if len(commList) > 0 && !initialPhase && improved {
-			sp := s.tr.Start(s.phase, "share").SetInt("proc", int64(p.ID()))
-			dropDeadPeers(p, &commList, tel)
-			if len(commList) > 0 {
-				shares += sendShare(p, in, cfg, s.cur, &commList)
-			}
-			sp.End()
-		}
-
-		if cfg.shareDue(s.iter) && s.shareOn && !s.done(p) {
-			// Late worker results queue (in virtual time) while the gather
-			// blocks in wall time, so the exchange never perturbs the
-			// decision function's trajectory.
-			s.exchange(p)
-		}
-
-		if cfg.checkpointDue(s.iter) && !s.done(p) && protoErr == nil {
-			ckptSpan := s.tr.Start(s.phase, "ckpt_barrier").
-				SetInt("proc", int64(p.ID())).
-				SetInt("barrier", int64(s.iter/cfg.CheckpointEvery))
+		if cfg.checkpointDue(s.iter) && !s.done(p) {
+			sp := s.barrierSpan(p)
 			// Checkpoint barrier. First quiesce: wait for every remaining
 			// worker to go idle, folding stragglers' results into pending
 			// — they join the next iteration's candidate set, exactly as
 			// in the uninterrupted checkpointing trajectory. Then run the
-			// capture/ack round against a system with nothing in flight.
+			// barrier against a system with nothing in flight.
 			quiesced := true
 			misses := 0
 			for protoErr == nil {
@@ -338,55 +264,17 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 				protoErr = handle(m)
 			}
 			if protoErr != nil {
-				ckptSpan.End()
+				sp.End()
 				break
 			}
-			b := s.iter / cfg.CheckpointEvery
-			if quiesced && ckptWorkers(p, cfg, workers, b) {
-				st := s.capture(p, b, false)
-				st.Pending = capturePending(in, pending)
-				st.CommList = append([]int(nil), commList...)
-				st.InitialPhase = initialPhase
-				st.Shares = shares
-				cfg.coll.put(p.ID(), st)
-				if cfg.haltDue(b) {
-					// Mutation epoch: exit the segment on the quiesced
-					// barrier's parts. The captured pending candidates
-					// reference the pre-mutation instance; the mutation
-					// source drops them during repair (counted as the
-					// restart's lost iterations). The sink emit is skipped —
-					// the halt barrier's checkpoint only ever persists in
-					// its patched form.
-					cfg.markHalt(b)
-					ckptSpan.End()
-					break
-				}
-				cfg.emitCheckpoint(b)
-			} else {
-				tel.Inc(telemetry.CkptSkipped)
+			if s.ckptBarrier(p, sp, workers, quiesced) {
+				break
 			}
-			ckptSpan.End()
 		}
 	}
-	for _, w := range initial {
-		p.Send(w, tagStop, nil, 0)
-	}
+	stopWorkers(p, initial)
 	if protoErr != nil {
 		return s.failOutcome(protoErr)
 	}
-	return s.outcome(shares + s.xshares)
-}
-
-// dropDeadPeers removes peers whose process is gone — crashed or already
-// finished — from a share ring, so searchers stop addressing the dead.
-func dropDeadPeers(p deme.Proc, commList *[]int, tel *telemetry.Telemetry) {
-	kept := (*commList)[:0]
-	for _, peer := range *commList {
-		if p.Alive(peer) {
-			kept = append(kept, peer)
-		} else {
-			tel.Inc(telemetry.PeerDrops)
-		}
-	}
-	*commList = kept
+	return s.outcome()
 }

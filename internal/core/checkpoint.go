@@ -35,6 +35,7 @@ import (
 	"repro/internal/solution"
 	"repro/internal/tabu"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/vrptw"
 )
 
@@ -181,7 +182,8 @@ func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
 
 // DecodeCheckpoint parses and verifies an encoded checkpoint: envelope
 // shape, format version, payload checksum, and structural invariants
-// (algorithm name, processor/part counts, part IDs).
+// (algorithm name, processor/part counts, part IDs, sample shape,
+// coordination timeouts a resume can adopt).
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	var env checkpointEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
@@ -207,12 +209,23 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if ck.Processors < 1 || len(ck.Parts) != ck.Processors {
 		return nil, fmt.Errorf("core: checkpoint has %d parts for %d processors", len(ck.Parts), ck.Processors)
 	}
+	if err := checkCoordination(ck.WaitTimeout, ck.RecvTimeout, ck.EvictAfter); err != nil {
+		return nil, err
+	}
 	for i, part := range ck.Parts {
 		if part == nil {
 			return nil, fmt.Errorf("core: checkpoint part %d is missing", i)
 		}
 		if part.ID != i {
 			return nil, fmt.Errorf("core: checkpoint part %d carries ID %d", i, part.ID)
+		}
+		for _, sm := range part.Samples {
+			// Both best-feasible objectives come from one feasible set:
+			// both are absent (+Inf) or neither is. A sample with one of
+			// them would not survive the next encode.
+			if math.IsInf(sm.BestDistance, 1) != math.IsInf(sm.BestVehicles, 1) {
+				return nil, fmt.Errorf("core: checkpoint part %d has a sample with only one best-feasible objective", i)
+			}
 		}
 	}
 	return &ck, nil
@@ -416,7 +429,14 @@ func (c *Config) emitCheckpoint(barrier int) {
 	if c.CheckpointSink == nil {
 		return
 	}
-	ck := &Checkpoint{
+	if err := c.CheckpointSink(c.checkpoint(barrier, parts)); err != nil {
+		c.Telemetry.Inc(telemetry.CkptSinkErrors)
+	}
+}
+
+// checkpoint wraps the assembled parts of a barrier in the run's header.
+func (c *Config) checkpoint(barrier int, parts []*SearcherState) *Checkpoint {
+	return &Checkpoint{
 		Barrier:        barrier,
 		Algorithm:      c.alg.String(),
 		Processors:     c.Processors,
@@ -430,9 +450,6 @@ func (c *Config) emitCheckpoint(barrier int) {
 		RecvTimeout:    c.RecvTimeout,
 		EvictAfter:     c.EvictAfter,
 		Parts:          parts,
-	}
-	if err := c.CheckpointSink(ck); err != nil {
-		c.Telemetry.Inc(telemetry.CkptSinkErrors)
 	}
 }
 
@@ -458,6 +475,12 @@ func (s *searcher) capture(p deme.Proc, barrier int, done bool) *SearcherState {
 		HVRef:         s.hvRef,
 		LastSample:    s.lastSample,
 		Samples:       append([]telemetry.ConvergenceSample(nil), s.samples...),
+		Pending:       capturePending(s.in, s.pending),
+	}
+	if g := s.ring; g != nil {
+		st.CommList = append([]int(nil), g.peers...)
+		st.InitialPhase = g.initial
+		st.Shares = g.shares
 	}
 	q := s.tl.Queue()
 	st.Tabu = make([]uint64, len(q))
@@ -496,6 +519,12 @@ func (s *searcher) restoreFrom(st *SearcherState) {
 	s.hvRef = st.HVRef
 	s.lastSample = st.LastSample
 	s.samples = append(s.samples[:0], st.Samples...)
+	s.pending = restorePending(s.in, st.Pending)
+	if g := s.ring; g != nil {
+		g.peers = append(g.peers[:0], st.CommList...)
+		g.initial = st.InitialPhase
+		g.shares = st.Shares
+	}
 	if s.shareOn {
 		s.shareOut = append([][][]int(nil), st.ShareOut...)
 		s.xshares = st.XShares
@@ -569,169 +598,211 @@ func chunkSeed(seed uint64, iter int) uint64 {
 	return seed + 0x9e3779b97f4a7c15*uint64(iter+1)
 }
 
-// ckptWorkers runs the master–worker barrier: send tagCkpt to every alive
-// worker, await their acks (each worker deposits its runtime part into the
-// collector before acking). Stray late results arriving during the barrier
-// are dropped exactly as the main loops would drop them. Returns false —
-// skipping the barrier, never the run — when a worker stays silent past
-// EvictAfter receive timeouts.
-func ckptWorkers(p deme.Proc, cfg *Config, workers []int, barrier int) bool {
-	start := p.Now()
-	defer func() { cfg.Telemetry.AddFloat(telemetry.CkptBarrierSeconds, p.Now()-start) }()
-	awaiting := make(map[int]bool, len(workers))
-	for _, w := range workers {
-		if p.Alive(w) {
-			p.Send(w, tagCkpt, ckptMsg{barrier: barrier}, 0)
-			awaiting[w] = true
+// barrierSpan opens the "ckpt_barrier" span of the barrier due after this
+// iteration.
+func (s *searcher) barrierSpan(p deme.Proc) *trace.Span {
+	return s.tr.Start(s.phase, "ckpt_barrier").
+		SetInt("proc", int64(p.ID())).
+		SetInt("barrier", int64(s.iter/s.cfg.CheckpointEvery))
+}
+
+// ckptBarrier runs the barrier due after this iteration on the sequential
+// searcher or a master, inside its span sp (see barrierSpan), and returns
+// whether the run halts here. One worker round comes first: tagCkpt to
+// every alive worker, which deposits its runtime part and acks (see
+// depositPart); stale results arriving meanwhile are dropped, as the main
+// loops would drop them. The workers are idle: the synchronous master's
+// between iterations, the asynchronous master's once quiesced (ready
+// reports whether that worked). The process then captures itself —
+// pending candidates and ring included — and either halts for a mutation
+// epoch or hands the assembled checkpoint to the sink. A failed round
+// skips the barrier, never the run.
+func (s *searcher) ckptBarrier(p deme.Proc, sp *trace.Span, workers []int, ready bool) bool {
+	defer sp.End()
+	b := s.iter / s.cfg.CheckpointEvery
+	if ready {
+		start := p.Now()
+		var sent []int
+		for _, w := range workers {
+			if p.Alive(w) {
+				p.Send(w, tagCkpt, ckptMsg{barrier: b}, 0)
+				sent = append(sent, w)
+			}
 		}
+		// Stale results are stashed and dropped; with a stash nothing is
+		// folded, so the wait cannot fail with an error.
+		var stale []deme.Message
+		_, ready, _ = s.awaitAcks(p, sent, &stale)
+		s.tel.AddFloat(telemetry.CkptBarrierSeconds, p.Now()-start)
+	}
+	if !ready {
+		s.tel.Inc(telemetry.CkptSkipped)
+		return false
+	}
+	s.cfg.coll.put(p.ID(), s.capture(p, b, false))
+	if s.cfg.haltDue(b) {
+		// Mutation epoch: the part just captured doubles as this segment's
+		// final state; RunContext assembles, applies the mutations and
+		// warm-restarts from the patched checkpoint. Workers idle until the
+		// loop exit's stop message, and a skipped barrier retries the halt
+		// at the next one (haltDue keeps answering true). The asynchronous
+		// master's pending candidates reference the pre-mutation instance;
+		// the mutation source drops them during repair (counted as the
+		// restart's lost iterations). The sink emit is skipped — the halt
+		// barrier's checkpoint only ever persists in its patched form.
+		s.cfg.markHalt(b)
+		return true
+	}
+	s.cfg.emitCheckpoint(b)
+	return false
+}
+
+// awaitAcks receives until every process of ids has acked the barrier
+// (tagCkptAck) and returns the ackers in arrival order. A receive timeout
+// drops the awaited processes that are gone — a finished collaborative
+// peer leaves a final part — and counts a miss when none was; EvictAfter
+// misses give up (ok false: a persistently silent process). Any other
+// message is appended to stash, or folded as a share when stash is nil;
+// only a malformed share is an error.
+func (s *searcher) awaitAcks(p deme.Proc, ids []int, stash *[]deme.Message) (acked []int, ok bool, err error) {
+	awaiting := make(map[int]bool, len(ids))
+	for _, id := range ids {
+		awaiting[id] = true
 	}
 	misses := 0
 	for len(awaiting) > 0 {
-		m, ok := p.RecvTimeout(cfg.RecvTimeout)
-		if !ok {
+		m, got := p.RecvTimeout(s.cfg.RecvTimeout)
+		if !got {
 			before := len(awaiting)
-			for w := range awaiting {
-				if !p.Alive(w) {
-					delete(awaiting, w)
+			for id := range awaiting {
+				if !p.Alive(id) {
+					delete(awaiting, id)
 				}
 			}
 			if len(awaiting) == before {
 				misses++
-				if misses >= cfg.EvictAfter {
-					return false
+				if misses >= s.cfg.EvictAfter {
+					return acked, false, nil
 				}
 			}
 			continue
 		}
-		if m.Tag == tagCkptAck {
-			delete(awaiting, m.From)
+		switch {
+		case m.Tag == tagCkptAck:
+			if awaiting[m.From] {
+				delete(awaiting, m.From)
+				acked = append(acked, m.From)
+			}
+		case stash != nil:
+			*stash = append(*stash, m)
+		default:
+			if err := s.foldShare(p, m); err != nil {
+				return acked, false, err
+			}
 		}
-		// Anything else here is a stale late reply; both masters have
-		// already accounted for (sync) or quiesced (async) their workers.
 	}
-	return true
+	return acked, true, nil
+}
+
+// depositPart puts a process's barrier part into the run's collector and
+// acks it to the coordinator. On the simulator the ack goes first, so the
+// captured clock includes the send overhead (a resumed process does not
+// re-ack), and the deposit is still visible before this process next
+// yields. Under real concurrency the deposit goes first, so the
+// coordinator's assembly, which follows the ack, observes the part.
+func depositPart(p deme.Proc, cfg *Config, coordinator int, part *SearcherState) {
+	ack := ckptMsg{barrier: part.Barrier}
+	sn, isSim := p.(deme.Snapshotter)
+	if isSim {
+		p.Send(coordinator, tagCkptAck, ack, 0)
+		part.Proc = sn.Snapshot()
+	}
+	cfg.coll.put(p.ID(), part)
+	if !isSim {
+		p.Send(coordinator, tagCkptAck, ack, 0)
+	}
 }
 
 // collabBarrier is the collaborative variant's two-phase checkpoint
-// barrier, run by process 0. Phase one: request every alive peer to pause;
-// a peer acks and then blocks (folding shares, sending nothing) until
-// released. Shares arriving during this phase were sent before their
-// sender saw the request — with constant message latency they arrive
-// before any release — so folding them immediately keeps them on the
-// pre-capture side of the cut at both ends. Phase two: release all paused
-// peers; each captures its part and acks again. Messages arriving now were
-// sent after their sender's capture, so they are deferred and folded only
-// after the coordinator's own capture — a resumed run re-sends and
-// re-folds them identically. The coordinator captures after the final ack,
-// so its snapshot clock covers the whole barrier, and the acks give the
-// part deposits a happens-before edge to the assembly on both backends.
+// barrier, run by process 0 after its step; it returns whether the run
+// halts here. Phase one: request every alive peer to pause; a peer acks
+// and then blocks (folding shares, sending nothing) until released. Shares
+// arriving during this phase were sent before their sender saw the request
+// — with constant message latency they arrive before any release — so
+// folding them immediately keeps them on the pre-capture side of the cut
+// at both ends. Phase two: release all paused peers; each captures its
+// part and acks again. Messages arriving now were sent after their
+// sender's capture, so they are deferred and folded only after the
+// coordinator's own capture — a resumed run re-sends and re-folds them
+// identically. The coordinator captures after the final ack, so its
+// snapshot clock covers the whole barrier, and the acks give the part
+// deposits a happens-before edge to the assembly on both backends.
 //
-// halt marks the barrier as a mutation epoch: peers that capture are also
-// told (via the halt flag on tagCkptGo) to exit their bodies. The flag is
-// only raised when phase one completed — a peer must never halt while the
-// coordinator abandons the barrier and searches on. It returns whether
-// the barrier completed with every part deposited (false: skipped).
-func collabBarrier(p deme.Proc, cfg *Config, barrier int, halt bool, fold func(deme.Message) error, capture func()) (bool, error) {
+// A barrier the mutation source marks as a halt tells the peers that
+// capture to exit their bodies too (the halt flag on tagCkptGo). The flag
+// is only raised when phase one completed — a peer must never halt while
+// the coordinator abandons the barrier and searches on.
+func (s *searcher) collabBarrier(p deme.Proc) (bool, error) {
+	cfg := s.cfg
+	b := s.iter / cfg.CheckpointEvery
+	halt := cfg.haltDue(b)
+	sp := s.barrierSpan(p)
+	defer sp.End()
 	start := p.Now()
-	defer func() { cfg.Telemetry.AddFloat(telemetry.CkptBarrierSeconds, p.Now()-start) }()
+	defer func() { s.tel.AddFloat(telemetry.CkptBarrierSeconds, p.Now()-start) }()
 
-	awaiting := make(map[int]bool, p.P()-1)
+	var sent []int
 	for id := 1; id < p.P(); id++ {
 		if p.Alive(id) {
-			p.Send(id, tagCkptReq, ckptMsg{barrier: barrier}, 0)
-			awaiting[id] = true
+			p.Send(id, tagCkptReq, ckptMsg{barrier: b}, 0)
+			sent = append(sent, id)
 		}
 	}
-
-	var deferred []deme.Message
-	wait := func(aw map[int]bool, acked *[]int, stash bool) (bool, error) {
-		misses := 0
-		for len(aw) > 0 {
-			m, ok := p.RecvTimeout(cfg.RecvTimeout)
-			if !ok {
-				before := len(aw)
-				for id := range aw {
-					if !p.Alive(id) {
-						delete(aw, id) // finished peers leave a final part
-					}
-				}
-				if len(aw) == before {
-					misses++
-					if misses >= cfg.EvictAfter {
-						return false, nil // persistently silent peer
-					}
-				}
-				continue
-			}
-			if m.Tag == tagCkptAck {
-				if aw[m.From] {
-					delete(aw, m.From)
-					if acked != nil {
-						*acked = append(*acked, m.From)
-					}
-				}
-				continue
-			}
-			if stash {
-				deferred = append(deferred, m)
-				continue
-			}
-			if err := fold(m); err != nil {
-				return false, err
-			}
-		}
-		return true, nil
-	}
-
-	var acked []int
-	ok, err := wait(awaiting, &acked, false)
+	acked, ok, err := s.awaitAcks(p, sent, nil)
 	// Release every paused peer whether or not the barrier completes:
 	// they capture on the go message and resume searching; stray second
 	// acks of an abandoned barrier are ignored by the main fold loops.
 	// The halt flag rides only a completed phase one — an abandoned
 	// barrier must not strand halted peers behind a searching coordinator.
 	for _, id := range acked {
-		p.Send(id, tagCkptGo, ckptMsg{barrier: barrier, halt: halt && ok}, 0)
+		p.Send(id, tagCkptGo, ckptMsg{barrier: b, halt: halt && ok}, 0)
 	}
 	if err != nil {
 		return false, err
 	}
 	if !ok {
-		cfg.Telemetry.Inc(telemetry.CkptSkipped)
+		s.tel.Inc(telemetry.CkptSkipped)
 		return false, nil
 	}
-	aw2 := make(map[int]bool, len(acked))
-	for _, id := range acked {
-		aw2[id] = true
-	}
-	ok, err = wait(aw2, nil, true)
-	if err != nil {
-		return false, err
-	}
-	if ok {
-		capture()
+	var deferred []deme.Message // stashed, so the wait returns no error
+	if _, ok, _ = s.awaitAcks(p, acked, &deferred); ok {
+		cfg.coll.put(p.ID(), s.capture(p, b, false))
 		// A halt barrier's checkpoint never reaches the sink unpatched:
 		// the mutation source's Apply produces the only persisted form of
 		// this barrier, so on disk a mutation epoch's checkpoint is always
 		// the post-splice one and recovery can fold exactly the mutations
 		// at or below the persisted barrier.
-		if !halt {
-			cfg.emitCheckpoint(barrier)
+		if halt {
+			// Every peer halted on the go message; exit on the barrier's
+			// parts. A skipped barrier retries at the next one.
+			cfg.markHalt(b)
+		} else {
+			cfg.emitCheckpoint(b)
 		}
 	} else {
-		cfg.Telemetry.Inc(telemetry.CkptSkipped)
+		s.tel.Inc(telemetry.CkptSkipped)
 		if halt {
 			// Peers already halted on the go message; a coordinator that
 			// searched on would leave them stranded. Surface the fault.
-			return false, fmt.Errorf("core: mutation barrier %d lost a peer after the halt was released", barrier)
+			return false, fmt.Errorf("core: mutation barrier %d lost a peer after the halt was released", b)
 		}
 	}
 	for _, m := range deferred {
-		if err := fold(m); err != nil {
+		if err := s.foldShare(p, m); err != nil {
 			return false, err
 		}
 	}
-	return ok, nil
+	return halt && ok, nil
 }
 
 // ResumeContext resumes a checkpointed run: the algorithm, processor

@@ -165,6 +165,25 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	if _, err := DecodeCheckpoint(data); err == nil {
 		t.Error("decode accepted a corrupted checkpoint")
 	}
+
+	// Coordination parameters a resume would adopt, each of which keeps
+	// the resumed run from ever returning: decode refuses them even under
+	// a valid checksum.
+	for _, edit := range []func(*Checkpoint){
+		func(ck *Checkpoint) { ck.RecvTimeout = -1 },
+		func(ck *Checkpoint) { ck.WaitTimeout = -1 },
+		func(ck *Checkpoint) { ck.EvictAfter = -1 },
+	} {
+		bad := *ck
+		edit(&bad)
+		data, err := EncodeCheckpoint(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeCheckpoint(data); err == nil {
+			t.Errorf("decode accepted wait %v, recv %v, evict %d", bad.WaitTimeout, bad.RecvTimeout, bad.EvictAfter)
+		}
+	}
 }
 
 // TestCheckpointConfigGuards checks that incompatible run modes are

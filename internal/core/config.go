@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/deme"
 	"repro/internal/operators"
 	"repro/internal/solution"
 	"repro/internal/telemetry"
@@ -103,6 +104,16 @@ func (c *CostModel) evalCost(in *vrptw.Instance, routes int) float64 {
 		meanRoute /= float64(routes)
 	}
 	return c.EvalBase + c.EvalPerCustomer*float64(in.N()) + c.EvalPerRouteCustomer*2*meanRoute
+}
+
+// charge charges p the modeled cost of evaluating the candidates with the
+// given objectives.
+func (c *CostModel) charge(p deme.Proc, in *vrptw.Instance, objs []solution.Objectives) {
+	var cost float64
+	for i := range objs {
+		cost += c.evalCost(in, int(objs[i].Vehicles))
+	}
+	p.Compute(cost)
 }
 
 // Config parameterizes a TSMO run. The zero value is not directly usable;
@@ -358,11 +369,7 @@ func (c *Config) validate(in *vrptw.Instance, alg Algorithm) error {
 	switch alg {
 	case Sequential:
 		c.Processors = 1
-	case Synchronous, Asynchronous:
-		if c.Processors < 2 {
-			return fmt.Errorf("core: %v needs at least 2 processors, got %d", alg, c.Processors)
-		}
-	case Collaborative:
+	case Synchronous, Asynchronous, Collaborative:
 		if c.Processors < 2 {
 			return fmt.Errorf("core: %v needs at least 2 processors, got %d", alg, c.Processors)
 		}
@@ -376,6 +383,9 @@ func (c *Config) validate(in *vrptw.Instance, alg Algorithm) error {
 		}
 	default:
 		return fmt.Errorf("core: unknown algorithm %d", int(alg))
+	}
+	if err := checkCoordination(c.WaitTimeout, c.RecvTimeout, c.EvictAfter); err != nil {
+		return err
 	}
 	chunk := c.NeighborhoodSize / c.Processors
 	if chunk < 1 {
@@ -394,6 +404,17 @@ func (c *Config) validate(in *vrptw.Instance, alg Algorithm) error {
 	}
 	if c.EvictAfter == 0 {
 		c.EvictAfter = 2
+	}
+	return nil
+}
+
+// checkCoordination rejects a negative or NaN WaitTimeout or RecvTimeout
+// and a negative EvictAfter — zero asks for the derived default. Any of
+// them keeps a master, a worker or a barrier waiting forever, so a run
+// never returns.
+func checkCoordination(wait, recv float64, evictAfter int) error {
+	if !(wait >= 0) || !(recv >= 0) || evictAfter < 0 {
+		return fmt.Errorf("core: WaitTimeout and RecvTimeout must be >= 0 and EvictAfter >= 0, got %v, %v and %d", wait, recv, evictAfter)
 	}
 	return nil
 }

@@ -153,7 +153,7 @@ func RunContext(ctx context.Context, alg Algorithm, in *vrptw.Instance, cfg Conf
 			m := island[id]
 			if masters[m] == id {
 				workers := islandWorkers(masters[m], masters, island, cfg.Processors)
-				peers := otherMasters(masters, id)
+				peers := others(masters, id)
 				outcomes[id] = asyncMaster(p, in, &cfg, r, workers, peers, rec)
 			} else {
 				workerLoop(p, in, &cfg, r, seeds[id], masters[m])
@@ -185,23 +185,8 @@ func RunContext(ctx context.Context, alg Algorithm, in *vrptw.Instance, cfg Conf
 		if parts == nil {
 			return nil, fmt.Errorf("core: mutation barrier %d left incomplete parts", hb)
 		}
-		ck := &Checkpoint{
-			Barrier:        hb,
-			Algorithm:      alg.String(),
-			Processors:     cfg.Processors,
-			Seed:           cfg.Seed,
-			Every:          cfg.CheckpointEvery,
-			InstanceDigest: cfg.instDigest,
-			ConfigDigest:   cfg.cfgDigest,
-			GranularK:      cfg.GranularK,
-			EvalWorkers:    cfg.EvalWorkers,
-			WaitTimeout:    cfg.WaitTimeout,
-			RecvTimeout:    cfg.RecvTimeout,
-			EvictAfter:     cfg.EvictAfter,
-			Parts:          parts,
-		}
 		msp := tr.Start(runSpan, "mutation").SetInt("barrier", int64(hb))
-		newIn, newCk, err := cfg.Dynamic.Apply(trace.NewContext(ctx, tr, msp), in, ck)
+		newIn, newCk, err := cfg.Dynamic.Apply(trace.NewContext(ctx, tr, msp), in, cfg.checkpoint(hb, parts))
 		msp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: applying mutations at barrier %d: %w", hb, err)
@@ -298,12 +283,12 @@ func islandWorkers(master int, masters, island []int, p int) []int {
 	return out
 }
 
-// otherMasters lists all masters except self.
-func otherMasters(masters []int, self int) []int {
+// others lists the ids except self.
+func others(ids []int, self int) []int {
 	var out []int
-	for _, m := range masters {
-		if m != self {
-			out = append(out, m)
+	for _, id := range ids {
+		if id != self {
+			out = append(out, id)
 		}
 	}
 	return out

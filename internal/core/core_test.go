@@ -269,6 +269,13 @@ func TestConfigValidation(t *testing.T) {
 		func() Config { c := smallConfig(); c.NeighborhoodSize = 0; return c }(),
 		func() Config { c := smallConfig(); c.TabuTenure = 0; return c }(),
 		func() Config { c := smallConfig(); c.RestartIterations = 0; return c }(),
+		// Coordination timeouts: zero derives a default; a negative or NaN
+		// value would keep the parallel variants from ever returning.
+		func() Config { c := smallConfig(); c.WaitTimeout = -1; return c }(),
+		func() Config { c := smallConfig(); c.WaitTimeout = math.NaN(); return c }(),
+		func() Config { c := smallConfig(); c.RecvTimeout = -1; return c }(),
+		func() Config { c := smallConfig(); c.RecvTimeout = math.NaN(); return c }(),
+		func() Config { c := smallConfig(); c.EvictAfter = -1; return c }(),
 	}
 	for i, c := range bad {
 		if _, err := Run(Sequential, in, c, rt); err == nil {
@@ -370,7 +377,7 @@ func TestCombinedLayout(t *testing.T) {
 	if len(workers) != 3 || workers[0] != 4 || workers[2] != 6 {
 		t.Fatalf("island workers = %v", workers)
 	}
-	peers := otherMasters(masters, 0)
+	peers := others(masters, 0)
 	if len(peers) != 1 || peers[0] != 3 {
 		t.Fatalf("peers = %v", peers)
 	}

@@ -73,6 +73,13 @@ type searcher struct {
 	shareOut [][][]int
 	xshares  int
 
+	// In-process sharing: the communication list of a collaborating
+	// searcher (nil on the sequential and synchronous ones), and the
+	// asynchronous master's candidates received but not yet consumed by a
+	// step.
+	ring    *shareRing
+	pending []cand
+
 	rec        *Trajectory
 	sampleOn   bool
 	samples    []telemetry.ConvergenceSample
@@ -123,45 +130,78 @@ type procOutcome struct {
 	err     error // a malformed payload or similar protocol violation
 }
 
-// outcome packages the searcher's final state.
-func (s *searcher) outcome(shares int) procOutcome {
+// outcome packages the searcher's final state; its shares are the ring's
+// plus those published across the cluster exchange.
+func (s *searcher) outcome() procOutcome {
 	s.closeSweep()
-	return procOutcome{
+	o := procOutcome{
 		front:   s.archive.Snapshot(),
 		evals:   s.evals,
 		iters:   s.iter,
-		shares:  shares,
+		shares:  s.xshares,
 		samples: s.samples,
 	}
+	if s.ring != nil {
+		o.shares += s.ring.shares
+	}
+	return o
 }
 
 // failOutcome packages the searcher's state with a protocol error that Run
 // surfaces to the caller instead of a panic.
 func (s *searcher) failOutcome(err error) procOutcome {
-	o := s.outcome(0)
+	o := s.outcome()
 	o.err = err
 	return o
 }
 
-// evalDataSpan delta-evaluates an already-proposed flat move span of the
-// current solution into objs (len(objs) == len(data)), charging the
-// modeled evaluation cost. The synchronous master uses it for its own
-// chunk and to re-evaluate chunks lost to dead workers; the result is
-// bit-identical to what the worker would have returned.
-func (s *searcher) evalDataSpan(p deme.Proc, data []operators.MoveData, objs []solution.Objectives) {
+// evalSpan delta-evaluates a flat move span proposed on cur into objs
+// (len(objs) == len(data)) under an "eval_shard" span, charging the
+// modeled evaluation cost to p. A worker runs it on every span the
+// synchronous master ships; the master runs it on its own span and on the
+// spans it recovers from silent workers, bit-identical to the lost reply.
+func evalSpan(p deme.Proc, cfg *Config, in *vrptw.Instance, gen *operators.Generator, cur *solution.Solution, data []operators.MoveData, objs []solution.Objectives) {
 	if len(data) == 0 {
 		return
 	}
-	sp := s.tr.Start(s.phase, "eval_shard").
+	sp := cfg.tracer.Start(cfg.span, "eval_shard").
 		SetInt("proc", int64(p.ID())).
 		SetInt("moves", int64(len(data)))
-	s.gen.EvalDataInto(s.cur, data, objs)
-	var cost float64
-	for i := range objs {
-		cost += s.cfg.Cost.evalCost(s.in, int(objs[i].Vehicles))
-	}
-	p.Compute(cost)
+	gen.EvalDataInto(cur, data, objs)
+	cfg.Cost.charge(p, in, objs)
 	sp.End()
+}
+
+// wrapCands appends one candidate per delta-evaluated move of base, born
+// in iteration born, to dst and counts each move as proposed in the
+// operator funnel. It is the one place candidates are made: from the
+// searcher's own sweep, the synchronous master's reassembled neighborhood
+// and an asynchronous worker's chunk.
+func wrapCands(dst []cand, tel *telemetry.Telemetry, base *solution.Solution, born int, data []operators.MoveData, objs []solution.Objectives) []cand {
+	for i := range data {
+		d := data[i]
+		dst = append(dst, cand{
+			data: d,
+			base: base,
+			obj:  objs[i],
+			attr: d.Attribute(),
+			op:   d.Kind,
+			born: born,
+		})
+		tel.IncOp(uint8(d.Kind), d.Kind.String(), telemetry.OpProposed)
+	}
+	return dst
+}
+
+// countEvals books n evaluated neighbors. An empty neighborhood — a
+// degenerate instance with no feasible move — still charges one
+// evaluation, so the budget runs out.
+func (s *searcher) countEvals(n int) {
+	s.evals += n
+	s.tel.Add(telemetry.Evaluations, n)
+	if n == 0 {
+		s.evals++
+	}
 }
 
 // maybeSample records a convergence sample when due: archive and memory
@@ -206,7 +246,7 @@ func newSearcher(in *vrptw.Instance, cfg *Config, r *rng.Rand, neighborhood, ten
 	s := &searcher{
 		in:           in,
 		cfg:          cfg,
-		gen:          operators.NewGenerator(in, cfg.Operators),
+		gen:          newGenerator(in, cfg),
 		r:            r,
 		neighborhood: neighborhood,
 		restartIters: restartIters,
@@ -217,13 +257,57 @@ func newSearcher(in *vrptw.Instance, cfg *Config, r *rng.Rand, neighborhood, ten
 		tr:           cfg.tracer,
 		phase:        cfg.span,
 	}
-	s.gen.Telemetry = cfg.Telemetry
-	if cfg.GranularK > 0 {
-		s.gen.Granular = in.NeighborLists(cfg.GranularK)
-	}
 	s.gen.EvalWorkers = cfg.EvalWorkers
 	s.archive.SetStats(cfg.Telemetry, telemetry.ArchiveAccepts)
 	s.nondom.SetStats(cfg.Telemetry, telemetry.NondomAccepts)
+	return s
+}
+
+// newGenerator builds a process's move generator: the run's operators and
+// telemetry, and the granular neighbor lists when GranularK is set.
+func newGenerator(in *vrptw.Instance, cfg *Config) *operators.Generator {
+	gen := operators.NewGenerator(in, cfg.Operators)
+	gen.Telemetry = cfg.Telemetry
+	if cfg.GranularK > 0 {
+		gen.Granular = in.NeighborLists(cfg.GranularK)
+	}
+	return gen
+}
+
+// startSearcher builds process p's searcher and brings it to its first
+// iteration: restored from the process's checkpoint part on a resume,
+// constructed by init otherwise. Collaborative processes other than 0
+// disturb their parameters first (§III.E); a resume restores the disturbed
+// values instead, since re-perturbing would consume RNG draws the restored
+// stream already spent. ring, when non-nil, is the communication list of a
+// collaborating searcher; a fresh one is shuffled after construction. All
+// three draw from r, in that order, and the stream order is observable
+// (bit-identity with pre-checkpointing runs). Process 0 samples the
+// convergence curve and bridges to the cluster exchange.
+func startSearcher(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *Trajectory, ring *shareRing) *searcher {
+	rp := cfg.resumePart(p.ID())
+	var nbh, tenure, restart int // 0: the configured values
+	if cfg.alg == Collaborative && p.ID() > 0 {
+		if rp != nil {
+			nbh, tenure, restart = rp.Neighborhood, rp.Tenure, rp.RestartIters
+		} else {
+			nbh, tenure, restart = perturb(r, cfg.NeighborhoodSize), perturb(r, cfg.TabuTenure), perturb(r, cfg.RestartIterations)
+		}
+	}
+	s := newSearcher(in, cfg, r, nbh, tenure, restart)
+	s.rec = rec
+	s.sampleOn = p.ID() == 0
+	s.shareOn = cfg.Share != nil && p.ID() == 0
+	s.ring = ring
+	if rp != nil {
+		s.restoreFrom(rp)
+		return s
+	}
+	s.init(p)
+	if ring != nil {
+		ring.initial = true
+		r.Shuffle(len(ring.peers), func(i, j int) { ring.peers[i], ring.peers[j] = ring.peers[j], ring.peers[i] })
+	}
 	return s
 }
 
@@ -253,30 +337,10 @@ func (s *searcher) init(p deme.Proc) {
 // until the next generate call.
 func (s *searcher) generate(p deme.Proc, n int) []cand {
 	s.gen.CandidatesInto(&s.buf, s.cur, s.r, n)
-	k := len(s.buf.Data)
-	if cap(s.cands) < k {
-		s.cands = make([]cand, k)
-	}
-	cands := s.cands[:k]
-	var cost float64
-	for i := range cands {
-		d := s.buf.Data[i]
-		obj := s.buf.Objs[i]
-		cands[i] = cand{
-			data: d,
-			base: s.cur,
-			obj:  obj,
-			attr: d.Attribute(),
-			op:   d.Kind,
-			born: s.iter,
-		}
-		s.tel.IncOp(uint8(d.Kind), d.Kind.String(), telemetry.OpProposed)
-		cost += s.cfg.Cost.evalCost(s.in, int(obj.Vehicles))
-	}
-	p.Compute(cost)
-	s.evals += k
-	s.tel.Add(telemetry.Evaluations, k)
-	return cands
+	s.cands = wrapCands(s.cands[:0], s.tel, s.cur, s.iter, s.buf.Data, s.buf.Objs)
+	s.cfg.Cost.charge(p, s.in, s.buf.Objs)
+	s.countEvals(len(s.cands))
+	return s.cands
 }
 
 // step performs the selection and memory-update part of one Algorithm 1

@@ -11,43 +11,12 @@ import (
 // the memories when stuck, and update the memories — until the evaluation
 // budget is exhausted.
 func sequentialBody(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *Trajectory) procOutcome {
-	s := newSearcher(in, cfg, r, 0, 0, 0)
-	s.rec = rec
-	s.sampleOn = true
-	s.shareOn = cfg.Share != nil && p.ID() == 0
-	if st := cfg.resumePart(p.ID()); st != nil {
-		s.restoreFrom(st)
-	} else {
-		s.init(p)
-	}
+	s := startSearcher(p, in, cfg, r, rec, nil)
 	for !s.done(p) {
-		cands := s.generate(p, s.neighborhood)
-		if len(cands) == 0 {
-			// Degenerate instance with no feasible moves: charge the
-			// failed attempt so the budget still runs out.
-			s.evals++
-		}
-		s.step(p, cands)
-		if cfg.shareDue(s.iter) && s.shareOn && !s.done(p) {
-			s.exchange(p)
-		}
-		if cfg.checkpointDue(s.iter) && !s.done(p) {
-			b := s.iter / cfg.CheckpointEvery
-			sp := s.tr.Start(s.phase, "ckpt_barrier").SetInt("barrier", int64(b))
-			cfg.coll.put(p.ID(), s.capture(p, b, false))
-			if cfg.haltDue(b) {
-				// Mutation epoch: the part just captured doubles as this
-				// segment's final state; RunContext assembles, applies the
-				// mutations and warm-restarts from the patched checkpoint.
-				// The sink emit is skipped — the halt barrier's checkpoint
-				// only ever persists in its patched form.
-				cfg.markHalt(b)
-				sp.End()
-				break
-			}
-			cfg.emitCheckpoint(b)
-			sp.End()
+		s.share(p, s.step(p, s.generate(p, s.neighborhood)))
+		if cfg.checkpointDue(s.iter) && !s.done(p) && s.ckptBarrier(p, s.barrierSpan(p), nil, true) {
+			break
 		}
 	}
-	return s.outcome(s.xshares)
+	return s.outcome()
 }

@@ -118,8 +118,7 @@ func (s *searcher) exchange(p deme.Proc) {
 				tel.Inc(telemetry.MalformedMsgs)
 				continue
 			}
-			p.Compute(shareHandlingFactor * cfg.Cost.OverheadPerNeighbor)
-			tel.Inc(shareOutcome(s.nondom.Add(sol)))
+			s.absorb(p, sol)
 			folded++
 		}
 	}
@@ -169,11 +168,32 @@ func safeSolution(in *vrptw.Instance, routes [][]int) (*solution.Solution, error
 	return solution.New(in, routes), nil
 }
 
-// shareOutcome is the counter of one received share: accepted into
-// M_nondom, or dominated on arrival.
-func shareOutcome(accepted bool) telemetry.CounterID {
-	if accepted {
-		return telemetry.SharesAccepted
+// foldShare absorbs a solution shared by another searcher of the run
+// (tagShare); barrier control traffic and other strays are ignored. A
+// payload that is not a solution is counted and returned as a protocol
+// error.
+func (s *searcher) foldShare(p deme.Proc, m deme.Message) error {
+	if m.Tag != tagShare {
+		return nil
 	}
-	return telemetry.SharesRejected
+	sol, ok := m.Data.(*solution.Solution)
+	if !ok {
+		s.tel.Inc(telemetry.MalformedMsgs)
+		return fmt.Errorf("peer %d sent a malformed share payload %T", m.From, m.Data)
+	}
+	s.absorb(p, sol)
+	return nil
+}
+
+// absorb merges a shared solution — from an in-process peer or a sibling
+// shard — into M_nondom and counts whether it was accepted or dominated on
+// arrival. Deserializing a foreign solution and checking it against the
+// 50-entry M_nondom costs several times a plain neighbor update.
+func (s *searcher) absorb(p deme.Proc, sol *solution.Solution) {
+	p.Compute(shareHandlingFactor * s.cfg.Cost.OverheadPerNeighbor)
+	if s.nondom.Add(sol) {
+		s.tel.Inc(telemetry.SharesAccepted)
+	} else {
+		s.tel.Inc(telemetry.SharesRejected)
+	}
 }

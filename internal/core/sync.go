@@ -29,18 +29,11 @@ type span struct{ w, lo, hi int }
 // Config.EvictAfter strikes, crashed workers immediately, and with no
 // workers left the master degrades to the plain sequential searcher.
 func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *Trajectory) procOutcome {
-	s := newSearcher(in, cfg, r, 0, 0, 0)
-	s.rec = rec
-	s.sampleOn = true
-	s.shareOn = cfg.Share != nil && p.ID() == 0
-	if st := cfg.resumePart(p.ID()); st != nil {
-		s.restoreFrom(st)
-	} else {
-		s.init(p)
-	}
+	s := startSearcher(p, in, cfg, r, rec, nil)
 	tel := cfg.Telemetry
 
-	alive := procRange(1, p.P())
+	workers := procRange(1, p.P())
+	alive := append([]int(nil), workers...)
 	strikes := make([]int, p.P())
 	evict := func(w int) {
 		for i, a := range alive {
@@ -72,9 +65,6 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 		s.gen.MovesInto(&s.buf, s.cur, s.r, s.neighborhood)
 		data := s.buf.Data
 		n := len(data)
-		for i := range data {
-			tel.IncOp(uint8(data[i].Kind), data[i].Kind.String(), telemetry.OpProposed)
-		}
 		if cap(objs) < n {
 			objs = make([]solution.Objectives, n)
 		}
@@ -97,7 +87,7 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 				lo = hi
 			}
 		}
-		s.evalDataSpan(p, data[lo:], objs[lo:])
+		evalSpan(p, cfg, in, s.gen, s.cur, data[lo:], objs[lo:])
 
 		for len(outstanding) > 0 {
 			m, ok := p.RecvTimeout(cfg.RecvTimeout)
@@ -108,7 +98,7 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 				for _, sp := range outstanding {
 					strikes[sp.w]++
 					tel.Inc(telemetry.Redispatches)
-					s.evalDataSpan(p, data[sp.lo:sp.hi], objs[sp.lo:sp.hi])
+					evalSpan(p, cfg, in, s.gen, s.cur, data[sp.lo:sp.hi], objs[sp.lo:sp.hi])
 					if strikes[sp.w] >= cfg.EvictAfter || !p.Alive(sp.w) {
 						evict(sp.w)
 					}
@@ -122,7 +112,7 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 			rm, okPayload := m.Data.(resultMsg)
 			if !okPayload {
 				tel.Inc(telemetry.MalformedMsgs)
-				stopWorkers(p)
+				stopWorkers(p, workers)
 				return s.failOutcome(fmt.Errorf("worker %d sent a malformed result payload %T", m.From, m.Data))
 			}
 			idx := -1
@@ -141,7 +131,7 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 			sp := outstanding[idx]
 			if len(rm.objs) != sp.hi-sp.lo {
 				tel.Inc(telemetry.MalformedMsgs)
-				stopWorkers(p)
+				stopWorkers(p, workers)
 				return s.failOutcome(fmt.Errorf("worker %d returned %d objectives for a %d-move span",
 					m.From, len(rm.objs), sp.hi-sp.lo))
 			}
@@ -150,72 +140,24 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 			outstanding = append(outstanding[:idx], outstanding[idx+1:]...)
 		}
 
-		s.evals += n
-		tel.Add(telemetry.Evaluations, n)
-		if n == 0 {
-			// Degenerate instance with no feasible moves: charge the
-			// failed attempt so the budget still runs out (as sequential).
-			s.evals++
-		}
-		if cap(s.cands) < n {
-			s.cands = make([]cand, n)
-		}
-		cands := s.cands[:n]
-		for i := range data {
-			d := data[i]
-			cands[i] = cand{
-				data: d,
-				base: s.cur,
-				obj:  objs[i],
-				attr: d.Attribute(),
-				op:   d.Kind,
-				born: s.iter,
-			}
-		}
-		s.step(p, cands)
-		if cfg.shareDue(s.iter) && s.shareOn && !s.done(p) {
-			// Workers are idle between iterations, so the blocking gather
-			// fits here exactly like the checkpoint barrier below.
-			s.exchange(p)
-		}
-		if cfg.checkpointDue(s.iter) && !s.done(p) {
-			// Checkpoint barrier: every alive worker deposits its runtime
-			// snapshot and acks; the master then captures itself and
-			// assembles. Workers are idle between iterations, so the
-			// barrier fits between the result collection and the next
-			// dispatch.
-			b := s.iter / cfg.CheckpointEvery
-			sp := s.tr.Start(s.phase, "ckpt_barrier").
-				SetInt("proc", int64(p.ID())).SetInt("barrier", int64(b))
-			if ckptWorkers(p, cfg, alive, b) {
-				cfg.coll.put(p.ID(), s.capture(p, b, false))
-				if cfg.haltDue(b) {
-					// Mutation epoch: exit the segment on the barrier's
-					// parts. Workers idle until the loop exit's stop
-					// message; a failed barrier retries the halt at the
-					// next one (haltDue keeps answering true). The sink
-					// emit is skipped — the halt barrier's checkpoint only
-					// ever persists in its patched form.
-					cfg.markHalt(b)
-					sp.End()
-					break
-				}
-				cfg.emitCheckpoint(b)
-			} else {
-				tel.Inc(telemetry.CkptSkipped)
-			}
-			sp.End()
+		s.countEvals(n)
+		s.cands = wrapCands(s.cands[:0], tel, s.cur, s.iter, data, objs)
+		s.share(p, s.step(p, s.cands))
+		// Workers are idle between iterations, so the barrier fits between
+		// the result collection and the next dispatch.
+		if cfg.checkpointDue(s.iter) && !s.done(p) && s.ckptBarrier(p, s.barrierSpan(p), alive, true) {
+			break
 		}
 	}
-	stopWorkers(p)
-	return s.outcome(s.xshares)
+	stopWorkers(p, workers)
+	return s.outcome()
 }
 
 // stopWorkers tells every originally-assigned worker to terminate. Evicted
 // or crashed workers are included: mail to a finished process is silently
 // never delivered, and a stalled-but-alive one needs the stop to exit.
-func stopWorkers(p deme.Proc) {
-	for w := 1; w < p.P(); w++ {
+func stopWorkers(p deme.Proc, workers []int) {
+	for _, w := range workers {
 		p.Send(w, tagStop, nil, 0)
 	}
 }

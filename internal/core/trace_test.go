@@ -37,7 +37,7 @@ func TestSweepBatching(t *testing.T) {
 	for i := 0; i < iters; i++ {
 		s.step(p, s.generate(p, s.neighborhood))
 	}
-	s.outcome(0)
+	s.outcome()
 
 	spans, dropped := tr.Snapshot()
 	if dropped != 0 {

@@ -28,12 +28,8 @@ import (
 // worker reproduces every chunk's candidate stream exactly. tagCkpt asks
 // the worker to deposit that snapshot into the run's collector and ack.
 func workerLoop(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, seed uint64, master int) {
-	gen := operators.NewGenerator(in, cfg.Operators)
+	gen := newGenerator(in, cfg)
 	tel := cfg.Telemetry
-	gen.Telemetry = tel
-	if cfg.GranularK > 0 {
-		gen.Granular = in.NeighborLists(cfg.GranularK)
-	}
 	var buf operators.CandidateBuffer
 	for {
 		if cfg.cancelled() {
@@ -56,20 +52,7 @@ func workerLoop(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, seed 
 				tel.Inc(telemetry.MalformedMsgs)
 				continue
 			}
-			part := &SearcherState{ID: p.ID(), Barrier: cm.barrier, Worker: true}
-			if sn, isSim := p.(deme.Snapshotter); isSim {
-				// Simulator: ack first so the captured clock includes the
-				// send overhead (a resumed worker does not re-ack); the
-				// deposit is still visible before this process next yields.
-				p.Send(m.From, tagCkptAck, ckptMsg{barrier: cm.barrier}, 0)
-				part.Proc = sn.Snapshot()
-				cfg.coll.put(p.ID(), part)
-			} else {
-				// Real concurrency: deposit before acking so the master's
-				// assembly, which follows the ack, observes the part.
-				cfg.coll.put(p.ID(), part)
-				p.Send(m.From, tagCkptAck, ckptMsg{barrier: cm.barrier}, 0)
-			}
+			depositPart(p, cfg, m.From, &SearcherState{ID: p.ID(), Barrier: cm.barrier, Worker: true})
 			continue
 		}
 		if m.Tag != tagWork {
@@ -81,51 +64,28 @@ func workerLoop(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, seed 
 			tel.Inc(telemetry.MalformedMsgs)
 			continue // the master guards its own payloads; drop garbage here
 		}
+		// Reply slices are freshly allocated: they cross the goroutine
+		// boundary.
+		var res resultMsg
 		if w.data != nil {
-			// Synchronous span: evaluate exactly the shipped moves. The
-			// reply's objectives slice is freshly allocated — it crosses
-			// the goroutine boundary.
+			// Synchronous span: evaluate exactly the shipped moves.
+			res = resultMsg{objs: make([]solution.Objectives, len(w.data)), lo: w.lo, iter: w.iter}
+			evalSpan(p, cfg, in, gen, w.cur, w.data, res.objs)
+		} else {
+			if cfg.checkpointing() {
+				r.Seed(chunkSeed(seed, w.iter))
+			}
 			sp := cfg.tracer.Start(cfg.span, "eval_shard").
 				SetInt("proc", int64(p.ID())).
-				SetInt("moves", int64(len(w.data)))
-			objs := make([]solution.Objectives, len(w.data))
-			gen.EvalDataInto(w.cur, w.data, objs)
-			var cost float64
-			for i := range objs {
-				cost += cfg.Cost.evalCost(in, int(objs[i].Vehicles))
-			}
-			p.Compute(cost)
-			p.Send(master, tagResult, resultMsg{objs: objs, lo: w.lo, iter: w.iter}, len(objs)*solBytes(in))
-			countChunk(tel, len(objs), busyStart-idleStart, p.Now()-busyStart)
+				SetInt("moves", int64(w.count))
+			gen.CandidatesInto(&buf, w.cur, r, w.count)
+			res.cands = wrapCands(make([]cand, 0, len(buf.Data)), tel, w.cur, w.iter, buf.Data, buf.Objs)
+			cfg.Cost.charge(p, in, buf.Objs)
 			sp.End()
-			continue
 		}
-		if cfg.checkpointing() {
-			r.Seed(chunkSeed(seed, w.iter))
-		}
-		sp := cfg.tracer.Start(cfg.span, "eval_shard").
-			SetInt("proc", int64(p.ID())).
-			SetInt("moves", int64(w.count))
-		gen.CandidatesInto(&buf, w.cur, r, w.count)
-		cands := make([]cand, len(buf.Data))
-		var cost float64
-		for i := range buf.Data {
-			d := buf.Data[i]
-			cands[i] = cand{
-				data: d,
-				base: w.cur,
-				obj:  buf.Objs[i],
-				attr: d.Attribute(),
-				op:   d.Kind,
-				born: w.iter,
-			}
-			tel.IncOp(uint8(d.Kind), d.Kind.String(), telemetry.OpProposed)
-			cost += cfg.Cost.evalCost(in, int(buf.Objs[i].Vehicles))
-		}
-		p.Compute(cost)
-		p.Send(master, tagResult, resultMsg{cands: cands}, len(cands)*solBytes(in))
-		countChunk(tel, len(cands), busyStart-idleStart, p.Now()-busyStart)
-		sp.End()
+		n := len(res.objs) + len(res.cands)
+		p.Send(master, tagResult, res, n*solBytes(in))
+		countChunk(tel, n, busyStart-idleStart, p.Now()-busyStart)
 	}
 }
 
