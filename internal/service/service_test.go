@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // smallSpec is a job that finishes in well under a second.
@@ -60,6 +62,18 @@ func TestSubmitValidation(t *testing.T) {
 		{"evals over limit", func() JobSpec { s := smallSpec(); s.MaxEvaluations = 1_000_000; return s }(), "exceeds"},
 		{"procs over limit", func() JobSpec { s := smallSpec(); s.Algorithm = "asynchronous"; s.Processors = 12; return s }(), "exceeds"},
 		{"instance over limit", JobSpec{Instance: InstanceSpec{Class: "R1", N: 500, Seed: 1}}, "exceeds"},
+		// A resume checkpoint whose coordination timeout the run would
+		// adopt and never return with: refused at submission.
+		{"resume with a negative recv_timeout", func() JobSpec {
+			s := smallSpec()
+			var err error
+			s.Resume, err = core.EncodeCheckpoint(&core.Checkpoint{Barrier: 1, Algorithm: "sequential", Processors: 1,
+				Every: 1, RecvTimeout: -1, Parts: []*core.SearcherState{{}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}(), "RecvTimeout"},
 	}
 	for _, tc := range cases {
 		if _, err := svc.Submit(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
