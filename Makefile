@@ -134,14 +134,16 @@ flaky-guard:
 
 # fuzz-smoke runs each fuzz target for FUZZTIME (default 30s) on top of the
 # checked-in seed corpora. The checkpoint decoder's inputs are kilobytes
-# long, so its new interesting inputs get a short minimization budget —
-# the 60s default would spend the whole run minimizing.
+# long and one journal seed is a megabytes-long line, so their new
+# interesting inputs get a short minimization budget — the 60s default
+# would spend the whole run minimizing.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeltaMatchesApply -fuzztime $(FUZZTIME) ./internal/operators/
 	$(GO) test -run '^$$' -fuzz FuzzFeasibilityGuard -fuzztime $(FUZZTIME) ./internal/operators/
 	$(GO) test -run '^$$' -fuzz FuzzClusterMessages -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/service/
 
 # profile runs a short goroutine-backend asynchronous search with the
 # observability endpoints live and saves CPU and heap profiles next to a

@@ -174,20 +174,20 @@ func TestKill9MutationReplay(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	ref := refJob.Result()
-	if ref == nil || len(ref.Front) == 0 {
+	if ref == nil || len(ref.Solutions) == 0 {
 		t.Fatal("reference job produced no front")
 	}
 
 	if got.Evaluations != ref.Evaluations {
 		t.Errorf("evaluations: recovered %d, reference %d", got.Evaluations, ref.Evaluations)
 	}
-	if len(got.Solutions) != len(ref.Front) {
-		t.Fatalf("front size: recovered %d, reference %d", len(got.Solutions), len(ref.Front))
+	if len(got.Solutions) != len(ref.Solutions) {
+		t.Fatalf("front size: recovered %d, reference %d", len(got.Solutions), len(ref.Solutions))
 	}
 	for i, sol := range got.Solutions {
-		want := ref.Front[i]
-		if sol.Distance != want.Obj.Distance || sol.Vehicles != want.Obj.Vehicles || sol.Tardiness != want.Obj.Tardiness {
-			t.Errorf("front[%d] objectives: recovered %+v, reference %+v", i, sol, want.Obj)
+		want := ref.Solutions[i]
+		if sol.Distance != want.Distance || sol.Vehicles != want.Vehicles || sol.Tardiness != want.Tardiness {
+			t.Errorf("front[%d] objectives: recovered %+v, reference %+v", i, sol, want)
 		}
 		if !reflect.DeepEqual(sol.Routes, want.Routes) {
 			t.Errorf("front[%d] routes diverged across the kills", i)

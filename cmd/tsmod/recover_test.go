@@ -227,13 +227,13 @@ func TestKill9Recovery(t *testing.T) {
 	if got.Evaluations != ref.Evaluations {
 		t.Errorf("evaluations: recovered %d, reference %d", got.Evaluations, ref.Evaluations)
 	}
-	if len(got.Solutions) != len(ref.Front) {
-		t.Fatalf("front size: recovered %d, reference %d", len(got.Solutions), len(ref.Front))
+	if len(got.Solutions) != len(ref.Solutions) {
+		t.Fatalf("front size: recovered %d, reference %d", len(got.Solutions), len(ref.Solutions))
 	}
 	for i, sol := range got.Solutions {
-		want := ref.Front[i]
-		if sol.Distance != want.Obj.Distance || sol.Vehicles != want.Obj.Vehicles || sol.Tardiness != want.Obj.Tardiness {
-			t.Errorf("front[%d] objectives: recovered %+v, reference %+v", i, sol, want.Obj)
+		want := ref.Solutions[i]
+		if sol.Distance != want.Distance || sol.Vehicles != want.Vehicles || sol.Tardiness != want.Tardiness {
+			t.Errorf("front[%d] objectives: recovered %+v, reference %+v", i, sol, want)
 		}
 		if !reflect.DeepEqual(sol.Routes, want.Routes) {
 			t.Errorf("front[%d] routes diverged after resume", i)

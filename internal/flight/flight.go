@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -95,13 +96,14 @@ type Recording struct {
 const DefaultRingCap = 1024
 
 // Ring is a bounded overwrite-oldest sample ring, safe for concurrent
-// Observe and Snapshot. All methods are nil-safe so an unwired recorder
-// costs callers one branch.
+// Observe and Snapshot. It grows by append up to its capacity, so a short
+// run holds only the samples it took. All methods are nil-safe so an
+// unwired recorder costs callers one branch.
 type Ring struct {
 	mu      sync.Mutex
 	ring    []Sample
-	head    int
-	filled  bool
+	ringCap int
+	head    int // oldest sample once the ring is full, else 0
 	dropped int64
 }
 
@@ -111,7 +113,7 @@ func NewRing(cap int) *Ring {
 	if cap <= 0 {
 		cap = DefaultRingCap
 	}
-	return &Ring{ring: make([]Sample, cap)}
+	return &Ring{ringCap: cap}
 }
 
 // Observe appends one sample, overwriting the oldest on overflow.
@@ -120,14 +122,12 @@ func (r *Ring) Observe(s Sample) {
 		return
 	}
 	r.mu.Lock()
-	if r.filled {
+	if len(r.ring) < r.ringCap {
+		r.ring = append(r.ring, s)
+	} else {
+		r.ring[r.head] = s
+		r.head = (r.head + 1) % len(r.ring)
 		r.dropped++
-	}
-	r.ring[r.head] = s
-	r.head++
-	if r.head == len(r.ring) {
-		r.head = 0
-		r.filled = true
 	}
 	r.mu.Unlock()
 }
@@ -140,15 +140,7 @@ func (r *Ring) Snapshot() ([]Sample, int64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []Sample
-	if r.filled {
-		out = make([]Sample, 0, len(r.ring))
-		out = append(out, r.ring[r.head:]...)
-		out = append(out, r.ring[:r.head]...)
-	} else {
-		out = append([]Sample(nil), r.ring[:r.head]...)
-	}
-	return out, r.dropped
+	return slices.Concat(r.ring[r.head:], r.ring[:r.head]), r.dropped
 }
 
 // DeltaRow is one aligned interval of a recording diff: the two runs'

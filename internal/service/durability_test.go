@@ -122,7 +122,7 @@ func TestDurableRestartServesResults(t *testing.T) {
 	}
 	waitState(t, j, StateDone)
 	res := j.Result()
-	if res == nil || len(res.Front) == 0 {
+	if res == nil || len(res.Solutions) == 0 {
 		t.Fatal("job finished without a front")
 	}
 	svc.Close()
@@ -139,20 +139,20 @@ func TestDurableRestartServesResults(t *testing.T) {
 	if j2.State() != StateDone {
 		t.Fatalf("recovered job state: got %s, want done", j2.State())
 	}
-	ff := j2.restoredFront()
+	ff := j2.Result()
 	if ff == nil {
 		t.Fatal("recovered job serves no result")
 	}
 	if ff.Evaluations != res.Evaluations {
 		t.Errorf("restored evaluations: got %d, want %d", ff.Evaluations, res.Evaluations)
 	}
-	if len(ff.Solutions) != len(res.Front) {
-		t.Fatalf("restored front size: got %d, want %d", len(ff.Solutions), len(res.Front))
+	if len(ff.Solutions) != len(res.Solutions) {
+		t.Fatalf("restored front size: got %d, want %d", len(ff.Solutions), len(res.Solutions))
 	}
 	for i, sol := range ff.Solutions {
-		if sol.Distance != res.Front[i].Obj.Distance ||
-			sol.Vehicles != res.Front[i].Obj.Vehicles ||
-			sol.Tardiness != res.Front[i].Obj.Tardiness {
+		if sol.Distance != res.Solutions[i].Distance ||
+			sol.Vehicles != res.Solutions[i].Vehicles ||
+			sol.Tardiness != res.Solutions[i].Tardiness {
 			t.Errorf("restored front[%d] objectives diverged: %+v", i, sol)
 		}
 	}
@@ -222,7 +222,7 @@ func TestCrashRecoveryResumesDeterministically(t *testing.T) {
 	}
 	waitState(t, refJob, StateDone)
 	ref := refJob.Result()
-	if ref == nil || len(ref.Front) == 0 {
+	if ref == nil || len(ref.Solutions) == 0 {
 		t.Fatal("reference job produced no front")
 	}
 	refSvc.Close()
@@ -276,19 +276,19 @@ func TestCrashRecoveryResumesDeterministically(t *testing.T) {
 	if res.Evaluations != ref.Evaluations {
 		t.Errorf("evaluations: resumed %d, reference %d", res.Evaluations, ref.Evaluations)
 	}
-	if len(res.Front) != len(ref.Front) {
-		t.Fatalf("front size: resumed %d, reference %d", len(res.Front), len(ref.Front))
+	if len(res.Solutions) != len(ref.Solutions) {
+		t.Fatalf("front size: resumed %d, reference %d", len(res.Solutions), len(ref.Solutions))
 	}
-	for i := range ref.Front {
-		if res.Front[i].Obj != ref.Front[i].Obj {
-			t.Errorf("front[%d] objectives: resumed %+v, reference %+v", i, res.Front[i].Obj, ref.Front[i].Obj)
+	for i := range ref.Solutions {
+		if g, w := res.Solutions[i], ref.Solutions[i]; g.Distance != w.Distance || g.Vehicles != w.Vehicles || g.Tardiness != w.Tardiness {
+			t.Errorf("front[%d] objectives: resumed %+v, reference %+v", i, g, w)
 		}
-		if len(res.Front[i].Routes) != len(ref.Front[i].Routes) {
+		if len(res.Solutions[i].Routes) != len(ref.Solutions[i].Routes) {
 			t.Errorf("front[%d]: route counts differ", i)
 			continue
 		}
-		for r := range ref.Front[i].Routes {
-			w, g := ref.Front[i].Routes[r], res.Front[i].Routes[r]
+		for r := range ref.Solutions[i].Routes {
+			w, g := ref.Solutions[i].Routes[r], res.Solutions[i].Routes[r]
 			if len(w) != len(g) {
 				t.Errorf("front[%d] route %d differs", i, r)
 				continue
@@ -436,7 +436,7 @@ func TestTornMutateBeforeCkptRecovery(t *testing.T) {
 	refJob := startPinned(refSvc, map[int][]dynamic.Mutation{4: mutKept})
 	waitState(t, refJob, StateDone)
 	ref := refJob.Result()
-	if ref == nil || len(ref.Front) == 0 {
+	if ref == nil || len(ref.Solutions) == 0 {
 		t.Fatal("reference job produced no front")
 	}
 	refSvc.Close()
@@ -554,12 +554,12 @@ func TestTornMutateBeforeCkptRecovery(t *testing.T) {
 	if res.Evaluations != ref.Evaluations {
 		t.Errorf("evaluations: recovered %d, reference %d", res.Evaluations, ref.Evaluations)
 	}
-	if len(res.Front) != len(ref.Front) {
-		t.Fatalf("front size: recovered %d, reference %d", len(res.Front), len(ref.Front))
+	if len(res.Solutions) != len(ref.Solutions) {
+		t.Fatalf("front size: recovered %d, reference %d", len(res.Solutions), len(ref.Solutions))
 	}
-	for i := range ref.Front {
-		if res.Front[i].Obj != ref.Front[i].Obj {
-			t.Errorf("front[%d] objectives: recovered %+v, reference %+v", i, res.Front[i].Obj, ref.Front[i].Obj)
+	for i := range ref.Solutions {
+		if g, w := res.Solutions[i], ref.Solutions[i]; g.Distance != w.Distance || g.Vehicles != w.Vehicles || g.Tardiness != w.Tardiness {
+			t.Errorf("front[%d] objectives: recovered %+v, reference %+v", i, g, w)
 		}
 	}
 }

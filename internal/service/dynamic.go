@@ -130,7 +130,15 @@ func (s *Service) MutateAs(caller, id string, epoch int, muts []dynamic.Mutation
 		j.mu.Unlock()
 	}
 	committed, err := j.dyn.AddFunc(epoch, muts, func(e int, log []dynamic.Mutation) error {
-		if _, err := dynamic.Project(j.in, log); err != nil {
+		// The job may have turned terminal since the gate above, dropping
+		// its instance: re-check under the lock that guards both.
+		j.mu.Lock()
+		in, terminal := j.in, j.state.Terminal()
+		j.mu.Unlock()
+		if terminal {
+			return ErrTerminal
+		}
+		if _, err := dynamic.Project(in, log); err != nil {
 			return fmt.Errorf("mutation batch does not apply: %w", err)
 		}
 		if s.jl != nil {
@@ -153,10 +161,9 @@ func (s *Service) MutateAs(caller, id string, epoch int, muts []dynamic.Mutation
 		}
 		return 0, err
 	}
-	// A batch accepted after the run turned terminal (the terminal
-	// transition raced the gate above) will never be applied; that is
-	// harmless — it was journaled, but recovery drops mutate records for
-	// terminal jobs during compaction.
+	// A batch accepted just before the job turned terminal will never be
+	// applied; that is harmless — it was journaled, but recovery drops
+	// mutate records for terminal jobs during compaction.
 	j.mu.Lock()
 	j.appendEventLocked("mutation_scheduled", map[string]any{
 		"job": j.ID, "epoch": committed, "mutations": len(muts),

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/dynamic"
 	"repro/internal/flight"
-	"repro/internal/resultio"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
 	"repro/internal/trace"
@@ -32,6 +31,8 @@ const maxBodyBytes = 8 << 20
 //	DELETE /v1/jobs/{id}        cancel
 //	GET    /v1/jobs/{id}/flight flight recording (periodic convergence samples)
 //	GET    /v1/jobs/{id}/trace  recorded spans as OTLP/JSON
+//	GET    /v1/jobs/{id}/checkpoint latest checkpoint envelope (404 before the
+//	                            first barrier and once the job is terminal)
 //	GET    /v1/healthz          liveness: process health, version, occupancy
 //	GET    /v1/readyz           readiness: 503 while draining/recovering/shedding
 //	GET    /v1/tenants          per-tenant policies, lane occupancy, counters
@@ -230,19 +231,12 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Errorf("job %s is %s; the result is available once it is terminal", j.ID, j.State()))
 		return
 	}
-	res := j.Result()
-	if res == nil {
-		// A job recovered after a restart serves its persisted result:
-		// the in-memory *core.Result died with the old process, but the
-		// front file survived in the data directory.
-		if ff := j.restoredFront(); ff != nil {
-			writeJSON(w, http.StatusOK, ff)
-			return
-		}
+	ff := j.Result()
+	if ff == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("job %s produced no result", j.ID))
 		return
 	}
-	writeJSON(w, http.StatusOK, resultio.FromResult(j.InstanceName(), res, true))
+	writeJSON(w, http.StatusOK, ff)
 }
 
 // MutateRequest is the body of PATCH /v1/jobs/{id}/instance: either one
@@ -456,7 +450,8 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 // handleCheckpoint serves the job's latest checkpoint envelope — the
 // migration artifact the cluster coordinator caches so it can restart the
 // job on a surviving node after this one dies. 404 until the first barrier
-// lands (or forever, for a job that does not checkpoint).
+// lands, once the job is terminal (a finished job keeps only its result),
+// and always for a job that does not checkpoint.
 func (s *Service) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(w, r)
 	if !ok {
@@ -464,7 +459,7 @@ func (s *Service) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	data, barrier := j.CheckpointData()
 	if data == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("job %s has no checkpoint yet", j.ID))
+		writeError(w, http.StatusNotFound, fmt.Errorf("job %s has no checkpoint (state %s)", j.ID, j.State()))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -173,10 +173,10 @@ func (p FrontPoint) objectives() solution.Objectives {
 // from the oldest retained event.
 const maxEvents = 16384
 
-// jobTraceRingCap bounds a job's completed-span ring. The ring array is
-// allocated up front per job, so this is deliberately smaller than
-// trace.DefaultRingCap; long parallel runs overflow it by dropping the
-// oldest eval-shard leaves while the long-lived lifecycle spans — which
+// jobTraceRingCap bounds a job's completed-span ring, which grows on
+// demand up to it. It is smaller than trace.DefaultRingCap because every
+// retained job keeps its ring; long parallel runs overflow it by dropping
+// the oldest eval-shard leaves while the long-lived lifecycle spans — which
 // end last — always survive.
 const jobTraceRingCap = 1024
 
@@ -187,17 +187,20 @@ type Job struct {
 	// Spec echoes the submitted specification.
 	Spec JobSpec
 
-	svc      *Service
-	alg      core.Algorithm
-	cfg      core.Config
-	in       *vrptw.Instance
-	instName string
-	backend  string
-	wall     time.Duration
-	tel      *telemetry.Telemetry
-	ctx      context.Context
-	cancel   context.CancelFunc
-	doneOnce sync.Once
+	svc *Service
+	alg core.Algorithm
+	cfg core.Config
+	// in is the base instance the run starts from, nil once the job is
+	// terminal; instName and customers outlive it for Status.
+	in        *vrptw.Instance
+	instName  string
+	customers int
+	backend   string
+	wall      time.Duration
+	tel       *telemetry.Telemetry
+	ctx       context.Context
+	cancel    context.CancelFunc
+	doneOnce  sync.Once
 
 	// tr is the job's span recorder; rootSpan ("job") covers the whole
 	// lifecycle and parents every other span, queueSpan ("queue") the
@@ -209,11 +212,9 @@ type Job struct {
 	fr        *flight.Ring
 
 	// resume is the checkpoint a re-queued (journal recovery) or migrated
-	// (JobSpec.Resume) job continues from; restored is the persisted
-	// result a recovered terminal job serves. Both are set before the job
-	// is reachable.
-	resume   *core.Checkpoint
-	restored *resultio.FrontFile
+	// (JobSpec.Resume) job continues from, set before the job is reachable
+	// and dropped once it is terminal.
+	resume *core.Checkpoint
 
 	// deadline is the absolute client deadline (JobSpec.DeadlineSeconds
 	// past submission), zero when none. recoveredPending marks a
@@ -237,9 +238,9 @@ type Job struct {
 	dyn           *dynamic.Schedule
 	recoveredMuts []journalRecord
 
-	// Latest checkpoint envelope, kept in memory for every checkpointed
-	// job (durable or not) so GET /v1/jobs/{id}/checkpoint can hand the
-	// cluster coordinator a migration artifact. Guarded by ckptMu, not
+	// Latest checkpoint envelope, kept in memory while a checkpointed job
+	// (durable or not) is live so GET /v1/jobs/{id}/checkpoint can hand
+	// the cluster coordinator a migration artifact. Guarded by ckptMu, not
 	// j.mu: the sink runs on a solver goroutine and must never contend
 	// with the observe hook.
 	ckptMu      sync.Mutex
@@ -260,7 +261,11 @@ type Job struct {
 	front      []FrontPoint
 	hvRef      solution.Objectives
 	haveRef    bool
-	result     *core.Result
+	// result is a terminal job's answer, the front GET /result serves, and
+	// iterations the run's master iterations; nil and 0 before the job is
+	// terminal or when it produced no result.
+	result     *resultio.FrontFile
+	iterations int
 	firstPoint time.Time // when the first front point arrived (SLO histogram)
 	// pendingMarker tags the next flight-recorder sample with the most
 	// recent mutation epoch ("mutation@12"), so tsmo-compare can align
@@ -271,39 +276,49 @@ type Job struct {
 // newJob validates a spec against the service limits and materializes the
 // instance and solver configuration. Errors are submission errors (HTTP 400).
 func newJob(spec JobSpec, limits *Config) (*Job, error) {
-	j := &Job{
-		Spec:    spec,
-		state:   StateQueued,
-		notify:  make(chan struct{}),
-		backend: spec.Backend,
+	in, err := specInstance(spec.Instance)
+	if err != nil {
+		return nil, fmt.Errorf("instance: %w", err)
 	}
+	if limits.MaxCustomers > 0 && in.N() > limits.MaxCustomers {
+		return nil, fmt.Errorf("instance: %d customers exceeds the service limit of %d", in.N(), limits.MaxCustomers)
+	}
+	j, err := jobFromSpec(spec, limits, in.Name)
+	if err != nil {
+		return nil, err
+	}
+	j.in, j.customers = in, in.N()
+	return j, nil
+}
 
+// specInstance parses or generates the instance a spec selects.
+func specInstance(spec InstanceSpec) (*vrptw.Instance, error) {
 	switch {
-	case spec.Instance.Solomon != "" && spec.Instance.Class != "":
-		return nil, fmt.Errorf("instance: solomon text and generator class are mutually exclusive")
-	case spec.Instance.Solomon != "":
-		in, err := vrptw.ParseSolomon(strings.NewReader(spec.Instance.Solomon))
+	case spec.Solomon != "" && spec.Class != "":
+		return nil, fmt.Errorf("solomon text and generator class are mutually exclusive")
+	case spec.Solomon != "":
+		return vrptw.ParseSolomon(strings.NewReader(spec.Solomon))
+	case spec.Class != "":
+		class, err := vrptw.ParseClass(spec.Class)
 		if err != nil {
-			return nil, fmt.Errorf("instance: %w", err)
+			return nil, err
 		}
-		j.in = in
-		j.instName = in.Name
-	case spec.Instance.Class != "":
-		class, err := vrptw.ParseClass(spec.Instance.Class)
-		if err != nil {
-			return nil, fmt.Errorf("instance: %w", err)
-		}
-		in, err := vrptw.Generate(vrptw.GenConfig{Class: class, N: spec.Instance.N, Seed: spec.Instance.Seed})
-		if err != nil {
-			return nil, fmt.Errorf("instance: %w", err)
-		}
-		j.in = in
-		j.instName = in.Name
+		return vrptw.Generate(vrptw.GenConfig{Class: class, N: spec.N, Seed: spec.Seed})
 	default:
-		return nil, fmt.Errorf("instance: provide either inline solomon text or a generator class")
+		return nil, fmt.Errorf("provide either inline solomon text or a generator class")
 	}
-	if limits.MaxCustomers > 0 && j.in.N() > limits.MaxCustomers {
-		return nil, fmt.Errorf("instance: %d customers exceeds the service limit of %d", j.in.N(), limits.MaxCustomers)
+}
+
+// jobFromSpec validates everything in a spec but its instance and
+// materializes the job around the instance name: newJob adds the instance,
+// and recovery uses it bare for a terminal job, which never runs again.
+func jobFromSpec(spec JobSpec, limits *Config, instName string) (*Job, error) {
+	j := &Job{
+		Spec:     spec,
+		state:    StateQueued,
+		notify:   make(chan struct{}),
+		backend:  spec.Backend,
+		instName: instName,
 	}
 
 	algName := spec.Algorithm
@@ -645,7 +660,7 @@ func (j *Job) Status() Status {
 		Lane:         j.Spec.Tenant,
 		Priority:     j.Spec.Priority,
 		Instance:     j.instName,
-		Customers:    j.in.N(),
+		Customers:    j.customers,
 		Algorithm:    j.alg.String(),
 		Processors:   j.cfg.Processors,
 		Backend:      j.backend,
@@ -667,15 +682,11 @@ func (j *Job) Status() Status {
 	}
 	if j.result != nil {
 		st.Evaluations = int64(j.result.Evaluations)
-		st.Iterations = int64(j.result.Iterations)
+		st.Iterations = int64(j.iterations)
 		st.Elapsed = j.result.Elapsed
-	} else if j.restored != nil {
-		// A terminal job recovered from disk: serve the persisted totals.
-		st.Evaluations = int64(j.restored.Evaluations)
-		st.Elapsed = j.restored.Elapsed
 	}
 	haveRef, ref := j.haveRef, j.hvRef
-	haveResult := j.result != nil || j.restored != nil
+	haveResult := j.result != nil
 	j.mu.Unlock()
 
 	if j.dyn != nil {
@@ -708,20 +719,14 @@ func (j *Job) Status() Status {
 	return st
 }
 
-// Result returns the stored run result, nil before the job is terminal.
-// Canceled jobs keep the partial result accumulated before cancellation.
-func (j *Job) Result() *core.Result {
+// Result returns the job's answer as GET /v1/jobs/{id}/result serves it,
+// nil before the job is terminal or when it produced none. Canceled jobs
+// keep the partial result accumulated before cancellation; a job recovered
+// after a restart serves the copy persisted in its data directory.
+func (j *Job) Result() *resultio.FrontFile {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.result
-}
-
-// restoredFront returns the persisted result a recovered terminal job
-// serves when its in-memory *core.Result was lost with the old process.
-func (j *Job) restoredFront() *resultio.FrontFile {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.restored
 }
 
 // setCheckpoint stores the newest checkpoint envelope (the sink path).
@@ -732,15 +737,13 @@ func (j *Job) setCheckpoint(barrier int, data []byte) {
 }
 
 // CheckpointData returns the newest checkpoint envelope and its barrier;
-// nil before the first barrier (or for uncheckpointed jobs).
+// nil before the first barrier, once the job is terminal, and for
+// uncheckpointed jobs.
 func (j *Job) CheckpointData() ([]byte, int) {
 	j.ckptMu.Lock()
 	defer j.ckptMu.Unlock()
 	return j.lastCkpt, j.lastBarrier
 }
-
-// InstanceName returns the resolved instance name.
-func (j *Job) InstanceName() string { return j.instName }
 
 // State returns the job's current lifecycle state.
 func (j *Job) State() State {
@@ -780,7 +783,8 @@ func (j *Job) finish(res *core.Result, err error) {
 		state = StateCanceled
 	}
 	if res != nil {
-		j.result = res
+		j.result = resultio.FromResult(j.instName, res, true)
+		j.iterations = res.Iterations
 		fields["evaluations"] = res.Evaluations
 		fields["iterations"] = res.Iterations
 		fields["elapsed_seconds"] = res.Elapsed
@@ -791,14 +795,16 @@ func (j *Job) finish(res *core.Result, err error) {
 }
 
 // terminalLocked performs the one-and-only transition into a terminal
-// state: stamps the finish time, emits the lifecycle event, releases the
-// job's context, and tells the service the job is finished.
+// state: stamps the finish time, drops what only a run needs, emits the
+// lifecycle event, releases the job's context, and tells the service the
+// job is finished.
 func (j *Job) terminalLocked(state State, fields map[string]any) {
 	if j.state.Terminal() {
 		return
 	}
 	j.state = state
 	j.finished = time.Now()
+	j.dropRunState()
 	j.appendEventLocked(string(state), fields)
 	j.doneOnce.Do(func() {
 		j.cancel()
@@ -840,6 +846,14 @@ func (j *Job) terminalLocked(state State, fields map[string]any) {
 			j.svc.jobDone()
 		}
 	})
+}
+
+// dropRunState releases what only a run needs: the instance and the
+// checkpoints it would resume from. A terminal job keeps its result and
+// the scalars Status reads.
+func (j *Job) dropRunState() {
+	j.in, j.resume = nil, nil
+	j.setCheckpoint(0, nil)
 }
 
 // recoveredDispatched settles the service's recovering gauge for a

@@ -2,7 +2,9 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -34,6 +36,10 @@ import (
 //	canceled  the job was canceled (its partial result, if any, persisted)
 //	evict     the job fell out of retention; its directory is gone
 //
+// The three terminal records also carry the instance name, its customer
+// count and the run's master iterations, so recovery re-serves a terminal
+// job without rebuilding its instance.
+//
 // A torn final record — the crash hit mid-append — is logged, counted and
 // dropped; recovery never refuses to start over journal damage.
 type journalRecord struct {
@@ -49,6 +55,18 @@ type journalRecord struct {
 	// journal; recovery ignores it.
 	Note  string `json:"note,omitempty"`
 	Error string `json:"error,omitempty"`
+	// Instance, Customers and Iterations are a terminal record's Status
+	// scalars; records written before they existed carry none.
+	Instance   string `json:"instance,omitempty"`
+	Customers  int    `json:"customers,omitempty"`
+	Iterations int    `json:"iterations,omitempty"`
+}
+
+// terminalRecord is the journal record of a terminal job's final state.
+// Callers hold j.mu or own the job exclusively.
+func (j *Job) terminalRecord() journalRecord {
+	return journalRecord{Type: string(j.state), Job: j.ID, Error: j.errText,
+		Instance: j.instName, Customers: j.customers, Iterations: j.iterations}
 }
 
 // journal is the fsync-on-append JSONL WAL. Appends come from submission
@@ -61,10 +79,15 @@ type journal struct {
 	f    *os.File
 }
 
+// maxRecordBytes bounds one journal line: a submit record carries a whole
+// submission body.
+const maxRecordBytes = maxBodyBytes + 64*1024
+
 // openJournal reads every intact record of the journal at path (creating
-// it when absent) and opens it for appending. Records that fail to parse —
-// the torn tail of a crashed append, or any other damage — are dropped and
-// counted, never fatal: losing one record costs at most one job's latest
+// it when absent) and opens it for appending. Lines that fail to parse or
+// exceed maxRecordBytes — the torn tail of a crashed append, or any other
+// damage — are dropped and counted in torn, never fatal, and reading goes
+// on with the next line: losing one record costs at most one job's latest
 // transition, which recovery handles, while refusing to start would cost
 // the whole journal.
 func openJournal(path string, logger *slog.Logger) (*journal, []journalRecord, int, error) {
@@ -74,33 +97,62 @@ func openJournal(path string, logger *slog.Logger) (*journal, []journalRecord, i
 	}
 	var recs []journalRecord
 	torn := 0
-	sc := bufio.NewScanner(io.NewSectionReader(f, 0, 1<<62))
-	sc.Buffer(make([]byte, 0, 64*1024), maxBodyBytes+64*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Bytes()
-		if len(text) == 0 {
-			continue
-		}
-		var rec journalRecord
-		if err := json.Unmarshal(text, &rec); err != nil {
-			torn++
-			if logger != nil {
-				logger.Warn("journal: dropping unreadable record", "line", line, "error", err)
-			}
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		// An oversized or unreadable tail: keep what parsed so far.
+	drop := func(line int, err error) {
 		torn++
 		if logger != nil {
-			logger.Warn("journal: truncated scan", "line", line, "error", err)
+			logger.Warn("journal: dropping unreadable record", "line", line, "error", err)
 		}
 	}
-	return &journal{path: path, f: f}, recs, torn, nil
+	br := bufio.NewReaderSize(io.NewSectionReader(f, 0, 1<<62), 64*1024)
+	var buf []byte
+	for line := 1; ; line++ {
+		text, err := readLine(br, buf[:0])
+		buf = text
+		switch {
+		case errors.Is(err, errLineTooLong):
+			drop(line, err)
+			continue
+		case err != nil && err != io.EOF:
+			// An unreadable file: keep what parsed so far.
+			drop(line, err)
+			return &journal{path: path, f: f}, recs, torn, nil
+		}
+		if len(text) > 0 {
+			var rec journalRecord
+			if uerr := json.Unmarshal(text, &rec); uerr != nil {
+				drop(line, uerr)
+			} else {
+				recs = append(recs, rec)
+			}
+		}
+		if err == io.EOF {
+			return &journal{path: path, f: f}, recs, torn, nil
+		}
+	}
+}
+
+// errLineTooLong marks a journal line longer than maxRecordBytes.
+var errLineTooLong = errors.New("journal: record exceeds the size limit")
+
+// readLine appends br's next line to buf, without its "\n" or "\r\n". A
+// line longer than maxRecordBytes is consumed and reported as
+// errLineTooLong; io.EOF comes with the last line, which has no newline.
+func readLine(br *bufio.Reader, buf []byte) ([]byte, error) {
+	n := 0 // bytes consumed, line ending included
+	for {
+		chunk, err := br.ReadSlice('\n')
+		if n += len(chunk); n <= maxRecordBytes+2 {
+			buf = append(buf, chunk...)
+		}
+		if err == bufio.ErrBufferFull {
+			continue
+		}
+		buf = bytes.TrimSuffix(bytes.TrimSuffix(buf, []byte("\n")), []byte("\r"))
+		if n > maxRecordBytes+2 || len(buf) > maxRecordBytes {
+			return buf[:0], errLineTooLong
+		}
+		return buf, err
+	}
 }
 
 // append durably writes one record: marshal, write, fsync.

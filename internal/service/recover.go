@@ -70,9 +70,10 @@ func Open(cfg Config) (*Service, error) {
 type replayJob struct {
 	spec    JobSpec
 	state   State
-	errText string
 	barrier int
 	evicted bool
+	// term is the job's terminal record, when it has one.
+	term journalRecord
 	// muts retains the job's mutate records in journal (commit) order;
 	// replayMutations folds or re-primes them against the recovered
 	// checkpoint.
@@ -80,7 +81,8 @@ type replayJob struct {
 }
 
 // replay folds the journal into the job table. Terminal jobs come back
-// with their persisted result; queued and running jobs come back queued,
+// with their persisted result and the scalars of their terminal record,
+// without an instance; queued and running jobs come back queued,
 // carrying their latest decodable checkpoint. Jobs whose records are
 // incomplete (a torn submit) or whose spec no longer validates are logged
 // and dropped — recovery keeps every job it can and never refuses to
@@ -113,7 +115,7 @@ func (s *Service) replay(recs []journalRecord) []*Job {
 			rj.muts = append(rj.muts, rec)
 		case string(StateDone), string(StateFailed), string(StateCanceled):
 			rj.state = State(rec.Type)
-			rj.errText = rec.Error
+			rj.term = rec
 		case "evict":
 			rj.evicted = true
 		default:
@@ -130,7 +132,19 @@ func (s *Service) replay(recs []journalRecord) []*Job {
 		if rj.evicted {
 			continue
 		}
-		j, err := newJob(rj.spec, &s.cfg)
+		var j *Job
+		var ff *resultio.FrontFile
+		var err error
+		if rj.state.Terminal() {
+			ff = s.loadResult(id)
+			name := rj.term.Instance
+			if name == "" && ff != nil {
+				name = ff.Instance // a terminal record written before it carried the name
+			}
+			j, err = jobFromSpec(rj.spec, &s.cfg, name)
+		} else {
+			j, err = newJob(rj.spec, &s.cfg)
+		}
 		if err != nil {
 			s.logWarn("recovery: dropping job with invalid spec", "job", id, "error", err)
 			continue
@@ -141,11 +155,12 @@ func (s *Service) replay(recs []journalRecord) []*Job {
 			s.idem[key] = id
 		}
 		if rj.state.Terminal() {
-			j.state = rj.state
-			j.errText = rj.errText
-			j.cancel() // nothing will run; release the job context
-			if ff := s.loadResult(id); ff != nil {
-				j.restored = ff
+			j.state, j.errText = rj.state, rj.term.Error
+			j.customers, j.iterations = rj.term.Customers, rj.term.Iterations
+			j.dropRunState() // a migrated job's spec carries a checkpoint
+			j.cancel()       // nothing will run; release the job context
+			if ff != nil {
+				j.result = ff
 				for _, sol := range ff.Solutions {
 					pt := FrontPoint{Distance: sol.Distance, Vehicles: sol.Vehicles, Tardiness: sol.Tardiness}
 					pt.Feasible = pt.objectives().Feasible()
@@ -267,7 +282,7 @@ func (s *Service) compactRecords() []journalRecord {
 		recs = append(recs, journalRecord{Type: "submit", Job: id, Spec: &spec})
 		switch {
 		case j.state.Terminal():
-			recs = append(recs, journalRecord{Type: string(j.state), Job: id, Error: j.errText})
+			recs = append(recs, j.terminalRecord())
 		case j.resume != nil:
 			recs = append(recs, journalRecord{Type: "ckpt", Job: id, Barrier: j.resume.Barrier})
 		}

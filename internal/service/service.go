@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/deme"
-	"repro/internal/resultio"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
 	"repro/internal/trace"
@@ -521,9 +520,9 @@ func (s *Service) runJob(j *Job) {
 		j.finish(nil, fmt.Errorf("deadline exceeded after %.1fs in queue; job shed unstarted", j.Spec.DeadlineSeconds))
 		return
 	}
-	if !j.begin() {
-		return
-	}
+	// Count the worker busy before the job shows as running, so healthz
+	// never reports an idle worker beside a running job; the deferred
+	// decrement also undoes the count when begin refuses.
 	s.mu.Lock()
 	s.busy++
 	s.mu.Unlock()
@@ -532,6 +531,9 @@ func (s *Service) runJob(j *Job) {
 		s.busy--
 		s.mu.Unlock()
 	}()
+	if !j.begin() {
+		return
+	}
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Info("job started", "job", j.ID, "resume", j.resume != nil)
 	}
@@ -671,7 +673,7 @@ func (s *Service) persistTerminal(j *Job, state State) {
 		return
 	}
 	if j.result != nil {
-		data, err := json.Marshal(resultio.FromResult(j.instName, j.result, true))
+		data, err := json.Marshal(j.result)
 		if err == nil {
 			err = writeFileSync(filepath.Join(s.jobDir(j.ID), "result.json"), data)
 		}
@@ -679,7 +681,7 @@ func (s *Service) persistTerminal(j *Job, state State) {
 			s.logWarn("persisting result", "job", j.ID, "error", err)
 		}
 	}
-	if err := s.jl.append(journalRecord{Type: string(state), Job: j.ID, Error: j.errText}); err != nil {
+	if err := s.jl.append(j.terminalRecord()); err != nil {
 		s.logWarn("journal: terminal record", "job", j.ID, "state", string(state), "error", err)
 	}
 }

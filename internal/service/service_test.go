@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -99,7 +100,7 @@ func TestJobRunsToCompletion(t *testing.T) {
 	if st.Hypervolume <= 0 {
 		t.Errorf("hypervolume = %v; want > 0", st.Hypervolume)
 	}
-	if res := j.Result(); res == nil || len(res.Front) == 0 {
+	if res := j.Result(); res == nil || len(res.Solutions) == 0 {
 		t.Error("done job has no stored result")
 	}
 	evs, _, _, terminal := j.eventsSince(0)
@@ -255,6 +256,55 @@ func TestStats(t *testing.T) {
 	waitState(t, j, StateDone)
 	if got := svc.Stats().Jobs[StateDone]; got != 1 {
 		t.Errorf("done count = %d; want 1", got)
+	}
+}
+
+// TestBusyCountedBeforeRunning checks that a worker counts itself busy
+// before its job shows as running: healthz must never report an idle
+// worker beside a running job, or a cluster coordinator polling in that
+// window places a second shard on the node. Each round first holds the
+// service lock while the worker picks the job up — the busy count waits
+// on it, so a job that turns running meanwhile was not counted first —
+// then polls State() and Stats() as a client would.
+func TestBusyCountedBeforeRunning(t *testing.T) {
+	svc := testService(t, Config{Workers: 1, QueueDepth: 2, MaxEvaluations: -1})
+	for round := 0; round < 5; round++ {
+		j, err := svc.Submit(longSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.mu.Lock()
+		deadline := time.Now().Add(50 * time.Millisecond)
+		for j.State() == StateQueued && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		state, busy := j.State(), svc.busy
+		svc.mu.Unlock()
+		if state == StateRunning && busy == 0 {
+			t.Fatalf("round %d: job %s is running while no worker counts busy", round, j.ID)
+		}
+		deadline = time.Now().Add(10 * time.Second)
+		for {
+			state := j.State()
+			st := svc.Stats()
+			if state == StateRunning {
+				if st.Busy == 0 {
+					t.Fatalf("round %d: healthz reports no busy worker beside running job %s", round, j.ID)
+				}
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: job %s never started", round, j.ID)
+			}
+		}
+		j.Cancel()
+		waitState(t, j, StateCanceled)
+		for svc.Stats().Busy != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: worker never went idle", round)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 

@@ -35,18 +35,25 @@ type ConvergenceSample struct {
 // plainSample is ConvergenceSample without its JSON methods.
 type plainSample ConvergenceSample
 
-// MarshalJSON omits the best-feasible fields while they hold the +Inf
-// sentinel, which encoding/json would reject: the outer nil fields shadow
-// the embedded ones.
+// MarshalJSON omits each best-feasible field while it holds the +Inf
+// sentinel, which encoding/json would reject: the outer pointer fields
+// shadow the embedded ones, and a nil one is omitted.
 func (s ConvergenceSample) MarshalJSON() ([]byte, error) {
-	if !math.IsInf(s.BestDistance, 1) {
+	dist, veh := &s.BestDistance, &s.BestVehicles
+	if math.IsInf(*dist, 1) {
+		dist = nil
+	}
+	if math.IsInf(*veh, 1) {
+		veh = nil
+	}
+	if dist != nil && veh != nil {
 		return json.Marshal(plainSample(s))
 	}
 	return json.Marshal(struct {
 		plainSample
 		BestDistance *float64 `json:"best_distance,omitempty"`
 		BestVehicles *float64 `json:"best_vehicles,omitempty"`
-	}{plainSample: plainSample(s)})
+	}{plainSample(s), dist, veh})
 }
 
 // UnmarshalJSON restores the +Inf sentinel for omitted best-feasible

@@ -69,6 +69,34 @@ func TestConvergenceSampleJSON(t *testing.T) {
 	}
 }
 
+// TestConvergenceSampleBestFieldsIndependent round-trips the four
+// finite/+Inf combinations of the two best-feasible fields: each is
+// omitted on its own while it holds +Inf, and restored on decode.
+func TestConvergenceSampleBestFieldsIndependent(t *testing.T) {
+	inf := math.Inf(1)
+	for _, c := range []struct{ dist, veh float64 }{{321.5, 7}, {321.5, inf}, {inf, 7}, {inf, inf}} {
+		s := ConvergenceSample{Evals: 1000, Iteration: 9, Time: 2.5, ArchiveSize: 9, NondomSize: 12,
+			BestDistance: c.dist, BestVehicles: c.veh, Hypervolume: 12.5, Spacing: 0.25}
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("distance %v, vehicles %v: %v", c.dist, c.veh, err)
+		}
+		if got := strings.Contains(string(b), `"best_distance"`); got != !math.IsInf(c.dist, 1) {
+			t.Errorf("distance %v: best_distance present = %t in %s", c.dist, got, b)
+		}
+		if got := strings.Contains(string(b), `"best_vehicles"`); got != !math.IsInf(c.veh, 1) {
+			t.Errorf("vehicles %v: best_vehicles present = %t in %s", c.veh, got, b)
+		}
+		var back ConvergenceSample
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back != s {
+			t.Errorf("sample did not round-trip: %+v vs %+v", back, s)
+		}
+	}
+}
+
 // TestEventSinksShareRendering checks that the JSONL writer renders an
 // event's fields and the hook receives the typed value itself.
 func TestEventSinksShareRendering(t *testing.T) {

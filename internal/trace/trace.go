@@ -14,6 +14,7 @@ import (
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,7 +77,8 @@ const DefaultRingCap = 4096
 
 // Trace is one trace: an ID, the remote parent span (if the trace was
 // continued from a traceparent header), and a bounded overwrite-oldest
-// ring of completed spans.
+// ring of completed spans. The ring grows by append up to its capacity,
+// so a trace that records few spans holds few.
 type Trace struct {
 	id     TraceID
 	remote SpanID // parent span from an incoming traceparent, if any
@@ -87,8 +89,8 @@ type Trace struct {
 
 	mu      sync.Mutex
 	ring    []SpanData
-	head    int // next write position
-	filled  bool
+	ringCap int
+	head    int // oldest span once the ring is full, else 0
 	dropped int64
 }
 
@@ -106,7 +108,7 @@ func New(ringCap int) *Trace {
 	if ringCap <= 0 {
 		ringCap = DefaultRingCap
 	}
-	t.ring = make([]SpanData, ringCap)
+	t.ringCap = ringCap
 	return t
 }
 
@@ -226,14 +228,12 @@ func (s *Span) EndAt(at time.Time) {
 // spans, because the long-lived job/run spans end last and so land last.
 func (t *Trace) record(d SpanData) {
 	t.mu.Lock()
-	if t.filled {
+	if len(t.ring) < t.ringCap {
+		t.ring = append(t.ring, d)
+	} else {
+		t.ring[t.head] = d
+		t.head = (t.head + 1) % len(t.ring)
 		t.dropped++
-	}
-	t.ring[t.head] = d
-	t.head++
-	if t.head == len(t.ring) {
-		t.head = 0
-		t.filled = true
 	}
 	t.mu.Unlock()
 }
@@ -246,13 +246,5 @@ func (t *Trace) Snapshot() ([]SpanData, int64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []SpanData
-	if t.filled {
-		out = make([]SpanData, 0, len(t.ring))
-		out = append(out, t.ring[t.head:]...)
-		out = append(out, t.ring[:t.head]...)
-	} else {
-		out = append([]SpanData(nil), t.ring[:t.head]...)
-	}
-	return out, t.dropped
+	return slices.Concat(t.ring[t.head:], t.ring[:t.head]), t.dropped
 }

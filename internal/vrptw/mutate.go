@@ -104,7 +104,7 @@ func (in *Instance) AddSite(s Site) (*Instance, RepairStats, error) {
 				st.ListsPatched++
 			}
 		}
-		rep.lists[n] = d.buildNeighborRow(n, k)
+		rep.lists[n] = d.buildNeighborRow(n, k, nil)
 		st.ListsRebuilt++
 		d.storeNeighborLists(k, rep)
 	}
@@ -176,7 +176,7 @@ func (in *Instance) RemoveSite(id int) (*Instance, map[int]int, RepairStats, err
 			case contains && len(list) == k:
 				// The removed arc was in a full row: the backfill (the old
 				// k+1-th best) is not recoverable locally.
-				rep.lists[ni] = d.buildNeighborRow(ni, k)
+				rep.lists[ni] = d.buildNeighborRow(ni, k, nil)
 				st.ListsRebuilt++
 			case contains || shifted:
 				out := make([]int32, 0, len(list))
@@ -229,7 +229,7 @@ func (in *Instance) UpdateWindow(id int, ready, due float64) (*Instance, RepairS
 		rep := &NeighborLists{K: k, lists: make([][]int32, n)}
 		for i := 0; i < n; i++ {
 			if i == id {
-				rep.lists[i] = d.buildNeighborRow(i, k)
+				rep.lists[i] = d.buildNeighborRow(i, k, nil)
 				st.ListsRebuilt++
 				continue
 			}
@@ -256,7 +256,7 @@ func (in *Instance) UpdateWindow(id int, ready, due float64) (*Instance, RepairS
 				rep.lists[i] = d.insertSorted(i, list, int32(id), newScore, k)
 				st.ListsPatched++
 			case !adm && len(list) == k:
-				rep.lists[i] = d.buildNeighborRow(i, k)
+				rep.lists[i] = d.buildNeighborRow(i, k, nil)
 				st.ListsRebuilt++
 			case !adm:
 				// A short row holds every admissible arc; dropping id keeps
@@ -284,7 +284,7 @@ func (in *Instance) UpdateWindow(id int, ready, due float64) (*Instance, RepairS
 				default:
 					// A worsened member of a full row may fall behind a
 					// candidate the row never retained.
-					rep.lists[i] = d.buildNeighborRow(i, k)
+					rep.lists[i] = d.buildNeighborRow(i, k, nil)
 					st.ListsRebuilt++
 				}
 			}

@@ -1,7 +1,5 @@
 package vrptw
 
-import "sort"
-
 // NeighborLists is the sparse granular-neighborhood graph of an instance:
 // for every site i (the depot included) the up-to-K most promising
 // successors j, sorted best-first. An arc i -> j is admitted only when it
@@ -46,8 +44,9 @@ func (in *Instance) NeighborLists(k int) *NeighborLists {
 func (in *Instance) buildNeighborLists(k int) *NeighborLists {
 	n := len(in.Sites)
 	nl := &NeighborLists{K: k, lists: make([][]int32, n)}
+	best := make([]scoredArc, 0, min(k, n))
 	for i := 0; i < n; i++ {
-		nl.lists[i] = in.buildNeighborRow(i, k)
+		nl.lists[i] = in.buildNeighborRow(i, k, best)
 	}
 	return nl
 }
@@ -69,16 +68,20 @@ func (in *Instance) arcScore(i, j int) (float64, bool) {
 	return in.Dist(i, j) + wait, true
 }
 
+// scoredArc is one admissible successor j of a row and its arcScore.
+type scoredArc struct {
+	j     int32
+	score float64
+}
+
 // buildNeighborRow derives site i's up-to-k best-first successor list from
-// scratch.
-func (in *Instance) buildNeighborRow(i, k int) []int32 {
-	n := len(in.Sites)
-	type scored struct {
-		j     int32
-		score float64
-	}
-	cand := make([]scored, 0, n)
-	for j := 1; j < n; j++ {
+// scratch. best is scratch space for the k best arcs seen so far, reused
+// across rows (nil allocates it); bounded insertion keeps it sorted by
+// (score, index), so a row costs one pass over the sites and no N-wide
+// sort.
+func (in *Instance) buildNeighborRow(i, k int, best []scoredArc) []int32 {
+	best = best[:0]
+	for j := 1; j < len(in.Sites); j++ {
 		if j == i {
 			continue
 		}
@@ -86,22 +89,23 @@ func (in *Instance) buildNeighborRow(i, k int) []int32 {
 		if !ok {
 			continue // the arc can never be served on time
 		}
-		cand = append(cand, scored{j: int32(j), score: score})
-	}
-	// Deterministic order: score, then index on ties.
-	sort.Slice(cand, func(a, b int) bool {
-		if cand[a].score != cand[b].score {
-			return cand[a].score < cand[b].score
+		// j ascends, so an arc tying a kept one ranks behind it.
+		if len(best) == k && score >= best[k-1].score {
+			continue
 		}
-		return cand[a].j < cand[b].j
-	})
-	m := k
-	if m > len(cand) {
-		m = len(cand)
+		pos := len(best)
+		for pos > 0 && best[pos-1].score > score {
+			pos--
+		}
+		if len(best) < k {
+			best = append(best, scoredArc{})
+		}
+		copy(best[pos+1:], best[pos:len(best)-1])
+		best[pos] = scoredArc{j: int32(j), score: score}
 	}
-	list := make([]int32, m)
-	for x := 0; x < m; x++ {
-		list[x] = cand[x].j
+	list := make([]int32, len(best))
+	for x, a := range best {
+		list[x] = a.j
 	}
 	return list
 }
