@@ -1,10 +1,12 @@
 # Developer verify loop. `make verify` is the full gate a change must pass:
 # formatting, build, vet, the complete test suite, the race detector over
 # the concurrency-heavy packages (the search core, the process simulator,
-# the cluster, the telemetry and flight recorder the solver goroutines
-# write to, and the operators, solution and pareto packages whose shared
-# counters the parallel delta evaluator writes from several goroutines),
-# and the zero-allocation assertion on the disabled-telemetry hot path.
+# the cluster, the telemetry, trace and flight recorder the solver
+# goroutines write to, the sequence log behind the event, share, span and
+# sample streams, and the operators, solution and pareto packages whose
+# shared counters the parallel delta evaluator writes from several
+# goroutines), and the zero-allocation assertion on the disabled-telemetry
+# hot path.
 
 GO ?= go
 
@@ -25,7 +27,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/deme/... ./internal/cluster/... ./internal/telemetry/... ./internal/flight/... \
-	  ./internal/operators/... ./internal/solution/... ./internal/pareto/...
+	  ./internal/seqlog/... ./internal/trace/... ./internal/operators/... ./internal/solution/... ./internal/pareto/...
 	$(GO) test -race -count 1 -run 'TestShareSSEFanoutRace|TestShareIngressConcurrentSubscribers' ./internal/service/
 
 # allocs asserts the observability overhead contract: disabled-path
@@ -133,10 +135,11 @@ flaky-guard:
 	@tail -n 4 flaky-guard.log
 
 # fuzz-smoke runs each fuzz target for FUZZTIME (default 30s) on top of the
-# checked-in seed corpora. The checkpoint decoder's inputs are kilobytes
-# long and one journal seed is a megabytes-long line, so their new
-# interesting inputs get a short minimization budget — the 60s default
-# would spend the whole run minimizing.
+# checked-in seed corpora. The checkpoint decoder's inputs and the SSE
+# reader's pinned-stream seeds are kilobytes long and one journal seed is a
+# megabytes-long line, so their new interesting inputs get a short
+# minimization budget — the 60s default would spend the whole run
+# minimizing.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeltaMatchesApply -fuzztime $(FUZZTIME) ./internal/operators/
@@ -144,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzClusterMessages -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sse/
 
 # profile runs a short goroutine-backend asynchronous search with the
 # observability endpoints live and saves CPU and heap profiles next to a

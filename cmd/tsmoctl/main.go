@@ -28,7 +28,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	crand "crypto/rand"
 	"encoding/hex"
@@ -49,6 +48,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dynamic"
 	"repro/internal/service"
+	"repro/internal/sse"
 	"repro/internal/vrptw"
 )
 
@@ -784,9 +784,11 @@ type permanentError struct{ err error }
 func (e *permanentError) Error() string { return e.err.Error() }
 
 // streamOnce runs one SSE connection. It returns the last event Seq it
-// printed, whether a terminal lifecycle event (done/failed/canceled) was
-// seen — the server ends the stream right after delivering it — and the
-// transport error that cut the stream short, if any.
+// printed, whether a terminal event was seen — the server ends the stream
+// right after delivering it — and the transport error that cut the stream
+// short, if any. A terminal event is a done/failed/canceled lifecycle
+// event, or the recovered event of a job that was terminal when a durable
+// daemon restarted, which is all such a job's stream holds.
 func (c *client) streamOnce(id string, after int) (last int, terminal bool, err error) {
 	last = after
 	req, err := c.newReq(http.MethodGet, "/v1/jobs/"+id+"/events", nil)
@@ -810,16 +812,10 @@ func (c *client) streamOnce(id string, after int) (last int, terminal bool, err 
 		}
 		return last, false, &permanentError{err}
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue // ids, event names and keep-alives; data has it all
-		}
+	err = sse.Read(resp.Body, func(f sse.Frame) bool {
 		var ev service.Event
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-			continue
+		if err := json.Unmarshal(f.Data, &ev); err != nil {
+			return true
 		}
 		fields, err := json.Marshal(ev.Fields)
 		if err != nil {
@@ -827,10 +823,12 @@ func (c *client) streamOnce(id string, after int) (last int, terminal bool, err 
 		}
 		fmt.Fprintf(c.out, "%6d %s %-16s %s\n", ev.Seq, ev.TS.Format(time.TimeOnly), ev.Name, fields)
 		last = ev.Seq
-		switch ev.Name {
-		case string(service.StateDone), string(service.StateFailed), string(service.StateCanceled):
-			terminal = true
+		state := ev.Name
+		if state == "recovered" {
+			state, _ = ev.Fields["state"].(string) //nolint:errcheck // absent: not terminal
 		}
-	}
-	return last, terminal, sc.Err()
+		terminal = terminal || service.State(state).Terminal()
+		return true
+	})
+	return last, terminal, err
 }

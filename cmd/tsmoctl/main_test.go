@@ -179,6 +179,48 @@ func TestMutateCommand(t *testing.T) {
 	}
 }
 
+// TestFollowAfterDurableRestart follows a job that finished before its
+// durable daemon restarted. The job's stream then holds only its recovered
+// event, which events and a retried submit -idem -wait must take as
+// terminal instead of reconnecting until they give up.
+func TestFollowAfterDurableRestart(t *testing.T) {
+	cfg := service.Config{Workers: 1, DataDir: t.TempDir()}
+	serve := func() (string, func()) {
+		svc, err := service.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(svc.Handler())
+		return strings.TrimPrefix(srv.URL, "http://"), func() {
+			srv.Close()
+			svc.Close()
+		}
+	}
+	submit := []string{"submit", "-class", "R1", "-n", "40", "-evals", "1500", "-idem", "restart-key", "-wait"}
+	addr, stop := serve()
+	out, err := ctl(t, addr, submit...)
+	stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := strings.Fields(out)[1]
+
+	addr, stop = serve()
+	defer stop()
+	for _, args := range [][]string{{"events", id}, submit} {
+		out, err = ctl(t, addr, args...)
+		if err != nil {
+			t.Fatalf("%s after the restart: %v\n%s", args[0], err, out)
+		}
+		if !strings.Contains(out, "recovered") || !strings.Contains(out, `"state":"done"`) {
+			t.Errorf("%s after the restart printed no recovered done event:\n%s", args[0], out)
+		}
+	}
+	if !strings.Contains(out, "job "+id+" done") || !strings.Contains(out, `"solutions"`) {
+		t.Errorf("retried submit -wait did not return the recovered job and its result:\n%s", out)
+	}
+}
+
 func TestVersionFlag(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-version"}, &out); err != nil {

@@ -1,18 +1,17 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/service"
+	"repro/internal/sse"
 	"repro/internal/telemetry"
 )
 
@@ -235,44 +234,30 @@ func (g *gatherer) stream(shard int, peer string, cursor *int) (bool, error) {
 		return false, nil // 503 while migrating, 404 before registration: retry
 	}
 
-	var event, data string
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if done, err := g.dispatch(shard, peer, event, data, cursor); done || err != nil {
-				return done, err
-			}
-			event, data = "", ""
-		case strings.HasPrefix(line, "id: "):
-			if id, err := strconv.Atoi(line[len("id: "):]); err == nil {
-				*cursor = id
-			}
-		case strings.HasPrefix(line, "event: "):
-			event = line[len("event: "):]
-		case strings.HasPrefix(line, "data: "):
-			data = line[len("data: "):]
-		case strings.HasPrefix(line, ":"):
-			// keep-alive comment
+	done := false
+	err = sse.Read(resp.Body, func(f sse.Frame) bool {
+		if f.ID > 0 {
+			*cursor = f.ID
 		}
-	}
-	return false, sc.Err() // stream broke; reconnect from the cursor
+		done = g.dispatch(shard, peer, f)
+		return !done
+	})
+	return done, err // not done: the stream ended or broke; reconnect from the cursor
 }
 
-// dispatch folds one complete SSE frame into the peer's feed.
-func (g *gatherer) dispatch(shard int, peer, event, data string, cursor *int) (bool, error) {
-	switch event {
+// dispatch folds one complete SSE frame into the peer's feed and reports
+// whether it was the done frame.
+func (g *gatherer) dispatch(shard int, peer string, f sse.Frame) bool {
+	switch f.Event {
 	case "share":
 		var b core.ShareBatch
-		if err := json.Unmarshal([]byte(data), &b); err != nil {
+		if err := json.Unmarshal(f.Data, &b); err != nil {
 			g.shares.Get(peer).Bad()
-			return false, nil // counted; the stream goes on
+			return false // counted; the stream goes on
 		}
 		if b.Shard != shard || b.Epoch <= 0 {
 			g.shares.Get(peer).Bad()
-			return false, nil
+			return false
 		}
 		g.mu.Lock()
 		p := g.peers[shard]
@@ -282,10 +267,10 @@ func (g *gatherer) dispatch(shard int, peer, event, data string, cursor *int) (b
 		}
 		g.mu.Unlock()
 		g.shares.Get(peer).Batch(len(b.Solutions))
-		return false, nil
+		return false
 	case "done":
-		return true, nil
+		return true
 	default:
-		return false, nil
+		return false
 	}
 }

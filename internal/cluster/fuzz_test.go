@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sse"
 	"repro/internal/telemetry"
 	"repro/internal/vrptw"
 )
@@ -49,10 +50,8 @@ func FuzzClusterMessages(f *testing.F) {
 			peers:  map[int]*peerFeed{1: {epochs: make(map[int]core.ShareBatch)}},
 			notify: make(chan struct{}),
 		}
-		cursor := 0
-		done, err := g.dispatch(1, "shard-1", "share", string(data), &cursor)
-		if done || err != nil {
-			t.Fatalf("share dispatch must absorb hostile frames, got done=%v err=%v", done, err)
+		if g.dispatch(1, "shard-1", sse.Frame{Event: "share", Data: data}) {
+			t.Fatal("share dispatch must absorb hostile frames, got done")
 		}
 		accepted := len(g.peers[1].epochs) == 1
 		rejected := tel.Peers.Get("shard-1").Malformed.Load() == 1

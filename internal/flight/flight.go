@@ -1,9 +1,9 @@
-// Package flight is the search flight recorder: a bounded per-job ring of
-// the solver's periodic convergence samples (hypervolume, spacing, archive
-// sizes, best feasible distance and vehicles), annotated with per-operator
-// accept rates and mutation markers, that survives the job
-// and is queryable over HTTP (GET /v1/jobs/{id}/flight) and diffable
-// across runs by cmd/tsmo-compare.
+// Package flight is the search flight recorder's format: the solver's
+// periodic convergence samples (hypervolume, spacing, archive sizes, best
+// feasible distance and vehicles), annotated with per-operator accept
+// rates and mutation markers, that the solver service keeps per job, serves
+// over HTTP (GET /v1/jobs/{id}/flight) and cmd/tsmo-compare diffs across
+// runs.
 //
 // Samples carry only run-deterministic fields — evaluation counts,
 // modeled time, front metrics — never wall-clock timestamps, so two
@@ -16,9 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/telemetry"
 )
@@ -91,57 +89,9 @@ type Recording struct {
 	Samples     []Sample `json:"samples"`
 }
 
-// DefaultRingCap bounds the sample ring when NewRing is given a
-// non-positive capacity.
+// DefaultRingCap bounds the samples a job's flight recording keeps, the
+// newest ones.
 const DefaultRingCap = 1024
-
-// Ring is a bounded overwrite-oldest sample ring, safe for concurrent
-// Observe and Snapshot. It grows by append up to its capacity, so a short
-// run holds only the samples it took. All methods are nil-safe so an
-// unwired recorder costs callers one branch.
-type Ring struct {
-	mu      sync.Mutex
-	ring    []Sample
-	ringCap int
-	head    int // oldest sample once the ring is full, else 0
-	dropped int64
-}
-
-// NewRing returns a ring retaining the last cap samples (DefaultRingCap
-// when cap <= 0).
-func NewRing(cap int) *Ring {
-	if cap <= 0 {
-		cap = DefaultRingCap
-	}
-	return &Ring{ringCap: cap}
-}
-
-// Observe appends one sample, overwriting the oldest on overflow.
-func (r *Ring) Observe(s Sample) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if len(r.ring) < r.ringCap {
-		r.ring = append(r.ring, s)
-	} else {
-		r.ring[r.head] = s
-		r.head = (r.head + 1) % len(r.ring)
-		r.dropped++
-	}
-	r.mu.Unlock()
-}
-
-// Snapshot returns the retained samples in observation order plus the
-// count dropped by overflow.
-func (r *Ring) Snapshot() ([]Sample, int64) {
-	if r == nil {
-		return nil, 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return slices.Concat(r.ring[r.head:], r.ring[:r.head]), r.dropped
-}
 
 // DeltaRow is one aligned interval of a recording diff: the two runs'
 // samples at the same evaluation count.

@@ -6,7 +6,6 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -15,77 +14,6 @@ import (
 // sample returns a flight sample at the given evaluation count.
 func sample(evals int) Sample {
 	return Sample{ConvergenceSample: telemetry.ConvergenceSample{Evals: evals}}
-}
-
-func TestRingOrderAndOverflow(t *testing.T) {
-	r := NewRing(4)
-	for i := 1; i <= 7; i++ {
-		r.Observe(sample(i * 100))
-	}
-	got, dropped := r.Snapshot()
-	if dropped != 3 {
-		t.Errorf("dropped = %d, want 3", dropped)
-	}
-	if len(got) != 4 {
-		t.Fatalf("retained %d, want 4", len(got))
-	}
-	for i, s := range got {
-		if want := (4 + i) * 100; s.Evals != want {
-			t.Errorf("sample %d evals = %d, want %d", i, s.Evals, want)
-		}
-	}
-}
-
-func TestRingNilSafe(t *testing.T) {
-	var r *Ring
-	r.Observe(sample(1))
-	if s, d := r.Snapshot(); s != nil || d != 0 {
-		t.Error("nil ring snapshot not empty")
-	}
-}
-
-// TestRingConcurrentRoundTrip is the -race round-trip gate from the issue:
-// concurrent observers and snapshotters must neither race nor lose counts
-// — every observation is either retained or accounted as dropped.
-func TestRingConcurrentRoundTrip(t *testing.T) {
-	r := NewRing(64)
-	const writers, perWriter = 8, 500
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				sm := sample(g*perWriter + i)
-				sm.AcceptRates = map[string]float64{"2opt": 0.5}
-				r.Observe(sm)
-			}
-		}(g)
-	}
-	stop := make(chan struct{})
-	var snapWG sync.WaitGroup
-	snapWG.Add(1)
-	go func() {
-		defer snapWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				if s, _ := r.Snapshot(); len(s) > 64 {
-					t.Error("snapshot exceeds ring capacity")
-					return
-				}
-			}
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	snapWG.Wait()
-	got, dropped := r.Snapshot()
-	if len(got)+int(dropped) != writers*perWriter {
-		t.Errorf("retained %d + dropped %d != observed %d", len(got), dropped, writers*perWriter)
-	}
 }
 
 func mkRecording(hvs ...float64) Recording {

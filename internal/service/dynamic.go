@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dynamic"
+	"repro/internal/telemetry"
 	"repro/internal/tenant"
 	"repro/internal/vrptw"
 )
@@ -164,11 +165,9 @@ func (s *Service) MutateAs(caller, id string, epoch int, muts []dynamic.Mutation
 	// A batch accepted just before the job turned terminal will never be
 	// applied; that is harmless — it was journaled, but recovery drops
 	// mutate records for terminal jobs during compaction.
-	j.mu.Lock()
-	j.appendEventLocked("mutation_scheduled", map[string]any{
+	j.emit(telemetry.Record{Kind: "mutation_scheduled", Values: map[string]any{
 		"job": j.ID, "epoch": committed, "mutations": len(muts),
-	})
-	j.mu.Unlock()
+	}})
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Info("mutations scheduled", "job", j.ID, "epoch", committed, "mutations", len(muts))
 	}

@@ -5,12 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/flight"
+	"repro/internal/seqlog"
+	"repro/internal/sse"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
 	"repro/internal/trace"
@@ -425,7 +429,7 @@ func (s *Service) handleFlight(w http.ResponseWriter, r *http.Request) {
 		Algorithm:   j.alg.String(),
 		Seed:        int64(j.cfg.Seed),
 		SampleEvery: j.cfg.SampleEvery,
-		Dropped:     dropped,
+		Dropped:     int64(dropped),
 		Samples:     samples,
 	})
 }
@@ -468,7 +472,7 @@ func (s *Service) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleShares streams one shard's outbound share batches as Server-Sent
-// Events. Each batch carries its feed index as the SSE id, so a sibling
+// Events. Each batch carries its feed number as the SSE id, so a sibling
 // that reconnects — directly or through the coordinator's proxy after a
 // migration — resumes with Last-Event-ID (or the after query parameter)
 // and misses nothing. A final `done` event announces that the shard will
@@ -481,76 +485,38 @@ func (s *Service) handleShares(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed share address %q/%q", group, r.PathValue("shard")))
 		return
 	}
-	flusher, ok := w.(http.Flusher)
+	streamLog(w, r, s.stop, s.shares.feed(group, shard), func(_ int, b core.ShareBatch) (string, any) {
+		return "share", b
+	}, &sse.Frame{Event: "done", Data: []byte("{}")})
+}
+
+// handleEvents streams the job's events as Server-Sent Events, each with
+// its Seq as the SSE id, so a dropped client resumes by replaying with
+// Last-Event-ID (or the after query parameter). The stream ends once the
+// job is terminal and all retained events have been delivered.
+func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
+	j, ok := s.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("response writer does not support streaming"))
 		return
 	}
-	after := 0
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		after, _ = strconv.Atoi(v) //nolint:errcheck // malformed id restarts the stream
-	} else if v := r.URL.Query().Get("after"); v != "" {
-		after, _ = strconv.Atoi(v) //nolint:errcheck // as above
-	}
-	feed := s.shares.feed(group, shard)
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	heartbeat := time.NewTicker(sseHeartbeat)
-	defer heartbeat.Stop()
-	for {
-		batches, notify, total, done := feed.since(after)
-		for i, b := range batches {
-			data, err := json.Marshal(b)
-			if err != nil {
-				continue
-			}
-			idx := after + i + 1 // 1-based: id N means "N batches delivered"
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: share\ndata: %s\n\n", idx, data); err != nil {
-				return
-			}
-		}
-		after += len(batches)
-		if len(batches) > 0 {
-			flusher.Flush()
-		}
-		if done && after >= total {
-			fmt.Fprint(w, "event: done\ndata: {}\n\n") //nolint:errcheck // client gone
-			flusher.Flush()
-			return
-		}
-		select {
-		case <-notify:
-		case <-heartbeat.C:
-			if _, err := fmt.Fprint(w, ": keep-alive\n\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		case <-s.stop:
-			return
-		}
-	}
+	streamLog(w, r, s.stop, j.events, func(seq int, e jobEvent) (string, any) {
+		name, fields := e.ev.Render()
+		return name, Event{Seq: seq, TS: e.ts, Name: name, Fields: fields}
+	}, nil)
 }
 
 // sseHeartbeat is how often an idle event stream emits a keep-alive
 // comment; variable so tests can shrink it.
 var sseHeartbeat = 15 * time.Second
 
-// handleEvents streams the job's events as Server-Sent Events. Each event
-// carries its Seq as the SSE id, so a dropped client resumes by replaying
-// with Last-Event-ID (or the after query parameter). The stream ends once
-// the job is terminal and all buffered events have been delivered.
-func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
+// streamLog serves a log as Server-Sent Events: the one writer of the job
+// event stream and the share feed. The client resumes after the last id it
+// saw, sent as Last-Event-ID or the after query parameter. frame gives each
+// entry's event name and the value its data encodes as JSON; an entry that
+// does not encode is skipped. Once the log is finished and the client has
+// caught up, the stream writes end, if any, and closes.
+func streamLog[T any](w http.ResponseWriter, r *http.Request, stop <-chan struct{}, log *seqlog.Log[T],
+	frame func(seq int, v T) (event string, data any), end *sse.Frame) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, errors.New("response writer does not support streaming"))
@@ -572,33 +538,37 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	heartbeat := time.NewTicker(sseHeartbeat)
 	defer heartbeat.Stop()
 	for {
-		evs, notify, lastSeq, terminal := j.eventsSince(after)
-		for _, e := range evs {
-			data, err := json.Marshal(e)
+		entries, first, done, wake := log.Since(after)
+		for i, v := range entries {
+			event, payload := frame(first+i, v)
+			data, err := json.Marshal(payload)
 			if err != nil {
 				continue
 			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Name, data); err != nil {
+			if err := sse.Write(w, sse.Frame{ID: first + i, Event: event, Data: data}); err != nil {
 				return
 			}
-			after = e.Seq
 		}
-		if len(evs) > 0 {
+		if len(entries) > 0 {
+			after = first + len(entries) - 1
 			flusher.Flush()
 		}
-		if terminal && after >= lastSeq {
+		if done {
+			if end != nil && sse.Write(w, *end) == nil {
+				flusher.Flush()
+			}
 			return
 		}
 		select {
-		case <-notify:
+		case <-wake:
 		case <-heartbeat.C:
-			if _, err := fmt.Fprint(w, ": keep-alive\n\n"); err != nil {
+			if _, err := io.WriteString(w, ": keep-alive\n\n"); err != nil {
 				return
 			}
 			flusher.Flush()
 		case <-r.Context().Done():
 			return
-		case <-s.stop:
+		case <-stop:
 			return
 		}
 	}

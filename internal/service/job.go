@@ -13,6 +13,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/metrics"
 	"repro/internal/resultio"
+	"repro/internal/seqlog"
 	"repro/internal/solution"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
@@ -168,14 +169,22 @@ func (p FrontPoint) objectives() solution.Objectives {
 	return solution.Objectives{Distance: p.Distance, Vehicles: p.Vehicles, Tardiness: p.Tardiness}
 }
 
-// maxEvents bounds a job's retained event buffer. Older events are dropped
+// maxEvents bounds a job's retained event log. Older events are dropped
 // oldest-first; an SSE resume pointing before the retained window restarts
 // from the oldest retained event.
 const maxEvents = 16384
 
-// jobTraceRingCap bounds a job's completed-span ring, which grows on
+// jobEvent is one entry of a job's event log: a typed solver event, or a
+// lifecycle event as a telemetry.Record, and when it was appended. Its wire
+// form, an Event, is rendered only when a subscriber reads it.
+type jobEvent struct {
+	ts time.Time
+	ev telemetry.Event
+}
+
+// jobTraceRingCap bounds a job's completed-span log, which grows on
 // demand up to it. It is smaller than trace.DefaultRingCap because every
-// retained job keeps its ring; long parallel runs overflow it by dropping
+// retained job keeps its spans; long parallel runs overflow it by dropping
 // the oldest eval-shard leaves while the long-lived lifecycle spans — which
 // end last — always survive.
 const jobTraceRingCap = 1024
@@ -204,12 +213,14 @@ type Job struct {
 
 	// tr is the job's span recorder; rootSpan ("job") covers the whole
 	// lifecycle and parents every other span, queueSpan ("queue") the
-	// submit-to-start wait. fr is the flight recorder, fed by the solver's
-	// periodic snapshot events.
+	// submit-to-start wait. fr is the flight recording, fed by the solver's
+	// periodic snapshot events. events is the event log the SSE stream
+	// serves, finished once the job is terminal.
 	tr        *trace.Trace
 	rootSpan  *trace.Span
 	queueSpan *trace.Span
-	fr        *flight.Ring
+	fr        *seqlog.Log[flight.Sample]
+	events    *seqlog.Log[jobEvent]
 
 	// resume is the checkpoint a re-queued (journal recovery) or migrated
 	// (JobSpec.Resume) job continues from, set before the job is reachable
@@ -254,10 +265,6 @@ type Job struct {
 	started    time.Time
 	finished   time.Time
 	errText    string
-	events     []Event
-	firstSeq   int // Seq of events[0]
-	lastSeq    int
-	notify     chan struct{}
 	front      []FrontPoint
 	hvRef      solution.Objectives
 	haveRef    bool
@@ -316,7 +323,7 @@ func jobFromSpec(spec JobSpec, limits *Config, instName string) (*Job, error) {
 	j := &Job{
 		Spec:     spec,
 		state:    StateQueued,
-		notify:   make(chan struct{}),
+		events:   seqlog.New[jobEvent](maxEvents),
 		backend:  spec.Backend,
 		instName: instName,
 	}
@@ -430,7 +437,7 @@ func jobFromSpec(spec JobSpec, limits *Config, instName string) (*Job, error) {
 
 	// A per-job telemetry layer with an event hook: the solver's stream
 	// events (archive_accept, init, restart, decision, ...) feed the
-	// job's event buffer and live front mirror. The layer carries no
+	// job's event log and live front mirror. The layer carries no
 	// logger or JSONL writer, so instruments stay cheap.
 	j.tel = telemetry.New(nil, nil)
 	j.tel.SetHook(j.observe)
@@ -452,7 +459,7 @@ func jobFromSpec(spec JobSpec, limits *Config, instName string) (*Job, error) {
 	}
 
 	// Every job is traced: the recorder costs nothing until spans are
-	// recorded, and the ring grows lazily. A submitted traceparent makes
+	// recorded, and its span log grows lazily. A submitted traceparent makes
 	// the job's "job" span a child of the caller's span; otherwise the
 	// job roots its own trace.
 	if spec.Traceparent != "" {
@@ -465,7 +472,7 @@ func jobFromSpec(spec JobSpec, limits *Config, instName string) (*Job, error) {
 		SetAttr("algorithm", j.alg.String()).
 		SetAttr("backend", j.backend).
 		SetInt("seed", int64(j.cfg.Seed))
-	j.fr = flight.NewRing(0)
+	j.fr = seqlog.New[flight.Sample](flight.DefaultRingCap)
 
 	j.ctx, j.cancel = context.WithCancel(context.Background())
 	// The solver picks the trace up from the context: core.RunContext
@@ -476,8 +483,8 @@ func jobFromSpec(spec JobSpec, limits *Config, instName string) (*Job, error) {
 
 // observe is the telemetry event hook. It runs on solver goroutines while
 // the job is running, so everything it touches is guarded by j.mu. The
-// typed solver events feed the live front mirror and the flight recorder;
-// every event is rendered once into the job's event buffer.
+// typed solver events feed the live front mirror and the flight recorder,
+// and every event goes into the job's event log as it is.
 func (j *Job) observe(ev telemetry.Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -510,9 +517,9 @@ func (j *Job) observe(ev telemetry.Event) {
 				}
 			}
 		}
-		j.fr.Observe(sm)
+		j.fr.Append(sm)
 	}
-	j.appendEventLocked(ev.Render())
+	j.emit(ev)
 }
 
 // mutationApplied observes one applied mutation epoch (the schedule's
@@ -523,7 +530,7 @@ func (j *Job) observe(ev telemetry.Event) {
 func (j *Job) mutationApplied(rep dynamic.Report) {
 	j.mu.Lock()
 	j.pendingMarker = fmt.Sprintf("mutation@%d", rep.Epoch)
-	j.appendEventLocked("mutations", map[string]any{
+	j.emit(telemetry.Record{Kind: "mutations", Values: map[string]any{
 		"job":             j.ID,
 		"epoch":           rep.Epoch,
 		"applied":         rep.Applied,
@@ -532,7 +539,7 @@ func (j *Job) mutationApplied(rep dynamic.Report) {
 		"invalidated":     rep.Invalidated,
 		"pending_dropped": rep.PendingDropped,
 		"splice_seconds":  rep.Seconds,
-	})
+	}})
 	j.mu.Unlock()
 }
 
@@ -557,37 +564,9 @@ func (j *Job) insertPointLocked(pt FrontPoint) {
 	j.front = append(kept, pt)
 }
 
-// appendEventLocked appends to the bounded event buffer and wakes every
-// stream subscriber by closing and replacing the notify channel.
-func (j *Job) appendEventLocked(name string, fields map[string]any) {
-	j.lastSeq++
-	j.events = append(j.events, Event{Seq: j.lastSeq, TS: time.Now(), Name: name, Fields: fields})
-	if len(j.events) > maxEvents {
-		drop := len(j.events) - maxEvents
-		j.events = append(j.events[:0], j.events[drop:]...)
-	}
-	if len(j.events) > 0 {
-		j.firstSeq = j.events[0].Seq
-	}
-	close(j.notify)
-	j.notify = make(chan struct{})
-}
-
-// eventsSince returns a copy of the retained events with Seq > after, a
-// channel closed on the next event, the last assigned Seq, and whether the
-// job is terminal (no further events will follow those returned).
-func (j *Job) eventsSince(after int) (evs []Event, notify <-chan struct{}, lastSeq int, terminal bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if after < j.firstSeq-1 {
-		after = j.firstSeq - 1 // resume window fell off the buffer
-	}
-	for _, e := range j.events {
-		if e.Seq > after {
-			evs = append(evs, e)
-		}
-	}
-	return evs, j.notify, j.lastSeq, j.state.Terminal()
+// emit appends one event to the job's event log, waking its subscribers.
+func (j *Job) emit(ev telemetry.Event) {
+	j.events.Append(jobEvent{ts: time.Now(), ev: ev})
 }
 
 // Status is the JSON body of GET /v1/jobs/{id}: job identity and state,
@@ -669,7 +648,7 @@ func (j *Job) Status() Status {
 		EvalWorkers:  j.cfg.EvalWorkers,
 		SubmittedAt:  j.submitted,
 		Error:        j.errText,
-		LastEventSeq: j.lastSeq,
+		LastEventSeq: j.events.Last(),
 		Front:        append([]FrontPoint(nil), j.front...),
 	}
 	if !j.started.IsZero() {
@@ -763,7 +742,7 @@ func (j *Job) begin() bool {
 	j.state = StateRunning
 	j.started = time.Now()
 	j.queueSpan.End()
-	j.appendEventLocked("started", map[string]any{"job": j.ID})
+	j.emit(telemetry.Record{Kind: "started", Values: map[string]any{"job": j.ID}})
 	return true
 }
 
@@ -796,8 +775,8 @@ func (j *Job) finish(res *core.Result, err error) {
 
 // terminalLocked performs the one-and-only transition into a terminal
 // state: stamps the finish time, drops what only a run needs, emits the
-// lifecycle event, releases the job's context, and tells the service the
-// job is finished.
+// lifecycle event and finishes the event log, releases the job's context,
+// and tells the service the job is finished.
 func (j *Job) terminalLocked(state State, fields map[string]any) {
 	if j.state.Terminal() {
 		return
@@ -805,7 +784,8 @@ func (j *Job) terminalLocked(state State, fields map[string]any) {
 	j.state = state
 	j.finished = time.Now()
 	j.dropRunState()
-	j.appendEventLocked(string(state), fields)
+	j.emit(telemetry.Record{Kind: string(state), Values: fields})
+	j.events.Finish()
 	j.doneOnce.Do(func() {
 		j.cancel()
 		// Seal the lifecycle spans: the queue span (idempotent — begin
@@ -826,7 +806,7 @@ func (j *Job) terminalLocked(state State, fields map[string]any) {
 				// without ever starting (canceled while queued — a work
 				// steal, say) has no cleanup, and an unfinished feed
 				// strands sibling subscribers on a silent stream forever.
-				j.svc.shares.feed(j.Spec.ShareGroup, j.Spec.ShareShard).finish()
+				j.svc.shares.feed(j.Spec.ShareGroup, j.Spec.ShareShard).Finish()
 			}
 			// Fold this job's final telemetry into the service-wide
 			// Prometheus aggregation and record the SLO observations

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/resultio"
+	"repro/internal/telemetry"
 )
 
 // Open starts a Service. With cfg.DataDir set the service is durable: job
@@ -167,9 +168,8 @@ func (s *Service) replay(recs []journalRecord) []*Job {
 					j.front = append(j.front, pt)
 				}
 			}
-			j.mu.Lock()
-			j.appendEventLocked("recovered", map[string]any{"job": id, "state": string(rj.state)})
-			j.mu.Unlock()
+			j.emit(telemetry.Record{Kind: "recovered", Values: map[string]any{"job": id, "state": string(rj.state)}})
+			j.events.Finish()
 			s.recovered++
 		} else {
 			// Queued or mid-run at the crash: back on the queue, resuming
@@ -192,9 +192,7 @@ func (s *Service) replay(recs []journalRecord) []*Job {
 			if j.resume != nil {
 				fields["barrier"] = j.resume.Barrier
 			}
-			j.mu.Lock()
-			j.appendEventLocked("requeued", fields)
-			j.mu.Unlock()
+			j.emit(telemetry.Record{Kind: "requeued", Values: fields})
 			requeue = append(requeue, j)
 			s.requeued++
 		}

@@ -323,10 +323,8 @@ func (s *Service) SubmitAs(tn string, spec JobSpec) (*Job, error) {
 	// send must happen-after the ID/submitted writes, the "queued" event,
 	// and jobWG.Add — otherwise a fast job could observe half-built state
 	// or call jobWG.Done before the Add.
-	j.mu.Lock()
-	j.appendEventLocked("queued", map[string]any{"job": j.ID, "instance": j.instName,
-		"algorithm": j.alg.String(), "tenant": tn, "lane": tn})
-	j.mu.Unlock()
+	j.emit(telemetry.Record{Kind: "queued", Values: map[string]any{"job": j.ID, "instance": j.instName,
+		"algorithm": j.alg.String(), "tenant": tn, "lane": tn}})
 	s.jobWG.Add(1)
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
@@ -657,7 +655,7 @@ func (s *Service) armShares(j *Job) (func(), error) {
 	}
 	j.cfg.Share = &jobExchange{shard: j.Spec.ShareShard, feed: feed, gather: g}
 	return func() {
-		feed.finish()
+		feed.Finish()
 		if g != nil {
 			g.Close()
 		}

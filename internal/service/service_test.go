@@ -103,13 +103,14 @@ func TestJobRunsToCompletion(t *testing.T) {
 	if res := j.Result(); res == nil || len(res.Solutions) == 0 {
 		t.Error("done job has no stored result")
 	}
-	evs, _, _, terminal := j.eventsSince(0)
+	evs, _, terminal, _ := j.events.Since(0)
 	if !terminal {
 		t.Error("done job not marked terminal in its event stream")
 	}
 	var names []string
 	for _, e := range evs {
-		names = append(names, e.Name)
+		name, _ := e.ev.Render()
+		names = append(names, name)
 	}
 	joined := strings.Join(names, ",")
 	for _, want := range []string{"queued", "started", "init", "archive_accept", "done"} {

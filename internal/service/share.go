@@ -1,10 +1,12 @@
 // Cross-node share plumbing: the service side of core.ShareExchange.
 //
-// Every cluster-share job owns one shareFeed — the ordered list of
-// ShareBatch values its searcher has published, replayable by index so SSE
+// Every cluster-share job owns one share feed — an unbounded log of the
+// ShareBatch values its searcher has published, numbered from 1 so SSE
 // subscribers (sibling shards on other nodes, reached through the
 // coordinator's share proxy) resume with an `after` cursor exactly like
-// the job event stream. The gather half is pluggable: Config.ShareDial
+// the job event stream. The feed is finished when the job turns terminal:
+// the signal that tells subscribers no further epochs will ever arrive
+// from this shard. The gather half is pluggable: Config.ShareDial
 // returns a ShareGatherer that collects the sibling batches of an epoch,
 // typically internal/cluster's SSE gatherer. The service itself never
 // dials anything, keeping the service → cluster dependency one-way.
@@ -17,6 +19,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/seqlog"
 )
 
 // ShareGatherer collects sibling-shard batches for a cluster-share job.
@@ -30,88 +33,17 @@ type ShareGatherer interface {
 	Close()
 }
 
-// shareFeed is one job's outbound share stream: the batches published so
-// far (index-addressable, so subscribers resume by position), a notify
-// channel closed and replaced on every append, and a done flag raised when
-// the job turns terminal — the signal that tells subscribers no further
-// epochs will ever arrive from this shard.
-type shareFeed struct {
-	mu      sync.Mutex
-	batches []core.ShareBatch
-	notify  chan struct{}
-	done    bool
-}
-
-func newShareFeed() *shareFeed {
-	return &shareFeed{notify: make(chan struct{})}
-}
-
-// publish appends one batch and wakes the subscribers.
-func (f *shareFeed) publish(b core.ShareBatch) {
-	f.mu.Lock()
-	f.batches = append(f.batches, b)
-	close(f.notify)
-	f.notify = make(chan struct{})
-	f.mu.Unlock()
-}
-
-// prime replays a checkpointed publish history into the feed — the resume
-// path of a migrated job. The restored trajectory republishes the epochs
-// after the checkpoint bit-identically, so indices and contents line up
-// with what subscribers saw from the previous incarnation.
-func (f *shareFeed) prime(history []core.ShareBatch) {
-	f.mu.Lock()
-	if len(history) > len(f.batches) {
-		f.batches = append([]core.ShareBatch(nil), history...)
-		close(f.notify)
-		f.notify = make(chan struct{})
-	}
-	f.mu.Unlock()
-}
-
-// history snapshots the published batches for checkpoint capture.
-func (f *shareFeed) history() []core.ShareBatch {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]core.ShareBatch(nil), f.batches...)
-}
-
-// since returns the batches at index >= after, a channel closed on the
-// next append, the total published count, and whether the feed is done.
-func (f *shareFeed) since(after int) (batches []core.ShareBatch, notify <-chan struct{}, total int, done bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if after < 0 {
-		after = 0
-	}
-	if after < len(f.batches) {
-		batches = append(batches, f.batches[after:]...)
-	}
-	return batches, f.notify, len(f.batches), f.done
-}
-
-// finish marks the feed complete and wakes the subscribers. Idempotent.
-func (f *shareFeed) finish() {
-	f.mu.Lock()
-	if !f.done {
-		f.done = true
-		close(f.notify)
-		f.notify = make(chan struct{})
-	}
-	f.mu.Unlock()
-}
-
 // shareHub registers the node's share feeds by (group, shard). Feeds are
 // created lazily by publisher and subscriber alike — a sibling may dial in
 // before the local job has started — and live until the owning job is
 // evicted.
 type shareHub struct {
 	mu    sync.Mutex
-	feeds map[string]*shareFeed
+	feeds map[string]*seqlog.Log[core.ShareBatch]
 }
 
 func newShareHub() *shareHub {
-	return &shareHub{feeds: make(map[string]*shareFeed)}
+	return &shareHub{feeds: make(map[string]*seqlog.Log[core.ShareBatch])}
 }
 
 func shareKey(group string, shard int) string {
@@ -119,13 +51,13 @@ func shareKey(group string, shard int) string {
 }
 
 // feed returns the feed for (group, shard), creating it on first use.
-func (h *shareHub) feed(group string, shard int) *shareFeed {
+func (h *shareHub) feed(group string, shard int) *seqlog.Log[core.ShareBatch] {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	key := shareKey(group, shard)
 	f, ok := h.feeds[key]
 	if !ok {
-		f = newShareFeed()
+		f = seqlog.New[core.ShareBatch](0)
 		h.feeds[key] = f
 	}
 	return f
@@ -140,17 +72,17 @@ func (h *shareHub) drop(group string, shard int) {
 
 // jobExchange adapts one job's feed plus its dialed gatherer to
 // core.ShareExchange. Publish stamps the shard index; History and Prime
-// delegate to the feed so checkpoints carry the publish history across a
-// migration.
+// read and extend the feed so checkpoints carry the publish history across
+// a migration.
 type jobExchange struct {
 	shard  int
-	feed   *shareFeed
+	feed   *seqlog.Log[core.ShareBatch]
 	gather ShareGatherer // nil for a single-shard group: nothing to gather
 }
 
 func (x *jobExchange) Publish(b core.ShareBatch) error {
 	b.Shard = x.shard
-	x.feed.publish(b)
+	x.feed.Append(b)
 	return nil
 }
 
@@ -161,9 +93,20 @@ func (x *jobExchange) Gather(ctx context.Context, epoch int) ([]core.ShareBatch,
 	return x.gather.Gather(ctx, epoch)
 }
 
-func (x *jobExchange) History() []core.ShareBatch { return x.feed.history() }
+func (x *jobExchange) History() []core.ShareBatch {
+	h, _ := x.feed.Snapshot()
+	return h
+}
 
-func (x *jobExchange) Prime(history []core.ShareBatch) { x.feed.prime(history) }
+// Prime appends the epochs of a checkpointed publish history the feed
+// lacks — the resume path of a migrated job. The restored trajectory
+// republishes the epochs after the checkpoint bit-identically, so numbers
+// and contents line up with what subscribers saw before.
+func (x *jobExchange) Prime(history []core.ShareBatch) {
+	for _, b := range history[min(x.feed.Last(), len(history)):] {
+		x.feed.Append(b)
+	}
+}
 
 // validateShareSpec checks the cluster-share fields of a JobSpec against
 // the service configuration. Zero-valued fields mean the job does not

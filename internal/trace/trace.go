@@ -1,5 +1,5 @@
 // Package trace is a zero-dependency span recorder for request-scoped
-// causality: a Trace owns a bounded ring of completed spans, spans carry a
+// causality: a Trace owns a bounded log of completed spans, spans carry a
 // parent link, wall-clock start/end and a handful of attributes, and the
 // whole trace exports as OTLP-compatible JSON (otlp.go) so any external
 // collector can ingest runs unmodified.
@@ -14,10 +14,10 @@ import (
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/seqlog"
 )
 
 // TraceID is the 16-byte W3C trace identifier.
@@ -76,9 +76,9 @@ type Span struct {
 const DefaultRingCap = 4096
 
 // Trace is one trace: an ID, the remote parent span (if the trace was
-// continued from a traceparent header), and a bounded overwrite-oldest
-// ring of completed spans. The ring grows by append up to its capacity,
-// so a trace that records few spans holds few.
+// continued from a traceparent header), and a bounded log of completed
+// spans that keeps the newest and grows on demand up to its capacity, so
+// a trace that records few spans holds few.
 type Trace struct {
 	id     TraceID
 	remote SpanID // parent span from an incoming traceparent, if any
@@ -87,11 +87,7 @@ type Trace struct {
 	seed uint64 // random base XORed into the span-ID counter
 	next atomic.Uint64
 
-	mu      sync.Mutex
-	ring    []SpanData
-	ringCap int
-	head    int // oldest span once the ring is full, else 0
-	dropped int64
+	spans *seqlog.Log[SpanData]
 }
 
 // New returns a fresh trace with a random ID and a completed-span ring of
@@ -103,12 +99,11 @@ func New(ringCap int) *Trace {
 		// fixed-but-valid ID rather than panicking in an observability layer.
 		copy(b[:], "tsmo-trace-fallback-seed")
 	}
-	t := &Trace{flags: 0x01, seed: binary.LittleEndian.Uint64(b[16:])}
-	copy(t.id[:], b[:16])
 	if ringCap <= 0 {
 		ringCap = DefaultRingCap
 	}
-	t.ringCap = ringCap
+	t := &Trace{flags: 0x01, seed: binary.LittleEndian.Uint64(b[16:]), spans: seqlog.New[SpanData](ringCap)}
+	copy(t.id[:], b[:16])
 	return t
 }
 
@@ -213,7 +208,10 @@ func (s *Span) EndAt(at time.Time) {
 	if s == nil || s.ended.Swap(true) {
 		return
 	}
-	s.tr.record(SpanData{
+	// A full log drops its oldest span. That loses leaf phase spans before
+	// lifecycle spans, because the long-lived job/run spans end last and so
+	// land last.
+	s.tr.spans.Append(SpanData{
 		ID:     s.id,
 		Parent: s.parent,
 		Name:   s.name,
@@ -223,28 +221,12 @@ func (s *Span) EndAt(at time.Time) {
 	})
 }
 
-// record deposits a completed span, overwriting the oldest when the ring
-// is full. Dropping oldest-first loses leaf phase spans before lifecycle
-// spans, because the long-lived job/run spans end last and so land last.
-func (t *Trace) record(d SpanData) {
-	t.mu.Lock()
-	if len(t.ring) < t.ringCap {
-		t.ring = append(t.ring, d)
-	} else {
-		t.ring[t.head] = d
-		t.head = (t.head + 1) % len(t.ring)
-		t.dropped++
-	}
-	t.mu.Unlock()
-}
-
 // Snapshot returns the completed spans in completion order plus the count
 // of spans dropped by ring overflow. Nil-safe (returns nil, 0).
 func (t *Trace) Snapshot() ([]SpanData, int64) {
 	if t == nil {
 		return nil, 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return slices.Concat(t.ring[t.head:], t.ring[:t.head]), t.dropped
+	spans, dropped := t.spans.Snapshot()
+	return spans, int64(dropped)
 }
