@@ -13,8 +13,9 @@ func (f shareFeed) publish(b core.ShareBatch) { f.hub.feed("ingress", 0).Append(
 
 func (f shareFeed) finish() { f.hub.feed("ingress", 0).Finish() }
 
-// since returns the batches after the cursor, a channel closed on the next
-// publish or finish, the number published and whether the feed is done.
+// since returns the batches after the cursor, a channel closed once there
+// is more to read or the feed is done, the number published and whether
+// the feed is done.
 func (f shareFeed) since(after int) (batches []core.ShareBatch, notify <-chan struct{}, total int, done bool) {
 	l := f.hub.feed("ingress", 0)
 	batches, _, done, notify = l.Since(after)
