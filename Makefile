@@ -43,13 +43,17 @@ allocs:
 # bench-smoke is the candidate engine's fast perf gate: the zero-alloc
 # assertions on the sweep (full and granular) and the searcher's generate
 # path, plus one untimed pass over the 400-customer benchmarks so a broken
-# benchmark fails here. Timed measurements are scripts/tsmobench's job.
+# benchmark fails here. Timed measurements are scripts/tsmobench's job;
+# its own module's smoke test runs all four workloads at toy scale with
+# their output checks, so a change to an API the benchmark compiles
+# against fails here, not in the next benchmark run.
 bench-smoke:
 	$(GO) test -run 'TestCandidatesZeroAlloc|TestGranularSweepDeterministic' -count 1 -v ./internal/operators/
 	$(GO) test -run 'TestGenerateZeroAlloc' -count 1 -v ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkCandidatesInto400|BenchmarkCandidatesGranular400' \
 	  -benchtime 1x ./internal/operators/
 	$(GO) test -run '^$$' -bench 'BenchmarkSearcherIteration' -benchtime 1x ./internal/core/
+	cd scripts/tsmobench && $(GO) test -count 1 ./...
 
 # metrics-lint boots a real tsmod daemon on an ephemeral port, pushes one
 # traced job through it, scrapes GET /metrics twice, and lints the
@@ -148,6 +152,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sse/
+	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/trace/
 
 # profile runs a short goroutine-backend asynchronous search with the
 # observability endpoints live and saves CPU and heap profiles next to a

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"time"
 
 	"repro/internal/construct"
 	"repro/internal/deme"
@@ -85,6 +87,10 @@ type searcher struct {
 	samples    []telemetry.ConvergenceSample
 	lastSample int
 
+	// yielded is the wall time of the searcher's last yield, zero before
+	// its first step.
+	yielded time.Time
+
 	// Reusable hot-path storage, all owned by this searcher: the
 	// generator's candidate buffer, the assembled candidate set, the
 	// incrementally-maintained non-dominated front over it, and the
@@ -119,6 +125,13 @@ type searcher struct {
 // span — small enough to localize a stall, large enough to stay within
 // the <=3% enabled-tracing budget (scripts/tsmobench: trace.overhead_pct).
 const sweepBatchIters = 128
+
+// yieldEvery is the wall time a searcher runs between two yields of its
+// processor (see yield). Every iteration would be too often: Gosched puts
+// the searcher on the global run queue and wakes an idle processor, so a
+// searcher with a processor to spare hops between processors; at 500 µs
+// that still cost a daemon job 9% of its evaluation rate (DESIGN §9).
+const yieldEvery = time.Millisecond
 
 // procOutcome is what each algorithm body hands back to Run.
 type procOutcome struct {
@@ -428,7 +441,23 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 	s.tel.Inc(telemetry.Iterations)
 	s.traceIter(p)
 	s.maybeSample(p)
+	s.yield()
 	return improved
+}
+
+// yield lets goroutines queued behind the searcher — the service's SSE
+// writers and HTTP handlers, share followers — run once yieldEvery of
+// wall time has passed since its last yield, so they wait about a
+// millisecond, not until Go preempts the searcher (10 ms): a searcher
+// never blocks on the goroutine backend, and on the simulator each
+// handoff with the scheduler goroutine passes the time slice on. Wall
+// time, because p.Now() is virtual on the simulator. The first step
+// always yields; it emits a job's first archive_accept.
+func (s *searcher) yield() {
+	if now := time.Now(); now.Sub(s.yielded) >= yieldEvery {
+		s.yielded = now
+		runtime.Gosched()
+	}
 }
 
 // traceIter maintains the batched "sweep" span: opened lazily on the

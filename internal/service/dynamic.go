@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dynamic"
@@ -72,6 +73,26 @@ func fingerprintNote(granularK, evalWorkers int) string {
 	return fmt.Sprintf("granular_k=%d eval_workers=%d", granularK, evalWorkers)
 }
 
+// projection is a base instance projected through a mutation log.
+type projection struct {
+	log []dynamic.Mutation
+	in  *vrptw.Instance // nil: no projection cached
+}
+
+// extend projects base through log. An added or cancelled customer
+// copies the distance matrix, so when log starts with the cached log — a
+// batch that landed at the tail of the log the previous batch committed —
+// only the rest is projected, on top of the cached instance. Any other
+// log (a batch pinned below an epoch already queued, a log the run
+// shortened by rejecting a mutation, the first batch after recovery) is
+// projected from base.
+func (p projection) extend(base *vrptw.Instance, log []dynamic.Mutation) (*vrptw.Instance, error) {
+	if p.in != nil && len(log) >= len(p.log) && slices.Equal(log[:len(p.log)], p.log) {
+		return dynamic.Project(p.in, log[len(p.log):])
+	}
+	return dynamic.Project(base, log)
+}
+
 // Mutate schedules a mutation batch as the anonymous tenant — the
 // single-tenant API of older embedders. See MutateAs.
 func (s *Service) Mutate(id string, epoch int, muts []dynamic.Mutation) (int, error) {
@@ -83,7 +104,8 @@ func (s *Service) Mutate(id string, epoch int, muts []dynamic.Mutation) (int, er
 // checkpoint barrier (a timed replay script, or recovery re-priming); 0
 // lets the schedule pick the next barrier the run has not reached. The
 // batch is validated against the projection of the job's base instance
-// through the full mutation log and journaled before it becomes visible
+// through the full mutation log (extending the previous batch's
+// projection when it can) and journaled before it becomes visible
 // to the run — atomically with the pinning, so a batch the run can
 // observe is always both valid and durable. It returns the epoch the
 // batch landed on.
@@ -134,12 +156,13 @@ func (s *Service) MutateAs(caller, id string, epoch int, muts []dynamic.Mutation
 		// The job may have turned terminal since the gate above, dropping
 		// its instance: re-check under the lock that guards both.
 		j.mu.Lock()
-		in, terminal := j.in, j.state.Terminal()
+		in, proj, terminal := j.in, j.proj, j.state.Terminal()
 		j.mu.Unlock()
 		if terminal {
 			return ErrTerminal
 		}
-		if _, err := dynamic.Project(in, log); err != nil {
+		projected, err := proj.extend(in, log)
+		if err != nil {
 			return fmt.Errorf("mutation batch does not apply: %w", err)
 		}
 		if s.jl != nil {
@@ -147,6 +170,11 @@ func (s *Service) MutateAs(caller, id string, epoch int, muts []dynamic.Mutation
 				return fmt.Errorf("%w: %v", ErrStorage, err)
 			}
 		}
+		j.mu.Lock()
+		if !j.state.Terminal() {
+			j.proj = projection{log: log, in: projected}
+		}
+		j.mu.Unlock()
 		return nil
 	})
 	if err != nil {

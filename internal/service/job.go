@@ -248,6 +248,11 @@ type Job struct {
 	// reachable, read before the workers start).
 	dyn           *dynamic.Schedule
 	recoveredMuts []journalRecord
+	// proj is the instance the last accepted mutation batch was validated
+	// against: in projected through the log that batch committed, so the
+	// next batch at the log's tail projects only itself (see MutateAs).
+	// Guarded by j.mu and dropped with the instance.
+	proj projection
 
 	// Latest checkpoint envelope, kept in memory while a checkpointed job
 	// (durable or not) is live so GET /v1/jobs/{id}/checkpoint can hand
@@ -832,7 +837,7 @@ func (j *Job) terminalLocked(state State, fields map[string]any) {
 // checkpoints it would resume from. A terminal job keeps its result and
 // the scalars Status reads.
 func (j *Job) dropRunState() {
-	j.in, j.resume = nil, nil
+	j.in, j.resume, j.proj = nil, nil, projection{}
 	j.setCheckpoint(0, nil)
 }
 

@@ -144,17 +144,21 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedTraceparents are headers ParseTraceparent must reject; they
+// also seed FuzzParseTraceparent.
+var malformedTraceparents = []string{
+	"",
+	"00-short-00f067aa0ba902b7-01",
+	"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // wrong version
+	"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // zero trace id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // zero span id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz", // bad hex
+	"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // bad separator
+	"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01", // uppercase hex
+}
+
 func TestParseTraceparentRejects(t *testing.T) {
-	bad := []string{
-		"",
-		"00-short-00f067aa0ba902b7-01",
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // wrong version
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // zero span id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz", // bad hex
-		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // bad separator
-	}
-	for _, h := range bad {
+	for _, h := range malformedTraceparents {
 		if _, _, _, ok := ParseTraceparent(h); ok {
 			t.Errorf("accepted malformed header %q", h)
 		}
