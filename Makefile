@@ -3,9 +3,9 @@
 # the concurrency-heavy packages (the search core, the process simulator,
 # the cluster, the telemetry, trace and flight recorder the solver
 # goroutines write to, the sequence log behind the event, share, span and
-# sample streams, and the operators, solution and pareto packages whose
-# shared counters the parallel delta evaluator writes from several
-# goroutines), and the zero-allocation assertion on the disabled-telemetry
+# sample streams, and the operators, solution and pareto packages every
+# searcher and worker goroutine runs, writing the run's shared telemetry
+# counters), and the zero-allocation assertion on the disabled-telemetry
 # hot path.
 
 GO ?= go
@@ -140,10 +140,10 @@ flaky-guard:
 
 # fuzz-smoke runs each fuzz target for FUZZTIME (default 30s) on top of the
 # checked-in seed corpora. The checkpoint decoder's inputs and the SSE
-# reader's pinned-stream seeds are kilobytes long and one journal seed is a
-# megabytes-long line, so their new interesting inputs get a short
-# minimization budget — the 60s default would spend the whole run
-# minimizing.
+# reader's pinned-stream seeds are kilobytes long, the keyfile seeds
+# hundreds of bytes, and one journal seed is a megabytes-long line, so
+# their new interesting inputs get a short minimization budget — the 60s
+# default would spend the whole run minimizing.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeltaMatchesApply -fuzztime $(FUZZTIME) ./internal/operators/
@@ -153,6 +153,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sse/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzParseKeyfile -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/tenant/
 
 # profile runs a short goroutine-backend asynchronous search with the
 # observability endpoints live and saves CPU and heap profiles next to a

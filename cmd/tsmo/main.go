@@ -47,7 +47,6 @@ type options struct {
 	archive  int
 	restart  int
 	granular int
-	evalWork int
 	backend  string
 	faults   string
 	jsonOut  string
@@ -80,7 +79,6 @@ func main() {
 	flag.IntVar(&o.archive, "archive", 20, "archive capacity")
 	flag.IntVar(&o.restart, "restart", 100, "restart after this many stagnant iterations")
 	flag.IntVar(&o.granular, "granular", 0, "granular neighborhoods: draw moves from the k-nearest arc graph (0 = full neighborhoods)")
-	flag.IntVar(&o.evalWork, "eval-workers", 0, "shard candidate delta evaluation over this many goroutines (0/1 = serial; results are bit-identical)")
 	flag.StringVar(&o.backend, "backend", "sim", "runtime backend: sim (deterministic Origin 3800) or goroutine")
 	flag.StringVar(&o.faults, "faults", "", `inject faults, e.g. "1:crash@5;0:drop=0.2,tags=2;*:skew=0.1" (see deme.ParseFaultPlans)`)
 	flag.StringVar(&o.jsonOut, "json", "", "write the front as JSON to this file")
@@ -180,7 +178,6 @@ func run(ctx context.Context, o options) error {
 	cfg.Islands = o.islands
 	cfg.Seed = o.seed
 	cfg.GranularK = o.granular
-	cfg.EvalWorkers = o.evalWork
 	cfg.RecordTrajectory = o.trajOut != ""
 	cfg.SampleEvery = o.sampleEvery
 	cfg.Telemetry = tel

@@ -212,7 +212,6 @@ func (c *client) submit(args []string) error {
 	fs.Float64Var(&spec.MaxSeconds, "max-seconds", 0, "in-run runtime budget (0 = none)")
 	fs.Float64Var(&spec.WallSeconds, "wall", 0, "real-time deadline in seconds (0 = server default)")
 	fs.IntVar(&spec.GranularK, "granular", 0, "granular neighborhoods: draw moves from the k-nearest arc graph (0 = full)")
-	fs.IntVar(&spec.EvalWorkers, "eval-workers", 0, "shard candidate delta evaluation over this many goroutines (0/1 = serial)")
 	fs.StringVar(&spec.Backend, "backend", "", "runtime backend: sim or goroutine (default sim)")
 	fs.IntVar(&spec.SampleEvery, "sample", 0, "record convergence samples every this many evaluations")
 	fs.StringVar(&spec.IdempotencyKey, "idem", "", "idempotency key (default: a fresh random key per invocation)")

@@ -56,14 +56,11 @@ type Checkpoint struct {
 	// against a different instance or config.
 	InstanceDigest string `json:"instance_digest"`
 	ConfigDigest   string `json:"config_digest"`
-	// GranularK and EvalWorkers are the human-readable half of the config
-	// fingerprint: recorded so a mismatch surfaces as a clear spec-level
-	// error rather than an opaque digest failure. GranularK shapes the
-	// trajectory and must match on resume; EvalWorkers only shards the
-	// delta evaluation (bit-identical to serial), so it may change across
-	// a resume and is recorded for the status/journal note only.
-	GranularK   int `json:"granular_k,omitempty"`
-	EvalWorkers int `json:"eval_workers,omitempty"`
+	// GranularK is the human-readable half of the config fingerprint:
+	// recorded so a mismatch surfaces as a clear spec-level error rather
+	// than an opaque digest failure. It shapes the trajectory and must
+	// match on resume.
+	GranularK int `json:"granular_k,omitempty"`
 	// WaitTimeout, RecvTimeout and EvictAfter are the materialized
 	// coordination parameters the run derived at its start (validate
 	// scales the timeouts by instance size when they are unset). They are
@@ -311,9 +308,7 @@ type configFingerprint struct {
 	Operators         []string  `json:"operators"`
 	// GranularK shapes the proposal distribution and therefore the
 	// trajectory; omitempty keeps digests of non-granular configs — and
-	// so all pre-granular checkpoints — unchanged. EvalWorkers is
-	// deliberately absent: the parallel evaluator is bit-identical to
-	// the serial path.
+	// so all pre-granular checkpoints — unchanged.
 	GranularK int `json:"granular_k,omitempty"`
 	// ShareEvery gates the cluster-exchange epochs, which inject foreign
 	// solutions into M_nondom; omitempty keeps every non-cluster digest —
@@ -445,7 +440,6 @@ func (c *Config) checkpoint(barrier int, parts []*SearcherState) *Checkpoint {
 		InstanceDigest: c.instDigest,
 		ConfigDigest:   c.cfgDigest,
 		GranularK:      c.GranularK,
-		EvalWorkers:    c.EvalWorkers,
 		WaitTimeout:    c.WaitTimeout,
 		RecvTimeout:    c.RecvTimeout,
 		EvictAfter:     c.EvictAfter,

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/deme"
@@ -211,20 +212,15 @@ func TestCheckpointConfigGuards(t *testing.T) {
 	}
 }
 
-// TestResumeParentCheckpoint resumes from a checkpoint written before the
+// TestResumeParentCheckpoint resumes from checkpoints written by earlier
+// versions, each the second barrier of the run below: one from before the
 // convergence samples carried iteration, nondom size, hypervolume and
-// spacing (testdata/parent_checkpoint.json, the second barrier of the run
-// below): it must decode and finish on the uninterrupted run's front, with
-// the fields the old samples did carry unchanged.
+// spacing (testdata/parent_checkpoint.json), and one cut with the since
+// deleted EvalWorkers knob set to 2, whose payload still carries
+// "eval_workers":2 (testdata/parent_checkpoint_eval_workers.json). Each
+// must decode and finish on the uninterrupted run's front, with the
+// fields the old samples did carry unchanged.
 func TestResumeParentCheckpoint(t *testing.T) {
-	data, err := os.ReadFile("testdata/parent_checkpoint.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, err := DecodeCheckpoint(data)
-	if err != nil {
-		t.Fatal(err)
-	}
 	in := testInstance(t, 20)
 	cfg := smallConfig()
 	cfg.MaxEvaluations = 1200
@@ -235,27 +231,39 @@ func TestResumeParentCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ResumeContext(t.Context(), ck, in, cfg, deme.NewSim(deme.Origin3800()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Evaluations != ref.Evaluations || res.Elapsed != ref.Elapsed || len(res.Front) != len(ref.Front) {
-		t.Fatalf("resumed run: %d evals, %v s, %d front; want %d, %v, %d",
-			res.Evaluations, res.Elapsed, len(res.Front), ref.Evaluations, ref.Elapsed, len(ref.Front))
-	}
-	for i := range ref.Front {
-		if res.Front[i].Obj != ref.Front[i].Obj {
-			t.Errorf("front[%d]: got %+v, want %+v", i, res.Front[i].Obj, ref.Front[i].Obj)
-		}
-	}
-	if len(res.Samples) != len(ref.Samples) {
-		t.Fatalf("samples: got %d, want %d", len(res.Samples), len(ref.Samples))
-	}
-	for i, want := range ref.Samples {
-		got := res.Samples[i]
-		if got.Evals != want.Evals || got.Time != want.Time || got.ArchiveSize != want.ArchiveSize ||
-			got.BestDistance != want.BestDistance || got.BestVehicles != want.BestVehicles {
-			t.Errorf("sample[%d]: got %+v, want %+v", i, got, want)
-		}
+	for _, fixture := range []string{"parent_checkpoint.json", "parent_checkpoint_eval_workers.json"} {
+		t.Run(fixture, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck, err := DecodeCheckpoint(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ResumeContext(t.Context(), ck, in, cfg, deme.NewSim(deme.Origin3800()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Evaluations != ref.Evaluations || res.Elapsed != ref.Elapsed || len(res.Front) != len(ref.Front) {
+				t.Fatalf("resumed run: %d evals, %v s, %d front; want %d, %v, %d",
+					res.Evaluations, res.Elapsed, len(res.Front), ref.Evaluations, ref.Elapsed, len(ref.Front))
+			}
+			for i := range ref.Front {
+				if res.Front[i].Obj != ref.Front[i].Obj {
+					t.Errorf("front[%d]: got %+v, want %+v", i, res.Front[i].Obj, ref.Front[i].Obj)
+				}
+			}
+			if len(res.Samples) != len(ref.Samples) {
+				t.Fatalf("samples: got %d, want %d", len(res.Samples), len(ref.Samples))
+			}
+			for i, want := range ref.Samples {
+				got := res.Samples[i]
+				if got.Evals != want.Evals || got.Time != want.Time || got.ArchiveSize != want.ArchiveSize ||
+					got.BestDistance != want.BestDistance || got.BestVehicles != want.BestVehicles {
+					t.Errorf("sample[%d]: got %+v, want %+v", i, got, want)
+				}
+			}
+		})
 	}
 }

@@ -200,14 +200,6 @@ type Config struct {
 	// paper's full neighborhoods. Granularity shapes the search
 	// trajectory, so it is part of the checkpoint fingerprint.
 	GranularK int
-	// EvalWorkers, when > 1, shards each searcher's own candidate delta
-	// evaluation across that many OS-level goroutines. It is a pure
-	// implementation accelerator, distinct from the modeled deme
-	// backends: proposals stay serial, results merge in deterministic
-	// positional order, and the trajectory is bit-identical to the
-	// serial path — so it is excluded from the checkpoint fingerprint,
-	// like Telemetry. 0 or 1 evaluate serially.
-	EvalWorkers int
 	// CheckpointEvery, when positive, enables durable checkpointing: at
 	// every CheckpointEvery-th master iteration the run executes a
 	// checkpoint barrier, captures the complete search state of every
@@ -327,9 +319,6 @@ func (c *Config) validate(in *vrptw.Instance, alg Algorithm) error {
 	}
 	if c.GranularK < 0 {
 		return fmt.Errorf("core: GranularK must be >= 0, got %d", c.GranularK)
-	}
-	if c.EvalWorkers < 0 {
-		return fmt.Errorf("core: EvalWorkers must be >= 0, got %d", c.EvalWorkers)
 	}
 	if c.ShareEvery < 0 {
 		return fmt.Errorf("core: ShareEvery must be >= 0, got %d", c.ShareEvery)

@@ -1,15 +1,14 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/deme"
 	"repro/internal/rng"
 )
 
-// granularVariants is the algorithm × processor matrix the granular and
-// parallel-eval determinism tests sweep.
+// granularVariants is the algorithm × processor matrix the granular
+// determinism test sweeps.
 var granularVariants = []struct {
 	alg   Algorithm
 	procs int
@@ -19,36 +18,6 @@ var granularVariants = []struct {
 	{Asynchronous, 3},
 	{Collaborative, 3},
 	{Combined, 4},
-}
-
-// TestEvalWorkersBitIdentical is the parallel evaluator's contract: for
-// every variant and seed, a run with EvalWorkers > 1 must be bit-identical
-// — same front objectives, same routes, same evaluation and iteration
-// counts — to the serial run, granular lists on or off.
-func TestEvalWorkersBitIdentical(t *testing.T) {
-	in := testInstance(t, 40)
-	for _, v := range granularVariants {
-		for _, seed := range []uint64{7, 8} {
-			for _, k := range []int{0, 15} {
-				t.Run(fmt.Sprintf("%v/granular=%d/seed=%d", v.alg, k, seed), func(t *testing.T) {
-					cfg := smallConfig()
-					cfg.Seed = seed
-					cfg.Processors = v.procs
-					cfg.GranularK = k
-					serial, err := Run(v.alg, in, cfg, deme.NewSim(deme.Origin3800()))
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.EvalWorkers = 4
-					par, err := Run(v.alg, in, cfg, deme.NewSim(deme.Origin3800()))
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameResult(t, serial, par)
-				})
-			}
-		}
-	}
 }
 
 // TestGranularDeterministicOnSim pins granular-run determinism on every

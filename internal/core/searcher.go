@@ -270,7 +270,6 @@ func newSearcher(in *vrptw.Instance, cfg *Config, r *rng.Rand, neighborhood, ten
 		tr:           cfg.tracer,
 		phase:        cfg.span,
 	}
-	s.gen.EvalWorkers = cfg.EvalWorkers
 	s.archive.SetStats(cfg.Telemetry, telemetry.ArchiveAccepts)
 	s.nondom.SetStats(cfg.Telemetry, telemetry.NondomAccepts)
 	return s

@@ -15,10 +15,9 @@ const benchGranularK = 20
 
 // benchSearcherCfg builds a searcher on a 400-customer instance with the
 // paper's neighborhood size and an effectively unlimited budget. tel is
-// nil for the baseline (disabled telemetry) benchmarks; granularK and
-// evalWorkers configure the candidate engine (0: full neighborhoods,
-// serial evaluation).
-func benchSearcherCfg(b *testing.B, tel *telemetry.Telemetry, granularK, evalWorkers int) (*searcher, *stubProc, int) {
+// nil for the baseline (disabled telemetry) benchmarks; granularK
+// configures the candidate engine (0: full neighborhoods).
+func benchSearcherCfg(b *testing.B, tel *telemetry.Telemetry, granularK int) (*searcher, *stubProc, int) {
 	b.Helper()
 	in, err := vrptw.Generate(vrptw.GenConfig{Class: vrptw.R1, N: 400, Seed: 1})
 	if err != nil {
@@ -28,7 +27,6 @@ func benchSearcherCfg(b *testing.B, tel *telemetry.Telemetry, granularK, evalWor
 	cfg.MaxEvaluations = 1 << 60
 	cfg.Telemetry = tel
 	cfg.GranularK = granularK
-	cfg.EvalWorkers = evalWorkers
 	if err := cfg.validate(in, Sequential); err != nil {
 		b.Fatal(err)
 	}
@@ -39,10 +37,10 @@ func benchSearcherCfg(b *testing.B, tel *telemetry.Telemetry, granularK, evalWor
 }
 
 // benchSearcher is benchSearcherCfg with the default engine (full
-// neighborhoods, serial evaluation).
+// neighborhoods).
 func benchSearcher(b *testing.B, tel *telemetry.Telemetry) (*searcher, *stubProc, int) {
 	b.Helper()
-	return benchSearcherCfg(b, tel, 0, 0)
+	return benchSearcherCfg(b, tel, 0)
 }
 
 // BenchmarkSearcherIteration measures one full generate+step iteration of
@@ -53,7 +51,7 @@ func benchSearcher(b *testing.B, tel *telemetry.Telemetry) (*searcher, *stubProc
 // materialization of just the selected solution and the memory-bound
 // entries.
 func BenchmarkSearcherIteration(b *testing.B) {
-	s, p, size := benchSearcherCfg(b, nil, benchGranularK, 0)
+	s, p, size := benchSearcherCfg(b, nil, benchGranularK)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -73,24 +71,12 @@ func BenchmarkSearcherIterationFull(b *testing.B) {
 	}
 }
 
-// BenchmarkSearcherIterationParallel is the granular iteration with the
-// opt-in goroutine-parallel neighborhood evaluator (Config.EvalWorkers=4),
-// bit-identical to the serial path.
-func BenchmarkSearcherIterationParallel(b *testing.B) {
-	s, p, size := benchSearcherCfg(b, nil, benchGranularK, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.step(p, s.generate(p, size))
-	}
-}
-
 // BenchmarkSearcherIterationTelemetry is the granular iteration with every
 // instrument recording; against BenchmarkSearcherIteration it isolates the
 // enabled-telemetry cost in the kernel (end to end, scripts/tsmobench
 // reports it as telemetry.overhead_pct).
 func BenchmarkSearcherIterationTelemetry(b *testing.B) {
-	s, p, size := benchSearcherCfg(b, telemetry.New(nil, nil), benchGranularK, 0)
+	s, p, size := benchSearcherCfg(b, telemetry.New(nil, nil), benchGranularK)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -104,7 +90,7 @@ func BenchmarkSearcherIterationTelemetry(b *testing.B) {
 // enabled-tracing cost (<=3% budget; end to end, scripts/tsmobench
 // reports it as trace.overhead_pct).
 func BenchmarkSearcherIterationTrace(b *testing.B) {
-	s, p, size := benchSearcherCfg(b, nil, benchGranularK, 0)
+	s, p, size := benchSearcherCfg(b, nil, benchGranularK)
 	tr := trace.New(0)
 	s.tr = tr
 	s.phase = tr.Start(nil, "run")

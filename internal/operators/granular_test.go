@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/solution"
-	"repro/internal/telemetry"
 	"repro/internal/vrptw"
 )
 
@@ -165,44 +164,6 @@ func TestCandidatesZeroAlloc(t *testing.T) {
 			g.CandidatesInto(&buf, s, r, 200)
 		}); avg != 0 {
 			t.Errorf("%s: CandidatesInto allocates %.1f objects per sweep, want 0", tc.name, avg)
-		}
-	}
-}
-
-// TestEvalDataIntoParallelMatchesSerial pins the parallel evaluator's
-// bit-identity at the engine level: identical objective words for every
-// worker count, including counts that do not divide the span evenly. The
-// shared telemetry counters its goroutines write must add up to one delta
-// outcome per move (make race runs this under the race detector).
-func TestEvalDataIntoParallelMatchesSerial(t *testing.T) {
-	in, err := vrptw.Generate(vrptw.GenConfig{Class: vrptw.R1, N: 80, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := greedyFill(in)
-	g := NewGenerator(in, nil)
-	var buf CandidateBuffer
-	g.MovesInto(&buf, s, rng.New(9), 157)
-	serial := make([]solution.Objectives, len(buf.Data))
-	g.EvalDataInto(s, buf.Data, serial)
-	for _, w := range []int{2, 3, 4, 7, 16} {
-		gw := NewGenerator(in, nil)
-		gw.EvalWorkers = w
-		tel := telemetry.New(nil, nil)
-		gw.Telemetry = tel
-		objs := make([]solution.Objectives, len(buf.Data))
-		gw.EvalDataInto(s, buf.Data, objs)
-		for i := range objs {
-			if objs[i] != serial[i] {
-				t.Fatalf("EvalWorkers=%d: objs[%d] = %+v, serial %+v", w, i, objs[i], serial[i])
-			}
-		}
-		fast, fallback := tel.Load(telemetry.DeltaFast), tel.Load(telemetry.DeltaFallback)
-		if fast+fallback != int64(len(buf.Data)) {
-			t.Errorf("EvalWorkers=%d: delta fast %d + fallback %d != %d moves", w, fast, fallback, len(buf.Data))
-		}
-		if tel.Load(telemetry.SpliceCalls) == 0 {
-			t.Errorf("EvalWorkers=%d: the workers' schedule caches counted no SpliceMetrics call", w)
 		}
 	}
 }

@@ -13,8 +13,6 @@
 package operators
 
 import (
-	"sync"
-
 	"repro/internal/rng"
 	"repro/internal/solution"
 	"repro/internal/tabu"
@@ -70,17 +68,11 @@ type Generator struct {
 	// sparse k-nearest graph, falling back to the full proposal path when
 	// the granular draw budget is exhausted.
 	Granular *vrptw.NeighborLists
-	// EvalWorkers, when > 1, shards EvalDataInto's delta evaluation over
-	// that many goroutines with a deterministic positional merge; the
-	// result is bit-identical to the serial path. Proposal stays serial
-	// (it shares the caller's random stream).
-	EvalWorkers int
 
 	lastEval *solution.Eval
 	kinds    []MoveKind         // each operator's move kind, aligned with ops
 	gran     []granularProposer // granular paths, aligned with ops (nil entries: full only)
 	granFB   []uint8            // per-sweep fallback count; granular path memoized dead at the budget
-	parEvals []*solution.Eval   // per-worker schedule caches for EvalWorkers
 }
 
 // NewGenerator returns a Generator over the given operators (All() if ops
@@ -197,25 +189,13 @@ func (g *Generator) CandidatesInto(buf *CandidateBuffer, s *solution.Solution, r
 // EvalDataInto delta-evaluates an already-proposed flat move span against
 // s's schedule cache into objs (len(objs) == len(data)), falling back to
 // Apply per move when the delta declines. Evaluation is deterministic in
-// (s, data) and independent of EvalWorkers: the parallel path shards the
-// span positionally and every objective is written to its own index, so a
-// chunk evaluated anywhere — serially, on another worker count, or
+// (s, data), so a span evaluated anywhere — by any process, or
 // re-evaluated after a fault — yields bit-identical objectives.
 func (g *Generator) EvalDataInto(s *solution.Solution, data []MoveData, objs []solution.Objectives) {
 	if len(data) == 0 {
 		return
 	}
-	if g.EvalWorkers > 1 && len(data) >= 2*g.EvalWorkers {
-		g.evalDataParallel(s, data, objs)
-		return
-	}
-	g.evalSpan(g.eval(s), s, data, objs)
-}
-
-// evalSpan delta-evaluates data against e, the schedule cache of s, into
-// objs, falling back to Apply per move when the delta declines. It is the
-// one evaluation loop of both EvalDataInto paths.
-func (g *Generator) evalSpan(e *solution.Eval, s *solution.Solution, data []MoveData, objs []solution.Objectives) {
+	e := g.eval(s)
 	for i, d := range data {
 		obj, ok := d.Delta(g.in, s, e)
 		if !ok {
@@ -226,47 +206,6 @@ func (g *Generator) evalSpan(e *solution.Eval, s *solution.Solution, data []Move
 		}
 		objs[i] = obj
 	}
-}
-
-// evalDataParallel is EvalDataInto's sharded path: contiguous chunks of
-// the span, one goroutine and one schedule cache per worker. Only the
-// delta arithmetic runs concurrently; the telemetry counters are atomic
-// and every result lands at its own index.
-func (g *Generator) evalDataParallel(s *solution.Solution, data []MoveData, objs []solution.Objectives) {
-	w := g.EvalWorkers
-	if w > len(data) {
-		w = len(data)
-	}
-	if cap(g.parEvals) < w {
-		pe := make([]*solution.Eval, w)
-		copy(pe, g.parEvals)
-		g.parEvals = pe
-	}
-	evals := g.parEvals[:w]
-	chunk := (len(data) + w - 1) / w
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		lo := k * chunk
-		hi := lo + chunk
-		if hi > len(data) {
-			hi = len(data)
-		}
-		if lo >= hi {
-			break
-		}
-		if evals[k] == nil {
-			evals[k] = solution.NewEval(g.in, s)
-		} else if evals[k].Solution() != s {
-			evals[k].Reset(g.in, s)
-		}
-		evals[k].Telemetry = g.Telemetry
-		wg.Add(1)
-		go func(e *solution.Eval, data []MoveData, objs []solution.Objectives) {
-			defer wg.Done()
-			g.evalSpan(e, s, data, objs)
-		}(evals[k], data[lo:hi], objs[lo:hi])
-	}
-	wg.Wait()
 }
 
 // arcOK is the paper's local feasibility test for a newly created arc

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/dynamic"
+	"repro/internal/resultio"
 )
 
 // durableConfig is a durable single-worker service rooted at a fresh
@@ -203,7 +205,11 @@ func copyTree(t *testing.T, src, dst string) {
 // data directory while a job is mid-run — past at least one checkpoint —
 // and opens a second service on the snapshot, exactly what a kill -9 and
 // restart would do. The resumed job must finish with a front bit-identical
-// to an uninterrupted reference run of the same spec.
+// to an uninterrupted reference run of the same spec. It does so twice:
+// on the snapshot as written, and on a copy whose journal holds the
+// literal records an earlier version wrote for the same job — a spec
+// carrying the since removed eval_workers knob and a ckpt note naming it —
+// which is a daemon upgraded in place over an old data directory.
 func TestCrashRecoveryResumesDeterministically(t *testing.T) {
 	spec := JobSpec{
 		Instance:       InstanceSpec{Class: "R1", N: 40, Seed: 3},
@@ -253,23 +259,50 @@ func TestCrashRecoveryResumesDeterministically(t *testing.T) {
 	copyTree(t, cfg.DataDir, snapshot)
 	svc.Close()
 
-	// Restart on the snapshot: the job must be re-queued and resumed.
-	cfg2 := cfg
-	cfg2.DataDir = snapshot
-	svc2, err := Open(cfg2)
-	if err != nil {
+	parentFormat := t.TempDir()
+	copyTree(t, snapshot, parentFormat)
+	parentJournal := fmt.Sprintf(`{"type":"submit","ts":"2026-10-17T11:31:23.02954142Z","job":"%[1]s","spec":{"instance":{"class":"R1","n":40,"seed":3},"algorithm":"asynchronous","processors":3,"seed":7,"max_evaluations":60000,"eval_workers":2,"tenant":"anonymous"}}
+{"type":"start","ts":"2026-10-17T11:31:23.030059091Z","job":"%[1]s"}
+{"type":"ckpt","ts":"2026-10-17T11:31:23.033361625Z","job":"%[1]s","barrier":1,"note":"granular_k=0 eval_workers=2"}
+`, j.ID)
+	jpath := filepath.Join(parentFormat, "journal.jsonl")
+	if err := os.WriteFile(jpath, []byte(parentJournal), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer svc2.Close()
-	if got := svc2.Stats().Requeued; got != 1 {
-		t.Fatalf("requeued jobs after crash: got %d, want 1", got)
+
+	// Restart on each snapshot: the job must be re-queued and resumed.
+	for _, tc := range []struct{ name, dir string }{{"current", snapshot}, {"parent-format", parentFormat}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg2 := cfg
+			cfg2.DataDir = tc.dir
+			svc2, err := Open(cfg2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc2.Close()
+			if got := svc2.Stats().Requeued; got != 1 {
+				t.Fatalf("requeued jobs after crash: got %d, want 1", got)
+			}
+			j2, ok := svc2.Job(j.ID)
+			if !ok {
+				t.Fatalf("job %s not recovered from snapshot", j.ID)
+			}
+			waitState(t, j2, StateDone)
+			checkSameFront(t, j2.Result(), ref)
+		})
 	}
-	j2, ok := svc2.Job(j.ID)
-	if !ok {
-		t.Fatalf("job %s not recovered from snapshot", j.ID)
+	// Recovery compacted the old records into the current format.
+	if raw, err := os.ReadFile(jpath); err != nil {
+		t.Fatal(err)
+	} else if strings.Contains(string(raw), "eval_workers") {
+		t.Errorf("compacted journal still carries eval_workers:\n%s", raw)
 	}
-	waitState(t, j2, StateDone)
-	res := j2.Result()
+}
+
+// checkSameFront compares a resumed job's front with a reference run's:
+// evaluations, objectives and every route stop.
+func checkSameFront(t *testing.T, res, ref *resultio.FrontFile) {
+	t.Helper()
 	if res == nil {
 		t.Fatal("resumed job produced no result")
 	}

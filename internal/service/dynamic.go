@@ -60,7 +60,7 @@ func (m *jobMutations) Apply(ctx context.Context, in *vrptw.Instance, ck *core.C
 		if werr := writeFileSync(path, data); werr != nil {
 			s.logWarn("persisting patched checkpoint", "job", j.ID, "barrier", nck.Barrier, "error", werr)
 		} else if jerr := s.jl.append(journalRecord{Type: "ckpt", Job: j.ID, Barrier: nck.Barrier,
-			Note: fingerprintNote(nck.GranularK, nck.EvalWorkers)}); jerr != nil {
+			Note: fingerprintNote(nck.GranularK)}); jerr != nil {
 			s.logWarn("journal: patched ckpt record", "job", j.ID, "barrier", nck.Barrier, "error", jerr)
 		}
 	}
@@ -69,8 +69,8 @@ func (m *jobMutations) Apply(ctx context.Context, in *vrptw.Instance, ck *core.C
 
 // fingerprintNote renders the human-readable half of a checkpoint's
 // config fingerprint for journal ckpt records.
-func fingerprintNote(granularK, evalWorkers int) string {
-	return fmt.Sprintf("granular_k=%d eval_workers=%d", granularK, evalWorkers)
+func fingerprintNote(granularK int) string {
+	return fmt.Sprintf("granular_k=%d", granularK)
 }
 
 // projection is a base instance projected through a mutation log.

@@ -66,7 +66,6 @@ func TestE2EDynamicMutation(t *testing.T) {
 
 	spec := longSpec()
 	spec.GranularK = 8
-	spec.EvalWorkers = 2
 	spec.SampleEvery = 2000
 	resp := postJob(t, base, spec)
 	if resp.StatusCode != http.StatusAccepted {
@@ -118,8 +117,8 @@ func TestE2EDynamicMutation(t *testing.T) {
 	if st.MutationsPending != 3 {
 		t.Errorf("pending mutations while queued: %d, want 3", st.MutationsPending)
 	}
-	if st.GranularK != 8 || st.EvalWorkers != 2 {
-		t.Errorf("status knobs granular_k=%d eval_workers=%d, want 8/2", st.GranularK, st.EvalWorkers)
+	if st.GranularK != 8 {
+		t.Errorf("status granular_k=%d, want 8", st.GranularK)
 	}
 
 	// Unblock the worker and watch both epochs apply in order.
@@ -203,8 +202,7 @@ func TestE2EMutateNotDynamic(t *testing.T) {
 
 // TestE2EResumeGranularKMismatch: resuming a checkpoint under a different
 // granular neighborhood shape fails with an error that names the
-// granular_k field, not a generic digest/checksum failure. EvalWorkers,
-// by contrast, only shards delta evaluation and may change on resume.
+// granular_k field, not a generic digest/checksum failure.
 func TestE2EResumeGranularKMismatch(t *testing.T) {
 	_, srv := e2eServer(t, Config{Workers: 1, QueueDepth: 4, MaxEvaluations: -1, CheckpointEvery: 3})
 	base := srv.URL

@@ -295,6 +295,17 @@ func TestHTTPValidationAndNotFound(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// eval_workers was a spec field once; it is now unknown like any other.
+	resp, err = http.Post(base+"/v1/jobs", "application/json",
+		strings.NewReader(`{"instance":{"class":"R1","n":20,"seed":1},"eval_workers":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("removed field eval_workers: %s; want 400", resp.Status)
+	}
+	resp.Body.Close()
+
 	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/events", "/v1/jobs/nope/result"} {
 		resp := mustGet(t, base+path)
 		if resp.StatusCode != http.StatusNotFound {

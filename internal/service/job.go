@@ -87,10 +87,8 @@ type JobSpec struct {
 	RestartIters int `json:"restart_iters,omitempty"`
 	Islands      int `json:"islands,omitempty"`
 	// GranularK switches the searchers to granular neighborhoods drawn
-	// from the k-nearest arc graph; EvalWorkers shards candidate delta
-	// evaluation over that many goroutines (bit-identical to serial).
-	GranularK   int `json:"granular_k,omitempty"`
-	EvalWorkers int `json:"eval_workers,omitempty"`
+	// from the k-nearest arc graph.
+	GranularK int `json:"granular_k,omitempty"`
 	// Backend selects the runtime: "sim" (deterministic machine
 	// simulator, the default) or "goroutine" (real concurrency).
 	Backend string `json:"backend,omitempty"`
@@ -380,7 +378,6 @@ func jobFromSpec(spec JobSpec, limits *Config, instName string) (*Job, error) {
 	}
 	cfg.Islands = spec.Islands
 	cfg.GranularK = spec.GranularK
-	cfg.EvalWorkers = spec.EvalWorkers
 	if err := validateShareSpec(&spec, limits); err != nil {
 		return nil, err
 	}
@@ -597,12 +594,10 @@ type Status struct {
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
 	Error       string     `json:"error,omitempty"`
 
-	// GranularK and EvalWorkers echo the spec-level search knobs that
-	// form the human-readable half of the checkpoint fingerprint:
-	// GranularK shapes the trajectory and must match on resume,
-	// EvalWorkers only shards delta evaluation and may change.
-	GranularK   int `json:"granular_k,omitempty"`
-	EvalWorkers int `json:"eval_workers,omitempty"`
+	// GranularK echoes the spec-level search knob that forms the
+	// human-readable half of the checkpoint fingerprint: it shapes the
+	// trajectory and must match on resume.
+	GranularK int `json:"granular_k,omitempty"`
 
 	// The dynamic-mutation counters: epochs applied so far, mutations
 	// applied and rejected across them, mutations still queued, and the
@@ -650,7 +645,6 @@ func (j *Job) Status() Status {
 		Backend:      j.backend,
 		Seed:         j.cfg.Seed,
 		GranularK:    j.cfg.GranularK,
-		EvalWorkers:  j.cfg.EvalWorkers,
 		SubmittedAt:  j.submitted,
 		Error:        j.errText,
 		LastEventSeq: j.events.Last(),

@@ -51,8 +51,8 @@ type journalRecord struct {
 	// Muts is a mutate record's mutation batch, replayed by recovery.
 	Muts []dynamic.Mutation `json:"muts,omitempty"`
 	// Note carries the human-readable half of a ckpt record's config
-	// fingerprint (granular_k, eval_workers) for operators reading the
-	// journal; recovery ignores it.
+	// fingerprint (granular_k) for operators reading the journal;
+	// recovery ignores it.
 	Note  string `json:"note,omitempty"`
 	Error string `json:"error,omitempty"`
 	// Instance, Customers and Iterations are a terminal record's Status

@@ -42,7 +42,7 @@ func FuzzOpenJournal(f *testing.F) {
 	for _, rec := range []journalRecord{
 		{Type: "submit", Job: "j000001", Spec: &spec},
 		{Type: "start", Job: "j000001"},
-		{Type: "ckpt", Job: "j000001", Barrier: 3, Note: fingerprintNote(20, 2)},
+		{Type: "ckpt", Job: "j000001", Barrier: 3, Note: fingerprintNote(20)},
 		{Type: "mutate", Job: "j000001", Barrier: 4, Muts: []dynamic.Mutation{
 			{Version: dynamic.Version, Op: dynamic.AddCustomer, Site: &vrptw.Site{X: 10, Y: 20, Demand: 5, Ready: 0, Due: 200, Service: 10}},
 			{Version: dynamic.Version, Op: dynamic.ShiftWindow, Customer: 7, Ready: 30, Due: 90},

@@ -631,7 +631,7 @@ func (s *Service) armCheckpoints(j *Job) {
 			return err
 		}
 		return s.jl.append(journalRecord{Type: "ckpt", Job: j.ID, Barrier: ck.Barrier,
-			Note: fingerprintNote(ck.GranularK, ck.EvalWorkers)})
+			Note: fingerprintNote(ck.GranularK)})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 )
 
@@ -23,7 +24,7 @@ import (
 //
 // Every policy field is optional and zero means unlimited. The optional
 // "anonymous" entry overrides the default unlimited policy of
-// uncredentialed requests; its name and keys are ignored.
+// uncredentialed requests; its name is ignored.
 type Keyfile struct {
 	Tenants []KeyfileTenant `json:"tenants"`
 	// Anonymous, when present, replaces the anonymous tenant's
@@ -38,7 +39,10 @@ type KeyfileTenant struct {
 	Keys []string `json:"keys,omitempty"`
 }
 
-// ParseKeyfile decodes and validates a keyfile.
+// ParseKeyfile decodes and validates a keyfile. Every key must be one a
+// client can send and Resolve can match, and must belong to one tenant
+// only. Errors name the tenants involved, never a key: a key is a
+// credential.
 func ParseKeyfile(r io.Reader) (*Keyfile, error) {
 	var kf Keyfile
 	dec := json.NewDecoder(r)
@@ -46,7 +50,8 @@ func ParseKeyfile(r io.Reader) (*Keyfile, error) {
 	if err := dec.Decode(&kf); err != nil {
 		return nil, fmt.Errorf("tenant: parsing keyfile: %w", err)
 	}
-	ps := make([]Policy, 0, len(kf.Tenants))
+	ps := make([]Policy, 0, len(kf.Tenants)+1)
+	owner := make(map[string]string) // API key -> tenant name
 	for _, t := range kf.Tenants {
 		if t.Name == Anonymous {
 			return nil, fmt.Errorf("tenant: %q is reserved; use the top-level anonymous entry", Anonymous)
@@ -54,7 +59,22 @@ func ParseKeyfile(r io.Reader) (*Keyfile, error) {
 		if len(t.Keys) == 0 {
 			return nil, fmt.Errorf("tenant: policy %q has no API keys", t.Name)
 		}
+		for i, k := range t.Keys {
+			// Resolve trims the bearer token, so such a key never matches.
+			if k == "" || strings.TrimSpace(k) != k {
+				return nil, fmt.Errorf("tenant: API key %d of policy %q is empty or has leading or trailing white space", i+1, t.Name)
+			}
+			if prev, ok := owner[k]; ok && prev != t.Name {
+				return nil, fmt.Errorf("tenant: policies %q and %q share an API key", prev, t.Name)
+			}
+			owner[k] = t.Name
+		}
 		ps = append(ps, t.Policy)
+	}
+	if kf.Anonymous != nil {
+		p := *kf.Anonymous
+		p.Name = Anonymous
+		ps = append(ps, p)
 	}
 	if err := Validate(ps); err != nil {
 		return nil, err

@@ -103,15 +103,32 @@ func TestClampPriority(t *testing.T) {
 	}
 }
 
+// keyfileGood and keyfileBad are TestParseKeyfile's inputs; they also
+// seed FuzzParseKeyfile.
+const keyfileGood = `{
+  "tenants": [
+    {"name": "acme", "keys": ["k1", "k2"], "weight": 4, "max_queued": 16},
+    {"name": "beta", "keys": ["k3"], "submit_rate": 5}
+  ],
+  "anonymous": {"weight": 1, "max_queued": 8}
+}`
+
+var keyfileBad = []string{
+	`{"tenants": [{"name": "anonymous", "keys": ["k"]}]}`,                                 // reserved name
+	`{"tenants": [{"name": "acme"}]}`,                                                     // no keys
+	`{"tenants": [{"name": "a", "keys": ["k"]}, {"name": "a", "keys": ["j"]}]}`,           // dup
+	`{"tenants": [{"name": "a", "keys": ["k"], "submit_rate": -1}]}`,                      // negative
+	`{"tenants": [{"name": "a", "keys": ["k"], "typo": 1}]}`,                              // unknown field
+	`{"tenants": [{"name": "a", "keys": ["s3cr3t"]}, {"name": "b", "keys": ["s3cr3t"]}]}`, // key under two tenants
+	`{"tenants": [{"name": "a", "keys": [""]}]}`,                                          // empty key
+	`{"tenants": [{"name": "a", "keys": [" s3cr3t"]}]}`,                                   // untrimmed key
+	`{"tenants": [{"name": "a", "keys": ["s3cr3t\t"]}]}`,                                  // untrimmed key
+	`{"tenants": [], "anonymous": {"max_queued": -1, "submit_rate": -3}}`,                 // negative anonymous
+	`{"tenants": [{"name": "a", "keys": ["k"]}], "anonymous": {"weight": -2}}`,            // negative anonymous
+}
+
 func TestParseKeyfile(t *testing.T) {
-	good := `{
-	  "tenants": [
-	    {"name": "acme", "keys": ["k1", "k2"], "weight": 4, "max_queued": 16},
-	    {"name": "beta", "keys": ["k3"], "submit_rate": 5}
-	  ],
-	  "anonymous": {"weight": 1, "max_queued": 8}
-	}`
-	kf, err := ParseKeyfile(strings.NewReader(good))
+	kf, err := ParseKeyfile(strings.NewReader(keyfileGood))
 	if err != nil {
 		t.Fatalf("ParseKeyfile: %v", err)
 	}
@@ -126,16 +143,17 @@ func TestParseKeyfile(t *testing.T) {
 		t.Fatalf("anonymous override not applied: %+v", p)
 	}
 
-	bad := []string{
-		`{"tenants": [{"name": "anonymous", "keys": ["k"]}]}`,                       // reserved name
-		`{"tenants": [{"name": "acme"}]}`,                                           // no keys
-		`{"tenants": [{"name": "a", "keys": ["k"]}, {"name": "a", "keys": ["j"]}]}`, // dup
-		`{"tenants": [{"name": "a", "keys": ["k"], "submit_rate": -1}]}`,            // negative
-		`{"tenants": [{"name": "a", "keys": ["k"], "typo": 1}]}`,                    // unknown field
-	}
-	for _, b := range bad {
-		if _, err := ParseKeyfile(strings.NewReader(b)); err == nil {
+	for _, b := range keyfileBad {
+		kf, err := ParseKeyfile(strings.NewReader(b))
+		if err == nil {
 			t.Errorf("ParseKeyfile accepted bad config %s", b)
+			continue
+		}
+		if kf != nil {
+			t.Errorf("ParseKeyfile returned a keyfile with error %v", err)
+		}
+		if strings.Contains(err.Error(), "s3cr3t") {
+			t.Errorf("ParseKeyfile error %q echoes a key", err)
 		}
 	}
 }
