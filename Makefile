@@ -42,7 +42,8 @@ allocs:
 
 # bench-smoke is the candidate engine's fast perf gate: the zero-alloc
 # assertions on the sweep (full and granular) and the searcher's generate
-# path, plus one untimed pass over the 400-customer benchmarks so a broken
+# path, plus one untimed pass over the 400-customer benchmarks — the
+# sweeps, the searcher iteration and the I1 construction — so a broken
 # benchmark fails here. Timed measurements are scripts/tsmobench's job;
 # its own module's smoke test runs all four workloads at toy scale with
 # their output checks, so a change to an API the benchmark compiles
@@ -53,6 +54,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCandidatesInto400|BenchmarkCandidatesGranular400' \
 	  -benchtime 1x ./internal/operators/
 	$(GO) test -run '^$$' -bench 'BenchmarkSearcherIteration' -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkI1' -benchtime 1x ./internal/construct/
 	cd scripts/tsmobench && $(GO) test -count 1 ./...
 
 # metrics-lint boots a real tsmod daemon on an ephemeral port, pushes one
@@ -83,10 +85,11 @@ recover-e2e:
 # dynamic-e2e runs the live re-optimization acceptance battery under the
 # race detector: the mutation model and splice/repair unit tests with the
 # live-equals-resume and bit-identical replay goldens across all variants,
-# the schedule-cache Rebind splice, the service PATCH/SSE/WAL e2e (batch
-# and inline mutations, epoch pinning, 409/400 surfaces, flight-recorder
-# marker, HTTP-level determinism), the tsmoctl mutate CLI with a timed
-# -script replay, and the kill -9 mutation-replay chaos test (a real tsmod
+# the schedule cache keeping the schedules of shared routes across Reset
+# (TestEvalRebind), the service PATCH/SSE/WAL e2e (batch and inline
+# mutations, epoch pinning, 409/400 surfaces, flight-recorder marker,
+# HTTP-level determinism), the tsmoctl mutate CLI with a timed -script
+# replay, and the kill -9 mutation-replay chaos test (a real tsmod
 # SIGKILLed in both exactly-once windows).
 dynamic-e2e:
 	$(GO) test -race -count 1 ./internal/dynamic/
@@ -148,6 +151,7 @@ FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeltaMatchesApply -fuzztime $(FUZZTIME) ./internal/operators/
 	$(GO) test -run '^$$' -fuzz FuzzFeasibilityGuard -fuzztime $(FUZZTIME) ./internal/operators/
+	$(GO) test -run '^$$' -fuzz FuzzGranularMatchesReference -fuzztime $(FUZZTIME) ./internal/operators/
 	$(GO) test -run '^$$' -fuzz FuzzClusterMessages -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/service/

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -534,6 +535,17 @@ func TestSubmitValidation(t *testing.T) {
 		if _, resp := trySubmit(t, sc, req); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("case %d: %s; want 400", i, resp.Status)
 		}
+	}
+	// A valid request followed by anything but white space is not one
+	// request.
+	resp, err := sc.Client.Post(sc.CoordURL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"instance":{"class":"R1","n":30,"seed":1}} {"not":"a job"} garbage`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("trailing bytes: %s; want 400", resp.Status)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/strictjson"
 	"repro/internal/tenant"
 )
 
@@ -53,9 +54,7 @@ func (c *Coordinator) retryAfter(w http.ResponseWriter) {
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := strictjson.Decode(http.MaxBytesReader(w, r.Body, 8<<20), &req); err != nil {
 		c.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding cluster job: %w", err))
 		return
 	}

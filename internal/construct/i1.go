@@ -19,6 +19,7 @@ package construct
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/solution"
@@ -52,35 +53,50 @@ func RandomParams(r *rng.Rand) Params {
 
 // I1 constructs a complete solution for the instance.
 func I1(in *vrptw.Instance, p Params) *solution.Solution {
-	unrouted := make(map[int]bool, in.N())
-	for c := 1; c <= in.N(); c++ {
-		unrouted[c] = true
+	// The unrouted customers, ascending. pickSeed and bestInsertion break
+	// ties on the lower customer ID, so the order they scan in cannot
+	// change the pick.
+	unrouted := make([]int, in.N())
+	for i := range unrouted {
+		unrouted[i] = i + 1
 	}
+	var b bounds
 	var routes [][]int
 	for len(unrouted) > 0 {
 		seed := pickSeed(in, unrouted, p.SeedFar)
-		delete(unrouted, seed)
+		unrouted = remove(unrouted, seed)
 		route := []int{seed}
 		load := in.Sites[seed].Demand
 		for {
-			u, pos, ok := bestInsertion(in, p, route, load, unrouted)
+			b.fill(in, route)
+			u, pos, ok := bestInsertion(in, p, route, &b, load, unrouted)
 			if !ok {
 				break
 			}
 			route = insertAt(route, pos, u)
 			load += in.Sites[u].Demand
-			delete(unrouted, u)
+			unrouted = remove(unrouted, u)
 		}
 		routes = append(routes, route)
 	}
 	return solution.New(in, routes)
 }
 
+// remove deletes customer c from the ascending list, keeping it ascending.
+func remove(list []int, c int) []int {
+	for i, u := range list {
+		if u == c {
+			return append(list[:i], list[i+1:]...)
+		}
+	}
+	return list
+}
+
 // pickSeed returns the unrouted customer that is farthest from the depot
 // or has the earliest due date, per the seed rule.
-func pickSeed(in *vrptw.Instance, unrouted map[int]bool, far bool) int {
+func pickSeed(in *vrptw.Instance, unrouted []int, far bool) int {
 	best, bestVal := -1, 0.0
-	for c := range unrouted {
+	for _, c := range unrouted {
 		var v float64
 		if far {
 			v = in.Dist(0, c)
@@ -95,23 +111,22 @@ func pickSeed(in *vrptw.Instance, unrouted map[int]bool, far bool) int {
 }
 
 // bestInsertion finds the unrouted customer with the maximum savings c2 and
-// its cheapest feasible insertion position. ok is false when no customer
-// has any feasible position.
-func bestInsertion(in *vrptw.Instance, p Params, route []int, load float64, unrouted map[int]bool) (cust, pos int, ok bool) {
-	starts, latest := scheduleBounds(in, route)
+// its cheapest feasible insertion position; b holds route's schedule
+// bounds. ok is false when no customer has any feasible position.
+func bestInsertion(in *vrptw.Instance, p Params, route []int, b *bounds, load float64, unrouted []int) (cust, pos int, ok bool) {
 	bestC2 := math.Inf(-1)
 	cust, pos = -1, -1
-	for u := range unrouted {
+	for _, u := range unrouted {
 		if load+in.Sites[u].Demand > in.Capacity {
 			continue
 		}
-		c1, bp, feas := cheapestPosition(in, p, route, starts, latest, u)
+		c1, bp, feas := cheapestPosition(in, p, route, b.starts, b.latest, u)
 		if !feas {
 			continue
 		}
 		c2 := p.Lambda*in.Dist(0, u) - c1
-		// Deterministic tie-break on customer ID keeps runs reproducible
-		// across map iteration orders.
+		// Deterministic tie-break on customer ID: the pick does not depend
+		// on the scan order.
 		if c2 > bestC2 || (c2 == bestC2 && (cust == -1 || u < cust)) {
 			bestC2, cust, pos = c2, u, bp
 		}
@@ -119,11 +134,26 @@ func bestInsertion(in *vrptw.Instance, p Params, route []int, load float64, unro
 	return cust, pos, cust >= 0
 }
 
+// bounds holds a route's schedule bounds (see scheduleBounds) in storage
+// reused across fills.
+type bounds struct {
+	starts, latest []float64
+}
+
 // scheduleBounds returns, for the current route, the service start times
 // (forward pass) and the latest allowable start times that keep the whole
 // suffix — including the depot return — within its windows (backward pass).
 func scheduleBounds(in *vrptw.Instance, route []int) (starts, latest []float64) {
-	starts = make([]float64, len(route))
+	var b bounds
+	b.fill(in, route)
+	return b.starts, b.latest
+}
+
+// fill computes route's schedule bounds into b, reusing its storage.
+func (b *bounds) fill(in *vrptw.Instance, route []int) {
+	n := len(route)
+	b.starts = slices.Grow(b.starts[:0], n)[:n]
+	b.latest = slices.Grow(b.latest[:0], n)[:n]
 	t := in.Sites[0].Ready
 	prev := 0
 	for k, c := range route {
@@ -131,24 +161,22 @@ func scheduleBounds(in *vrptw.Instance, route []int) (starts, latest []float64) 
 		if rdy := in.Sites[c].Ready; t < rdy {
 			t = rdy
 		}
-		starts[k] = t
+		b.starts[k] = t
 		t += in.Sites[c].Service
 		prev = c
 	}
-	latest = make([]float64, len(route))
 	lnext := in.Horizon() // latest arrival back at the depot
 	next := 0
-	for k := len(route) - 1; k >= 0; k-- {
+	for k := n - 1; k >= 0; k-- {
 		c := route[k]
 		l := lnext - in.Dist(c, next) - in.Sites[c].Service
 		if due := in.Sites[c].Due; l > due {
 			l = due
 		}
-		latest[k] = l
+		b.latest[k] = l
 		lnext = l
 		next = c
 	}
-	return starts, latest
 }
 
 // cheapestPosition scores every insertion position of u in route and

@@ -101,12 +101,12 @@ func TestI1SeedRules(t *testing.T) {
 	}
 }
 
-func allUnrouted(in *vrptw.Instance) map[int]bool {
-	m := make(map[int]bool, in.N())
+func allUnrouted(in *vrptw.Instance) []int {
+	all := make([]int, 0, in.N())
 	for c := 1; c <= in.N(); c++ {
-		m[c] = true
+		all = append(all, c)
 	}
-	return m
+	return all
 }
 
 func TestI1UnreachableCustomerGetsSingletonRoute(t *testing.T) {
@@ -203,23 +203,16 @@ func TestScheduleBoundsConsistency(t *testing.T) {
 	}
 }
 
+// BenchmarkI1 measures one I1 construction on the benchmark's instance
+// shape, R1 with 400 customers, under fixed parameters.
 func BenchmarkI1(b *testing.B) {
-	for _, n := range []int{100, 400} {
-		in, err := vrptw.Generate(vrptw.GenConfig{Class: vrptw.R1, N: n, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(vrptw.R1.String()+"-"+itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				I1(in, DefaultParams())
-			}
-		})
+	in, err := vrptw.Generate(vrptw.GenConfig{Class: vrptw.R1, N: 400, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-func itoa(n int) string {
-	if n == 100 {
-		return "100"
+	p := Params{Mu: 0.5, Alpha1: 0.5, Lambda: 1.5, SeedFar: true}
+	b.ReportAllocs()
+	for b.Loop() {
+		I1(in, p)
 	}
-	return "400"
 }

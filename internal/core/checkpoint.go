@@ -557,7 +557,7 @@ func capturePending(in *vrptw.Instance, pending []cand) []PendingCand {
 		out[i] = PendingCand{
 			Routes: sol.Routes,
 			Obj:    pending[i].obj,
-			Attr:   uint64(pending[i].attr),
+			Attr:   uint64(pending[i].attribute()),
 			Op:     pending[i].op.String(),
 			Born:   pending[i].born,
 		}

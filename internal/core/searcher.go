@@ -19,19 +19,29 @@ import (
 )
 
 // cand is one delta-evaluated candidate: a move tagged with the objectives
-// of the solution it would produce, the solution it was proposed on, its
-// tabu identity and the iteration it was born in (for the asynchronous
-// variant and the trajectory of Figure 1). The full solution is only
-// materialized — via materialize — when the candidate is selected as the
-// next current solution or enters one of the memories.
+// of the solution it would produce, the solution it was proposed on and
+// the iteration it was born in (for the asynchronous variant and the
+// trajectory of Figure 1). The full solution is only materialized — via
+// materialize — when the candidate is selected as the next current
+// solution or enters one of the memories, and its tabu identity is derived
+// from the move — via attribute — only where the tabu list reads it.
 type cand struct {
 	data operators.MoveData  // KindNone only for pre-materialized candidates
 	base *solution.Solution  // the solution the move was proposed on
 	obj  solution.Objectives // delta-evaluated objectives of the result
 	sol  *solution.Solution  // materialized lazily; nil until needed
-	attr tabu.Attribute
-	op   operators.MoveKind // the proposing operator (data.Kind, or restored)
+	attr tabu.Attribute      // set only on pre-materialized candidates
+	op   operators.MoveKind  // the proposing operator (data.Kind, or restored)
 	born int
+}
+
+// attribute returns the candidate's tabu identity: the move's, or the
+// checkpointed one of a pre-materialized candidate.
+func (c *cand) attribute() tabu.Attribute {
+	if c.data.Kind == operators.KindNone {
+		return c.attr
+	}
+	return c.data.Attribute()
 }
 
 // materialize returns the candidate's solution, applying the move on first
@@ -197,7 +207,6 @@ func wrapCands(dst []cand, tel *telemetry.Telemetry, base *solution.Solution, bo
 			data: d,
 			base: base,
 			obj:  objs[i],
-			attr: d.Attribute(),
 			op:   d.Kind,
 			born: born,
 		})
@@ -390,7 +399,7 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 		s.noImprovement = false
 	} else {
 		s.cur = cands[sel].materialize(s.in)
-		s.tl.Add(cands[sel].attr)
+		s.tl.Add(cands[sel].attribute())
 		selectedOp = cands[sel].op
 		s.tel.IncOp(uint8(selectedOp), selectedOp.String(), telemetry.OpSelected)
 	}
@@ -531,7 +540,7 @@ func (s *searcher) selectCand(cands []cand, nd []int) int {
 	allowed := s.allowed[:0]
 	for _, i := range nd {
 		aspires := !s.cfg.DisableAspiration && s.archive.WouldAccept(cands[i].obj)
-		if !s.tl.Contains(cands[i].attr) {
+		if !s.tl.Contains(cands[i].attribute()) {
 			allowed = append(allowed, i)
 		} else if aspires {
 			s.tel.Inc(telemetry.AspirationFires)

@@ -55,6 +55,7 @@ type orOptNMove struct {
 
 // Propose implements Operator.
 func (o OrOptN) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+	arcs := in.ArcBits()
 	for try := 0; try < proposeAttempts; try++ {
 		ri := r.Intn(len(s.Routes))
 		route := s.Routes[ri]
@@ -68,21 +69,21 @@ func (o OrOptN) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (
 			continue
 		}
 		c1, c2 := route[seg], route[seg+length-1]
-		if !arcOK(in, before(route, seg), after(route, seg+length-1)) {
+		if !arcs.OK(before(route, seg), after(route, seg+length-1)) {
 			continue
 		}
 		prev := 0
 		if dst > 0 {
 			prev = remAt(route, seg, length, dst-1)
 		}
-		if !arcOK(in, prev, c1) {
+		if !arcs.OK(prev, c1) {
 			continue
 		}
 		next := 0
 		if dst < len(route)-length {
 			next = remAt(route, seg, length, dst)
 		}
-		if !arcOK(in, c2, next) {
+		if !arcs.OK(c2, next) {
 			continue
 		}
 		return MoveData{Kind: KindOrOptN, A: int32(ri), B: int32(seg), C: int32(length), D: int32(dst), E: int32(c1), F: int32(c2)}, true
@@ -123,6 +124,7 @@ func (RelocateNew) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand
 	if len(s.Routes) >= in.Vehicles {
 		return MoveData{}, false // fleet exhausted
 	}
+	arcs := in.ArcBits()
 	for try := 0; try < proposeAttempts; try++ {
 		from := r.Intn(len(s.Routes))
 		rf := s.Routes[from]
@@ -131,10 +133,10 @@ func (RelocateNew) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand
 		}
 		fpos := r.Intn(len(rf))
 		cust := rf[fpos]
-		if !arcOK(in, before(rf, fpos), after(rf, fpos)) {
+		if !arcs.OK(before(rf, fpos), after(rf, fpos)) {
 			continue
 		}
-		if !arcOK(in, 0, cust) {
+		if !arcs.OK(0, cust) {
 			continue
 		}
 		return MoveData{Kind: KindRelocateNew, A: int32(from), B: int32(fpos), C: int32(cust)}, true
@@ -193,6 +195,7 @@ func (c CrossExchange) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
+	arcs := in.ArcBits()
 	for try := 0; try < proposeAttempts; try++ {
 		r1 := r.Intn(len(s.Routes))
 		r2 := r.Intn(len(s.Routes))
@@ -213,10 +216,10 @@ func (c CrossExchange) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.
 			continue
 		}
 		// New arcs around both transplanted segments.
-		if !arcOK(in, before(a, p1), b[p2]) || !arcOK(in, b[p2+l2-1], after(a, p1+l1-1)) {
+		if !arcs.OK(before(a, p1), b[p2]) || !arcs.OK(b[p2+l2-1], after(a, p1+l1-1)) {
 			continue
 		}
-		if !arcOK(in, before(b, p2), a[p1]) || !arcOK(in, a[p1+l1-1], after(b, p2+l2-1)) {
+		if !arcs.OK(before(b, p2), a[p1]) || !arcs.OK(a[p1+l1-1], after(b, p2+l2-1)) {
 			continue
 		}
 		return MoveData{Kind: KindCrossExchange, A: int32(r1), B: int32(p1), C: int32(l1), D: int32(r2), E: int32(p2), F: int32(l2), G: int32(a[p1]), H: int32(b[p2])}, true

@@ -85,7 +85,7 @@ func arcSet(s *solution.Solution) map[[2]int]bool {
 // every move must keep all route loads within capacity, and every genuinely
 // new arc — one whose forward or reverse direction did not already exist
 // (segment reversals recycle old arcs backwards, which the paper's
-// criterion deliberately does not re-check) — must satisfy arcOK.
+// criterion deliberately does not re-check) — must satisfy the criterion (refArcOK).
 func FuzzFeasibilityGuard(f *testing.F) {
 	f.Add(uint64(0), uint64(35), uint64(11), uint64(1))
 	f.Add(uint64(3), uint64(25), uint64(5), uint64(4))
@@ -113,7 +113,7 @@ func FuzzFeasibilityGuard(f *testing.F) {
 					if base[arc] || base[[2]int{arc[1], arc[0]}] {
 						continue
 					}
-					if !arcOK(in, arc[0], arc[1]) {
+					if !refArcOK(in, arc[0], arc[1]) {
 						t.Fatalf("%s created arc %d->%d violating the local feasibility criterion",
 							m.OperatorName(), arc[0], arc[1])
 					}

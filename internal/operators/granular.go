@@ -10,54 +10,65 @@ import (
 // gets a proposal path that draws only moves whose key created arc
 // (i -> j) lies in the instance's sparse k-nearest graph
 // (vrptw.NeighborLists). A draw picks a random site i, scans i's granular
-// successor list from a random offset, locates the endpoints in the
-// current solution through the PosIndex, and builds the one move of its
+// successor list from a random offset, reads the endpoints' places in the
+// current solution from the PosIndex, and builds the one move of its
 // operator that creates the first admissible arc i -> j — re-checking the
 // remaining capacity and arc conditions exactly as the full path does, so
 // every granular move is a valid full-neighborhood move with an identical
 // delta.
 
-// PosIndex maps every customer of one solution to its (route, position)
-// pair so granular proposals can locate an arc endpoint in O(1). It is
-// memoized on the solution pointer and rebuilt in O(N) when it changes;
-// the storage is reused across rebuilds.
+// PosIndex is the customer table of one solution: one record per
+// customer holding its route and position, its predecessor and successor
+// (0 for the depot) and the load its route carries before it. A granular
+// proposal reads an arc endpoint's whole side of the move from this one
+// record instead of from the route slices. The table is memoized on the
+// (instance, solution) pair and refilled in one O(N) pass when either
+// changes, reusing its storage; the refill also fetches the instance's arc
+// bitset, so the sweeps on that solution test arcs without touching the
+// instance's lock.
 type PosIndex struct {
-	sol   *solution.Solution
-	route []int32
-	pos   []int32
+	in   *vrptw.Instance
+	sol  *solution.Solution
+	arcs *vrptw.ArcBits
+	cust []custRec
 }
 
-// Reset binds the index to s, rebuilding only when s differs from the
-// last indexed solution.
+// custRec is one customer's record in the PosIndex.
+type custRec struct {
+	route, pos int32
+	pred, succ int32 // the neighboring sites on the route, 0 for the depot
+	// loadBefore is the demand of the customers ahead of this one, summed
+	// in route order from 0 — the same additions, in the same order, as
+	// any prefix load of the route, so capacity sums stay bit-identical.
+	loadBefore float64
+}
+
+// Reset binds the table to s on in, refilling it only when either differs
+// from the last bound pair.
 func (px *PosIndex) Reset(in *vrptw.Instance, s *solution.Solution) {
-	if px.sol == s {
+	if px.sol == s && px.in == in {
 		return
 	}
 	n := in.N() + 1
-	if cap(px.route) < n {
-		px.route = make([]int32, n)
-		px.pos = make([]int32, n)
+	if cap(px.cust) < n {
+		px.cust = make([]custRec, n)
 	}
-	px.route = px.route[:n]
-	px.pos = px.pos[:n]
+	px.cust = px.cust[:n]
 	for ri, route := range s.Routes {
+		var load float64
+		pred := 0
 		for pi, c := range route {
-			px.route[c] = int32(ri)
-			px.pos[c] = int32(pi)
+			succ := 0
+			if pi+1 < len(route) {
+				succ = route[pi+1]
+			}
+			px.cust[c] = custRec{route: int32(ri), pos: int32(pi), pred: int32(pred), succ: int32(succ), loadBefore: load}
+			load += in.Sites[c].Demand
+			pred = c
 		}
 	}
-	px.sol = s
+	px.in, px.sol, px.arcs = in, s, in.ArcBits()
 }
-
-// Locate returns the route index and position of customer c. Every
-// customer appears in exactly one route, so all entries are live.
-func (px *PosIndex) Locate(c int) (route, pos int) {
-	return int(px.route[c]), int(px.pos[c])
-}
-
-// RouteOf returns only the route index of customer c — the scan loops'
-// cheap prefilter before committing to a full Locate.
-func (px *PosIndex) RouteOf(c int) int { return int(px.route[c]) }
 
 // intraAttempts bounds the outer draw loop of the intra-route proposers
 // (2-opt, Or-opt). A k-nearest list rarely holds same-route members when
@@ -122,36 +133,29 @@ func (Relocate) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *Po
 		if !ok {
 			continue
 		}
-		r1, p1 := px.Locate(c1)
-		rt := s.Routes[r1]
-		tpos := p1 + 1
-		next := 0
-		if tpos < len(rt) {
-			next = rt[tpos]
-		}
-		spare := in.Capacity - s.Load[r1]
+		t1 := &px.cust[c1]
+		next := int(t1.succ)
+		spare := in.Capacity - s.Load[t1.route]
 		for {
 			c2, more := sc.next()
 			if !more {
 				break
 			}
-			if px.RouteOf(c2) == r1 {
+			// The arc c1 -> c2 is admissible by list membership. The
+			// second insertion arc rejects most slots, so it is tested
+			// first; the tests are pure, so their order cannot change
+			// which slot is the first admissible one.
+			if !px.arcs.OK(c2, next) {
 				continue
 			}
-			r2, p2 := px.Locate(c2)
-			if in.Sites[c2].Demand > spare {
+			t2 := &px.cust[c2]
+			if t2.route == t1.route || in.Sites[c2].Demand > spare {
 				continue
 			}
-			rf := s.Routes[r2]
-			if !arcOK(in, before(rf, p2), after(rf, p2)) {
+			if !px.arcs.OK(int(t2.pred), int(t2.succ)) {
 				continue // gap closure in the donor
 			}
-			// The arc c1 -> c2 is admissible by list membership; check the
-			// second insertion arc.
-			if !arcOK(in, c2, next) {
-				continue
-			}
-			return MoveData{Kind: KindRelocate, A: int32(r2), B: int32(p2), C: int32(r1), D: int32(tpos), E: int32(c2)}, true
+			return MoveData{Kind: KindRelocate, A: t2.route, B: t2.pos, C: t1.route, D: t1.pos + 1, E: int32(c2)}, true
 		}
 	}
 	return MoveData{}, false
@@ -168,38 +172,36 @@ func (Exchange) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *Po
 		if !ok {
 			continue
 		}
-		r1, p1 := px.Locate(c1)
-		a := s.Routes[r1]
-		q := p1 + 1
-		if q >= len(a) {
+		t1 := &px.cust[c1]
+		x := int(t1.succ)
+		if x == 0 {
 			continue // c1 has no successor to swap out
 		}
-		x := a[q]
-		ax := after(a, q)
+		ax := int(px.cust[x].succ)
 		dx := in.Sites[x].Demand
 		for {
 			c2, more := sc.next()
 			if !more {
 				break
 			}
-			if px.RouteOf(c2) == r1 {
+			// c1 -> c2 is the list arc. Of the other three created arcs,
+			// c2 -> succ(x) rejects most slots, so it goes first (the
+			// tests are pure; see Relocate).
+			if !px.arcs.OK(c2, ax) {
 				continue
 			}
-			r2, p2 := px.Locate(c2)
+			t2 := &px.cust[c2]
+			if t2.route == t1.route {
+				continue
+			}
 			dc := in.Sites[c2].Demand
-			if s.Load[r1]-dx+dc > in.Capacity || s.Load[r2]-dc+dx > in.Capacity {
+			if s.Load[t1.route]-dx+dc > in.Capacity || s.Load[t2.route]-dc+dx > in.Capacity {
 				continue
 			}
-			// c1 -> c2 is the list arc; the other three created arcs are
-			// checked as on the full path.
-			if !arcOK(in, c2, ax) {
+			if !px.arcs.OK(int(t2.pred), x) || !px.arcs.OK(x, int(t2.succ)) {
 				continue
 			}
-			b := s.Routes[r2]
-			if !arcOK(in, before(b, p2), x) || !arcOK(in, x, after(b, p2)) {
-				continue
-			}
-			return MoveData{Kind: KindExchange, A: int32(r1), B: int32(q), C: int32(r2), D: int32(p2), E: int32(x), F: int32(c2)}, true
+			return MoveData{Kind: KindExchange, A: t1.route, B: t1.pos + 1, C: t2.route, D: t2.pos, E: int32(x), F: int32(c2)}, true
 		}
 	}
 	return MoveData{}, false
@@ -213,31 +215,27 @@ func (TwoOpt) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosI
 		if !ok {
 			continue
 		}
-		r1, p1 := px.Locate(c1)
-		i := p1 + 1
-		route := s.Routes[r1]
-		if i >= len(route) {
+		t1 := &px.cust[c1]
+		ri := int(t1.succ)
+		if ri == 0 {
 			continue // reversing an empty tail is a no-op
 		}
-		ri := route[i]
+		i := t1.pos + 1
 		for {
 			c2, more := sc.next()
 			if !more {
 				break
 			}
-			if px.RouteOf(c2) != r1 {
-				continue
-			}
-			_, j := px.Locate(c2)
-			if j <= i {
+			t2 := &px.cust[c2]
+			if t2.route != t1.route || t2.pos <= i {
 				continue // needs a non-empty segment after c1 ending at c2
 			}
 			// Reversing route[i..j] creates (c1 -> c2) — the list arc — and
 			// (route[i] -> after(j)).
-			if !arcOK(in, ri, after(route, j)) {
+			if !px.arcs.OK(ri, int(t2.succ)) {
 				continue
 			}
-			return MoveData{Kind: KindTwoOpt, A: int32(r1), B: int32(i), C: int32(j), D: int32(ri), E: int32(route[j])}, true
+			return MoveData{Kind: KindTwoOpt, A: t1.route, B: i, C: t2.pos, D: int32(ri), E: int32(c2)}, true
 		}
 	}
 	return MoveData{}, false
@@ -254,35 +252,29 @@ func (TwoOptStar) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *
 		if !ok {
 			continue
 		}
-		r1, pc1 := px.Locate(c1)
-		a := s.Routes[r1]
-		p1 := pc1 + 1
-		head1 := prefixLoad(in, a, p1)
-		tail2head := 0
-		if p1 < len(a) {
-			tail2head = a[p1]
-		}
+		t1 := &px.cust[c1]
+		head1 := t1.loadBefore + in.Sites[c1].Demand // the prefix load through c1
+		tail2head := int(t1.succ)
 		for {
 			c2, more := sc.next()
 			if !more {
 				break
 			}
-			if px.RouteOf(c2) == r1 {
+			t2 := &px.cust[c2]
+			if t2.route == t1.route {
 				continue
 			}
-			r2, p2 := px.Locate(c2)
-			b := s.Routes[r2]
-			head2 := prefixLoad(in, b, p2)
-			load1 := head1 + s.Load[r2] - head2
-			load2 := head2 + s.Load[r1] - head1
+			head2 := t2.loadBefore
+			load1 := head1 + s.Load[t2.route] - head2
+			load2 := head2 + s.Load[t1.route] - head1
 			if load1 > in.Capacity || load2 > in.Capacity {
 				continue
 			}
 			// c1 -> c2 is the list arc; check the reciprocal new arc.
-			if !arcOK(in, before(b, p2), tail2head) {
+			if !px.arcs.OK(int(t2.pred), tail2head) {
 				continue
 			}
-			return MoveData{Kind: KindTwoOptStar, A: int32(r1), B: int32(p1), C: int32(r2), D: int32(p2), E: int32(c1), F: int32(before(b, p2))}, true
+			return MoveData{Kind: KindTwoOptStar, A: t1.route, B: t1.pos + 1, C: t2.route, D: t2.pos, E: int32(c1), F: t2.pred}, true
 		}
 	}
 	return MoveData{}, false
@@ -297,20 +289,22 @@ func (OrOpt) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosIn
 		if !ok {
 			continue
 		}
-		r1, pc1 := px.Locate(c1)
-		route := s.Routes[r1]
+		t1 := &px.cust[c1]
+		route := s.Routes[t1.route]
 		if len(route) < 3 {
 			continue
 		}
+		pc1 := int(t1.pos)
 		for {
 			c2, more := sc.next()
 			if !more {
 				break
 			}
-			if px.RouteOf(c2) != r1 {
+			t2 := &px.cust[c2]
+			if t2.route != t1.route {
 				continue
 			}
-			_, seg := px.Locate(c2)
+			seg := int(t2.pos)
 			if seg > len(route)-2 {
 				continue
 			}
@@ -328,7 +322,7 @@ func (OrOpt) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosIn
 			if dst == seg {
 				continue // would reinsert in place
 			}
-			if !arcOK(in, before(route, seg), after(route, seg+1)) {
+			if !px.arcs.OK(int(t2.pred), after(route, seg+1)) {
 				continue // gap closure
 			}
 			// c1 -> c2 is the list arc; check the segment's exit arc.
@@ -336,10 +330,10 @@ func (OrOpt) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosIn
 			if dst < len(route)-2 {
 				next = remAt(route, seg, 2, dst)
 			}
-			if !arcOK(in, route[seg+1], next) {
+			if !px.arcs.OK(route[seg+1], next) {
 				continue
 			}
-			return MoveData{Kind: KindOrOpt, A: int32(r1), B: int32(seg), C: int32(dst), D: int32(c2), E: int32(route[seg+1])}, true
+			return MoveData{Kind: KindOrOpt, A: t1.route, B: int32(seg), C: int32(dst), D: int32(c2), E: int32(route[seg+1])}, true
 		}
 	}
 	return MoveData{}, false
@@ -355,20 +349,22 @@ func (o OrOptN) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *Po
 		if !ok {
 			continue
 		}
-		r1, pc1 := px.Locate(c1)
-		route := s.Routes[r1]
+		t1 := &px.cust[c1]
+		route := s.Routes[t1.route]
 		if len(route) < length+1 {
 			continue
 		}
+		pc1 := int(t1.pos)
 		for {
 			c2, more := sc.next()
 			if !more {
 				break
 			}
-			if px.RouteOf(c2) != r1 {
+			t2 := &px.cust[c2]
+			if t2.route != t1.route {
 				continue
 			}
-			_, seg := px.Locate(c2)
+			seg := int(t2.pos)
 			if seg > len(route)-length {
 				continue
 			}
@@ -384,17 +380,17 @@ func (o OrOptN) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *Po
 			if dst == seg {
 				continue
 			}
-			if !arcOK(in, before(route, seg), after(route, seg+length-1)) {
+			if !px.arcs.OK(int(t2.pred), after(route, seg+length-1)) {
 				continue
 			}
 			next := 0
 			if dst < len(route)-length {
 				next = remAt(route, seg, length, dst)
 			}
-			if !arcOK(in, route[seg+length-1], next) {
+			if !px.arcs.OK(route[seg+length-1], next) {
 				continue
 			}
-			return MoveData{Kind: KindOrOptN, A: int32(r1), B: int32(seg), C: int32(length), D: int32(dst), E: int32(c2), F: int32(route[seg+length-1])}, true
+			return MoveData{Kind: KindOrOptN, A: t1.route, B: int32(seg), C: int32(length), D: int32(dst), E: int32(c2), F: int32(route[seg+length-1])}, true
 		}
 	}
 	return MoveData{}, false
@@ -416,16 +412,15 @@ func (RelocateNew) proposeGranular(in *vrptw.Instance, s *solution.Solution, px 
 		if !more {
 			break
 		}
-		from, fpos := px.Locate(c2)
-		rf := s.Routes[from]
-		if len(rf) < 2 {
+		t2 := &px.cust[c2]
+		if t2.pred == 0 && t2.succ == 0 {
 			continue // moving a singleton would just relabel the route
 		}
 		// depot -> cust is the list arc; check the donor's gap closure.
-		if !arcOK(in, before(rf, fpos), after(rf, fpos)) {
+		if !px.arcs.OK(int(t2.pred), int(t2.succ)) {
 			continue
 		}
-		return MoveData{Kind: KindRelocateNew, A: int32(from), B: int32(fpos), C: int32(c2)}, true
+		return MoveData{Kind: KindRelocateNew, A: t2.route, B: t2.pos, C: int32(c2)}, true
 	}
 	return MoveData{}, false
 }
@@ -444,9 +439,9 @@ func (c CrossExchange) proposeGranular(in *vrptw.Instance, s *solution.Solution,
 		}
 		l1 := 1 + r.Intn(c.maxLen())
 		l2 := 1 + r.Intn(c.maxLen())
-		r1, pc1 := px.Locate(c1)
-		a := s.Routes[r1]
-		p1 := pc1 + 1
+		t1 := &px.cust[c1]
+		a := s.Routes[t1.route]
+		p1 := int(t1.pos) + 1
 		if p1+l1 > len(a) {
 			continue
 		}
@@ -456,28 +451,29 @@ func (c CrossExchange) proposeGranular(in *vrptw.Instance, s *solution.Solution,
 			if !more {
 				break
 			}
-			if px.RouteOf(c2) == r1 {
+			t2 := &px.cust[c2]
+			if t2.route == t1.route {
 				continue
 			}
-			r2, p2 := px.Locate(c2)
-			b := s.Routes[r2]
+			b := s.Routes[t2.route]
+			p2 := int(t2.pos)
 			if p2+l2 > len(b) {
 				continue
 			}
 			seg2 := segLoad(in, b[p2:p2+l2])
-			load1 := s.Load[r1] - seg1 + seg2
-			load2 := s.Load[r2] - seg2 + seg1
+			load1 := s.Load[t1.route] - seg1 + seg2
+			load2 := s.Load[t2.route] - seg2 + seg1
 			if load1 > in.Capacity || load2 > in.Capacity {
 				continue
 			}
 			// c1 -> c2 is the list arc; check the remaining three new arcs.
-			if !arcOK(in, b[p2+l2-1], after(a, p1+l1-1)) {
+			if !px.arcs.OK(b[p2+l2-1], after(a, p1+l1-1)) {
 				continue
 			}
-			if !arcOK(in, before(b, p2), a[p1]) || !arcOK(in, a[p1+l1-1], after(b, p2+l2-1)) {
+			if !px.arcs.OK(int(t2.pred), a[p1]) || !px.arcs.OK(a[p1+l1-1], after(b, p2+l2-1)) {
 				continue
 			}
-			return MoveData{Kind: KindCrossExchange, A: int32(r1), B: int32(p1), C: int32(l1), D: int32(r2), E: int32(p2), F: int32(l2), G: int32(a[p1]), H: int32(b[p2])}, true
+			return MoveData{Kind: KindCrossExchange, A: t1.route, B: int32(p1), C: int32(l1), D: t2.route, E: int32(p2), F: int32(l2), G: int32(a[p1]), H: int32(c2)}, true
 		}
 	}
 	return MoveData{}, false

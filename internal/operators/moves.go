@@ -32,6 +32,7 @@ func (Relocate) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
+	arcs := in.ArcBits()
 	for try := 0; try < proposeAttempts; try++ {
 		from := r.Intn(len(s.Routes))
 		to := r.Intn(len(s.Routes))
@@ -46,17 +47,17 @@ func (Relocate) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (
 		}
 		tpos := r.Intn(len(rt) + 1)
 		// Arcs created: gap closure in donor, insertion arcs in receiver.
-		if !arcOK(in, before(rf, fpos), after(rf, fpos)) {
+		if !arcs.OK(before(rf, fpos), after(rf, fpos)) {
 			continue
 		}
-		if !arcOK(in, before(rt, tpos), cust) {
+		if !arcs.OK(before(rt, tpos), cust) {
 			continue
 		}
 		next := 0
 		if tpos < len(rt) {
 			next = rt[tpos]
 		}
-		if !arcOK(in, cust, next) {
+		if !arcs.OK(cust, next) {
 			continue
 		}
 		return MoveData{Kind: KindRelocate, A: int32(from), B: int32(fpos), C: int32(to), D: int32(tpos), E: int32(cust)}, true
@@ -94,6 +95,7 @@ func (Exchange) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
+	arcs := in.ArcBits()
 	for try := 0; try < proposeAttempts; try++ {
 		r1 := r.Intn(len(s.Routes))
 		r2 := r.Intn(len(s.Routes))
@@ -108,10 +110,10 @@ func (Exchange) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (
 		if s.Load[r1]-d1+d2 > in.Capacity || s.Load[r2]-d2+d1 > in.Capacity {
 			continue
 		}
-		if !arcOK(in, before(a, p1), c2) || !arcOK(in, c2, after(a, p1)) {
+		if !arcs.OK(before(a, p1), c2) || !arcs.OK(c2, after(a, p1)) {
 			continue
 		}
-		if !arcOK(in, before(b, p2), c1) || !arcOK(in, c1, after(b, p2)) {
+		if !arcs.OK(before(b, p2), c1) || !arcs.OK(c1, after(b, p2)) {
 			continue
 		}
 		return MoveData{Kind: KindExchange, A: int32(r1), B: int32(p1), C: int32(r2), D: int32(p2), E: int32(c1), F: int32(c2)}, true
@@ -151,6 +153,7 @@ type twoOptMove struct {
 
 // Propose implements Operator.
 func (TwoOpt) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+	arcs := in.ArcBits()
 	for try := 0; try < proposeAttempts; try++ {
 		ri := r.Intn(len(s.Routes))
 		route := s.Routes[ri]
@@ -160,10 +163,10 @@ func (TwoOpt) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Mo
 		i := r.Intn(len(route) - 1)
 		j := i + 1 + r.Intn(len(route)-i-1)
 		// Arcs created: (before(i), c_j) and (c_i, after(j)).
-		if !arcOK(in, before(route, i), route[j]) {
+		if !arcs.OK(before(route, i), route[j]) {
 			continue
 		}
-		if !arcOK(in, route[i], after(route, j)) {
+		if !arcs.OK(route[i], after(route, j)) {
 			continue
 		}
 		return MoveData{Kind: KindTwoOpt, A: int32(ri), B: int32(i), C: int32(j), D: int32(route[i]), E: int32(route[j])}, true
@@ -210,6 +213,7 @@ func (TwoOptStar) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand)
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
+	arcs := in.ArcBits()
 	for try := 0; try < proposeAttempts; try++ {
 		r1 := r.Intn(len(s.Routes))
 		r2 := r.Intn(len(s.Routes))
@@ -236,7 +240,7 @@ func (TwoOptStar) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand)
 		if p1 < len(a) {
 			tail2head = a[p1]
 		}
-		if !arcOK(in, before(a, p1), tail1head) || !arcOK(in, before(b, p2), tail2head) {
+		if !arcs.OK(before(a, p1), tail1head) || !arcs.OK(before(b, p2), tail2head) {
 			continue
 		}
 		return MoveData{Kind: KindTwoOptStar, A: int32(r1), B: int32(p1), C: int32(r2), D: int32(p2), E: int32(before(a, p1)), F: int32(before(b, p2))}, true
@@ -286,6 +290,7 @@ type orOptMove struct {
 
 // Propose implements Operator.
 func (OrOpt) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+	arcs := in.ArcBits()
 	for try := 0; try < proposeAttempts; try++ {
 		ri := r.Intn(len(s.Routes))
 		route := s.Routes[ri]
@@ -302,21 +307,21 @@ func (OrOpt) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (Mov
 		// insertion neighbors are read off the original route (remAt)
 		// instead of building the remainder — this runs on every attempt
 		// of the innermost propose loop.
-		if !arcOK(in, before(route, seg), after(route, seg+1)) {
+		if !arcs.OK(before(route, seg), after(route, seg+1)) {
 			continue
 		}
 		prev := 0
 		if dst > 0 {
 			prev = remAt(route, seg, 2, dst-1)
 		}
-		if !arcOK(in, prev, c1) {
+		if !arcs.OK(prev, c1) {
 			continue
 		}
 		next := 0
 		if dst < len(route)-2 {
 			next = remAt(route, seg, 2, dst)
 		}
-		if !arcOK(in, c2, next) {
+		if !arcs.OK(c2, next) {
 			continue
 		}
 		return MoveData{Kind: KindOrOpt, A: int32(ri), B: int32(seg), C: int32(dst), D: int32(c1), E: int32(c2)}, true

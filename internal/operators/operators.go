@@ -110,8 +110,8 @@ func (g *Generator) eval(s *solution.Solution) *solution.Eval {
 const failuresPerMove = 50
 
 // CandidateBuffer holds the reusable storage of one candidate sweep: the
-// flat move list, the index-aligned delta objectives, and the position
-// index of the granular proposal paths. One buffer belongs to exactly one
+// flat move list, the index-aligned delta objectives, and the customer
+// table of the granular proposal paths. One buffer belongs to exactly one
 // caller (a searcher or a worker) and is overwritten by every
 // MovesInto/CandidatesInto call — after warm-up a full sweep runs at zero
 // heap allocations.
@@ -206,19 +206,6 @@ func (g *Generator) EvalDataInto(s *solution.Solution, data []MoveData, objs []s
 		}
 		objs[i] = obj
 	}
-}
-
-// arcOK is the paper's local feasibility test for a newly created arc
-// i -> j: even departing i as early as possible, can j still be reached by
-// its due date? Arcs into the depot are always acceptable (a late return is
-// plain tardiness, not an obvious local violation). The earliest departure
-// is precomputed on the instance — this test runs in the innermost propose
-// loop of every operator.
-func arcOK(in *vrptw.Instance, i, j int) bool {
-	if j == 0 {
-		return true
-	}
-	return in.DepartReady(i)+in.Dist(i, j) <= in.Sites[j].Due
 }
 
 // before returns the site preceding position p of route (depot if p == 0).

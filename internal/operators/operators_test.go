@@ -234,7 +234,7 @@ func TestLocalFeasibilityCriterion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if arcOK(in, 1, 2) {
+	if refArcOK(in, 1, 2) {
 		t.Fatal("test setup wrong: arc 1->2 should violate the criterion")
 	}
 	s := solution.New(in, [][]int{{1}, {2}, {3}})

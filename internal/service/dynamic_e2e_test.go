@@ -112,6 +112,19 @@ func TestE2EDynamicMutation(t *testing.T) {
 			t.Errorf("%s PATCH: %s, want 400", name, resp.Status)
 		}
 	}
+	// A valid mutation followed by more bytes is not one request.
+	req, err := http.NewRequest(http.MethodPatch, base+"/v1/jobs/"+id+"/instance",
+		strings.NewReader(`{"op":"cancel_customer","customer":2} {"not":"a mutation"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err = http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("trailing bytes PATCH: %s, want 400", resp.Status)
+	}
 
 	st := getStatus(t, base, id)
 	if st.MutationsPending != 3 {

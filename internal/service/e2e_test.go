@@ -306,6 +306,17 @@ func TestHTTPValidationAndNotFound(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// A valid spec followed by anything but white space is not one spec.
+	resp, err = http.Post(base+"/v1/jobs", "application/json",
+		strings.NewReader(`{"instance":{"class":"R1","n":20,"seed":1}} {"not":"a spec"} garbage`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("trailing bytes after the spec: %s; want 400", resp.Status)
+	}
+	resp.Body.Close()
+
 	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/events", "/v1/jobs/nope/result"} {
 		resp := mustGet(t, base+path)
 		if resp.StatusCode != http.StatusNotFound {

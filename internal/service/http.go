@@ -15,6 +15,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/seqlog"
 	"repro/internal/sse"
+	"repro/internal/strictjson"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
 	"repro/internal/trace"
@@ -119,10 +120,7 @@ type SubmitResponse struct {
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	accepted := time.Now()
 	var spec JobSpec
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := strictjson.Decode(http.MaxBytesReader(w, r.Body, maxBodyBytes), &spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}
@@ -270,10 +268,7 @@ func (s *Service) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MutateRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := strictjson.Decode(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding mutation request: %w", err))
 		return
 	}

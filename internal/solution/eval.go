@@ -34,10 +34,13 @@ type RouteEval struct {
 	Tard   []float64
 	Load   []float64
 	Latest []float64
+
+	route []int // the route the arrays were built for
 }
 
 // build fills the arrays for route, reusing existing capacity.
 func (re *RouteEval) build(in *vrptw.Instance, route []int) {
+	re.route = route
 	k := len(route)
 	re.Depart = sized(re.Depart, k+1)
 	re.Dist = sized(re.Dist, k+1)
@@ -97,7 +100,11 @@ func sized(buf []float64, n int) []float64 {
 // and Reset the cache afterwards. An Eval is not safe for concurrent use.
 type Eval struct {
 	sol *Solution
+	in  *vrptw.Instance
 	R   []RouteEval
+	// spare is the storage of the binding before the current one; Reset
+	// builds the new binding's schedules into it and swaps it with R.
+	spare []RouteEval
 	// Telemetry, when non-nil, classifies every SpliceMetrics exit (prefix
 	// fold, suffix early exit, resynchronization, full walk). nil — the
 	// default — records nothing and costs one branch per exit.
@@ -111,49 +118,54 @@ func NewEval(in *vrptw.Instance, s *Solution) *Eval {
 	return e
 }
 
-// Reset rebinds the cache to s, reusing the per-route buffers of previous
-// solutions where capacities allow.
+// Reset rebinds the cache to s. A route s shares with the bound solution
+// on the same instance — the same backing array and the same length —
+// keeps its schedules; only the other routes are rebuilt. Route slices are
+// immutable once attached, so a shared route has equal content. A solution
+// derived by WithRoutes shares every route its move did not touch, so a
+// search step rebuilds the one or two routes it changed, not all of them;
+// an unrelated solution rebuilds everything, into reused buffers.
 func (e *Eval) Reset(in *vrptw.Instance, s *Solution) {
-	e.sol = s
-	if cap(e.R) < len(s.Routes) {
-		e.R = make([]RouteEval, len(s.Routes))
-	} else {
-		e.R = e.R[:len(s.Routes)]
+	old := e.R
+	if e.in != in {
+		old = old[:0] // schedules depend on the instance's data
 	}
+	next := e.spare
+	if cap(next) < len(s.Routes) {
+		next = append(next[:cap(next)], make([]RouteEval, len(s.Routes)-cap(next))...)
+	}
+	next = next[:len(s.Routes)]
+	hint := 0 // shared routes keep their relative order under WithRoutes
 	for i, r := range s.Routes {
-		e.R[i].build(in, r)
+		if j := findRoute(old, r, hint); j >= 0 {
+			next[i], old[j] = old[j], next[i]
+			old[j].route = nil // its arrays now hold a stale binding
+			hint = j + 1
+			continue
+		}
+		next[i].build(in, r)
 	}
+	e.R, e.spare = next, e.R
+	e.sol, e.in = s, in
+}
+
+// findRoute returns the index of the schedules built for route in res,
+// searching from hint and wrapping around, or -1 when none is.
+func findRoute(res []RouteEval, route []int, hint int) int {
+	for k := range res {
+		j := hint + k
+		if j >= len(res) {
+			j -= len(res)
+		}
+		if rr := res[j].route; len(rr) == len(route) && len(rr) > 0 && &rr[0] == &route[0] {
+			return j
+		}
+	}
+	return -1
 }
 
 // Solution returns the solution this cache was built for.
 func (e *Eval) Solution() *Solution { return e.sol }
-
-// Rebind splices the cache onto a solution derived from the currently
-// bound one, rebuilding only the routes that actually changed. from maps
-// each route index of s to the index of the identical route in the
-// previous solution, or -1 for a route that is new or was modified; the
-// schedules of mapped routes are adopted as-is. This is the dynamic
-// subsystem's repair path: after an instance mutation patches a handful
-// of routes, the other schedule caches are carried over instead of being
-// recomputed. Mapped routes must be unchanged both in content and in the
-// instance data they touch (the caller guarantees the mutation did not
-// affect their sites).
-func (e *Eval) Rebind(in *vrptw.Instance, s *Solution, from []int) {
-	if len(from) != len(s.Routes) {
-		panic("solution: Rebind mapping length mismatch")
-	}
-	old := e.R
-	fresh := make([]RouteEval, len(s.Routes))
-	for i, src := range from {
-		if src >= 0 {
-			fresh[i] = old[src]
-			continue
-		}
-		fresh[i].build(in, s.Routes[i])
-	}
-	e.R = fresh
-	e.sol = s
-}
 
 // PrefixLoad returns the summed demand of the first p customers of route r
 // in O(1).

@@ -264,6 +264,11 @@ func TestEvalResetReusesBuffers(t *testing.T) {
 	}
 }
 
+// TestEvalRebind checks that Reset carries the schedules of shared routes
+// over to a derived solution — the path every search step and every
+// dynamic splice takes: routes the derived solution shares with the bound
+// one keep their arrays, wherever they moved to, routes with new content
+// are rebuilt, and every route agrees with a from-scratch cache.
 func TestEvalRebind(t *testing.T) {
 	in := evalInstance(t, vrptw.R1, 60, 9)
 	s := capacityFill(in)
@@ -295,55 +300,77 @@ func TestEvalRebind(t *testing.T) {
 		t.Fatalf("New dropped routes: %d of %d survive", len(derived.Routes), len(routes))
 	}
 
-	// Remember the backing arrays of the adopted sources: Rebind must carry
-	// the cached schedules over, not recompute them.
-	adoptedBacking := map[int]*float64{last: &e.R[last].Depart[0]}
-	for ri := 2; ri < last; ri++ {
-		adoptedBacking[ri] = &e.R[ri].Depart[0]
+	// Remember the backing arrays of the shared routes' schedules: Reset
+	// must carry them over, not recompute them.
+	backing := map[*float64]bool{}
+	adoptedBacking := map[int]*float64{}
+	for ri := range e.R {
+		backing[&e.R[ri].Depart[0]] = true
+		if ri == last || ri >= 2 {
+			adoptedBacking[ri] = &e.R[ri].Depart[0]
+		}
 	}
 
-	e.Rebind(in, derived, from)
+	e.Reset(in, derived)
 	if e.Solution() != derived {
-		t.Fatal("Rebind did not rebind the cache to the derived solution")
+		t.Fatal("Reset did not rebind the cache to the derived solution")
 	}
 	if len(e.R) != len(derived.Routes) {
 		t.Fatalf("cache has %d routes, want %d", len(e.R), len(derived.Routes))
 	}
 	for i, src := range from {
 		if src < 0 {
+			if backing[&e.R[i].Depart[0]] {
+				t.Errorf("route %d is new but carries a bound route's schedule", i)
+			}
 			continue
 		}
 		if &e.R[i].Depart[0] != adoptedBacking[src] {
-			t.Errorf("route %d: mapped from %d but schedule was rebuilt, not adopted", i, src)
+			t.Errorf("route %d: shared with route %d but its schedule was rebuilt, not kept", i, src)
 		}
 	}
 
 	// Every route — adopted or rebuilt — must agree with a from-scratch
 	// cache of the derived solution.
-	fresh := NewEval(in, derived)
-	for ri := range fresh.R {
-		for p := range fresh.R[ri].Depart {
-			if e.R[ri].Depart[p] != fresh.R[ri].Depart[p] ||
-				e.R[ri].Dist[p] != fresh.R[ri].Dist[p] ||
-				e.R[ri].Tard[p] != fresh.R[ri].Tard[p] ||
-				e.R[ri].Load[p] != fresh.R[ri].Load[p] ||
-				e.R[ri].Latest[p] != fresh.R[ri].Latest[p] {
-				t.Fatalf("route %d pos %d: rebound cache differs from fresh build", ri, p)
+	sameEval := func(what string) {
+		t.Helper()
+		fresh := NewEval(in, derived)
+		for ri := range fresh.R {
+			for p := range fresh.R[ri].Depart {
+				if e.R[ri].Depart[p] != fresh.R[ri].Depart[p] ||
+					e.R[ri].Dist[p] != fresh.R[ri].Dist[p] ||
+					e.R[ri].Tard[p] != fresh.R[ri].Tard[p] ||
+					e.R[ri].Load[p] != fresh.R[ri].Load[p] ||
+					e.R[ri].Latest[p] != fresh.R[ri].Latest[p] {
+					t.Fatalf("%s: route %d pos %d: cache differs from a fresh build", what, ri, p)
+				}
 			}
 		}
 	}
-}
+	sameEval("derived")
 
-func TestEvalRebindMappingMismatchPanics(t *testing.T) {
-	in := evalInstance(t, vrptw.R1, 30, 2)
-	s := capacityFill(in)
-	e := NewEval(in, s)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Rebind accepted a mapping shorter than the route list")
+	// A one-route step, as WithRoutes derives it, and back to an earlier
+	// solution: each keeps every shared schedule.
+	step := derived.WithRoutes(in, []int{1}, [][]int{s.Routes[0]})
+	e.Reset(in, step)
+	derived = step
+	sameEval("step")
+
+	// The same routes on another instance (same size, other data) share
+	// nothing: schedules depend on the instance's data.
+	bound := map[*float64]bool{}
+	for ri := range e.R {
+		bound[&e.R[ri].Depart[0]] = true
+	}
+	other := evalInstance(t, vrptw.R1, 60, 10)
+	e.Reset(other, derived)
+	for ri := range e.R {
+		if bound[&e.R[ri].Depart[0]] {
+			t.Fatalf("route %d kept its schedule across a change of instance", ri)
 		}
-	}()
-	e.Rebind(in, s, make([]int, len(s.Routes)-1))
+	}
+	in = other
+	sameEval("other instance")
 }
 
 func TestSpliceMetricsSingleCustomerRoute(t *testing.T) {

@@ -1,12 +1,13 @@
 package tenant
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 	"time"
+
+	"repro/internal/strictjson"
 )
 
 // Keyfile is the on-disk tenant configuration (tsmod -tenant-keys):
@@ -45,9 +46,7 @@ type KeyfileTenant struct {
 // credential.
 func ParseKeyfile(r io.Reader) (*Keyfile, error) {
 	var kf Keyfile
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&kf); err != nil {
+	if err := strictjson.Decode(r, &kf); err != nil {
 		return nil, fmt.Errorf("tenant: parsing keyfile: %w", err)
 	}
 	ps := make([]Policy, 0, len(kf.Tenants)+1)

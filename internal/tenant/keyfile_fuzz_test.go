@@ -21,10 +21,10 @@ const keyfileDocExample = `{
 
 // FuzzParseKeyfile feeds hostile bytes to ParseKeyfile, the parser of the
 // operator-supplied tenant keyfile. The contract: it never panics; a
-// rejected input returns no keyfile; and an accepted keyfile has every
-// policy, anonymous included, passing Validate, every key resolving
-// through a bearer header to the tenant that lists it, and a JSON
-// encoding that parses back deep-equal.
+// rejected input returns no keyfile; and an accepted keyfile is exactly
+// one JSON value plus white space, has every policy, anonymous included,
+// passing Validate, every key resolving through a bearer header to the
+// tenant that lists it, and a JSON encoding that parses back deep-equal.
 func FuzzParseKeyfile(f *testing.F) {
 	f.Add([]byte(keyfileDocExample))
 	f.Add([]byte(keyfileGood))
@@ -38,6 +38,14 @@ func FuzzParseKeyfile(f *testing.F) {
 				t.Fatalf("rejected input returned a keyfile: %v", err)
 			}
 			return
+		}
+		dec := json.NewDecoder(bytes.NewReader(data))
+		var one json.RawMessage
+		if err := dec.Decode(&one); err != nil {
+			t.Fatalf("accepted input is not a JSON value: %v", err)
+		}
+		if rest := data[dec.InputOffset():]; len(bytes.Trim(rest, " \t\r\n")) != 0 {
+			t.Fatalf("accepted input has %q after its JSON value", rest)
 		}
 		ps := make([]Policy, 0, len(kf.Tenants)+1)
 		for _, tn := range kf.Tenants {

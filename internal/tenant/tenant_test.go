@@ -114,17 +114,19 @@ const keyfileGood = `{
 }`
 
 var keyfileBad = []string{
-	`{"tenants": [{"name": "anonymous", "keys": ["k"]}]}`,                                 // reserved name
-	`{"tenants": [{"name": "acme"}]}`,                                                     // no keys
-	`{"tenants": [{"name": "a", "keys": ["k"]}, {"name": "a", "keys": ["j"]}]}`,           // dup
-	`{"tenants": [{"name": "a", "keys": ["k"], "submit_rate": -1}]}`,                      // negative
-	`{"tenants": [{"name": "a", "keys": ["k"], "typo": 1}]}`,                              // unknown field
-	`{"tenants": [{"name": "a", "keys": ["s3cr3t"]}, {"name": "b", "keys": ["s3cr3t"]}]}`, // key under two tenants
-	`{"tenants": [{"name": "a", "keys": [""]}]}`,                                          // empty key
-	`{"tenants": [{"name": "a", "keys": [" s3cr3t"]}]}`,                                   // untrimmed key
-	`{"tenants": [{"name": "a", "keys": ["s3cr3t\t"]}]}`,                                  // untrimmed key
-	`{"tenants": [], "anonymous": {"max_queued": -1, "submit_rate": -3}}`,                 // negative anonymous
-	`{"tenants": [{"name": "a", "keys": ["k"]}], "anonymous": {"weight": -2}}`,            // negative anonymous
+	`{"tenants": [{"name": "anonymous", "keys": ["k"]}]}`,                                     // reserved name
+	`{"tenants": [{"name": "acme"}]}`,                                                         // no keys
+	`{"tenants": [{"name": "a", "keys": ["k"]}, {"name": "a", "keys": ["j"]}]}`,               // dup
+	`{"tenants": [{"name": "a", "keys": ["k"], "submit_rate": -1}]}`,                          // negative
+	`{"tenants": [{"name": "a", "keys": ["k"], "typo": 1}]}`,                                  // unknown field
+	`{"tenants": [{"name": "a", "keys": ["s3cr3t"]}, {"name": "b", "keys": ["s3cr3t"]}]}`,     // key under two tenants
+	`{"tenants": [{"name": "a", "keys": [""]}]}`,                                              // empty key
+	`{"tenants": [{"name": "a", "keys": [" s3cr3t"]}]}`,                                       // untrimmed key
+	`{"tenants": [{"name": "a", "keys": ["s3cr3t\t"]}]}`,                                      // untrimmed key
+	`{"tenants": [], "anonymous": {"max_queued": -1, "submit_rate": -3}}`,                     // negative anonymous
+	`{"tenants": [{"name": "a", "keys": ["k"]}], "anonymous": {"weight": -2}}`,                // negative anonymous
+	`{"tenants": [{"name": "a", "keys": ["k"]}]} {"tenants": [{"name": "b", "keys": ["j"]}]}`, // two keyfiles
+	`{"tenants": [{"name": "a", "keys": ["k"]}]} garbage`,                                     // trailing bytes
 }
 
 func TestParseKeyfile(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Site describes the depot (index 0) or a customer (indices 1..N).
@@ -41,9 +42,11 @@ type Instance struct {
 	dist        []float64 // row-major (N+1)×(N+1) Euclidean distance matrix
 	departReady []float64 // a_i + c_i per site: earliest possible departure
 
-	// Lazily-built granular neighbor lists, cached per k (neighbors.go).
+	// Lazily-built granular neighbor lists, cached per k, and the arc
+	// bitset (neighbors.go), both built under nbrMu.
 	nbrMu sync.Mutex
 	nbrs  map[int]*NeighborLists
+	arcs  atomic.Pointer[ArcBits]
 }
 
 // New builds an Instance from the given sites, validates it, and
