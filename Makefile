@@ -5,8 +5,9 @@
 # goroutines write to, the sequence log behind the event, share, span and
 # sample streams, and the operators, solution and pareto packages every
 # searcher and worker goroutine runs, writing the run's shared telemetry
-# counters), and the zero-allocation assertion on the disabled-telemetry
-# hot path.
+# counters, and the instance tables — neighbor lists, arc bitset — those
+# goroutines build lazily and share), and the zero-allocation assertion
+# on the disabled-telemetry hot path.
 
 GO ?= go
 
@@ -27,7 +28,8 @@ test:
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/deme/... ./internal/cluster/... ./internal/telemetry/... ./internal/flight/... \
-	  ./internal/seqlog/... ./internal/trace/... ./internal/operators/... ./internal/solution/... ./internal/pareto/...
+	  ./internal/seqlog/... ./internal/trace/... ./internal/operators/... ./internal/solution/... ./internal/pareto/... \
+	  ./internal/vrptw/...
 	$(GO) test -race -count 1 -run 'TestShareSSEFanoutRace|TestShareIngressConcurrentSubscribers' ./internal/service/
 
 # allocs asserts the observability overhead contract: disabled-path
@@ -43,8 +45,9 @@ allocs:
 # bench-smoke is the candidate engine's fast perf gate: the zero-alloc
 # assertions on the sweep (full and granular) and the searcher's generate
 # path, plus one untimed pass over the 400-customer benchmarks — the
-# sweeps, the searcher iteration and the I1 construction — so a broken
-# benchmark fails here. Timed measurements are scripts/tsmobench's job;
+# sweeps, the searcher iteration and the two start-up steps every job
+# runs, the granular lists' first build and the I1 construction on R1
+# and R2 — so a broken benchmark fails here. Timed measurements are scripts/tsmobench's job;
 # its own module's smoke test runs all four workloads at toy scale with
 # their output checks, so a change to an API the benchmark compiles
 # against fails here, not in the next benchmark run.
@@ -54,6 +57,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCandidatesInto400|BenchmarkCandidatesGranular400' \
 	  -benchtime 1x ./internal/operators/
 	$(GO) test -run '^$$' -bench 'BenchmarkSearcherIteration' -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkNeighborLists' -benchtime 1x ./internal/vrptw/
 	$(GO) test -run '^$$' -bench 'BenchmarkI1' -benchtime 1x ./internal/construct/
 	cd scripts/tsmobench && $(GO) test -count 1 ./...
 
@@ -143,10 +147,11 @@ flaky-guard:
 
 # fuzz-smoke runs each fuzz target for FUZZTIME (default 30s) on top of the
 # checked-in seed corpora. The checkpoint decoder's inputs and the SSE
-# reader's pinned-stream seeds are kilobytes long, the keyfile seeds
-# hundreds of bytes, and one journal seed is a megabytes-long line, so
-# their new interesting inputs get a short minimization budget — the 60s
-# default would spend the whole run minimizing.
+# reader's pinned-stream seeds are kilobytes long, the keyfile, job-spec
+# and mutation-batch seeds hundreds of bytes, and one journal seed is a
+# megabytes-long line, so their new interesting inputs get a short
+# minimization budget — the 60s default would spend the whole run
+# minimizing.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeltaMatchesApply -fuzztime $(FUZZTIME) ./internal/operators/
@@ -155,6 +160,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzClusterMessages -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzSubmitSpec -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzMutationBatch -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sse/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzParseKeyfile -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/tenant/

@@ -58,7 +58,7 @@ func main() {
 		retain       = flag.Int("retain", 64, "finished jobs kept for status/result queries")
 		maxEvals     = flag.Int("max-evals", 1_000_000, "per-job evaluation-budget cap")
 		maxProcs     = flag.Int("max-procs", 16, "per-job processor cap")
-		maxCustomers = flag.Int("max-customers", 1000, "instance-size cap")
+		maxCustomers = flag.Int("max-customers", 1000, "instance-size cap in customers, for submitted and PATCH-grown instances")
 		maxWall      = flag.Float64("max-wall", 0, "per-job wall-clock deadline cap in seconds (0 = none)")
 		dataDir      = flag.String("data-dir", "", "durable state directory: job journal, checkpoints, results (empty = in-memory)")
 		ckptEvery    = flag.Int("ckpt-every", 0, "search-checkpoint interval in iterations for durable jobs (0 = default 500)")

@@ -188,7 +188,9 @@ func TestScheduleBoundsConsistency(t *testing.T) {
 	}
 	s := I1(in, DefaultParams())
 	for _, route := range s.Routes {
-		starts, latest := scheduleBounds(in, route)
+		var b bounds
+		b.fill(in, route)
+		starts, latest := b.starts, b.latest
 		sched, _ := solution.Schedule(in, route)
 		for k := range route {
 			if starts[k] != sched[k] {
@@ -203,16 +205,94 @@ func TestScheduleBoundsConsistency(t *testing.T) {
 	}
 }
 
-// BenchmarkI1 measures one I1 construction on the benchmark's instance
-// shape, R1 with 400 customers, under fixed parameters.
+// BenchmarkI1 measures one I1 construction at the benchmark's instance
+// size, 400 customers, under fixed parameters: on R1, whose short windows
+// make many short routes, and on R2, whose long windows and routes leave
+// the schedule bounds less to prune.
 func BenchmarkI1(b *testing.B) {
-	in, err := vrptw.Generate(vrptw.GenConfig{Class: vrptw.R1, N: 400, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
+	for _, class := range []vrptw.Class{vrptw.R1, vrptw.R2} {
+		b.Run(class.String(), func(b *testing.B) {
+			in, err := vrptw.Generate(vrptw.GenConfig{Class: class, N: 400, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := Params{Mu: 0.5, Alpha1: 0.5, Lambda: 1.5, SeedFar: true}
+			b.ReportAllocs()
+			for b.Loop() {
+				I1(in, p)
+			}
+		})
 	}
-	p := Params{Mu: 0.5, Alpha1: 0.5, Lambda: 1.5, SeedFar: true}
-	b.ReportAllocs()
-	for b.Loop() {
-		I1(in, p)
+}
+
+// TestI1MemoFallback drives I1 into re-scanning every customer. On
+// customers spread along a line with zero service times, the rounded sum
+// of the two legs through an inserted customer can come out below the
+// direct leg it replaces, so an insertion can start a later customer
+// earlier than before. Then a customer I1 found with no feasible position
+// might now fit at an old one, the memo cannot be trusted, and the next
+// step scans everyone. The routes must still match the reference.
+func TestI1MemoFallback(t *testing.T) {
+	rescans := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rng.New(seed)
+		sites := []vrptw.Site{{ID: 0, Ready: 0, Due: 400}}
+		for c := 1; c <= 60; c++ {
+			x, ready := r.Float64()*100, r.Float64()*150
+			sites = append(sites, vrptw.Site{ID: c, X: x, Demand: 1, Ready: ready, Due: ready + 40 + r.Float64()*60})
+		}
+		in, err := vrptw.New("line", sites, 60, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for draw := 0; draw < 4; draw++ {
+			p := RandomParams(r)
+			b := construction{in: in, p: p}
+			got := solution.New(in, b.routes())
+			if want := refI1(in, p); !sameRoutes(got, want) {
+				t.Fatalf("seed %d params %+v: routes differ from the reference\n got %v\nwant %v", seed, p, got.Routes, want.Routes)
+			}
+			rescans += b.rescans
+		}
+	}
+	if rescans == 0 {
+		t.Fatal("no insertion made I1 distrust its memo; the instances no longer exercise the fallback")
+	}
+}
+
+// TestI1MemoRetestsBothNewPositions marks a customer dead and inserts a
+// customer w before it is scanned again: with the memo trusted, it must
+// still be found at whichever of the two positions beside w it fits,
+// the one before w or the one after.
+func TestI1MemoRetestsBothNewPositions(t *testing.T) {
+	// On a line, a and w have one-instant windows and c an open one.
+	sites := []vrptw.Site{
+		{ID: 0, Due: 1000},
+		{ID: 1, X: 10, Demand: 1, Ready: 10, Due: 10},  // a
+		{ID: 2, X: 20, Demand: 1, Ready: 20, Due: 20},  // w
+		{ID: 3, X: 30, Demand: 1, Ready: 0, Due: 1000}, // c
+		{ID: 4, X: 25, Demand: 1, Ready: 0, Due: 26},   // fits only after w
+		{ID: 5, X: 15, Demand: 1, Ready: 0, Due: 16},   // fits only before w
+	}
+	in, err := vrptw.New("line", sites, 5, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ u, pos int }{{4, 2}, {5, 1}} {
+		b := construction{in: in, p: DefaultParams(), dead: make([]bool, in.N()+1)}
+		b.prev.fill(in, []int{1, 3})
+		route := []int{1, 2, 3} // w went in at position 1
+		b.cur.fill(in, route)
+		if !b.cur.tightened(&b.prev, 1) {
+			t.Fatal("inserting w moved a start earlier or a latest start later")
+		}
+		b.dead[tc.u] = true
+		u, pos, ok := b.bestInsertion(route, 2, []int{tc.u}, 1)
+		if !ok || u != tc.u || pos != tc.pos {
+			t.Fatalf("customer %d: got (%d, %d, %v), want it at position %d", tc.u, u, pos, ok, tc.pos)
+		}
+		if _, full, _ := b.cur.cheapest(in, b.p, route, tc.u, 0, len(route)+1); full != tc.pos {
+			t.Fatalf("customer %d: a full scan puts it at %d, not %d", tc.u, full, tc.pos)
+		}
 	}
 }

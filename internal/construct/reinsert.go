@@ -2,7 +2,7 @@
 // (online) subsystem when an instance mutation leaves a customer without
 // a route: a newly arrived customer, or one ejected because its route's
 // demand no longer fits the vehicle. The scoring reuses I1's insertion
-// machinery (cheapestPosition over the forward/backward schedule bounds)
+// machinery (bounds.cheapest over the forward/backward schedule bounds)
 // with the classic parameterization, so the choice is deterministic in
 // (instance, routes, customer).
 package construct
@@ -30,6 +30,7 @@ func Reinsert(in *vrptw.Instance, routes [][]int, u int) ([][]int, int) {
 	demand := in.Sites[u].Demand
 
 	bestC1, bestRoute, bestPos := math.Inf(1), -1, -1
+	var b bounds
 	for ri, route := range routes {
 		var load float64
 		for _, c := range route {
@@ -38,8 +39,8 @@ func Reinsert(in *vrptw.Instance, routes [][]int, u int) ([][]int, int) {
 		if load+demand > in.Capacity {
 			continue
 		}
-		starts, latest := scheduleBounds(in, route)
-		c1, pos, feas := cheapestPosition(in, p, route, starts, latest, u)
+		b.fill(in, route)
+		c1, pos, feas := b.cheapest(in, p, route, u, 0, len(route)+1)
 		if feas && c1 < bestC1 {
 			bestC1, bestRoute, bestPos = c1, ri, pos
 		}

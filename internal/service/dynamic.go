@@ -93,6 +93,28 @@ func (p projection) extend(base *vrptw.Instance, log []dynamic.Mutation) (*vrptw
 	return dynamic.Project(base, log)
 }
 
+// checkGrowth refuses a mutation log that takes an instance of n
+// customers past maxCustomers (0: no limit) at any point, counting adds
+// and cancels before any instance is derived: each add copies the
+// distance matrix one row and column larger.
+func checkGrowth(n int, log []dynamic.Mutation, maxCustomers int) error {
+	if maxCustomers <= 0 {
+		return nil
+	}
+	for i := range log {
+		switch log[i].Op {
+		case dynamic.AddCustomer:
+			if n++; n > maxCustomers {
+				return fmt.Errorf("%s would grow the instance to %d customers, over the service limit of %d",
+					log[i].String(), n, maxCustomers)
+			}
+		case dynamic.CancelCustomer:
+			n--
+		}
+	}
+	return nil
+}
+
 // Mutate schedules a mutation batch as the anonymous tenant — the
 // single-tenant API of older embedders. See MutateAs.
 func (s *Service) Mutate(id string, epoch int, muts []dynamic.Mutation) (int, error) {
@@ -160,6 +182,9 @@ func (s *Service) MutateAs(caller, id string, epoch int, muts []dynamic.Mutation
 		j.mu.Unlock()
 		if terminal {
 			return ErrTerminal
+		}
+		if err := checkGrowth(in.N(), log, s.cfg.MaxCustomers); err != nil {
+			return err
 		}
 		projected, err := proj.extend(in, log)
 		if err != nil {

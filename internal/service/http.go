@@ -262,32 +262,41 @@ type MutateResponse struct {
 	Mutations int `json:"mutations"`
 }
 
-func (s *Service) handleMutate(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
+// decodeMutateRequest decodes a PATCH body and returns it with the batch
+// it carries — the inline mutation or the Mutations, never both — each
+// missing version defaulted to the current one.
+func decodeMutateRequest(body io.Reader) (MutateRequest, []dynamic.Mutation, error) {
 	var req MutateRequest
-	if err := strictjson.Decode(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding mutation request: %w", err))
-		return
+	if err := strictjson.Decode(body, &req); err != nil {
+		return req, nil, fmt.Errorf("decoding mutation request: %w", err)
 	}
 	muts := req.Mutations
 	if req.Mutation.Op != "" {
 		if len(muts) > 0 {
-			writeError(w, http.StatusBadRequest, errors.New("provide either one inline mutation or a mutations batch, not both"))
-			return
+			return req, nil, errors.New("provide either one inline mutation or a mutations batch, not both")
 		}
 		muts = []dynamic.Mutation{req.Mutation}
 	}
 	if len(muts) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("empty mutation batch"))
-		return
+		return req, nil, errors.New("empty mutation batch")
 	}
 	for i := range muts {
 		if muts[i].Version == 0 {
 			muts[i].Version = dynamic.Version
 		}
+	}
+	return req, muts, nil
+}
+
+func (s *Service) handleMutate(w http.ResponseWriter, r *http.Request) {
+	j, ok := s.lookup(w, r)
+	if !ok {
+		return
+	}
+	req, muts, err := decodeMutateRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	epoch, err := s.MutateAs(tenantFrom(r.Context()), j.ID, req.Epoch, muts)
 	switch {

@@ -286,12 +286,9 @@ type Job struct {
 // newJob validates a spec against the service limits and materializes the
 // instance and solver configuration. Errors are submission errors (HTTP 400).
 func newJob(spec JobSpec, limits *Config) (*Job, error) {
-	in, err := specInstance(spec.Instance)
+	in, err := specInstance(spec.Instance, limits.MaxCustomers)
 	if err != nil {
 		return nil, fmt.Errorf("instance: %w", err)
-	}
-	if limits.MaxCustomers > 0 && in.N() > limits.MaxCustomers {
-		return nil, fmt.Errorf("instance: %d customers exceeds the service limit of %d", in.N(), limits.MaxCustomers)
 	}
 	j, err := jobFromSpec(spec, limits, in.Name)
 	if err != nil {
@@ -301,17 +298,22 @@ func newJob(spec JobSpec, limits *Config) (*Job, error) {
 	return j, nil
 }
 
-// specInstance parses or generates the instance a spec selects.
-func specInstance(spec InstanceSpec) (*vrptw.Instance, error) {
+// specInstance parses or generates the instance a spec selects. An
+// instance of more than maxCustomers customers (0: no limit) is refused
+// before its N² distance matrix is built.
+func specInstance(spec InstanceSpec, maxCustomers int) (*vrptw.Instance, error) {
 	switch {
 	case spec.Solomon != "" && spec.Class != "":
 		return nil, fmt.Errorf("solomon text and generator class are mutually exclusive")
 	case spec.Solomon != "":
-		return vrptw.ParseSolomon(strings.NewReader(spec.Solomon))
+		return vrptw.ParseSolomonMax(strings.NewReader(spec.Solomon), maxCustomers)
 	case spec.Class != "":
 		class, err := vrptw.ParseClass(spec.Class)
 		if err != nil {
 			return nil, err
+		}
+		if maxCustomers > 0 && spec.N > maxCustomers {
+			return nil, fmt.Errorf("%d customers exceeds the service limit of %d", spec.N, maxCustomers)
 		}
 		return vrptw.Generate(vrptw.GenConfig{Class: class, N: spec.N, Seed: spec.Seed})
 	default:

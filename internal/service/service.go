@@ -86,7 +86,9 @@ type Config struct {
 	MaxEvaluations int
 	// MaxProcessors caps the per-job process count. Default 16.
 	MaxProcessors int
-	// MaxCustomers caps the instance size. Default 1000.
+	// MaxCustomers caps the instance size: of a submitted instance, and
+	// of the one a mutation batch would grow a job to. Both are checked
+	// before the instance is built. Default 1000.
 	MaxCustomers int
 	// MaxWallSeconds caps (and, when a job asks for none, defaults) the
 	// per-job real-time deadline. 0 means no deadline.

@@ -67,8 +67,8 @@ func (in *Instance) validate() error {
 	if in.Vehicles < 1 {
 		return fmt.Errorf("vrptw: instance needs at least one vehicle, got %d", in.Vehicles)
 	}
-	if in.Capacity <= 0 {
-		return fmt.Errorf("vrptw: capacity must be positive, got %g", in.Capacity)
+	if !(in.Capacity > 0) || math.IsInf(in.Capacity, 0) {
+		return fmt.Errorf("vrptw: capacity must be positive and finite, got %g", in.Capacity)
 	}
 	depot := in.Sites[0]
 	if depot.Demand != 0 {
@@ -78,6 +78,14 @@ func (in *Instance) validate() error {
 	for i, s := range in.Sites {
 		if s.ID != i {
 			return fmt.Errorf("vrptw: site %d has ID %d; IDs must equal slice index", i, s.ID)
+		}
+		// NaN fails every comparison, so a NaN window would pass each
+		// time-window test below and in the search; an infinite field
+		// turns distances and schedules into Inf − Inf.
+		for _, v := range [...]float64{s.X, s.Y, s.Demand, s.Ready, s.Due, s.Service} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("vrptw: site %d has a non-finite field (%g)", i, v)
+			}
 		}
 		if s.Ready < 0 || s.Due < s.Ready {
 			return fmt.Errorf("vrptw: site %d has invalid window [%g, %g]", i, s.Ready, s.Due)

@@ -97,6 +97,13 @@ func TestNewRejectsBadInput(t *testing.T) {
 			s = append(s, Site{ID: 2, X: 2, Y: 2, Demand: 9, Ready: 0, Due: 100})
 			return s
 		}(), 1, 10},
+		{"NaN due date", func() []Site { s := good(); s[1].Due = math.NaN(); return s }(), 1, 10},
+		{"NaN ready time", func() []Site { s := good(); s[1].Ready = math.NaN(); return s }(), 1, 10},
+		{"infinite coordinate", func() []Site { s := good(); s[1].X = math.Inf(1); return s }(), 1, 10},
+		{"infinite depot horizon", func() []Site { s := good(); s[0].Due = math.Inf(1); return s }(), 1, 10},
+		{"NaN demand", func() []Site { s := good(); s[1].Demand = math.NaN(); return s }(), 1, 10},
+		{"NaN capacity", good(), 1, math.NaN()},
+		{"infinite capacity", good(), 1, math.Inf(1)},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.name, tc.sites, tc.vehicles, tc.capacity); err == nil {

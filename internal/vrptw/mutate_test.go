@@ -16,7 +16,7 @@ func rebuilt(t *testing.T, d *Instance, k int) *NeighborLists {
 	if err != nil {
 		t.Fatalf("reference New: %v", err)
 	}
-	return ref.buildNeighborLists(k)
+	return ref.NeighborLists(k)
 }
 
 func sameLists(t *testing.T, what string, got, want *NeighborLists, n int) {

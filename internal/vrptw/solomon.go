@@ -2,6 +2,7 @@ package vrptw
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -26,7 +27,17 @@ import (
 // CAPACITY and CUST NO. headers and then consumes purely numeric rows, so
 // both the original 100-customer files and the Homberger extended files
 // load unchanged.
-func ParseSolomon(r io.Reader) (*Instance, error) {
+func ParseSolomon(r io.Reader) (*Instance, error) { return ParseSolomonMax(r, 0) }
+
+// ErrTooManyCustomers is wrapped by ParseSolomonMax's error for text that
+// holds more customers than the caller allows.
+var ErrTooManyCustomers = errors.New("vrptw: too many customers")
+
+// ParseSolomonMax is ParseSolomon for untrusted text: with maxCustomers
+// > 0 it stops at the first customer row past that many and returns an
+// error wrapping ErrTooManyCustomers, before it keeps the rest of the
+// sites or builds the (N+1)² distance matrix.
+func ParseSolomonMax(r io.Reader, maxCustomers int) (*Instance, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 
@@ -77,6 +88,9 @@ func ParseSolomon(r io.Reader) (*Instance, error) {
 				return nil, fmt.Errorf("vrptw: line %d: customer row needs 7 fields, got %d", lineNo, len(nums))
 			}
 			id := int(nums[0])
+			if maxCustomers > 0 && len(sites) > maxCustomers {
+				return nil, fmt.Errorf("%w: line %d holds customer %d, over the limit of %d", ErrTooManyCustomers, lineNo, len(sites), maxCustomers)
+			}
 			if id != len(sites) {
 				return nil, fmt.Errorf("vrptw: line %d: customer %d out of order (expected %d)", lineNo, id, len(sites))
 			}

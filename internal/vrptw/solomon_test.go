@@ -2,6 +2,8 @@ package vrptw
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -83,6 +85,29 @@ func TestSolomonRoundTrip(t *testing.T) {
 			math.Abs(a.Ready-b.Ready) > 1e-3 || math.Abs(a.Due-b.Due) > 1e-3 ||
 			math.Abs(a.Service-b.Service) > 0.5 {
 			t.Errorf("site %d round-trip mismatch: %+v vs %+v", i, a, b)
+		}
+	}
+}
+
+// TestParseSolomonMax checks that a limited parse stops at the first
+// customer row past the limit, before it builds the instance, and still
+// accepts text at the limit.
+func TestParseSolomonMax(t *testing.T) {
+	text := func(n int) string {
+		var b strings.Builder
+		b.WriteString("LINE\n\nVEHICLE\nNUMBER CAPACITY\n10 1000\n\nCUSTOMER\nCUST NO. XCOORD. YCOORD. DEMAND READY DUE SERVICE\n")
+		for c := 0; c <= n; c++ {
+			fmt.Fprintf(&b, "%d %d 0 %d 0 1000 %d\n", c, c, min(c, 1), min(c, 1))
+		}
+		return b.String()
+	}
+	if _, err := ParseSolomonMax(strings.NewReader(text(51)), 50); !errors.Is(err, ErrTooManyCustomers) {
+		t.Fatalf("51 customers under a limit of 50: %v, want ErrTooManyCustomers", err)
+	}
+	for _, max := range []int{0, 50} {
+		in, err := ParseSolomonMax(strings.NewReader(text(50)), max)
+		if err != nil || in.N() != 50 {
+			t.Fatalf("50 customers under a limit of %d: %v", max, err)
 		}
 	}
 }
