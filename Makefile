@@ -157,6 +157,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeltaMatchesApply -fuzztime $(FUZZTIME) ./internal/operators/
 	$(GO) test -run '^$$' -fuzz FuzzFeasibilityGuard -fuzztime $(FUZZTIME) ./internal/operators/
 	$(GO) test -run '^$$' -fuzz FuzzGranularMatchesReference -fuzztime $(FUZZTIME) ./internal/operators/
+	$(GO) test -run '^$$' -fuzz FuzzGranularWalkMatchesReference -fuzztime $(FUZZTIME) ./internal/operators/
 	$(GO) test -run '^$$' -fuzz FuzzClusterMessages -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/service/

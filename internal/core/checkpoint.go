@@ -179,8 +179,8 @@ func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
 
 // DecodeCheckpoint parses and verifies an encoded checkpoint: envelope
 // shape, format version, payload checksum, and structural invariants
-// (algorithm name, processor/part counts, part IDs, sample shape,
-// coordination timeouts a resume can adopt).
+// (algorithm name, processor/part counts, part IDs, coordination timeouts
+// a resume can adopt).
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	var env checkpointEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
@@ -215,14 +215,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		}
 		if part.ID != i {
 			return nil, fmt.Errorf("core: checkpoint part %d carries ID %d", i, part.ID)
-		}
-		for _, sm := range part.Samples {
-			// Both best-feasible objectives come from one feasible set:
-			// both are absent (+Inf) or neither is. A sample with one of
-			// them would not survive the next encode.
-			if math.IsInf(sm.BestDistance, 1) != math.IsInf(sm.BestVehicles, 1) {
-				return nil, fmt.Errorf("core: checkpoint part %d has a sample with only one best-feasible objective", i)
-			}
 		}
 	}
 	return &ck, nil

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/deme"
@@ -265,5 +267,59 @@ func TestResumeParentCheckpoint(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDecodeOneSidedSample takes a real checkpoint and makes one of its
+// convergence samples one-sided — a best feasible distance without a
+// best vehicle count, then the reverse. Each best-feasible field is
+// encoded on its own, so the checkpoint decodes, re-encodes and decodes
+// back to the same value, the one-sided sample included.
+func TestDecodeOneSidedSample(t *testing.T) {
+	cfg := smallConfig()
+	cfg.MaxEvaluations = 400
+	cfg.NeighborhoodSize = 12
+	cfg.SampleEvery = 20
+	cfg.CheckpointEvery = 3
+	_, cks := runWithCheckpoints(t, Sequential, testInstance(t, 12), cfg)
+	if len(cks) == 0 || len(cks[len(cks)-1].Parts[0].Samples) == 0 {
+		t.Fatal("the run produced no checkpoint with samples")
+	}
+	enc, err := EncodeCheckpoint(cks[len(cks)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []string{"distance only", "vehicles only"} {
+		ck, err := DecodeCheckpoint(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm := &ck.Parts[0].Samples[0]
+		sm.BestDistance, sm.BestVehicles = 812.25, 9
+		if side == "distance only" {
+			sm.BestVehicles = math.Inf(1)
+		} else {
+			sm.BestDistance = math.Inf(1)
+		}
+		want := *sm
+		var got [2]*Checkpoint
+		for i := range got {
+			data, err := EncodeCheckpoint(ck)
+			if err != nil {
+				t.Fatalf("%s: encode %d: %v", side, i, err)
+			}
+			if got[i], err = DecodeCheckpoint(data); err != nil {
+				t.Fatalf("%s: decode %d: %v", side, i, err)
+			}
+			ck = got[i]
+		}
+		if s := got[0].Parts[0].Samples[0]; s != want {
+			t.Errorf("%s: decoded sample %+v, want %+v", side, s, want)
+		}
+		canonicalEmpty(reflect.ValueOf(got[0]))
+		canonicalEmpty(reflect.ValueOf(got[1]))
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Errorf("%s: the checkpoint changed on its second round trip", side)
+		}
 	}
 }

@@ -107,11 +107,17 @@ func (c *CostModel) evalCost(in *vrptw.Instance, routes int) float64 {
 }
 
 // charge charges p the modeled cost of evaluating the candidates with the
-// given objectives.
+// given objectives. A candidate's cost depends on its vehicle count
+// alone, so it is recomputed only when the count changes from one
+// candidate to the next: the same values are added in the same order.
 func (c *CostModel) charge(p deme.Proc, in *vrptw.Instance, objs []solution.Objectives) {
-	var cost float64
+	var cost, each float64
+	vehicles := -1
 	for i := range objs {
-		cost += c.evalCost(in, int(objs[i].Vehicles))
+		if v := int(objs[i].Vehicles); v != vehicles {
+			vehicles, each = v, c.evalCost(in, v)
+		}
+		cost += each
 	}
 	p.Compute(cost)
 }

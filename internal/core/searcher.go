@@ -539,10 +539,9 @@ func (s *searcher) selectCand(cands []cand, nd []int) int {
 	}
 	allowed := s.allowed[:0]
 	for _, i := range nd {
-		aspires := !s.cfg.DisableAspiration && s.archive.WouldAccept(cands[i].obj)
 		if !s.tl.Contains(cands[i].attribute()) {
 			allowed = append(allowed, i)
-		} else if aspires {
+		} else if !s.cfg.DisableAspiration && s.archive.WouldAccept(cands[i].obj) {
 			s.tel.Inc(telemetry.AspirationFires)
 			allowed = append(allowed, i)
 		} else {

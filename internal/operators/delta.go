@@ -14,49 +14,52 @@ import (
 	"repro/internal/vrptw"
 )
 
-// swapRoutes subtracts the cached metrics of routes r1 and r2 from obj and
-// adds the spliced replacements; empty replacements (nil segs) remove the
-// route from the vehicle count.
+// spliceInto replaces route r's cached metrics in obj with those of the
+// route spliced from segs; empty segs remove the route from the vehicle
+// count.
 func spliceInto(obj *solution.Objectives, in *vrptw.Instance, s *solution.Solution, e *solution.Eval, r int, segs ...solution.Seg) {
-	obj.Distance -= s.Dist[r]
-	obj.Tardiness -= s.Tard[r]
 	if len(segs) == 0 {
+		obj.Distance -= s.Dist[r]
+		obj.Tardiness -= s.Tard[r]
 		obj.Vehicles--
 		return
 	}
 	d, t := e.SpliceMetrics(in, segs...)
-	obj.Distance += d
-	obj.Tardiness += t
+	replaceRoute(obj, s, r, d, t)
 }
 
+// replaceRoute replaces route r's cached metrics in obj with dist and
+// tard, the metrics of its replacement.
+func replaceRoute(obj *solution.Objectives, s *solution.Solution, r int, dist, tard float64) {
+	obj.Distance -= s.Dist[r]
+	obj.Tardiness -= s.Tard[r]
+	obj.Distance += dist
+	obj.Tardiness += tard
+}
+
+// The two single-customer moves splice through Eval's insert, replace and
+// remove entry points, which walk the same arithmetic as SpliceMetrics on
+// the equivalent segments without building them.
+
 func (m relocateMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
-	rf, rt := s.Routes[m.from], s.Routes[m.to]
 	obj := s.Obj
-	if len(rf) == 1 {
+	if len(s.Routes[m.from]) == 1 {
 		spliceInto(&obj, in, s, e, m.from)
 	} else {
-		spliceInto(&obj, in, s, e, m.from,
-			solution.Piece(m.from, 0, m.fpos),
-			solution.Piece(m.from, m.fpos+1, len(rf)))
+		d, t := e.RemoveMetrics(in, m.from, m.fpos)
+		replaceRoute(&obj, s, m.from, d, t)
 	}
-	spliceInto(&obj, in, s, e, m.to,
-		solution.Piece(m.to, 0, m.tpos),
-		solution.Single(m.cust),
-		solution.Piece(m.to, m.tpos, len(rt)))
+	d, t := e.InsertMetrics(in, m.to, m.tpos, m.cust)
+	replaceRoute(&obj, s, m.to, d, t)
 	return obj, true
 }
 
 func (m exchangeMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
-	a, b := s.Routes[m.r1], s.Routes[m.r2]
 	obj := s.Obj
-	spliceInto(&obj, in, s, e, m.r1,
-		solution.Piece(m.r1, 0, m.p1),
-		solution.Single(m.c2),
-		solution.Piece(m.r1, m.p1+1, len(a)))
-	spliceInto(&obj, in, s, e, m.r2,
-		solution.Piece(m.r2, 0, m.p2),
-		solution.Single(m.c1),
-		solution.Piece(m.r2, m.p2+1, len(b)))
+	d, t := e.ReplaceMetrics(in, m.r1, m.p1, m.c2)
+	replaceRoute(&obj, s, m.r1, d, t)
+	d, t = e.ReplaceMetrics(in, m.r2, m.p2, m.c1)
+	replaceRoute(&obj, s, m.r2, d, t)
 	return obj, true
 }
 

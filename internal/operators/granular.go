@@ -1,6 +1,8 @@
 package operators
 
 import (
+	"math/bits"
+
 	"repro/internal/rng"
 	"repro/internal/solution"
 	"repro/internal/vrptw"
@@ -22,15 +24,17 @@ import (
 // (0 for the depot) and the load its route carries before it. A granular
 // proposal reads an arc endpoint's whole side of the move from this one
 // record instead of from the route slices. The table is memoized on the
-// (instance, solution) pair and refilled in one O(N) pass when either
-// changes, reusing its storage; the refill also fetches the instance's arc
-// bitset, so the sweeps on that solution test arcs without touching the
-// instance's lock.
+// (instance, solution) pair, and binding it to an instance also fetches
+// the instance's arc bitset, so the sweeps test arcs without touching the
+// instance's lock. PosIndex also holds the slot memos of relocate and
+// exchange, which outlive any one solution.
 type PosIndex struct {
 	in   *vrptw.Instance
 	sol  *solution.Solution
 	arcs *vrptw.ArcBits
 	cust []custRec
+
+	rel, ex slotMemo
 }
 
 // custRec is one customer's record in the PosIndex.
@@ -43,31 +47,115 @@ type custRec struct {
 	loadBefore float64
 }
 
-// Reset binds the table to s on in, refilling it only when either differs
-// from the last bound pair.
+// Reset binds the table to s on in. A route s shares with the bound
+// solution on the same instance (solution.SharedRoute, the rule Eval.Reset
+// keeps schedules by) keeps its customers' records, which depend on the
+// route alone except for its index; that index is rewritten when the
+// route moved, and only the other routes' records are refilled. A search
+// step thus refills the one or two routes its move changed; a solution on
+// another instance refills every route.
 func (px *PosIndex) Reset(in *vrptw.Instance, s *solution.Solution) {
 	if px.sol == s && px.in == in {
 		return
 	}
-	n := in.N() + 1
-	if cap(px.cust) < n {
-		px.cust = make([]custRec, n)
+	var old [][]int
+	if px.sol != nil && px.in == in {
+		old = px.sol.Routes
+	} else {
+		n := in.N() + 1
+		if cap(px.cust) < n {
+			px.cust = make([]custRec, n)
+		}
+		px.cust = px.cust[:n]
+		px.arcs = in.ArcBits()
 	}
-	px.cust = px.cust[:n]
+	hint := 0
 	for ri, route := range s.Routes {
-		var load float64
-		pred := 0
-		for pi, c := range route {
-			succ := 0
-			if pi+1 < len(route) {
-				succ = route[pi+1]
+		j := solution.SharedRoute(old, route, hint)
+		if j < 0 {
+			px.fill(in, ri, route)
+			continue
+		}
+		hint = j + 1
+		if j != ri {
+			for _, c := range route {
+				px.cust[c].route = int32(ri)
 			}
-			px.cust[c] = custRec{route: int32(ri), pos: int32(pi), pred: int32(pred), succ: int32(succ), loadBefore: load}
-			load += in.Sites[c].Demand
-			pred = c
 		}
 	}
-	px.in, px.sol, px.arcs = in, s, in.ArcBits()
+	px.in, px.sol = in, s
+}
+
+// fill writes the records of route, the ri-th route of the solution.
+func (px *PosIndex) fill(in *vrptw.Instance, ri int, route []int) {
+	var load float64
+	pred := 0
+	for pi, c := range route {
+		succ := 0
+		if pi+1 < len(route) {
+			succ = route[pi+1]
+		}
+		px.cust[c] = custRec{route: int32(ri), pos: int32(pi), pred: int32(pred), succ: int32(succ), loadBefore: load}
+		load += in.Sites[c].Demand
+		pred = c
+	}
+}
+
+// slotMemo remembers, for each site c1, which slots of c1's granular list
+// hold a site j whose arc j -> t is admissible, for the last tag t a
+// proposer asked about c1 (relocate tags c1 with succ(c1), exchange with
+// succ(succ(c1))). The arc bitset and the lists are immutable, so a mask
+// is a constant of (instance, lists, c1, t): a memo bound to one instance
+// and one NeighborLists stays exact across draws, sweeps and solutions,
+// and a draw whose c1 still has the tag it had last time reuses the mask.
+// Each site has ⌈K/64⌉ mask words, so lists of any length take one path.
+type slotMemo struct {
+	in    *vrptw.Instance
+	nl    *vrptw.NeighborLists
+	words int
+	tag   []int32  // per site, the tag its mask was built for; -1 for none
+	mask  []uint64 // per site, words words; bit i is slot i
+}
+
+// of returns c1's slot mask for tag t, building it on a miss.
+func (m *slotMemo) of(in *vrptw.Instance, nl *vrptw.NeighborLists, arcs *vrptw.ArcBits, c1, t int) []uint64 {
+	if m.in != in || m.nl != nl {
+		m.bind(in, nl)
+	}
+	mask := m.mask[c1*m.words : (c1+1)*m.words]
+	if m.tag[c1] != int32(t) {
+		m.tag[c1] = int32(t)
+		fillMask(mask, nl.Of(c1), arcs, t)
+	}
+	return mask
+}
+
+// bind empties the memo and sizes it for in and nl.
+func (m *slotMemo) bind(in *vrptw.Instance, nl *vrptw.NeighborLists) {
+	m.in, m.nl, m.words = in, nl, (nl.K+63)/64
+	n := in.N() + 1
+	if cap(m.tag) < n {
+		m.tag = make([]int32, n)
+	}
+	m.tag = m.tag[:n]
+	for i := range m.tag {
+		m.tag[i] = -1
+	}
+	if cap(m.mask) < n*m.words {
+		m.mask = make([]uint64, n*m.words)
+	}
+	m.mask = m.mask[:n*m.words]
+}
+
+// fillMask sets bit i of mask exactly when the arc list[i] -> t is
+// admissible.
+func fillMask(mask []uint64, list []int32, arcs *vrptw.ArcBits, t int) {
+	clear(mask)
+	for i, j := range list {
+		if arcs.OK(int(j), t) {
+			mask[i/64] |= 1 << (i % 64)
+		}
+	}
 }
 
 // intraAttempts bounds the outer draw loop of the intra-route proposers
@@ -122,6 +210,49 @@ func (sc *arcScan) next() (c2 int, ok bool) {
 	return int(sc.nbrs[i]), true
 }
 
+// slotScan visits the set slots of a slot mask in the order arcScan
+// visits all slots — from the drawn offset to the end of the list, then
+// from its start — so a proposer that skips the unset slots finds the
+// same first admissible slot. The offset's word is visited twice: its
+// bits from the offset on first, the ones below it last.
+type slotScan struct {
+	mask []uint64
+	w0   int    // the offset's word
+	lo   uint64 // the bits of word w0 below the offset
+	v    int    // words visited after w0
+	base int    // the first slot of the current word
+	cur  uint64 // the current word's unvisited set bits
+}
+
+// newSlotScan starts a scan of mask at slot off.
+func newSlotScan(mask []uint64, off int) slotScan {
+	w0 := off / 64
+	lo := uint64(1)<<(off%64) - 1
+	return slotScan{mask: mask, w0: w0, lo: lo, base: w0 * 64, cur: mask[w0] &^ lo}
+}
+
+// next yields the next set slot, or false once every set slot was
+// visited.
+func (sc *slotScan) next() (slot int, ok bool) {
+	for sc.cur == 0 {
+		sc.v++
+		if sc.v > len(sc.mask) {
+			return 0, false
+		}
+		w := sc.w0 + sc.v
+		if w >= len(sc.mask) {
+			w -= len(sc.mask)
+		}
+		sc.base, sc.cur = w*64, sc.mask[w]
+		if sc.v == len(sc.mask) {
+			sc.cur &= sc.lo
+		}
+	}
+	slot = sc.base + bits.TrailingZeros64(sc.cur)
+	sc.cur &= sc.cur - 1
+	return slot, true
+}
+
 // proposeGranular implements granularProposer: relocate c2 out of its
 // route to directly after c1 in another route, creating the arc c1 -> c2.
 func (Relocate) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
@@ -134,20 +265,19 @@ func (Relocate) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *Po
 			continue
 		}
 		t1 := &px.cust[c1]
-		next := int(t1.succ)
+		// The arc c1 -> c2 is admissible by list membership; the mask
+		// holds the slots whose second insertion arc c2 -> succ(c1) is,
+		// and the remaining tests run on those slots in scan order. The
+		// tests are pure, so which slot passes first does not depend on
+		// their order.
+		ms := newSlotScan(px.rel.of(in, nl, px.arcs, c1, int(t1.succ)), sc.off)
 		spare := in.Capacity - s.Load[t1.route]
 		for {
-			c2, more := sc.next()
+			slot, more := ms.next()
 			if !more {
 				break
 			}
-			// The arc c1 -> c2 is admissible by list membership. The
-			// second insertion arc rejects most slots, so it is tested
-			// first; the tests are pure, so their order cannot change
-			// which slot is the first admissible one.
-			if !px.arcs.OK(c2, next) {
-				continue
-			}
+			c2 := int(sc.nbrs[slot])
 			t2 := &px.cust[c2]
 			if t2.route == t1.route || in.Sites[c2].Demand > spare {
 				continue
@@ -177,19 +307,17 @@ func (Exchange) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *Po
 		if x == 0 {
 			continue // c1 has no successor to swap out
 		}
-		ax := int(px.cust[x].succ)
 		dx := in.Sites[x].Demand
+		// c1 -> c2 is the list arc; the mask holds the slots whose arc
+		// c2 -> succ(x) is admissible (see Relocate), and the other two
+		// created arcs are tested per slot.
+		ms := newSlotScan(px.ex.of(in, nl, px.arcs, c1, int(px.cust[x].succ)), sc.off)
 		for {
-			c2, more := sc.next()
+			slot, more := ms.next()
 			if !more {
 				break
 			}
-			// c1 -> c2 is the list arc. Of the other three created arcs,
-			// c2 -> succ(x) rejects most slots, so it goes first (the
-			// tests are pure; see Relocate).
-			if !px.arcs.OK(c2, ax) {
-				continue
-			}
+			c2 := int(sc.nbrs[slot])
 			t2 := &px.cust[c2]
 			if t2.route == t1.route {
 				continue

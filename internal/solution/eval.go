@@ -34,13 +34,10 @@ type RouteEval struct {
 	Tard   []float64
 	Load   []float64
 	Latest []float64
-
-	route []int // the route the arrays were built for
 }
 
 // build fills the arrays for route, reusing existing capacity.
 func (re *RouteEval) build(in *vrptw.Instance, route []int) {
-	re.route = route
 	k := len(route)
 	re.Depart = sized(re.Depart, k+1)
 	re.Dist = sized(re.Dist, k+1)
@@ -119,27 +116,25 @@ func NewEval(in *vrptw.Instance, s *Solution) *Eval {
 }
 
 // Reset rebinds the cache to s. A route s shares with the bound solution
-// on the same instance — the same backing array and the same length —
-// keeps its schedules; only the other routes are rebuilt. Route slices are
-// immutable once attached, so a shared route has equal content. A solution
-// derived by WithRoutes shares every route its move did not touch, so a
-// search step rebuilds the one or two routes it changed, not all of them;
-// an unrelated solution rebuilds everything, into reused buffers.
+// on the same instance (SharedRoute) keeps its schedules; only the other
+// routes are rebuilt. A solution derived by WithRoutes shares every route
+// its move did not touch, so a search step rebuilds the one or two routes
+// it changed, not all of them; an unrelated solution rebuilds everything,
+// into reused buffers.
 func (e *Eval) Reset(in *vrptw.Instance, s *Solution) {
-	old := e.R
-	if e.in != in {
-		old = old[:0] // schedules depend on the instance's data
+	var old [][]int // the bound routes; schedules depend on the instance too
+	if e.sol != nil && e.in == in {
+		old = e.sol.Routes
 	}
 	next := e.spare
 	if cap(next) < len(s.Routes) {
 		next = append(next[:cap(next)], make([]RouteEval, len(s.Routes)-cap(next))...)
 	}
 	next = next[:len(s.Routes)]
-	hint := 0 // shared routes keep their relative order under WithRoutes
+	hint := 0
 	for i, r := range s.Routes {
-		if j := findRoute(old, r, hint); j >= 0 {
-			next[i], old[j] = old[j], next[i]
-			old[j].route = nil // its arrays now hold a stale binding
+		if j := SharedRoute(old, r, hint); j >= 0 {
+			next[i], e.R[j] = e.R[j], next[i]
 			hint = j + 1
 			continue
 		}
@@ -149,15 +144,24 @@ func (e *Eval) Reset(in *vrptw.Instance, s *Solution) {
 	e.sol, e.in = s, in
 }
 
-// findRoute returns the index of the schedules built for route in res,
-// searching from hint and wrapping around, or -1 when none is.
-func findRoute(res []RouteEval, route []int, hint int) int {
-	for k := range res {
+// SharedRoute returns the index of the route of old that route shares —
+// the same backing array and the same length — searching from hint and
+// wrapping around, or -1 when none does. Route slices are immutable once
+// attached, so a shared route has equal content, and anything derived
+// from a route alone carries over with it. WithRoutes keeps the routes it
+// shares in order, so a caller walking a derived solution's routes passes
+// one past the last match as the next hint and finds each in one probe; a
+// permuted route list is matched too. Empty routes are never shared.
+func SharedRoute(old [][]int, route []int, hint int) int {
+	if len(route) == 0 {
+		return -1
+	}
+	for k := range old {
 		j := hint + k
-		if j >= len(res) {
-			j -= len(res)
+		if j >= len(old) {
+			j -= len(old)
 		}
-		if rr := res[j].route; len(rr) == len(route) && len(rr) > 0 && &rr[0] == &route[0] {
+		if rr := old[j]; len(rr) == len(route) && &rr[0] == &route[0] {
 			return j
 		}
 	}
@@ -201,101 +205,152 @@ func Single(cust int) Seg { return Seg{Route: -1, Cust: cust} }
 // resynchronizes with the cached schedule (equal departure times).
 func (e *Eval) SpliceMetrics(in *vrptw.Instance, segs ...Seg) (dist, tard float64) {
 	e.Telemetry.Inc(telemetry.SpliceCalls)
-	depot := &in.Sites[0]
-	t := depot.Ready
-	prev := 0
-
-	step := func(c int) {
-		s := &in.Sites[c]
-		leg := in.Dist(prev, c)
-		dist += leg
-		t += leg
-		if t < s.Ready {
-			t = s.Ready
-		}
-		if t > s.Due {
-			tard += t - s.Due
-		}
-		t += s.Service
-		prev = c
-	}
-
-segments:
+	w := walk{t: in.Sites[0].Ready}
 	for si := range segs {
 		seg := &segs[si]
 		if seg.Route < 0 {
-			step(seg.Cust)
+			w.step(in, seg.Cust)
 			continue
 		}
 		if seg.From >= seg.To {
 			continue
 		}
 		route := e.sol.Routes[seg.Route]
-		re := &e.R[seg.Route]
 
 		// A leading prefix of a cached route: fold in O(1).
 		if si == 0 && !seg.Rev && seg.From == 0 {
-			e.Telemetry.Inc(telemetry.SplicePrefixFolds)
-			t = re.Depart[seg.To]
-			dist = re.Dist[seg.To]
-			tard = re.Tard[seg.To]
-			prev = route[seg.To-1]
+			w = e.head(in, seg.Route, seg.To)
 			continue
 		}
 
 		// A trailing suffix of a cached route: walk with early exit.
 		if si == len(segs)-1 && !seg.Rev && seg.To == len(route) {
-			totalDist, totalTard := e.sol.Dist[seg.Route], e.sol.Tard[seg.Route]
-			for j := seg.From; j < seg.To; j++ {
-				c := route[j]
-				s := &in.Sites[c]
-				leg := in.Dist(prev, c)
-				arr := t + leg
-				if arr <= re.Latest[j] {
-					// The whole remaining suffix is served without
-					// tardiness; its arcs are time-independent.
-					e.Telemetry.Inc(telemetry.SpliceSuffixEarlyExits)
-					return dist + leg + totalDist - re.Dist[j+1], tard
-				}
-				dist += leg
-				if arr < s.Ready {
-					arr = s.Ready
-				}
-				if arr > s.Due {
-					tard += arr - s.Due
-				}
-				t = arr + s.Service
-				prev = c
-				if t == re.Depart[j+1] {
-					// Resynchronized with the cached schedule: the rest
-					// of the suffix behaves exactly as cached.
-					e.Telemetry.Inc(telemetry.SpliceSuffixResyncs)
-					return dist + totalDist - re.Dist[j+1], tard + totalTard - re.Tard[j+1]
-				}
-			}
-			continue segments
+			return e.tail(in, w, seg.Route, seg.From)
 		}
 
 		// Generic interior segment: walk customer by customer.
 		if seg.Rev {
 			for j := seg.To - 1; j >= seg.From; j-- {
-				step(route[j])
+				w.step(in, route[j])
 			}
 		} else {
 			for j := seg.From; j < seg.To; j++ {
-				step(route[j])
+				w.step(in, route[j])
 			}
 		}
 	}
+	return e.home(in, w)
+}
 
-	// No suffix shortcut applied: the splice was simulated all the way to
-	// the depot return.
-	e.Telemetry.Inc(telemetry.SpliceFullWalks)
-	leg := in.Dist(prev, 0)
-	dist += leg
-	t += leg
-	if t > depot.Due {
-		tard += t - depot.Due
+// InsertMetrics returns the SpliceMetrics of route r with customer c
+// inserted at position p — Piece(r, 0, p), Single(c), Piece(r, p, len) —
+// without building the segments: the same arithmetic in the same order,
+// and the same splice counters.
+func (e *Eval) InsertMetrics(in *vrptw.Instance, r, p, c int) (dist, tard float64) {
+	e.Telemetry.Inc(telemetry.SpliceCalls)
+	w := e.head(in, r, p)
+	w.step(in, c)
+	return e.tail(in, w, r, p)
+}
+
+// ReplaceMetrics returns the SpliceMetrics of route r with the customer
+// at position p replaced by c — Piece(r, 0, p), Single(c),
+// Piece(r, p+1, len) — as InsertMetrics does.
+func (e *Eval) ReplaceMetrics(in *vrptw.Instance, r, p, c int) (dist, tard float64) {
+	e.Telemetry.Inc(telemetry.SpliceCalls)
+	w := e.head(in, r, p)
+	w.step(in, c)
+	return e.tail(in, w, r, p+1)
+}
+
+// RemoveMetrics returns the SpliceMetrics of route r with the customer at
+// position p removed — Piece(r, 0, p), Piece(r, p+1, len) — as
+// InsertMetrics does.
+func (e *Eval) RemoveMetrics(in *vrptw.Instance, r, p int) (dist, tard float64) {
+	e.Telemetry.Inc(telemetry.SpliceCalls)
+	return e.tail(in, e.head(in, r, p), r, p+1)
+}
+
+// walk is the state of a vehicle driving a spliced route: its departure
+// time from, and the distance and tardiness accumulated up to, prev, the
+// last site served.
+type walk struct {
+	t, dist, tard float64
+	prev          int
+}
+
+// step serves customer c next, with exactly RouteMetrics' arithmetic.
+func (w *walk) step(in *vrptw.Instance, c int) {
+	s := &in.Sites[c]
+	leg := in.Dist(w.prev, c)
+	w.dist += leg
+	w.t += leg
+	if w.t < s.Ready {
+		w.t = s.Ready
 	}
-	return dist, tard
+	if w.t > s.Due {
+		w.tard += w.t - s.Due
+	}
+	w.t += s.Service
+	w.prev = c
+}
+
+// head returns the state after serving the first p customers of cached
+// route r, folded from its forward arrays in O(1); for p = 0 it is the
+// depot departure.
+func (e *Eval) head(in *vrptw.Instance, r, p int) walk {
+	if p == 0 {
+		return walk{t: in.Sites[0].Ready}
+	}
+	e.Telemetry.Inc(telemetry.SplicePrefixFolds)
+	re := &e.R[r]
+	return walk{t: re.Depart[p], dist: re.Dist[p], tard: re.Tard[p], prev: e.sol.Routes[r][p-1]}
+}
+
+// tail finishes the splice w with cached route r's suffix from position
+// from and the return to the depot. The suffix walk stops early once the
+// vehicle arrives at or before Latest — the rest of the suffix is served
+// without tardiness, and its arcs are time-independent — or departs at
+// the cached time, after which the rest behaves exactly as cached.
+func (e *Eval) tail(in *vrptw.Instance, w walk, r, from int) (dist, tard float64) {
+	route := e.sol.Routes[r]
+	re := &e.R[r]
+	for j := from; j < len(route); j++ {
+		c := route[j]
+		s := &in.Sites[c]
+		leg := in.Dist(w.prev, c)
+		arr := w.t + leg
+		if arr <= re.Latest[j] {
+			e.Telemetry.Inc(telemetry.SpliceSuffixEarlyExits)
+			return w.dist + leg + e.sol.Dist[r] - re.Dist[j+1], w.tard
+		}
+		w.dist += leg
+		if arr < s.Ready {
+			arr = s.Ready
+		}
+		if arr > s.Due {
+			w.tard += arr - s.Due
+		}
+		w.t = arr + s.Service
+		w.prev = c
+		if w.t == re.Depart[j+1] {
+			e.Telemetry.Inc(telemetry.SpliceSuffixResyncs)
+			return w.dist + e.sol.Dist[r] - re.Dist[j+1], w.tard + e.sol.Tard[r] - re.Tard[j+1]
+		}
+	}
+	return e.home(in, w)
+}
+
+// home closes the splice w with the return to the depot: no suffix
+// shortcut applied, so the splice was simulated all the way.
+func (e *Eval) home(in *vrptw.Instance, w walk) (dist, tard float64) {
+	e.Telemetry.Inc(telemetry.SpliceFullWalks)
+	depot := &in.Sites[0]
+	leg := in.Dist(w.prev, 0)
+	w.dist += leg
+	w.t += leg
+	if w.t > depot.Due {
+		w.tard += w.t - depot.Due
+	}
+	return w.dist, w.tard
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/vrptw"
 )
 
@@ -386,5 +387,77 @@ func TestSpliceMetricsSingleCustomerRoute(t *testing.T) {
 	gd, gt = e.SpliceMetrics(in, Single(1))
 	if gd != dist || gt != tard {
 		t.Errorf("Single(1): SpliceMetrics = (%g, %g), want (%g, %g)", gd, gt, dist, tard)
+	}
+}
+
+// TestSingleCustomerSplicesMatch holds InsertMetrics, ReplaceMetrics and
+// RemoveMetrics to SpliceMetrics on the equivalent segment lists: at
+// every position of every route — singleton routes first, in the middle
+// and last among them — and for every customer spliced in, they return
+// the same bits and add the same amount to every splice counter.
+func TestSingleCustomerSplicesMatch(t *testing.T) {
+	counters := []telemetry.CounterID{telemetry.SpliceCalls, telemetry.SplicePrefixFolds,
+		telemetry.SpliceSuffixEarlyExits, telemetry.SpliceSuffixResyncs, telemetry.SpliceFullWalks}
+	exits := map[telemetry.CounterID]int64{}
+	for _, class := range []vrptw.Class{vrptw.R1, vrptw.C1, vrptw.RC1} {
+		in := evalInstance(t, class, 40, 3)
+		filled := capacityFill(in).Routes
+		if len(filled) < 3 {
+			t.Fatalf("%v: need at least 3 routes, capacityFill produced %d", class, len(filled))
+		}
+		first, mid, last := filled[0], filled[1], filled[len(filled)-1]
+		routes := [][]int{first[:1], first[1:], mid[:1], mid[1:]}
+		routes = append(routes, filled[2:len(filled)-1]...)
+		routes = append(routes, last[:len(last)-1], last[len(last)-1:])
+		s := New(in, routes)
+		e := NewEval(in, s)
+		entry, ref := telemetry.New(nil, nil), telemetry.New(nil, nil)
+		same := func(what string, r, p, c int, d, tard, wd, wtard float64) {
+			t.Helper()
+			if math.Float64bits(d) != math.Float64bits(wd) || math.Float64bits(tard) != math.Float64bits(wtard) {
+				t.Fatalf("%v %s route %d pos %d cust %d: (%v, %v), SpliceMetrics (%v, %v)", class, what, r, p, c, d, tard, wd, wtard)
+			}
+			for _, id := range counters {
+				if entry.Load(id) != ref.Load(id) {
+					t.Fatalf("%v %s route %d pos %d cust %d: counter %d at %d, SpliceMetrics %d", class, what, r, p, c, id, entry.Load(id), ref.Load(id))
+				}
+			}
+		}
+		for r, route := range s.Routes {
+			k := len(route)
+			for p := 0; p <= k; p++ {
+				for c := 1; c <= in.N(); c++ {
+					e.Telemetry = entry
+					d, tard := e.InsertMetrics(in, r, p, c)
+					e.Telemetry = ref
+					wd, wtard := e.SpliceMetrics(in, Piece(r, 0, p), Single(c), Piece(r, p, k))
+					same("insert", r, p, c, d, tard, wd, wtard)
+					if p == k {
+						continue
+					}
+					e.Telemetry = entry
+					d, tard = e.ReplaceMetrics(in, r, p, c)
+					e.Telemetry = ref
+					wd, wtard = e.SpliceMetrics(in, Piece(r, 0, p), Single(c), Piece(r, p+1, k))
+					same("replace", r, p, c, d, tard, wd, wtard)
+				}
+				if p == k {
+					continue
+				}
+				e.Telemetry = entry
+				d, tard := e.RemoveMetrics(in, r, p)
+				e.Telemetry = ref
+				wd, wtard := e.SpliceMetrics(in, Piece(r, 0, p), Piece(r, p+1, k))
+				same("remove", r, p, 0, d, tard, wd, wtard)
+			}
+		}
+		for _, id := range counters {
+			exits[id] += entry.Load(id)
+		}
+	}
+	for _, id := range counters {
+		if exits[id] == 0 {
+			t.Errorf("counter %d never moved: the splices miss one of SpliceMetrics' paths", id)
+		}
 	}
 }
