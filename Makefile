@@ -45,9 +45,9 @@ allocs:
 # bench-smoke is the candidate engine's fast perf gate: the zero-alloc
 # assertions on the sweep (full and granular) and the searcher's generate
 # path, plus one untimed pass over the 400-customer benchmarks — the
-# sweeps, the searcher iteration and the two start-up steps every job
-# runs, the granular lists' first build and the I1 construction on R1
-# and R2 — so a broken benchmark fails here. Timed measurements are scripts/tsmobench's job;
+# sweeps, the searcher iteration and the three start-up steps every job
+# runs, the instance build, the granular lists' first build and the I1
+# construction on R1 and R2 — so a broken benchmark fails here. Timed measurements are scripts/tsmobench's job;
 # its own module's smoke test runs all four workloads at toy scale with
 # their output checks, so a change to an API the benchmark compiles
 # against fails here, not in the next benchmark run.
@@ -57,7 +57,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCandidatesInto400|BenchmarkCandidatesGranular400' \
 	  -benchtime 1x ./internal/operators/
 	$(GO) test -run '^$$' -bench 'BenchmarkSearcherIteration' -benchtime 1x ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkNeighborLists' -benchtime 1x ./internal/vrptw/
+	$(GO) test -run '^$$' -bench 'BenchmarkGenerate|BenchmarkNeighborLists' -benchtime 1x ./internal/vrptw/
 	$(GO) test -run '^$$' -bench 'BenchmarkI1' -benchtime 1x ./internal/construct/
 	cd scripts/tsmobench && $(GO) test -count 1 ./...
 

@@ -277,9 +277,9 @@ func (b *bounds) cheapest(in *vrptw.Instance, p Params, route []int, u, from, to
 // cost returns the I1 cost c1 of inserting u at position k of route —
 // between i (position k-1, the depot if k == 0) and j (position k, the
 // depot return if k == len) — and whether that insertion is time-window
-// feasible. Both of u's distances are read from the rows of i and j, at
-// column u, so the scans of successive customers walk the same few rows;
-// Dist(j, u) is Dist(u, j) bit for bit, the matrix being symmetric.
+// feasible. Both of u's distances are taken with u second, Dist(i, u) and
+// Dist(j, u): Dist(j, u) is Dist(u, j) bit for bit, since Dist is
+// symmetric.
 func (b *bounds) cost(in *vrptw.Instance, p Params, route []int, u, k int) (float64, bool) {
 	su := &in.Sites[u]
 	i := 0

@@ -8,7 +8,10 @@
 // process with Split, so runs are reproducible regardless of interleaving.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic pseudo-random number generator.
 // The zero value is not usable; construct with New.
@@ -105,28 +108,15 @@ func (r *Rand) Intn(n int) int {
 	// Lemire's nearly-divisionless bounded generation.
 	bound := uint64(n)
 	x := r.Uint64()
-	hi, lo := mul64(x, bound)
+	hi, lo := bits.Mul64(x, bound)
 	if lo < bound {
 		threshold := -bound % bound
 		for lo < threshold {
 			x = r.Uint64()
-			hi, lo = mul64(x, bound)
+			hi, lo = bits.Mul64(x, bound)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask32 + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -225,23 +225,30 @@ func TestPickEmpty(t *testing.T) {
 	}
 }
 
-func TestMul64MatchesBigArithmetic(t *testing.T) {
-	f := func(x, y uint64) bool {
-		hi, lo := mul64(x, y)
-		// verify via 32-bit decomposition done differently
-		wantLo := x * y
-		// compute hi by splitting y instead of x
-		const m = 1<<32 - 1
-		y0, y1 := y&m, y>>32
-		x0, x1 := x&m, x>>32
-		w0 := y0 * x0
-		tt := y1*x0 + w0>>32
-		w1 := tt&m + y0*x1
-		wantHi := y1*x1 + tt>>32 + w1>>32
-		return hi == wantHi && lo == wantLo
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+// TestIntnGolden pins Intn's draws from a fixed seed for a trivial, a
+// small, a route-sized and a power-of-two bound, and the stream position
+// after them: a change to the bounded multiply moves a draw or the number
+// of words consumed.
+func TestIntnGolden(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		want []int
+		next uint64
+	}{
+		{1, []int{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 0x3fa3dac185ab7f47},
+		{7, []int{5, 0, 1, 0, 3, 1, 3, 0, 2, 5, 5, 6}, 0x3fa3dac185ab7f47},
+		{400, []int{324, 25, 63, 19, 222, 101, 186, 28, 124, 303, 298, 356}, 0x3fa3dac185ab7f47},
+		{1 << 20, []int{850310, 66876, 167522, 51457, 583216, 266587, 487602, 75729, 326795, 794784, 782735, 935218}, 0x3fa3dac185ab7f47},
+	} {
+		r := New(2007)
+		for i, want := range tc.want {
+			if got := r.Intn(tc.n); got != want {
+				t.Fatalf("Intn(%d) draw %d = %d, want %d", tc.n, i, got, want)
+			}
+		}
+		if got := r.Uint64(); got != tc.next {
+			t.Fatalf("Intn(%d): next word %#x, want %#x", tc.n, got, tc.next)
+		}
 	}
 }
 

@@ -80,9 +80,10 @@ type projection struct {
 }
 
 // extend projects base through log. An added or cancelled customer
-// copies the distance matrix, so when log starts with the cached log — a
-// batch that landed at the tail of the log the previous batch committed —
-// only the rest is projected, on top of the cached instance. Any other
+// copies the sites and repairs the neighbor lists, so when log starts
+// with the cached log — a batch that landed at the tail of the log the
+// previous batch committed — only the rest is projected, on top of the
+// cached instance. Any other
 // log (a batch pinned below an epoch already queued, a log the run
 // shortened by rejecting a mutation, the first batch after recovery) is
 // projected from base.
@@ -95,8 +96,8 @@ func (p projection) extend(base *vrptw.Instance, log []dynamic.Mutation) (*vrptw
 
 // checkGrowth refuses a mutation log that takes an instance of n
 // customers past maxCustomers (0: no limit) at any point, counting adds
-// and cancels before any instance is derived: each add copies the
-// distance matrix one row and column larger.
+// and cancels before any instance is derived: each add derives an
+// instance one site larger.
 func checkGrowth(n int, log []dynamic.Mutation, maxCustomers int) error {
 	if maxCustomers <= 0 {
 		return nil

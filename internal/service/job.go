@@ -300,7 +300,7 @@ func newJob(spec JobSpec, limits *Config) (*Job, error) {
 
 // specInstance parses or generates the instance a spec selects. An
 // instance of more than maxCustomers customers (0: no limit) is refused
-// before its N² distance matrix is built.
+// before it is generated or its text parsed past the limit.
 func specInstance(spec InstanceSpec, maxCustomers int) (*vrptw.Instance, error) {
 	switch {
 	case spec.Solomon != "" && spec.Class != "":

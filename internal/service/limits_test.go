@@ -44,26 +44,44 @@ func solomonText(n int) string {
 }
 
 // TestSubmitOversizeRefusedBeforeBuild posts instances past the default
-// 1000-customer limit, one generated and one inline, and bounds what the
-// refusal allocates: an instance of 3000 customers has a 72 MB distance
-// matrix, so a 400 that stays under 4 MB was given before the instance
-// was built.
+// 1000-customer limit, one generated and one inline, and bounds what each
+// refusal allocates by what building that instance allocates, measured
+// here: about 240 KB for the generator and 1.2 MB for parsing the text
+// at 3000 customers. A refusal that costs less was given before the
+// instance was built; one that generated the instance, or parsed every
+// row, before comparing the size costs the build on top of the request.
 func TestSubmitOversizeRefusedBeforeBuild(t *testing.T) {
 	svc := testService(t, Config{Workers: 1})
+	text := solomonText(3000)
 	for _, tc := range []struct {
-		name string
-		spec JobSpec
+		name  string
+		spec  JobSpec
+		build func() (*vrptw.Instance, error)
 	}{
-		{"generator", JobSpec{Instance: InstanceSpec{Class: "R1", N: 3000, Seed: 1}}},
-		{"solomon", JobSpec{Instance: InstanceSpec{Solomon: solomonText(3000)}}},
+		{"generator", JobSpec{Instance: InstanceSpec{Class: "R1", N: 3000, Seed: 1}}, func() (*vrptw.Instance, error) {
+			return vrptw.Generate(vrptw.GenConfig{Class: vrptw.R1, N: 3000, Seed: 1})
+		}},
+		{"solomon", JobSpec{Instance: InstanceSpec{Solomon: text}}, func() (*vrptw.Instance, error) {
+			return vrptw.ParseSolomon(strings.NewReader(text))
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := tc.build()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			built := after.TotalAlloc - before.TotalAlloc
 			status, allocated := serve(t, svc, http.MethodPost, "/v1/jobs", tc.spec)
 			if status != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400", status)
 			}
-			if allocated > 4<<20 {
-				t.Errorf("refusing the spec allocated %d bytes; the instance was built before the size check", allocated)
+			t.Logf("refusal %d KB, build %d KB", allocated>>10, built>>10)
+			if allocated >= built {
+				t.Errorf("refusing the spec allocated %d KB, building its instance %d KB; the instance was built before the size check",
+					allocated>>10, built>>10)
 			}
 		})
 	}

@@ -98,10 +98,10 @@ func sized(buf []float64, n int) []float64 {
 type Eval struct {
 	sol *Solution
 	in  *vrptw.Instance
-	R   []RouteEval
-	// spare is the storage of the binding before the current one; Reset
-	// builds the new binding's schedules into it and swaps it with R.
-	spare []RouteEval
+	R   []*RouteEval
+	// spare is the schedule list of the binding before the current one;
+	// Reset fills it with the new binding's schedules and swaps it with R.
+	spare []*RouteEval
 	// Telemetry, when non-nil, classifies every SpliceMetrics exit (prefix
 	// fold, suffix early exit, resynchronization, full walk). nil — the
 	// default — records nothing and costs one branch per exit.
@@ -116,11 +116,11 @@ func NewEval(in *vrptw.Instance, s *Solution) *Eval {
 }
 
 // Reset rebinds the cache to s. A route s shares with the bound solution
-// on the same instance (SharedRoute) keeps its schedules; only the other
-// routes are rebuilt. A solution derived by WithRoutes shares every route
-// its move did not touch, so a search step rebuilds the one or two routes
-// it changed, not all of them; an unrelated solution rebuilds everything,
-// into reused buffers.
+// on the same instance (SharedRoute) keeps its schedules, handed over by
+// pointer; only the other routes are rebuilt. A solution derived by
+// WithRoutes shares every route its move did not touch, so a search step
+// rebuilds the one or two routes it changed, not all of them; an
+// unrelated solution rebuilds everything, into reused buffers.
 func (e *Eval) Reset(in *vrptw.Instance, s *Solution) {
 	var old [][]int // the bound routes; schedules depend on the instance too
 	if e.sol != nil && e.in == in {
@@ -128,7 +128,7 @@ func (e *Eval) Reset(in *vrptw.Instance, s *Solution) {
 	}
 	next := e.spare
 	if cap(next) < len(s.Routes) {
-		next = append(next[:cap(next)], make([]RouteEval, len(s.Routes)-cap(next))...)
+		next = append(next[:cap(next)], make([]*RouteEval, len(s.Routes)-cap(next))...)
 	}
 	next = next[:len(s.Routes)]
 	hint := 0
@@ -137,6 +137,9 @@ func (e *Eval) Reset(in *vrptw.Instance, s *Solution) {
 			next[i], e.R[j] = e.R[j], next[i]
 			hint = j + 1
 			continue
+		}
+		if next[i] == nil {
+			next[i] = new(RouteEval)
 		}
 		next[i].build(in, r)
 	}
@@ -303,7 +306,7 @@ func (e *Eval) head(in *vrptw.Instance, r, p int) walk {
 		return walk{t: in.Sites[0].Ready}
 	}
 	e.Telemetry.Inc(telemetry.SplicePrefixFolds)
-	re := &e.R[r]
+	re := e.R[r]
 	return walk{t: re.Depart[p], dist: re.Dist[p], tard: re.Tard[p], prev: e.sol.Routes[r][p-1]}
 }
 
@@ -314,7 +317,7 @@ func (e *Eval) head(in *vrptw.Instance, r, p int) walk {
 // the cached time, after which the rest behaves exactly as cached.
 func (e *Eval) tail(in *vrptw.Instance, w walk, r, from int) (dist, tard float64) {
 	route := e.sol.Routes[r]
-	re := &e.R[r]
+	re := e.R[r]
 	for j := from; j < len(route); j++ {
 		c := route[j]
 		s := &in.Sites[c]

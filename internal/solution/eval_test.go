@@ -78,7 +78,7 @@ func TestRouteEvalForwardArrays(t *testing.T) {
 	s := capacityFill(in)
 	e := NewEval(in, s)
 	for ri, route := range s.Routes {
-		re := &e.R[ri]
+		re := e.R[ri]
 		k := len(route)
 		dist, tard, load := RouteMetrics(in, route)
 		// The cached prefixes exclude the return leg; add it back.
@@ -117,7 +117,7 @@ func TestRouteEvalLatestSchedule(t *testing.T) {
 	s := capacityFill(in)
 	e := NewEval(in, s)
 	for ri, route := range s.Routes {
-		re := &e.R[ri]
+		re := e.R[ri]
 		for j := range route {
 			latest := re.Latest[j]
 			if math.IsInf(latest, -1) {

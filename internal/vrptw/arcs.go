@@ -6,7 +6,7 @@ import "math"
 // pair of sites: bit i·(N+1)+j is set exactly when j is the depot or
 // departing i as early as possible still reaches j by its due date — the
 // operators' local time-window test (§II.B). The proposal paths test arcs
-// here instead of reading the distance matrix and the windows, so the
+// here instead of computing the distance and reading the windows, so the
 // test has one definition. Immutable after construction and safe for
 // concurrent readers.
 type ArcBits struct {
@@ -21,11 +21,11 @@ func (a *ArcBits) OK(i, j int) bool {
 }
 
 // ArcBits returns the instance's arc bitset, building it on first use
-// (one pass over the (N+1)² pairs; 20 KB at N = 400). The first
-// NeighborLists build also builds it and ranks only the arcs it admits;
-// New, Generate and the mutation primitives never do, so an instance that
-// is never searched never pays for it, and a derived (mutated) instance
-// builds its own. Safe for concurrent use.
+// (one pass over the (N+1)² pairs, computing each one's distance; 20 KB
+// at N = 400). The first NeighborLists build also builds it and ranks
+// only the arcs it admits; New, Generate and the mutation primitives
+// never do, so an instance that is never searched never pays for it, and
+// a derived (mutated) instance builds its own. Safe for concurrent use.
 func (in *Instance) ArcBits() *ArcBits {
 	if a := in.arcs.Load(); a != nil {
 		return a
@@ -56,10 +56,10 @@ func (in *Instance) arcBitsLocked() *ArcBits {
 	var word uint64
 	k := uint(0)
 	for i := 0; i < n; i++ {
-		ready, row := in.departReady[i], in.dist[i*n:(i+1)*n]
-		for j, d := range row {
+		ready, p := in.departReady[i], in.xy[i]
+		for j, q := range in.xy {
 			var bit uint64
-			if ready+d <= due[j] {
+			if ready+p.dist(q) <= due[j] {
 				bit = 1
 			}
 			word |= bit << (k % 64)

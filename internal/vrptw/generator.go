@@ -171,6 +171,7 @@ func Generate(cfg GenConfig) (*Instance, error) {
 		wloF, whiF = 4.0, 12.0
 	}
 
+	origin := point{depot.X, depot.Y}
 	for i := 1; i <= cfg.N; i++ {
 		s := &sites[i]
 		if cfg.Class == C1 || cfg.Class == C2 {
@@ -181,7 +182,7 @@ func Generate(cfg GenConfig) (*Instance, error) {
 				s.Service = serviceRandom
 			}
 		}
-		out := dist(depot, *s)                   // depot -> i travel
+		out := origin.dist(point{s.X, s.Y})      // depot -> i travel
 		latestStart := horizon - s.Service - out // must still return in time
 		earliest := out                          // cannot arrive before this
 		if latestStart < earliest {
@@ -282,9 +283,4 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-func dist(a, b Site) float64 {
-	dx, dy := a.X-b.X, a.Y-b.Y
-	return math.Sqrt(dx*dx + dy*dy)
 }

@@ -197,3 +197,15 @@ func TestGeneratePropertyAlwaysValid(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkGenerate measures one instance build at the benchmark's shape,
+// R1 with 400 customers: placement, windows, validation and the
+// coordinate and departure tables, as a job does once at submission.
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Generate(GenConfig{Class: R1, N: 400, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -31,15 +31,16 @@ type Site struct {
 }
 
 // Instance is an immutable CVRPTW problem description. Construct it with
-// New (or the generator / Solomon parser) so that the distance matrix and
-// validation are in place; do not mutate Sites afterwards.
+// New (or the generator / Solomon parser) so that the coordinate and
+// departure tables and validation are in place; do not mutate Sites
+// afterwards.
 type Instance struct {
 	Name     string
 	Sites    []Site  // Sites[0] is the depot
 	Vehicles int     // R, the maximum fleet size
 	Capacity float64 // m, shared by the homogeneous fleet
 
-	dist        []float64 // row-major (N+1)×(N+1) Euclidean distance matrix
+	xy          []point   // per-site coordinates, the operands of Dist
 	departReady []float64 // a_i + c_i per site: earliest possible departure
 
 	// Lazily-built granular neighbor lists, cached per k, and the arc
@@ -50,13 +51,19 @@ type Instance struct {
 }
 
 // New builds an Instance from the given sites, validates it, and
-// precomputes the distance matrix. The sites slice is retained.
+// tabulates their coordinates and earliest departures. The sites slice is
+// retained.
 func New(name string, sites []Site, vehicles int, capacity float64) (*Instance, error) {
 	in := &Instance{Name: name, Sites: sites, Vehicles: vehicles, Capacity: capacity}
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
-	in.buildDistances()
+	in.xy = make([]point, len(sites))
+	in.departReady = make([]float64, len(sites))
+	for i, s := range sites {
+		in.xy[i] = point{s.X, s.Y}
+		in.departReady[i] = s.Ready + s.Service
+	}
 	return in, nil
 }
 
@@ -109,24 +116,6 @@ func (in *Instance) validate() error {
 	return nil
 }
 
-func (in *Instance) buildDistances() {
-	n := len(in.Sites)
-	in.dist = make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx := in.Sites[i].X - in.Sites[j].X
-			dy := in.Sites[i].Y - in.Sites[j].Y
-			d := math.Sqrt(dx*dx + dy*dy)
-			in.dist[i*n+j] = d
-			in.dist[j*n+i] = d
-		}
-	}
-	in.departReady = make([]float64, n)
-	for i, s := range in.Sites {
-		in.departReady[i] = s.Ready + s.Service
-	}
-}
-
 // N returns the number of customers (excluding the depot).
 func (in *Instance) N() int { return len(in.Sites) - 1 }
 
@@ -135,9 +124,21 @@ func (in *Instance) N() int { return len(in.Sites) - 1 }
 func (in *Instance) PermLen() int { return in.N() + in.Vehicles + 1 }
 
 // Dist returns the Euclidean travel cost (= travel time) between sites i
-// and j.
-func (in *Instance) Dist(i, j int) float64 {
-	return in.dist[i*len(in.Sites)+j]
+// and j, computed from their coordinates on every call. It is bitwise
+// symmetric: a−b is exactly −(b−a), so both orientations square the same
+// values.
+func (in *Instance) Dist(i, j int) float64 { return in.xy[i].dist(in.xy[j]) }
+
+// point is a site's coordinates. An instance keeps them apart from Sites,
+// 16 bytes a site, so that distances read one compact slice.
+type point struct{ x, y float64 }
+
+// dist is the Euclidean distance between p and q: the one definition of
+// travel cost that Dist, the arc bitset, the granular lists and the
+// generator's windows all compute.
+func (p point) dist(q point) float64 {
+	dx, dy := p.x-q.x, p.y-q.y
+	return math.Sqrt(dx*dx + dy*dy)
 }
 
 // DepartReady returns the earliest time a vehicle can leave site i: the

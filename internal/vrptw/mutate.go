@@ -10,10 +10,7 @@
 // a mutated run replay deterministically.
 package vrptw
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // RepairStats breaks down how the cached neighbor lists of one mutation
 // were brought up to date, summed over every cached k. A full rebuild
@@ -32,7 +29,7 @@ func (r *RepairStats) add(o RepairStats) {
 }
 
 // shell copies the scalar fields of in into a fresh Instance with no
-// sites, distances or neighbor cache.
+// sites, coordinates or neighbor cache.
 func (in *Instance) shell() *Instance {
 	return &Instance{Name: in.Name, Vehicles: in.Vehicles, Capacity: in.Capacity}
 }
@@ -55,10 +52,10 @@ func (in *Instance) snapshotNeighborCache() map[int]*NeighborLists {
 
 // AddSite derives an instance with one new customer appended. The site's
 // ID must be 0 (assigned here) or len(Sites) — new customers always take
-// the next index, so existing customer IDs are stable. The distance
-// matrix grows by one row/column (existing entries are copied, only the
-// new site's distances are computed) and every cached neighbor list is
-// repaired by at most one sorted insert.
+// the next index, so existing customer IDs are stable. The sites,
+// coordinates and departure times are copied with the new site appended,
+// O(N), and every cached neighbor list is repaired by at most one sorted
+// insert.
 func (in *Instance) AddSite(s Site) (*Instance, RepairStats, error) {
 	var st RepairStats
 	n := len(in.Sites)
@@ -74,15 +71,9 @@ func (in *Instance) AddSite(s Site) (*Instance, RepairStats, error) {
 		return nil, st, err
 	}
 	nn := n + 1
-	d.dist = make([]float64, nn*nn)
-	for i := 0; i < n; i++ {
-		copy(d.dist[i*nn:i*nn+n], in.dist[i*n:(i+1)*n])
-		dx := in.Sites[i].X - s.X
-		dy := in.Sites[i].Y - s.Y
-		dd := math.Sqrt(dx*dx + dy*dy)
-		d.dist[i*nn+n] = dd
-		d.dist[n*nn+i] = dd
-	}
+	d.xy = make([]point, nn)
+	copy(d.xy, in.xy)
+	d.xy[n] = point{s.X, s.Y}
 	d.departReady = make([]float64, nn)
 	copy(d.departReady, in.departReady)
 	d.departReady[n] = s.Ready + s.Service
@@ -141,16 +132,9 @@ func (in *Instance) RemoveSite(id int) (*Instance, map[int]int, RepairStats, err
 		return nil, nil, st, err
 	}
 	nn := n - 1
-	d.dist = make([]float64, nn*nn)
-	for oi := 0; oi < n; oi++ {
-		if oi == id {
-			continue
-		}
-		ni := remap[oi]
-		row := in.dist[oi*n : (oi+1)*n]
-		copy(d.dist[ni*nn:ni*nn+id], row[:id])
-		copy(d.dist[ni*nn+id:(ni+1)*nn], row[id+1:])
-	}
+	d.xy = make([]point, nn)
+	copy(d.xy[:id], in.xy[:id])
+	copy(d.xy[id:], in.xy[id+1:])
 	d.departReady = make([]float64, nn)
 	copy(d.departReady[:id], in.departReady[:id])
 	copy(d.departReady[id:], in.departReady[id+1:])
@@ -202,7 +186,7 @@ func (in *Instance) RemoveSite(id int) (*Instance, map[int]int, RepairStats, err
 }
 
 // UpdateWindow derives an instance with customer id's service window
-// changed to [ready, due]. The distance matrix is shared with the parent
+// changed to [ready, due]. The coordinates are shared with the parent
 // (geometry is unchanged); the customer's own neighbor row is re-derived
 // (its earliest departure moved), and every other row is patched exactly:
 // the only arc whose score or admissibility changed is the one into id.
@@ -220,7 +204,7 @@ func (in *Instance) UpdateWindow(id int, ready, due float64) (*Instance, RepairS
 	if err := d.validate(); err != nil {
 		return nil, st, err
 	}
-	d.dist = in.dist
+	d.xy = in.xy
 	d.departReady = make([]float64, n)
 	copy(d.departReady, in.departReady)
 	d.departReady[id] = ready + d.Sites[id].Service
@@ -295,7 +279,7 @@ func (in *Instance) UpdateWindow(id int, ready, due float64) (*Instance, RepairS
 }
 
 // UpdateDemand derives an instance with customer id's demand changed.
-// Demand plays no part in arc scoring, so the distance matrix, departure
+// Demand plays no part in arc scoring, so the coordinates, departure
 // times and every cached neighbor list are shared with the parent.
 func (in *Instance) UpdateDemand(id int, demand float64) (*Instance, RepairStats, error) {
 	var st RepairStats
@@ -310,7 +294,7 @@ func (in *Instance) UpdateDemand(id int, demand float64) (*Instance, RepairStats
 	if err := d.validate(); err != nil {
 		return nil, st, err
 	}
-	d.dist = in.dist
+	d.xy = in.xy
 	d.departReady = in.departReady
 	for k, nl := range in.snapshotNeighborCache() {
 		st.ListsReused += n

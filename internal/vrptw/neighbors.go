@@ -53,7 +53,7 @@ func (in *Instance) buildNeighborLists(k int, a *ArcBits) *NeighborLists {
 	nl := &NeighborLists{K: k, lists: make([][]int32, n)}
 	row := topK{k: k, best: make([]scoredArc, 0, min(k, n))}
 	for i := 0; i < n; i++ {
-		ready, dist := in.departReady[i], in.dist[i*n:(i+1)*n]
+		ready, p := in.departReady[i], in.xy[i]
 		// Bits lo+1 .. end-1 are the arcs i -> 1 .. n-1; the depot's bit
 		// is always set and never listed.
 		lo, end := i*n, (i+1)*n
@@ -69,7 +69,7 @@ func (in *Instance) buildNeighborLists(k int, a *ArcBits) *NeighborLists {
 				j := w*64 + bits.TrailingZeros64(word) - lo
 				word &= word - 1
 				if j != i {
-					d := dist[j]
+					d := p.dist(in.xy[j])
 					row.offer(int32(j), rankScore(d, ready+d, in.Sites[j].Ready))
 				}
 			}

@@ -183,10 +183,10 @@ func deriveAll(t *testing.T, in *Instance) []derived {
 	return []derived{{"UpdateWindow", d1}, {"UpdateDemand", d2}, {"AddSite", d3}, {"RemoveSite", d4}}
 }
 
-// TestDistSymmetric checks that the distance matrix is symmetric bit for
-// bit — Dist(i,j) and Dist(j,i) are the same float64 — on generated,
-// Solomon-parsed and derived instances. I1 reads both of a customer's
-// insertion distances from the customer's own row and relies on it.
+// TestDistSymmetric checks that Dist is symmetric bit for bit —
+// Dist(i,j) and Dist(j,i) are the same float64 — on generated,
+// Solomon-parsed and derived instances. I1 takes both of a customer's
+// insertion distances with the customer second and relies on it.
 func TestDistSymmetric(t *testing.T) {
 	check := func(what string, in *Instance) {
 		t.Helper()
@@ -263,8 +263,10 @@ func TestNeighborListsConcurrentFirstUse(t *testing.T) {
 
 // BenchmarkNeighborLists measures the granular lists' first build at the
 // benchmark's shape, R1 with 400 customers and k = 20, arc bitset
-// included: each op builds the lists of a fresh copy of the instance
-// (made outside the timer), as a job does once before its search.
+// included: each op builds the lists of a fresh copy of the instance, as
+// a job does once before its search. The copy is made outside the timer
+// and computes no distance; the timed build computes every arc's
+// distance for the bitset and each admitted arc's again for its rank.
 func BenchmarkNeighborLists(b *testing.B) {
 	in, err := Generate(GenConfig{Class: R1, N: 400, Seed: 1})
 	if err != nil {

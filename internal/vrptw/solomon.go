@@ -36,7 +36,7 @@ var ErrTooManyCustomers = errors.New("vrptw: too many customers")
 // ParseSolomonMax is ParseSolomon for untrusted text: with maxCustomers
 // > 0 it stops at the first customer row past that many and returns an
 // error wrapping ErrTooManyCustomers, before it keeps the rest of the
-// sites or builds the (N+1)² distance matrix.
+// sites or builds the instance.
 func ParseSolomonMax(r io.Reader, maxCustomers int) (*Instance, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
