@@ -241,9 +241,9 @@ func BenchmarkAblationOperators(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := initialSolution(b, raw)
-	cases := map[string][]operators.Operator{"all-five": nil}
+	cases := map[string][]operators.MoveKind{"all-five": nil}
 	for _, op := range operators.All() {
-		cases[op.Name()] = []operators.Operator{op}
+		cases[op.String()] = []operators.MoveKind{op}
 	}
 	for name, ops := range cases {
 		b.Run(name, func(b *testing.B) {

@@ -335,7 +335,7 @@ func configDigest(c *Config, alg Algorithm) string {
 		ShareEvery:        c.ShareEvery,
 	}
 	for _, op := range c.Operators {
-		fp.Operators = append(fp.Operators, op.Name())
+		fp.Operators = append(fp.Operators, op.String())
 	}
 	data, err := json.Marshal(fp)
 	if err != nil {

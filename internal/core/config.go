@@ -192,7 +192,7 @@ type Config struct {
 	// Operators overrides the neighborhood operator set. nil uses the
 	// paper's five (operators.All); operators.Extended adds the
 	// classic VRPTW moves beyond the paper. All processes share the set.
-	Operators []operators.Operator
+	Operators []operators.MoveKind
 	// SampleEvery, when positive, records a convergence sample on the
 	// master (or searcher 0) after every SampleEvery evaluations; see
 	// Result.Samples.
@@ -328,6 +328,14 @@ func (c *Config) validate(in *vrptw.Instance, alg Algorithm) error {
 	}
 	if c.ShareEvery < 0 {
 		return fmt.Errorf("core: ShareEvery must be >= 0, got %d", c.ShareEvery)
+	}
+	if c.Operators != nil && len(c.Operators) == 0 {
+		return fmt.Errorf("core: Operators is empty; nil selects the paper's five")
+	}
+	for _, k := range c.Operators {
+		if k == operators.KindNone || k > operators.KindCrossExchange {
+			return fmt.Errorf("core: Operators holds unknown operator kind %d", k)
+		}
 	}
 	if c.Share != nil {
 		if alg == Combined {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/construct"
 	"repro/internal/deme"
+	"repro/internal/operators"
 	"repro/internal/solution"
 	"repro/internal/vrptw"
 )
@@ -276,9 +277,20 @@ func TestConfigValidation(t *testing.T) {
 		func() Config { c := smallConfig(); c.RecvTimeout = -1; return c }(),
 		func() Config { c := smallConfig(); c.RecvTimeout = math.NaN(); return c }(),
 		func() Config { c := smallConfig(); c.EvictAfter = -1; return c }(),
+		// Operator sets no sweep can draw from: every sweep draws an
+		// operator by index, and an unknown kind has no proposal path.
+		func() Config { c := smallConfig(); c.Operators = []operators.MoveKind{}; return c }(),
+		func() Config { c := smallConfig(); c.Operators = []operators.MoveKind{operators.KindNone}; return c }(),
+		func() Config {
+			c := smallConfig()
+			c.Operators = []operators.MoveKind{operators.KindRelocate, operators.KindCrossExchange + 1}
+			return c
+		}(),
 	}
 	for i, c := range bad {
-		if _, err := Run(Sequential, in, c, rt); err == nil {
+		// validate itself must refuse it: a run that starts and then fails
+		// in a process also returns an error.
+		if err := c.validate(in, Sequential); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}

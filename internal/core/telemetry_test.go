@@ -153,7 +153,7 @@ func TestTelemetryOperatorFunnel(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		n         int
-		ops       []operators.Operator
+		ops       []operators.MoveKind
 		granularK int
 		seed      uint64
 		iters     int

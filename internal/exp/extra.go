@@ -119,7 +119,7 @@ func RunOperatorAblation(n, evals, runs int, seed uint64) (*OperatorAblation, er
 	}
 	sets := []struct {
 		name string
-		ops  []operators.Operator
+		ops  []operators.MoveKind
 	}{
 		{"paper-five", nil},
 		{"extended", operators.Extended()},
@@ -127,8 +127,8 @@ func RunOperatorAblation(n, evals, runs int, seed uint64) (*OperatorAblation, er
 	for _, op := range operators.All() {
 		sets = append(sets, struct {
 			name string
-			ops  []operators.Operator
-		}{op.Name() + "-only", []operators.Operator{op}})
+			ops  []operators.MoveKind
+		}{op.String() + "-only", []operators.MoveKind{op}})
 	}
 
 	res := &OperatorAblation{N: n, Evals: evals, Runs: runs}

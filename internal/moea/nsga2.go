@@ -101,7 +101,7 @@ func Run(in *vrptw.Instance, cfg Config) (*Result, error) {
 }
 
 // mutate applies k random feasible operator moves to a copy of s.
-func mutate(in *vrptw.Instance, s *solution.Solution, ops []operators.Operator, r *rng.Rand, k int) *solution.Solution {
+func mutate(in *vrptw.Instance, s *solution.Solution, ops []operators.MoveKind, r *rng.Rand, k int) *solution.Solution {
 	cur := s
 	for i := 0; i < k; i++ {
 		op := ops[r.Intn(len(ops))]

@@ -56,7 +56,7 @@ func TestDeltaMatchesApplyProperty(t *testing.T) {
 				if !ok {
 					continue
 				}
-				checkDelta(t, in, s, e, m, op.Name())
+				checkDelta(t, in, s, e, m, op.String())
 				adv = m
 			}
 			if adv.Kind == KindNone {

@@ -1,8 +1,6 @@
 package operators
 
 import (
-	"fmt"
-
 	"repro/internal/rng"
 	"repro/internal/solution"
 	"repro/internal/tabu"
@@ -16,9 +14,13 @@ import (
 // neighborhoods.
 
 // Extended returns the paper's five operators plus the extension set.
-func Extended() []Operator {
-	return append(All(), OrOptN{MaxLen: 3}, RelocateNew{}, CrossExchange{MaxLen: 3})
+func Extended() []MoveKind {
+	return append(All(), KindOrOptN, KindRelocateNew, KindCrossExchange)
 }
+
+// maxSegLen bounds the segment lengths of the general Or-opt and of
+// CrossExchange; 3 is the classic choice.
+const maxSegLen = 3
 
 // Extension operator tags continue the attribute tag space of moves.go.
 const (
@@ -27,39 +29,18 @@ const (
 	tagCrossExchange
 )
 
-// OrOptN moves a segment of 1..MaxLen consecutive customers to a different
-// position in the same route — the general Or-opt, of which the paper's
-// two-customer variant is the special case.
-type OrOptN struct {
-	// MaxLen bounds the segment length (>= 1; 3 is the classic choice).
-	MaxLen int
-}
-
-// Name implements Operator.
-func (o OrOptN) Name() string { return fmt.Sprintf("or-opt-%d", o.maxLen()) }
-
-// Kind implements Operator.
-func (OrOptN) Kind() MoveKind { return KindOrOptN }
-
-func (o OrOptN) maxLen() int {
-	if o.MaxLen < 1 {
-		return 3
-	}
-	return o.MaxLen
-}
-
 type orOptNMove struct {
 	route, seg, length, dst int
 	c1, c2                  int
 }
 
-// Propose implements Operator.
-func (o OrOptN) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+// proposeOrOptN is KindOrOptN's full-neighborhood proposal.
+func proposeOrOptN(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	arcs := in.ArcBits()
 	for try := 0; try < proposeAttempts; try++ {
 		ri := r.Intn(len(s.Routes))
 		route := s.Routes[ri]
-		length := 1 + r.Intn(o.maxLen())
+		length := 1 + r.Intn(maxSegLen)
 		if len(route) < length+1 {
 			continue
 		}
@@ -101,26 +82,13 @@ func (m orOptNMove) Apply(in *vrptw.Instance, s *solution.Solution) *solution.So
 
 func (m orOptNMove) Attribute() tabu.Attribute { return attribute(tagOrOptN, m.c1, m.c2) }
 
-// RelocateNew moves one customer out of a multi-customer route into a
-// fresh route of its own. It is the inverse pressure to the paper's
-// vehicle-count minimization: it buys slack (shorter tardy routes) at the
-// cost of one more vehicle, letting the search repair heavily violated
-// solutions.
-type RelocateNew struct{}
-
-// Name implements Operator.
-func (RelocateNew) Name() string { return "relocate-new" }
-
-// Kind implements Operator.
-func (RelocateNew) Kind() MoveKind { return KindRelocateNew }
-
 type relocateNewMove struct {
 	from, fpos int
 	cust       int
 }
 
-// Propose implements Operator.
-func (RelocateNew) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+// proposeRelocateNew is KindRelocateNew's full-neighborhood proposal.
+func proposeRelocateNew(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) >= in.Vehicles {
 		return MoveData{}, false // fleet exhausted
 	}
@@ -163,35 +131,14 @@ func (m relocateNewMove) Apply(in *vrptw.Instance, s *solution.Solution) *soluti
 
 func (m relocateNewMove) Attribute() tabu.Attribute { return attribute(tagRelocateNew, m.cust, 0) }
 
-// CrossExchange swaps two segments of up to MaxLen consecutive customers
-// between different routes (Taillard et al. 1997), generalizing the
-// paper's Exchange from single customers to segments.
-type CrossExchange struct {
-	// MaxLen bounds both segment lengths (>= 1; 3 is the classic choice).
-	MaxLen int
-}
-
-// Name implements Operator.
-func (c CrossExchange) Name() string { return fmt.Sprintf("cross-exchange-%d", c.maxLen()) }
-
-// Kind implements Operator.
-func (CrossExchange) Kind() MoveKind { return KindCrossExchange }
-
-func (c CrossExchange) maxLen() int {
-	if c.MaxLen < 1 {
-		return 3
-	}
-	return c.MaxLen
-}
-
 type crossExchangeMove struct {
 	r1, p1, l1 int
 	r2, p2, l2 int
 	a1, a2     int // leading customers, for the attribute
 }
 
-// Propose implements Operator.
-func (c CrossExchange) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+// proposeCrossExchange is KindCrossExchange's full-neighborhood proposal.
+func proposeCrossExchange(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -203,8 +150,8 @@ func (c CrossExchange) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.
 			continue
 		}
 		a, b := s.Routes[r1], s.Routes[r2]
-		l1 := 1 + r.Intn(c.maxLen())
-		l2 := 1 + r.Intn(c.maxLen())
+		l1 := 1 + r.Intn(maxSegLen)
+		l2 := 1 + r.Intn(maxSegLen)
 		if len(a) < l1 || len(b) < l2 {
 			continue
 		}

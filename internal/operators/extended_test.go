@@ -22,13 +22,13 @@ func TestExtendedOperatorsPreserveInvariants(t *testing.T) {
 			}
 			next := m.Apply(in, s)
 			if err := solution.Validate(in, next); err != nil {
-				t.Fatalf("%s: %v", op.Name(), err)
+				t.Fatalf("%s: %v", op, err)
 			}
 			applied++
 			s = next
 		}
 		if applied == 0 {
-			t.Errorf("%s: no feasible move found", op.Name())
+			t.Errorf("%s: no feasible move found", op)
 		}
 	}
 }
@@ -39,7 +39,7 @@ func TestOrOptNSegmentLengths(t *testing.T) {
 	r := rng.New(7)
 	lengths := map[int]bool{}
 	for try := 0; try < 500; try++ {
-		m, ok := (OrOptN{MaxLen: 3}).Propose(in, s, r)
+		m, ok := KindOrOptN.Propose(in, s, r)
 		if !ok {
 			continue
 		}
@@ -64,7 +64,7 @@ func TestRelocateNewAddsVehicle(t *testing.T) {
 	in := genInstance(t, vrptw.R2, 10, 7)
 	s := solution.New(in, [][]int{{1, 2, 3, 4, 5}, {6, 7, 8, 9, 10}})
 	r := rng.New(3)
-	m, ok := (RelocateNew{}).Propose(in, s, r)
+	m, ok := KindRelocateNew.Propose(in, s, r)
 	if !ok {
 		t.Fatal("no relocate-new move proposed")
 	}
@@ -107,7 +107,7 @@ func TestRelocateNewRespectsFleetBound(t *testing.T) {
 		t.Skipf("could not construct fleet-saturated solution (%d routes, %d vehicles)", len(routes), in.Vehicles)
 	}
 	s := solution.New(in, routes)
-	if _, ok := (RelocateNew{}).Propose(in, s, rng.New(1)); ok {
+	if _, ok := KindRelocateNew.Propose(in, s, rng.New(1)); ok {
 		t.Error("relocate-new proposed beyond the fleet bound")
 	}
 }
@@ -118,7 +118,7 @@ func TestCrossExchangeSwapsSegments(t *testing.T) {
 	r := rng.New(9)
 	swapped := false
 	for try := 0; try < 200 && !swapped; try++ {
-		m, ok := (CrossExchange{MaxLen: 3}).Propose(in, s, r)
+		m, ok := KindCrossExchange.Propose(in, s, r)
 		if !ok {
 			continue
 		}
@@ -179,14 +179,14 @@ func TestGeneratorWithExtendedOperators(t *testing.T) {
 	if len(buf.Data) != 60 {
 		t.Fatalf("neighborhood size %d, want 60", len(buf.Data))
 	}
-	names := map[string]bool{}
+	kinds := map[MoveKind]bool{}
 	for _, d := range buf.Data {
-		names[d.OperatorName()] = true
+		kinds[d.Kind] = true
 		if err := solution.Validate(in, d.Apply(in, s)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(names) < 4 {
-		t.Errorf("only %d distinct operators used: %v", len(names), names)
+	if len(kinds) < 4 {
+		t.Errorf("only %d distinct operators used: %v", len(kinds), kinds)
 	}
 }

@@ -16,26 +16,52 @@ import (
 // and every caller (the TSMO variants, the baselines, the benchmarks)
 // applies, delta-evaluates and tabu-tags moves through it.
 
-// MoveKind discriminates the MoveData union. KindNone is the zero value
-// and marks "no move" (e.g. a checkpoint-restored candidate that is
-// already materialized).
+// MoveKind discriminates the MoveData union, and each kind is the operator
+// that proposes its moves (Propose). KindNone is the zero value and marks
+// "no move" (e.g. a checkpoint-restored candidate that is already
+// materialized); it proposes nothing.
 type MoveKind uint8
 
 const (
 	KindNone MoveKind = iota
+	// KindRelocate moves one customer from its route to a position in
+	// another route — Osman's (1,0) λ-exchange. Emptied donor routes
+	// disappear, which is the search's only way to reduce the vehicle
+	// count.
 	KindRelocate
+	// KindExchange swaps two customers between different routes —
+	// Osman's (1,1) λ-exchange.
 	KindExchange
+	// KindTwoOpt reverses a contiguous segment of a single route (or the
+	// whole route).
 	KindTwoOpt
+	// KindTwoOptStar interchanges the tails of two routes: the first part
+	// of one route continues with the second part of the other and vice
+	// versa. Cutting at a route's end merges routes (and can free a
+	// vehicle).
 	KindTwoOptStar
+	// KindOrOpt moves two consecutive customers to a different place in
+	// the same route.
 	KindOrOpt
+	// KindOrOptN moves a segment of 1 to 3 consecutive customers to a
+	// different position in the same route — the general Or-opt, of which
+	// KindOrOpt is the two-customer case.
 	KindOrOptN
+	// KindRelocateNew moves one customer out of a multi-customer route
+	// into a fresh route of its own. It is the inverse pressure to the
+	// paper's vehicle-count minimization: it buys slack (shorter tardy
+	// routes) at the cost of one more vehicle, letting the search repair
+	// heavily violated solutions.
 	KindRelocateNew
+	// KindCrossExchange swaps two segments of 1 to 3 consecutive customers
+	// between different routes (Taillard et al. 1997), generalizing
+	// KindExchange from single customers to segments.
 	KindCrossExchange
 )
 
-// kindNames is the static operator name of each kind: what
-// MoveData.OperatorName reports and the label of the kind's telemetry
-// funnel row.
+// kindNames is the one name of each kind: the label of its telemetry
+// funnel row, its entry in a checkpoint's config fingerprint and its
+// operator-ablation label.
 var kindNames = [...]string{
 	KindNone:          "none",
 	KindRelocate:      "relocate",
@@ -51,7 +77,7 @@ var kindNames = [...]string{
 // The telemetry funnel has one row per kind.
 var _ [telemetry.OpKinds - len(kindNames)]struct{}
 
-// String returns the kind's static operator name ("none" for KindNone and
+// String returns the kind's operator name ("none" for KindNone and
 // unknown kinds).
 func (k MoveKind) String() string {
 	if int(k) < len(kindNames) {
@@ -199,7 +225,3 @@ func (d MoveData) Attribute() tabu.Attribute {
 	}
 	return 0
 }
-
-// OperatorName names the operator that produced the move: its kind's
-// static name, so the call never allocates.
-func (d MoveData) OperatorName() string { return d.Kind.String() }

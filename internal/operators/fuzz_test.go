@@ -49,14 +49,14 @@ func FuzzDeltaMatchesApply(f *testing.F) {
 			for _, m := range buf.Data {
 				applied := m.Apply(in, s)
 				if err := solution.Validate(in, applied); err != nil {
-					t.Fatalf("%s produced an invalid solution: %v", m.OperatorName(), err)
+					t.Fatalf("%s produced an invalid solution: %v", m.Kind, err)
 				}
 				if got, ok := m.Delta(in, s, e); ok {
 					want := applied.Obj
 					if math.Abs(got.Distance-want.Distance) > deltaTol ||
 						got.Vehicles != want.Vehicles ||
 						math.Abs(got.Tardiness-want.Tardiness) > deltaTol {
-						t.Fatalf("%s: Delta %+v != Apply %+v for %v", m.OperatorName(), got, want, m)
+						t.Fatalf("%s: Delta %+v != Apply %+v for %v", m.Kind, got, want, m)
 					}
 				}
 				next = applied
@@ -106,7 +106,7 @@ func FuzzFeasibilityGuard(f *testing.F) {
 				applied := m.Apply(in, s)
 				for i, load := range applied.Load {
 					if load > in.Capacity {
-						t.Fatalf("%s overloaded route %d: %g > %g", m.OperatorName(), i, load, in.Capacity)
+						t.Fatalf("%s overloaded route %d: %g > %g", m.Kind, i, load, in.Capacity)
 					}
 				}
 				for arc := range arcSet(applied) {
@@ -115,7 +115,7 @@ func FuzzFeasibilityGuard(f *testing.F) {
 					}
 					if !refArcOK(in, arc[0], arc[1]) {
 						t.Fatalf("%s created arc %d->%d violating the local feasibility criterion",
-							m.OperatorName(), arc[0], arc[1])
+							m.Kind, arc[0], arc[1])
 					}
 				}
 				next = applied

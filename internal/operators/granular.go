@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/rng"
@@ -166,11 +167,29 @@ func fillMask(mask []uint64, list []int32, arcs *vrptw.ArcBits, t int) {
 // so bailing out early costs little bias and a lot less time.
 const intraAttempts = 6
 
-// granularProposer is the granular proposal path of one operator. All
-// operators in this package implement it; an operator without one simply
-// keeps proposing from the full neighborhood.
-type granularProposer interface {
-	proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool)
+// proposeGranular is Propose on the granular path: it draws only moves
+// of kind k that create an arc of nl, reading the solution's customers
+// from px, which must be bound to (in, s).
+func (k MoveKind) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+	switch k {
+	case KindRelocate:
+		return granularRelocate(in, s, px, nl, r)
+	case KindExchange:
+		return granularExchange(in, s, px, nl, r)
+	case KindTwoOpt:
+		return granularTwoOpt(in, s, px, nl, r)
+	case KindTwoOptStar:
+		return granularTwoOptStar(in, s, px, nl, r)
+	case KindOrOpt:
+		return granularOrOpt(in, s, px, nl, r)
+	case KindOrOptN:
+		return granularOrOptN(in, s, px, nl, r)
+	case KindRelocateNew:
+		return granularRelocateNew(in, s, px, nl, r)
+	case KindCrossExchange:
+		return granularCrossExchange(in, s, px, nl, r)
+	}
+	panic(fmt.Sprintf("operators: proposeGranular on kind %d", k))
 }
 
 // arcScan iterates one customer's granular successor list starting at a
@@ -253,9 +272,9 @@ func (sc *slotScan) next() (slot int, ok bool) {
 	return slot, true
 }
 
-// proposeGranular implements granularProposer: relocate c2 out of its
-// route to directly after c1 in another route, creating the arc c1 -> c2.
-func (Relocate) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+// granularRelocate relocates c2 out of its route to directly after c1 in
+// another route, creating the arc c1 -> c2.
+func granularRelocate(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -291,9 +310,9 @@ func (Relocate) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *Po
 	return MoveData{}, false
 }
 
-// proposeGranular implements granularProposer: swap c1's successor with
-// c2 in another route, so the arc c1 -> c2 is created in c1's route.
-func (Exchange) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+// granularExchange swaps c1's successor with c2 in another route, so the
+// arc c1 -> c2 is created in c1's route.
+func granularExchange(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -309,8 +328,8 @@ func (Exchange) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *Po
 		}
 		dx := in.Sites[x].Demand
 		// c1 -> c2 is the list arc; the mask holds the slots whose arc
-		// c2 -> succ(x) is admissible (see Relocate), and the other two
-		// created arcs are tested per slot.
+		// c2 -> succ(x) is admissible (see granularRelocate), and the
+		// other two created arcs are tested per slot.
 		ms := newSlotScan(px.ex.of(in, nl, px.arcs, c1, int(px.cust[x].succ)), sc.off)
 		for {
 			slot, more := ms.next()
@@ -335,9 +354,9 @@ func (Exchange) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *Po
 	return MoveData{}, false
 }
 
-// proposeGranular implements granularProposer: reverse the segment between
-// c1 and c2 of one route, creating the arc c1 -> c2.
-func (TwoOpt) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+// granularTwoOpt reverses the segment between c1 and c2 of one route,
+// creating the arc c1 -> c2.
+func granularTwoOpt(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
 	for try := 0; try < intraAttempts; try++ {
 		c1, sc, ok := drawC1(in, nl, r)
 		if !ok {
@@ -369,9 +388,9 @@ func (TwoOpt) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosI
 	return MoveData{}, false
 }
 
-// proposeGranular implements granularProposer: cut after c1 and before c2
-// in another route and swap the tails, creating the arc c1 -> c2.
-func (TwoOptStar) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+// granularTwoOptStar cuts after c1 and before c2 in another route and
+// swaps the tails, creating the arc c1 -> c2.
+func granularTwoOptStar(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -408,10 +427,9 @@ func (TwoOptStar) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *
 	return MoveData{}, false
 }
 
-// proposeGranular implements granularProposer: move the two-customer
-// segment starting at c2 to directly after c1 in the same route, creating
-// the arc c1 -> c2.
-func (OrOpt) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+// granularOrOpt moves the two-customer segment starting at c2 to directly
+// after c1 in the same route, creating the arc c1 -> c2.
+func granularOrOpt(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
 	for try := 0; try < intraAttempts; try++ {
 		c1, sc, ok := drawC1(in, nl, r)
 		if !ok {
@@ -467,12 +485,12 @@ func (OrOpt) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosIn
 	return MoveData{}, false
 }
 
-// proposeGranular implements granularProposer: the general Or-opt — move
-// the segment of random length starting at c2 to directly after c1 in the
-// same route, creating the arc c1 -> c2.
-func (o OrOptN) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+// granularOrOptN is the general Or-opt: it moves the segment of random
+// length starting at c2 to directly after c1 in the same route, creating
+// the arc c1 -> c2.
+func granularOrOptN(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
 	for try := 0; try < intraAttempts; try++ {
-		length := 1 + r.Intn(o.maxLen())
+		length := 1 + r.Intn(maxSegLen)
 		c1, sc, ok := drawC1(in, nl, r)
 		if !ok {
 			continue
@@ -524,9 +542,9 @@ func (o OrOptN) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *Po
 	return MoveData{}, false
 }
 
-// proposeGranular implements granularProposer: relocate into a fresh route
-// creates the arc depot -> cust, so it draws from the depot's list.
-func (RelocateNew) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+// granularRelocateNew draws from the depot's list, since relocating into a
+// fresh route creates the arc depot -> cust.
+func granularRelocateNew(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) >= in.Vehicles {
 		return MoveData{}, false // fleet exhausted
 	}
@@ -553,10 +571,9 @@ func (RelocateNew) proposeGranular(in *vrptw.Instance, s *solution.Solution, px 
 	return MoveData{}, false
 }
 
-// proposeGranular implements granularProposer: swap the segment after c1
-// with the segment starting at c2 of another route, creating the arc
-// c1 -> c2.
-func (c CrossExchange) proposeGranular(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+// granularCrossExchange swaps the segment after c1 with the segment
+// starting at c2 of another route, creating the arc c1 -> c2.
+func granularCrossExchange(in *vrptw.Instance, s *solution.Solution, px *PosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -565,8 +582,8 @@ func (c CrossExchange) proposeGranular(in *vrptw.Instance, s *solution.Solution,
 		if !ok {
 			continue
 		}
-		l1 := 1 + r.Intn(c.maxLen())
-		l2 := 1 + r.Intn(c.maxLen())
+		l1 := 1 + r.Intn(maxSegLen)
+		l2 := 1 + r.Intn(maxSegLen)
 		t1 := &px.cust[c1]
 		a := s.Routes[t1.route]
 		p1 := int(t1.pos) + 1

@@ -154,7 +154,7 @@ func (sc *refArcScan) next() (c2 int, ok bool) {
 
 // Reference granular proposer: relocate c2 out of its
 // route to directly after c1 in another route, creating the arc c1 -> c2.
-func refRelocate(_ Relocate, in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+func refRelocate(in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -200,7 +200,7 @@ func refRelocate(_ Relocate, in *vrptw.Instance, s *solution.Solution, px *refPo
 
 // Reference granular proposer: swap c1's successor with
 // c2 in another route, so the arc c1 -> c2 is created in c1's route.
-func refExchange(_ Exchange, in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+func refExchange(in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -248,7 +248,7 @@ func refExchange(_ Exchange, in *vrptw.Instance, s *solution.Solution, px *refPo
 
 // Reference granular proposer: reverse the segment between
 // c1 and c2 of one route, creating the arc c1 -> c2.
-func refTwoOpt(_ TwoOpt, in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+func refTwoOpt(in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
 	for try := 0; try < refIntraAttempts; try++ {
 		c1, sc, ok := refDrawC1(in, nl, r)
 		if !ok {
@@ -286,7 +286,7 @@ func refTwoOpt(_ TwoOpt, in *vrptw.Instance, s *solution.Solution, px *refPosInd
 
 // Reference granular proposer: cut after c1 and before c2
 // in another route and swap the tails, creating the arc c1 -> c2.
-func refTwoOptStar(_ TwoOptStar, in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+func refTwoOptStar(in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -332,7 +332,7 @@ func refTwoOptStar(_ TwoOptStar, in *vrptw.Instance, s *solution.Solution, px *r
 // Reference granular proposer: move the two-customer
 // segment starting at c2 to directly after c1 in the same route, creating
 // the arc c1 -> c2.
-func refOrOpt(_ OrOpt, in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+func refOrOpt(in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
 	for try := 0; try < refIntraAttempts; try++ {
 		c1, sc, ok := refDrawC1(in, nl, r)
 		if !ok {
@@ -389,9 +389,9 @@ func refOrOpt(_ OrOpt, in *vrptw.Instance, s *solution.Solution, px *refPosIndex
 // Reference granular proposer: the general Or-opt — move
 // the segment of random length starting at c2 to directly after c1 in the
 // same route, creating the arc c1 -> c2.
-func refOrOptN(o OrOptN, in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+func refOrOptN(in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
 	for try := 0; try < refIntraAttempts; try++ {
-		length := 1 + r.Intn(o.maxLen())
+		length := 1 + r.Intn(3)
 		c1, sc, ok := refDrawC1(in, nl, r)
 		if !ok {
 			continue
@@ -443,7 +443,7 @@ func refOrOptN(o OrOptN, in *vrptw.Instance, s *solution.Solution, px *refPosInd
 
 // Reference granular proposer: relocate into a fresh route
 // creates the arc depot -> cust, so it draws from the depot's list.
-func refRelocateNew(_ RelocateNew, in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+func refRelocateNew(in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) >= in.Vehicles {
 		return MoveData{}, false // fleet exhausted
 	}
@@ -474,7 +474,7 @@ func refRelocateNew(_ RelocateNew, in *vrptw.Instance, s *solution.Solution, px 
 // Reference granular proposer: swap the segment after c1
 // with the segment starting at c2 of another route, creating the arc
 // c1 -> c2.
-func refCrossExchange(c CrossExchange, in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+func refCrossExchange(in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -483,8 +483,8 @@ func refCrossExchange(c CrossExchange, in *vrptw.Instance, s *solution.Solution,
 		if !ok {
 			continue
 		}
-		l1 := 1 + r.Intn(c.maxLen())
-		l2 := 1 + r.Intn(c.maxLen())
+		l1 := 1 + r.Intn(3)
+		l2 := 1 + r.Intn(3)
 		r1, pc1 := px.Locate(c1)
 		a := s.Routes[r1]
 		p1 := pc1 + 1
@@ -525,26 +525,26 @@ func refCrossExchange(c CrossExchange, in *vrptw.Instance, s *solution.Solution,
 }
 
 // refPropose dispatches op to its frozen reference proposal path.
-func refPropose(op Operator, in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
-	switch o := op.(type) {
-	case Relocate:
-		return refRelocate(o, in, s, px, nl, r)
-	case Exchange:
-		return refExchange(o, in, s, px, nl, r)
-	case TwoOpt:
-		return refTwoOpt(o, in, s, px, nl, r)
-	case TwoOptStar:
-		return refTwoOptStar(o, in, s, px, nl, r)
-	case OrOpt:
-		return refOrOpt(o, in, s, px, nl, r)
-	case OrOptN:
-		return refOrOptN(o, in, s, px, nl, r)
-	case RelocateNew:
-		return refRelocateNew(o, in, s, px, nl, r)
-	case CrossExchange:
-		return refCrossExchange(o, in, s, px, nl, r)
+func refPropose(op MoveKind, in *vrptw.Instance, s *solution.Solution, px *refPosIndex, nl *vrptw.NeighborLists, r *rng.Rand) (MoveData, bool) {
+	switch op {
+	case KindRelocate:
+		return refRelocate(in, s, px, nl, r)
+	case KindExchange:
+		return refExchange(in, s, px, nl, r)
+	case KindTwoOpt:
+		return refTwoOpt(in, s, px, nl, r)
+	case KindTwoOptStar:
+		return refTwoOptStar(in, s, px, nl, r)
+	case KindOrOpt:
+		return refOrOpt(in, s, px, nl, r)
+	case KindOrOptN:
+		return refOrOptN(in, s, px, nl, r)
+	case KindRelocateNew:
+		return refRelocateNew(in, s, px, nl, r)
+	case KindCrossExchange:
+		return refCrossExchange(in, s, px, nl, r)
 	}
-	panic("operators: no reference proposer for " + op.Name())
+	panic("operators: no reference proposer for " + op.String())
 }
 
 // FuzzGranularMatchesReference holds every granular proposer, the
@@ -579,7 +579,6 @@ func FuzzGranularMatchesReference(f *testing.F) {
 			s = buf.Data[0].Apply(in, s)
 		}
 		o := ops[op%uint64(len(ops))]
-		gp := o.(granularProposer)
 		nl := in.NeighborLists(1 + int(rseed%25))
 		var px PosIndex
 		px.Reset(in, s)
@@ -587,13 +586,13 @@ func FuzzGranularMatchesReference(f *testing.F) {
 		ref.Reset(in, s)
 		r, rr := rng.New(rseed), rng.New(rseed)
 		for draw := 0; draw < 100; draw++ {
-			got, ok := gp.proposeGranular(in, s, &px, nl, r)
+			got, ok := o.proposeGranular(in, s, &px, nl, r)
 			want, wok := refPropose(o, in, s, &ref, nl, rr)
 			if got != want || ok != wok {
-				t.Fatalf("%s draw %d: proposed (%+v, %v), reference (%+v, %v)", o.Name(), draw, got, ok, want, wok)
+				t.Fatalf("%s draw %d: proposed (%+v, %v), reference (%+v, %v)", o, draw, got, ok, want, wok)
 			}
 			if r.State() != rr.State() {
-				t.Fatalf("%s draw %d: RNG state diverged from the reference", o.Name(), draw)
+				t.Fatalf("%s draw %d: RNG state diverged from the reference", o, draw)
 			}
 		}
 	})

@@ -38,7 +38,7 @@ func TestGranularMovesValidSubset(t *testing.T) {
 				applied := d.Apply(in, s)
 				if err := solution.Validate(in, applied); err != nil {
 					t.Fatalf("k=%d sweep %d move %d (%s): invalid after apply: %v",
-						k, sweep, i, d.OperatorName(), err)
+						k, sweep, i, d.Kind, err)
 				}
 				w := applied.Obj
 				got := buf.Objs[i]
@@ -46,7 +46,7 @@ func TestGranularMovesValidSubset(t *testing.T) {
 					got.Vehicles != w.Vehicles ||
 					math.Abs(got.Tardiness-w.Tardiness) > deltaTol {
 					t.Fatalf("k=%d sweep %d move %d (%s): delta obj %+v != materialized %+v",
-						k, sweep, i, d.OperatorName(), got, w)
+						k, sweep, i, d.Kind, got, w)
 				}
 			}
 			// Walk the search forward so later sweeps see other solutions.
@@ -79,20 +79,16 @@ func TestGranularProposalsInSparseGraph(t *testing.T) {
 		r := rng.New(13)
 		before := arcSet(s)
 		for _, op := range All() {
-			gp, ok := op.(granularProposer)
-			if !ok {
-				t.Fatalf("operator %s has no granular proposal path", op.Name())
-			}
 			proposed := 0
 			for try := 0; try < 200; try++ {
-				d, ok := gp.proposeGranular(in, s, px, nl, r)
+				d, ok := op.proposeGranular(in, s, px, nl, r)
 				if !ok {
 					continue
 				}
 				proposed++
 				applied := d.Apply(in, s)
 				if err := solution.Validate(in, applied); err != nil {
-					t.Fatalf("k=%d %s: invalid granular move: %v", k, op.Name(), err)
+					t.Fatalf("k=%d %s: invalid granular move: %v", k, op, err)
 				}
 				created := false
 				for arc := range arcSet(applied) {
@@ -102,11 +98,11 @@ func TestGranularProposalsInSparseGraph(t *testing.T) {
 					}
 				}
 				if !created {
-					t.Fatalf("k=%d %s: granular move %+v creates no sparse-graph arc", k, op.Name(), d)
+					t.Fatalf("k=%d %s: granular move %+v creates no sparse-graph arc", k, op, d)
 				}
 			}
 			if k >= 10 && proposed == 0 {
-				t.Errorf("k=%d %s: granular path proposed nothing in 200 tries", k, op.Name())
+				t.Errorf("k=%d %s: granular path proposed nothing in 200 tries", k, op)
 			}
 		}
 	}

@@ -7,17 +7,6 @@ import (
 	"repro/internal/vrptw"
 )
 
-// Relocate moves one customer from its route to a position in another
-// route — Osman's (1,0) λ-exchange. Emptied donor routes disappear, which
-// is the search's only way to reduce the vehicle count.
-type Relocate struct{}
-
-// Name implements Operator.
-func (Relocate) Name() string { return "relocate" }
-
-// Kind implements Operator.
-func (Relocate) Kind() MoveKind { return KindRelocate }
-
 // relocateMove is the decoded view of a KindRelocate MoveData; it and the
 // other per-kind structs below hold the Apply, Delta and Attribute bodies
 // that MoveData dispatches to.
@@ -27,8 +16,8 @@ type relocateMove struct {
 	cust       int
 }
 
-// Propose implements Operator.
-func (Relocate) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+// proposeRelocate is KindRelocate's full-neighborhood proposal.
+func proposeRelocate(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -74,24 +63,14 @@ func (m relocateMove) Apply(in *vrptw.Instance, s *solution.Solution) *solution.
 
 func (m relocateMove) Attribute() tabu.Attribute { return attribute(tagRelocate, m.cust, 0) }
 
-// Exchange swaps two customers between different routes — Osman's (1,1)
-// λ-exchange.
-type Exchange struct{}
-
-// Name implements Operator.
-func (Exchange) Name() string { return "exchange" }
-
-// Kind implements Operator.
-func (Exchange) Kind() MoveKind { return KindExchange }
-
 type exchangeMove struct {
 	r1, p1 int
 	r2, p2 int
 	c1, c2 int
 }
 
-// Propose implements Operator.
-func (Exchange) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+// proposeExchange is KindExchange's full-neighborhood proposal.
+func proposeExchange(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -136,23 +115,13 @@ func (m exchangeMove) Attribute() tabu.Attribute {
 	return attribute(tagExchange, lo, hi)
 }
 
-// TwoOpt reverses a contiguous segment of a single route (or the whole
-// route).
-type TwoOpt struct{}
-
-// Name implements Operator.
-func (TwoOpt) Name() string { return "2-opt" }
-
-// Kind implements Operator.
-func (TwoOpt) Kind() MoveKind { return KindTwoOpt }
-
 type twoOptMove struct {
 	route, i, j int // reverse positions i..j inclusive, i < j
 	ci, cj      int
 }
 
-// Propose implements Operator.
-func (TwoOpt) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+// proposeTwoOpt is KindTwoOpt's full-neighborhood proposal.
+func proposeTwoOpt(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	arcs := in.ArcBits()
 	for try := 0; try < proposeAttempts; try++ {
 		ri := r.Intn(len(s.Routes))
@@ -191,25 +160,14 @@ func (m twoOptMove) Attribute() tabu.Attribute {
 	return attribute(tagTwoOpt, lo, hi)
 }
 
-// TwoOptStar interchanges the tails of two routes: the first part of one
-// route continues with the second part of the other and vice versa. Cutting
-// at a route's end merges routes (and can free a vehicle).
-type TwoOptStar struct{}
-
-// Name implements Operator.
-func (TwoOptStar) Name() string { return "2-opt*" }
-
-// Kind implements Operator.
-func (TwoOptStar) Kind() MoveKind { return KindTwoOptStar }
-
 type twoOptStarMove struct {
 	r1, p1 int // cut positions: route[:p] keeps, route[p:] swaps
 	r2, p2 int
 	a1, a2 int // customers adjacent to the new arcs, for the attribute
 }
 
-// Propose implements Operator.
-func (TwoOptStar) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+// proposeTwoOptStar is KindTwoOptStar's full-neighborhood proposal.
+func proposeTwoOptStar(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	if len(s.Routes) < 2 {
 		return MoveData{}, false
 	}
@@ -271,16 +229,6 @@ func (m twoOptStarMove) Attribute() tabu.Attribute {
 	return attribute(tagTwoOptStar, lo, hi)
 }
 
-// OrOpt moves two consecutive customers to a different place in the same
-// route.
-type OrOpt struct{}
-
-// Name implements Operator.
-func (OrOpt) Name() string { return "or-opt" }
-
-// Kind implements Operator.
-func (OrOpt) Kind() MoveKind { return KindOrOpt }
-
 type orOptMove struct {
 	route  int
 	seg    int // segment start position (length 2)
@@ -288,8 +236,8 @@ type orOptMove struct {
 	c1, c2 int
 }
 
-// Propose implements Operator.
-func (OrOpt) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+// proposeOrOpt is KindOrOpt's full-neighborhood proposal.
+func proposeOrOpt(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
 	arcs := in.ArcBits()
 	for try := 0; try < proposeAttempts; try++ {
 		ri := r.Intn(len(s.Routes))

@@ -7,12 +7,17 @@
 // enough that tardy solutions still occur in the search trajectory and
 // strong enough that the search finds its way back to feasibility.
 //
+// An operator is its MoveKind: the kind proposes moves of itself, and the
+// MoveData it returns applies, delta-evaluates and tabu-tags them.
+//
 // A Generator draws moves from the operators with equal probability until
 // the requested neighborhood size is reached, re-drawing the operator when
 // a proposal fails (paper §III.B).
 package operators
 
 import (
+	"fmt"
+
 	"repro/internal/rng"
 	"repro/internal/solution"
 	"repro/internal/tabu"
@@ -20,21 +25,36 @@ import (
 	"repro/internal/vrptw"
 )
 
-// Operator proposes random feasible moves on a solution.
-type Operator interface {
-	Name() string
-	// Kind is the kind of every move the operator proposes.
-	Kind() MoveKind
-	// Propose attempts to generate one random move on s that passes the
-	// local feasibility criterion. It reports failure when it finds none
-	// within its internal attempt budget. It never heap-allocates.
-	Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool)
+// All returns the paper's five operators, in the order Relocate,
+// Exchange, 2-opt, 2-opt*, Or-opt.
+func All() []MoveKind {
+	return []MoveKind{KindRelocate, KindExchange, KindTwoOpt, KindTwoOptStar, KindOrOpt}
 }
 
-// All returns fresh instances of the paper's five operators, in the order
-// Relocate, Exchange, 2-opt, 2-opt*, Or-opt.
-func All() []Operator {
-	return []Operator{Relocate{}, Exchange{}, TwoOpt{}, TwoOptStar{}, OrOpt{}}
+// Propose attempts to generate one random move of kind k on s that passes
+// the local feasibility criterion, drawing from the full neighborhood. It
+// reports failure when it finds none within its internal attempt budget.
+// It never heap-allocates.
+func (k MoveKind) Propose(in *vrptw.Instance, s *solution.Solution, r *rng.Rand) (MoveData, bool) {
+	switch k {
+	case KindRelocate:
+		return proposeRelocate(in, s, r)
+	case KindExchange:
+		return proposeExchange(in, s, r)
+	case KindTwoOpt:
+		return proposeTwoOpt(in, s, r)
+	case KindTwoOptStar:
+		return proposeTwoOptStar(in, s, r)
+	case KindOrOpt:
+		return proposeOrOpt(in, s, r)
+	case KindOrOptN:
+		return proposeOrOptN(in, s, r)
+	case KindRelocateNew:
+		return proposeRelocateNew(in, s, r)
+	case KindCrossExchange:
+		return proposeCrossExchange(in, s, r)
+	}
+	panic(fmt.Sprintf("operators: Propose on kind %d", k))
 }
 
 // proposeAttempts bounds the internal retries of a single Propose call.
@@ -56,7 +76,7 @@ const granFallbackBudget = 1
 // evaluated solution.
 type Generator struct {
 	in  *vrptw.Instance
-	ops []Operator
+	ops []MoveKind
 	// Telemetry, when non-nil, counts delta-evaluated candidates vs.
 	// full-simulation Apply fallbacks, the SpliceMetrics exits of the
 	// schedule caches, and the generation side of the operator funnel:
@@ -70,26 +90,16 @@ type Generator struct {
 	Granular *vrptw.NeighborLists
 
 	lastEval *solution.Eval
-	kinds    []MoveKind         // each operator's move kind, aligned with ops
-	gran     []granularProposer // granular paths, aligned with ops (nil entries: full only)
-	granFB   []uint8            // per-sweep fallback count; granular path memoized dead at the budget
+	granFB   []uint8 // per-sweep fallback count, aligned with ops; granular path memoized dead at the budget
 }
 
 // NewGenerator returns a Generator over the given operators (All() if ops
 // is nil).
-func NewGenerator(in *vrptw.Instance, ops []Operator) *Generator {
+func NewGenerator(in *vrptw.Instance, ops []MoveKind) *Generator {
 	if ops == nil {
 		ops = All()
 	}
-	g := &Generator{in: in, ops: ops}
-	g.kinds = make([]MoveKind, len(ops))
-	g.gran = make([]granularProposer, len(ops))
-	g.granFB = make([]uint8, len(ops))
-	for i, op := range ops {
-		g.kinds[i] = op.Kind()
-		g.gran[i], _ = op.(granularProposer)
-	}
-	return g
+	return &Generator{in: in, ops: ops, granFB: make([]uint8, len(ops))}
 }
 
 // eval returns the schedule cache for s, rebuilding only when s differs
@@ -146,26 +156,27 @@ func (g *Generator) MovesInto(buf *CandidateBuffer, s *solution.Solution, r *rng
 	}
 	for len(buf.Data) < size && budget > 0 {
 		oi := r.Intn(len(g.ops))
+		k := g.ops[oi]
 		var d MoveData
 		var ok bool
 		switch {
-		case granular && g.gran[oi] != nil && g.granFB[oi] < granFallbackBudget:
-			d, ok = g.gran[oi].proposeGranular(g.in, s, &buf.pos, g.Granular, r)
+		case !granular:
+			d, ok = k.Propose(g.in, s, r)
+		case g.granFB[oi] < granFallbackBudget:
+			d, ok = k.proposeGranular(g.in, s, &buf.pos, g.Granular, r)
 			if !ok {
 				g.granFB[oi]++
-				g.Telemetry.IncOp(uint8(g.kinds[oi]), g.kinds[oi].String(), telemetry.OpFallbacks)
-				d, ok = g.ops[oi].Propose(g.in, s, r)
+				g.Telemetry.IncOp(uint8(k), k.String(), telemetry.OpFallbacks)
+				d, ok = k.Propose(g.in, s, r)
 			}
-		case granular && g.gran[oi] != nil:
+		default:
 			// Memoized: the granular path already exhausted on this
 			// solution and the fallback budget is spent; fail the draw.
-		default:
-			d, ok = g.ops[oi].Propose(g.in, s, r)
 		}
 		if ok {
 			buf.Data = append(buf.Data, d)
 		} else {
-			g.Telemetry.IncOp(uint8(g.kinds[oi]), g.kinds[oi].String(), telemetry.OpExhausted)
+			g.Telemetry.IncOp(uint8(k), k.String(), telemetry.OpExhausted)
 			budget--
 		}
 	}

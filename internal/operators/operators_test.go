@@ -52,19 +52,19 @@ func TestAllOperatorsPreserveInvariants(t *testing.T) {
 			}
 			next := m.Apply(in, s)
 			if err := solution.Validate(in, next); err != nil {
-				t.Fatalf("%s: invalid solution after %v: %v", op.Name(), m, err)
+				t.Fatalf("%s: invalid solution after %v: %v", op, m, err)
 			}
 			// Operator design guarantees capacity feasibility.
 			for i, l := range next.Load {
 				if l > in.Capacity {
-					t.Fatalf("%s: route %d load %g > capacity", op.Name(), i, l)
+					t.Fatalf("%s: route %d load %g > capacity", op, i, l)
 				}
 			}
 			applied++
 			s = next
 		}
 		if applied == 0 {
-			t.Errorf("%s: no feasible move found in 300 tries", op.Name())
+			t.Errorf("%s: no feasible move found in 300 tries", op)
 		}
 	}
 }
@@ -81,7 +81,7 @@ func TestMovesProduceDifferentSolutions(t *testing.T) {
 			}
 			next := m.Apply(in, s)
 			if sameRoutes(s, next) {
-				t.Fatalf("%s: %v produced an identical solution", op.Name(), m)
+				t.Fatalf("%s: %v produced an identical solution", op, m)
 			}
 		}
 	}
@@ -153,7 +153,7 @@ func TestRelocateCanEmptyRoute(t *testing.T) {
 	r := rng.New(2)
 	var reduced bool
 	for try := 0; try < 500 && !reduced; try++ {
-		m, ok := (Relocate{}).Propose(in, s, r)
+		m, ok := KindRelocate.Propose(in, s, r)
 		if !ok {
 			continue
 		}
@@ -176,7 +176,7 @@ func TestTwoOptStarCanMergeRoutes(t *testing.T) {
 	r := rng.New(6)
 	var merged bool
 	for try := 0; try < 1000 && !merged; try++ {
-		m, ok := (TwoOptStar{}).Propose(in, s, r)
+		m, ok := KindTwoOptStar.Propose(in, s, r)
 		if !ok {
 			continue
 		}
@@ -205,12 +205,12 @@ func TestOperatorsRespectCapacity(t *testing.T) {
 	r := rng.New(8)
 	// Relocate and 2-opt* would overload a route; Exchange keeps loads
 	// equal and must still be proposable.
-	if _, ok := (Relocate{}).Propose(in, s, r); ok {
+	if _, ok := KindRelocate.Propose(in, s, r); ok {
 		t.Error("relocate proposed a capacity-violating move")
 	}
 	found := false
 	for try := 0; try < 50; try++ {
-		if _, ok := (Exchange{}).Propose(in, s, r); ok {
+		if _, ok := KindExchange.Propose(in, s, r); ok {
 			found = true
 			break
 		}
@@ -249,7 +249,7 @@ func TestLocalFeasibilityCriterion(t *testing.T) {
 			for _, route := range next.Routes {
 				for k := 0; k+1 < len(route); k++ {
 					if route[k] == 1 && route[k+1] == 2 {
-						t.Fatalf("%s created forbidden arc 1->2", op.Name())
+						t.Fatalf("%s created forbidden arc 1->2", op)
 					}
 				}
 			}
@@ -313,22 +313,22 @@ func TestAttributesStableAndOperatorSpecific(t *testing.T) {
 	in := genInstance(t, vrptw.R1, 30, 19)
 	s := greedyFill(in)
 	r := rng.New(21)
-	seen := map[string]map[uint64]bool{}
+	seen := map[MoveKind]map[uint64]bool{}
 	for _, op := range All() {
-		seen[op.Name()] = map[uint64]bool{}
+		seen[op] = map[uint64]bool{}
 		for try := 0; try < 100; try++ {
 			if m, ok := op.Propose(in, s, r); ok {
 				if m.Attribute() != m.Attribute() {
-					t.Fatalf("%s: unstable attribute", op.Name())
+					t.Fatalf("%s: unstable attribute", op)
 				}
-				seen[op.Name()][uint64(m.Attribute())] = true
-				if m.OperatorName() != op.Name() {
-					t.Fatalf("move operator %q != %q", m.OperatorName(), op.Name())
+				seen[op][uint64(m.Attribute())] = true
+				if m.Kind != op {
+					t.Fatalf("move kind %s != %s", m.Kind, op)
 				}
 			}
 		}
-		if len(seen[op.Name()]) < 2 {
-			t.Errorf("%s: all moves share one attribute", op.Name())
+		if len(seen[op]) < 2 {
+			t.Errorf("%s: all moves share one attribute", op)
 		}
 	}
 }
@@ -385,7 +385,7 @@ func BenchmarkProposeByOperator(b *testing.B) {
 	}
 	s := greedyFill(in)
 	for _, op := range All() {
-		b.Run(op.Name(), func(b *testing.B) {
+		b.Run(op.String(), func(b *testing.B) {
 			r := rng.New(1)
 			for i := 0; i < b.N; i++ {
 				op.Propose(in, s, r)
@@ -394,9 +394,10 @@ func BenchmarkProposeByOperator(b *testing.B) {
 	}
 }
 
-// TestOperatorKinds pins the kind-name table behind OperatorName and the
-// telemetry funnel: names are unique and parse back to their kind, and
-// every operator proposes only moves of its own kind.
+// TestOperatorKinds pins the kind-name table behind the telemetry funnel,
+// the config fingerprint and the ablation labels: names are unique and
+// parse back to their kind, and every operator proposes only moves of its
+// own kind.
 func TestOperatorKinds(t *testing.T) {
 	seen := map[string]bool{}
 	for k := KindNone; int(k) < len(kindNames); k++ {
@@ -416,8 +417,8 @@ func TestOperatorKinds(t *testing.T) {
 	r := rng.New(5)
 	for _, op := range Extended() {
 		for try := 0; try < 50; try++ {
-			if m, ok := op.Propose(in, s, r); ok && m.Kind != op.Kind() {
-				t.Fatalf("%s proposed a %s move, Kind() = %s", op.Name(), m.Kind, op.Kind())
+			if m, ok := op.Propose(in, s, r); ok && m.Kind != op {
+				t.Fatalf("%s proposed a %s move", op, m.Kind)
 			}
 		}
 	}

@@ -122,15 +122,14 @@ func FuzzGranularWalkMatchesReference(f *testing.F) {
 			var ref refPosIndex
 			ref.Reset(in, s)
 			for _, o := range ops {
-				gp := o.(granularProposer)
 				for draw := 0; draw < 30; draw++ {
-					got, ok := gp.proposeGranular(in, s, &buf.pos, nl, r)
+					got, ok := o.proposeGranular(in, s, &buf.pos, nl, r)
 					want, wok := refPropose(o, in, s, &ref, nl, rr)
 					if got != want || ok != wok {
-						t.Fatalf("%s draw %d: proposed (%+v, %v), reference (%+v, %v)", o.Name(), draw, got, ok, want, wok)
+						t.Fatalf("%s draw %d: proposed (%+v, %v), reference (%+v, %v)", o, draw, got, ok, want, wok)
 					}
 					if r.State() != rr.State() {
-						t.Fatalf("%s draw %d: RNG state diverged from the reference", o.Name(), draw)
+						t.Fatalf("%s draw %d: RNG state diverged from the reference", o, draw)
 					}
 				}
 			}

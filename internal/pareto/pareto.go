@@ -128,13 +128,6 @@ func (a *Archive) Add(s *solution.Solution) bool {
 	return false
 }
 
-// WouldImprove reports whether Add(s) would currently accept s, without
-// modifying the archive. Used for the aspiration criterion and by the
-// asynchronous master to classify late results.
-func (a *Archive) WouldImprove(s *solution.Solution) bool {
-	return a.WouldAccept(s.Obj)
-}
-
 // WouldAccept reports whether an Add of a solution with objectives o would
 // currently be accepted, without modifying the archive. It lets callers on
 // the delta-evaluation path decide admission from objectives alone, before

@@ -114,20 +114,20 @@ func TestArchiveAddReportsMembership(t *testing.T) {
 	}
 }
 
-func TestWouldImprove(t *testing.T) {
+func TestWouldAccept(t *testing.T) {
 	a := NewArchive(5)
 	a.Add(sol(10, 2, 0))
-	if a.WouldImprove(sol(11, 2, 0)) {
+	if a.WouldAccept(sol(11, 2, 0).Obj) {
 		t.Error("dominated candidate reported as improving")
 	}
-	if a.WouldImprove(sol(10, 2, 0)) {
+	if a.WouldAccept(sol(10, 2, 0).Obj) {
 		t.Error("duplicate reported as improving")
 	}
-	if !a.WouldImprove(sol(9, 3, 0)) {
+	if !a.WouldAccept(sol(9, 3, 0).Obj) {
 		t.Error("trade-off candidate not improving")
 	}
 	if a.Len() != 1 {
-		t.Error("WouldImprove modified the archive")
+		t.Error("WouldAccept modified the archive")
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 //
 // The forward arrays are prefix states: index i describes the vehicle
 // after serving the first i customers. Depart[0] is the depot departure
-// (the depot ready time); Dist, Tard and Load start at 0 and exclude the
-// return leg to the depot.
+// (the depot ready time); Dist and Tard start at 0 and exclude the return
+// leg to the depot.
 //
 // Latest is the backward schedule: Latest[j] for j < len(route) is the
 // latest arrival time at route[j] for which serving route[j:] and
@@ -32,7 +32,6 @@ type RouteEval struct {
 	Depart []float64
 	Dist   []float64
 	Tard   []float64
-	Load   []float64
 	Latest []float64
 }
 
@@ -42,13 +41,12 @@ func (re *RouteEval) build(in *vrptw.Instance, route []int) {
 	re.Depart = sized(re.Depart, k+1)
 	re.Dist = sized(re.Dist, k+1)
 	re.Tard = sized(re.Tard, k+1)
-	re.Load = sized(re.Load, k+1)
 	re.Latest = sized(re.Latest, k+1)
 
 	depot := &in.Sites[0]
 	t := depot.Ready
-	var dist, tard, load float64
-	re.Depart[0], re.Dist[0], re.Tard[0], re.Load[0] = t, 0, 0, 0
+	var dist, tard float64
+	re.Depart[0], re.Dist[0], re.Tard[0] = t, 0, 0
 	prev := 0
 	for i, c := range route {
 		s := &in.Sites[c]
@@ -62,8 +60,7 @@ func (re *RouteEval) build(in *vrptw.Instance, route []int) {
 			tard += t - s.Due
 		}
 		t += s.Service
-		load += s.Demand
-		re.Depart[i+1], re.Dist[i+1], re.Tard[i+1], re.Load[i+1] = t, dist, tard, load
+		re.Depart[i+1], re.Dist[i+1], re.Tard[i+1] = t, dist, tard
 		prev = c
 	}
 
@@ -173,10 +170,6 @@ func SharedRoute(old [][]int, route []int, hint int) int {
 
 // Solution returns the solution this cache was built for.
 func (e *Eval) Solution() *Solution { return e.sol }
-
-// PrefixLoad returns the summed demand of the first p customers of route r
-// in O(1).
-func (e *Eval) PrefixLoad(r, p int) float64 { return e.R[r].Load[p] }
 
 // Seg is one building block of a spliced route: the half-open position
 // range [From, To) of route Route of the cached solution, traversed in

@@ -80,7 +80,7 @@ func TestRouteEvalForwardArrays(t *testing.T) {
 	for ri, route := range s.Routes {
 		re := e.R[ri]
 		k := len(route)
-		dist, tard, load := RouteMetrics(in, route)
+		dist, tard, _ := RouteMetrics(in, route)
 		// The cached prefixes exclude the return leg; add it back.
 		last := route[k-1]
 		wantDist := re.Dist[k] + in.Dist(last, 0)
@@ -95,15 +95,9 @@ func TestRouteEvalForwardArrays(t *testing.T) {
 		if wantTard != tard {
 			t.Errorf("route %d: prefix tard %g != RouteMetrics tard %g", ri, wantTard, tard)
 		}
-		if re.Load[k] != load {
-			t.Errorf("route %d: prefix load %g != RouteMetrics load %g", ri, re.Load[k], load)
-		}
-		if e.PrefixLoad(ri, k) != load {
-			t.Errorf("route %d: PrefixLoad(%d) = %g, want %g", ri, k, e.PrefixLoad(ri, k), load)
-		}
 		// Prefix monotonicity and positional consistency.
 		for p := 1; p <= k; p++ {
-			if re.Dist[p] < re.Dist[p-1] || re.Tard[p] < re.Tard[p-1] || re.Load[p] < re.Load[p-1] {
+			if re.Dist[p] < re.Dist[p-1] || re.Tard[p] < re.Tard[p-1] {
 				t.Fatalf("route %d: non-monotone prefix at %d", ri, p)
 			}
 		}
@@ -257,7 +251,6 @@ func TestEvalResetReusesBuffers(t *testing.T) {
 			if e.R[ri].Depart[p] != fresh.R[ri].Depart[p] ||
 				e.R[ri].Dist[p] != fresh.R[ri].Dist[p] ||
 				e.R[ri].Tard[p] != fresh.R[ri].Tard[p] ||
-				e.R[ri].Load[p] != fresh.R[ri].Load[p] ||
 				e.R[ri].Latest[p] != fresh.R[ri].Latest[p] {
 				t.Fatalf("route %d pos %d: reused cache differs from fresh build", ri, p)
 			}
@@ -341,7 +334,6 @@ func TestEvalRebind(t *testing.T) {
 				if e.R[ri].Depart[p] != fresh.R[ri].Depart[p] ||
 					e.R[ri].Dist[p] != fresh.R[ri].Dist[p] ||
 					e.R[ri].Tard[p] != fresh.R[ri].Tard[p] ||
-					e.R[ri].Load[p] != fresh.R[ri].Load[p] ||
 					e.R[ri].Latest[p] != fresh.R[ri].Latest[p] {
 					t.Fatalf("%s: route %d pos %d: cache differs from a fresh build", what, ri, p)
 				}

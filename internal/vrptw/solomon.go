@@ -2,11 +2,13 @@ package vrptw
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // ParseSolomon reads an instance in the classic Solomon text format:
@@ -33,10 +35,22 @@ func ParseSolomon(r io.Reader) (*Instance, error) { return ParseSolomonMax(r, 0)
 // holds more customers than the caller allows.
 var ErrTooManyCustomers = errors.New("vrptw: too many customers")
 
+// tooManyCustomers is ParseSolomonMax's refusal. It formats its message
+// only when asked, so refusing text costs fewer allocations than
+// accepting text at the limit.
+type tooManyCustomers struct{ line, limit int }
+
+func (e *tooManyCustomers) Error() string {
+	return fmt.Sprintf("%v: line %d holds customer %d, over the limit of %d", ErrTooManyCustomers, e.line, e.limit+1, e.limit)
+}
+
+func (e *tooManyCustomers) Unwrap() error { return ErrTooManyCustomers }
+
 // ParseSolomonMax is ParseSolomon for untrusted text: with maxCustomers
 // > 0 it stops at the first customer row past that many and returns an
 // error wrapping ErrTooManyCustomers, before it keeps the rest of the
-// sites or builds the instance.
+// sites or builds the instance. A numeric row is parsed in place, so the
+// work per row allocates nothing.
 func ParseSolomonMax(r io.Reader, maxCustomers int) (*Instance, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -49,47 +63,46 @@ func ParseSolomonMax(r io.Reader, maxCustomers int) (*Instance, error) {
 		wantFleet  bool // next numeric row is "NUMBER CAPACITY"
 		inCustomer bool // numeric rows are customer records
 		lineNo     int
+		nums       [7]float64
 	)
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		upper := strings.ToUpper(line)
-		switch {
-		case strings.HasPrefix(upper, "NUMBER"):
-			wantFleet = true
-			continue
-		case strings.HasPrefix(upper, "CUST"):
-			inCustomer = true
-			continue
-		case upper == "VEHICLE" || upper == "CUSTOMER":
-			continue
-		}
-		fields := strings.Fields(line)
-		nums, ok := parseFloats(fields)
-		if !ok {
-			if name == "" {
-				name = line
+		n, numeric := parseRow(line, &nums)
+		if !numeric {
+			// No header word parses as a number, so only the other lines
+			// are tested for one.
+			text := string(line)
+			upper := strings.ToUpper(text)
+			switch {
+			case strings.HasPrefix(upper, "NUMBER"):
+				wantFleet = true
+			case strings.HasPrefix(upper, "CUST"):
+				inCustomer = true
+			case upper == "VEHICLE" || upper == "CUSTOMER":
+			case name == "":
+				name = text
 			}
 			continue
 		}
 		switch {
 		case wantFleet:
-			if len(nums) < 2 {
+			if n < 2 {
 				return nil, fmt.Errorf("vrptw: line %d: fleet row needs NUMBER and CAPACITY", lineNo)
 			}
 			vehicles = int(nums[0])
 			capacity = nums[1]
 			wantFleet = false
 		case inCustomer:
-			if len(nums) < 7 {
-				return nil, fmt.Errorf("vrptw: line %d: customer row needs 7 fields, got %d", lineNo, len(nums))
+			if n < 7 {
+				return nil, fmt.Errorf("vrptw: line %d: customer row needs 7 fields, got %d", lineNo, n)
 			}
 			id := int(nums[0])
 			if maxCustomers > 0 && len(sites) > maxCustomers {
-				return nil, fmt.Errorf("%w: line %d holds customer %d, over the limit of %d", ErrTooManyCustomers, lineNo, len(sites), maxCustomers)
+				return nil, &tooManyCustomers{line: lineNo, limit: maxCustomers}
 			}
 			if id != len(sites) {
 				return nil, fmt.Errorf("vrptw: line %d: customer %d out of order (expected %d)", lineNo, id, len(sites))
@@ -120,19 +133,31 @@ func ParseSolomonMax(r io.Reader, maxCustomers int) (*Instance, error) {
 	return New(name, sites, vehicles, capacity)
 }
 
-func parseFloats(fields []string) ([]float64, bool) {
-	if len(fields) == 0 {
-		return nil, false
-	}
-	nums := make([]float64, len(fields))
-	for i, f := range fields {
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return nil, false
+// parseRow parses the white-space separated fields of line as numbers,
+// keeping the first len(nums) in nums. It returns the number of fields,
+// and false when line has none or one is not a number.
+func parseRow(line []byte, nums *[7]float64) (int, bool) {
+	n := 0
+	for {
+		i := bytes.IndexFunc(line, func(r rune) bool { return !unicode.IsSpace(r) })
+		if i < 0 {
+			return n, n > 0
 		}
-		nums[i] = v
+		line = line[i:]
+		end := bytes.IndexFunc(line, unicode.IsSpace)
+		if end < 0 {
+			end = len(line)
+		}
+		v, err := strconv.ParseFloat(string(line[:end]), 64)
+		if err != nil {
+			return n, false
+		}
+		if n < len(nums) {
+			nums[n] = v
+		}
+		n++
+		line = line[end:]
 	}
-	return nums, true
 }
 
 // WriteSolomon writes the instance in the Solomon text format accepted by

@@ -111,3 +111,37 @@ func TestParseSolomonMax(t *testing.T) {
 		}
 	}
 }
+
+// TestParseSolomonMaxAllocs holds the parser to a fixed number of heap
+// allocations rather than a few per row: a 1,000-customer text parses in
+// under 64, and refusing 3,000 customers at a limit of 1,000 allocates no
+// more than accepting 1,000.
+func TestParseSolomonMaxAllocs(t *testing.T) {
+	text := func(n int) string {
+		in, err := Generate(GenConfig{Class: R1, N: n, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := WriteSolomon(&b, in); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	allocs := func(text string, limit int, wantErr error) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := ParseSolomonMax(strings.NewReader(text), limit); !errors.Is(err, wantErr) {
+				t.Fatalf("ParseSolomonMax at a limit of %d: %v, want %v", limit, err, wantErr)
+			}
+		})
+	}
+	accept := allocs(text(1000), 1000, nil)
+	refuse := allocs(text(3000), 1000, ErrTooManyCustomers)
+	t.Logf("accept 1,000: %.0f allocations; refuse 3,000: %.0f", accept, refuse)
+	if accept >= 64 {
+		t.Errorf("parsing 1,000 customers allocated %.0f times, want under 64", accept)
+	}
+	if refuse > accept {
+		t.Errorf("refusing 3,000 customers allocated %.0f times, accepting 1,000 %.0f", refuse, accept)
+	}
+}
