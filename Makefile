@@ -7,7 +7,10 @@
 # searcher and worker goroutine runs, writing the run's shared telemetry
 # counters, and the instance tables — neighbor lists, arc bitset — those
 # goroutines build lazily and share), and the zero-allocation assertion
-# on the disabled-telemetry hot path.
+# on the disabled-telemetry hot path. Whether a sweep overlaps evaluation
+# with proposal on a helper goroutine depends on GOMAXPROCS, so the sweep
+# tests run under the race detector at 1, 2 and 4 processors, and the
+# zero-allocation sweep tests at 1 and 2.
 
 GO ?= go
 
@@ -31,6 +34,7 @@ race:
 	  ./internal/seqlog/... ./internal/trace/... ./internal/operators/... ./internal/solution/... ./internal/pareto/... \
 	  ./internal/vrptw/...
 	$(GO) test -race -count 1 -run 'TestShareSSEFanoutRace|TestShareIngressConcurrentSubscribers' ./internal/service/
+	$(GO) test -race -cpu 1,2,4 -count 5 -run 'TestOverlappedSweep|TestHelper' ./internal/operators/
 
 # allocs asserts the observability overhead contract: disabled-path
 # telemetry and tracing calls allocate nothing, and a full searcher
@@ -44,7 +48,8 @@ allocs:
 
 # bench-smoke is the candidate engine's fast perf gate: the zero-alloc
 # assertions on the sweep (full and granular) and the searcher's generate
-# path, plus one untimed pass over the 400-customer benchmarks — the
+# path, at one processor and at two, where a helper goroutine evaluates
+# the sweep's moves, plus one untimed pass over the 400-customer benchmarks — the
 # sweeps, the searcher iteration and the three start-up steps every job
 # runs, the instance build, the granular lists' first build and the I1
 # construction on R1 and R2 — so a broken benchmark fails here. Timed measurements are scripts/tsmobench's job;
@@ -52,8 +57,8 @@ allocs:
 # their output checks, so a change to an API the benchmark compiles
 # against fails here, not in the next benchmark run.
 bench-smoke:
-	$(GO) test -run 'TestCandidatesZeroAlloc|TestGranularSweepDeterministic' -count 1 -v ./internal/operators/
-	$(GO) test -run 'TestGenerateZeroAlloc' -count 1 -v ./internal/core/
+	$(GO) test -run 'TestCandidatesZeroAlloc|TestGranularSweepDeterministic' -cpu 1,2 -count 1 -v ./internal/operators/
+	$(GO) test -run 'TestGenerateZeroAlloc' -cpu 1,2 -count 1 -v ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkCandidatesInto400|BenchmarkCandidatesGranular400' \
 	  -benchtime 1x ./internal/operators/
 	$(GO) test -run '^$$' -bench 'BenchmarkSearcherIteration' -benchtime 1x ./internal/core/

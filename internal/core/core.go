@@ -86,6 +86,11 @@ func RunContext(ctx context.Context, alg Algorithm, in *vrptw.Instance, cfg Conf
 	}
 	cfg.ctx = ctx
 	cfg.alg = alg
+	// The run's processes count against the CPUs a sweep may take a helper
+	// goroutine from, so a run only overlaps evaluation with proposal on a
+	// CPU no search process of this OS process would use.
+	operators.AddSearchProcs(cfg.Processors)
+	defer operators.AddSearchProcs(-cfg.Processors)
 	// When the context carries a span recorder (the solver service threads
 	// one per job), the whole run becomes a "run" span and every phase span
 	// below — construction, sweep batches, checkpoint barriers, share

@@ -73,7 +73,9 @@ const granFallbackBudget = 1
 // equal probability. The zero value is unusable; construct with
 // NewGenerator. A Generator is not safe for concurrent use: it shares the
 // caller's random stream and memoizes the schedule cache of the last
-// evaluated solution.
+// evaluated solution. Its CandidatesInto may evaluate moves on a helper
+// goroutine of its own, which only reads the swept solution and its
+// schedule cache and has finished with both when the call returns.
 type Generator struct {
 	in  *vrptw.Instance
 	ops []MoveKind
@@ -91,6 +93,8 @@ type Generator struct {
 
 	lastEval *solution.Eval
 	granFB   []uint8 // per-sweep fallback count, aligned with ops; granular path memoized dead at the budget
+	helpFn   func()  // g.help, bound once so starting a helper allocates nothing
+	sw       sweep   // state shared with the helper goroutine (sweep.go)
 }
 
 // NewGenerator returns a Generator over the given operators (All() if ops
@@ -99,7 +103,9 @@ func NewGenerator(in *vrptw.Instance, ops []MoveKind) *Generator {
 	if ops == nil {
 		ops = All()
 	}
-	return &Generator{in: in, ops: ops, granFB: make([]uint8, len(ops))}
+	g := &Generator{in: in, ops: ops, granFB: make([]uint8, len(ops))}
+	g.helpFn = g.help
+	return g
 }
 
 // eval returns the schedule cache for s, rebuilding only when s differs
@@ -145,8 +151,17 @@ type CandidateBuffer struct {
 // neighborhood granular (the point of the sparse graph) instead of
 // silently degrading to the dense proposal path.
 func (g *Generator) MovesInto(buf *CandidateBuffer, s *solution.Solution, r *rng.Rand, size int) {
+	buf.Data = resize(buf.Data, max(size, 0))
+	buf.Data = buf.Data[:g.propose(buf, s, r, false)]
+}
+
+// propose is MovesInto's proposal loop: it fills buf.Data, already sized
+// to the request, from the front and returns how many moves it proposed.
+// With publish set it stores the count into the sweep's published count
+// every publishBatch moves, for the helper to claim (sweep.go).
+func (g *Generator) propose(buf *CandidateBuffer, s *solution.Solution, r *rng.Rand, publish bool) int {
+	size := len(buf.Data)
 	budget := failuresPerMove * size
-	buf.Data = buf.Data[:0]
 	granular := g.Granular != nil
 	if granular {
 		buf.pos.Reset(g.in, s)
@@ -154,7 +169,8 @@ func (g *Generator) MovesInto(buf *CandidateBuffer, s *solution.Solution, r *rng
 			g.granFB[i] = 0
 		}
 	}
-	for len(buf.Data) < size && budget > 0 {
+	n := 0
+	for n < size && budget > 0 {
 		oi := r.Intn(len(g.ops))
 		k := g.ops[oi]
 		var d MoveData
@@ -174,27 +190,17 @@ func (g *Generator) MovesInto(buf *CandidateBuffer, s *solution.Solution, r *rng
 			// solution and the fallback budget is spent; fail the draw.
 		}
 		if ok {
-			buf.Data = append(buf.Data, d)
+			buf.Data[n] = d
+			n++
+			if publish && n%publishBatch == 0 {
+				g.sw.published.Store(uint32(n))
+			}
 		} else {
 			g.Telemetry.IncOp(uint8(k), k.String(), telemetry.OpExhausted)
 			budget--
 		}
 	}
-}
-
-// CandidatesInto is the hot-path candidate sweep: MovesInto followed by
-// EvalDataInto, entirely within buf's reusable storage — one
-// route-schedule rebuild per distinct s, then O(1)–O(segment) per
-// candidate instead of one full materialization. Every returned candidate
-// counts as one objective-function evaluation.
-func (g *Generator) CandidatesInto(buf *CandidateBuffer, s *solution.Solution, r *rng.Rand, size int) {
-	g.MovesInto(buf, s, r, size)
-	n := len(buf.Data)
-	if cap(buf.Objs) < n {
-		buf.Objs = make([]solution.Objectives, n)
-	}
-	buf.Objs = buf.Objs[:n]
-	g.EvalDataInto(s, buf.Data, buf.Objs)
+	return n
 }
 
 // EvalDataInto delta-evaluates an already-proposed flat move span against
@@ -208,15 +214,21 @@ func (g *Generator) EvalDataInto(s *solution.Solution, data []MoveData, objs []s
 	}
 	e := g.eval(s)
 	for i, d := range data {
-		obj, ok := d.Delta(g.in, s, e)
-		if !ok {
-			g.Telemetry.Inc(telemetry.DeltaFallback)
-			obj = d.Apply(g.in, s).Obj
-		} else {
-			g.Telemetry.Inc(telemetry.DeltaFast)
-		}
-		objs[i] = obj
+		objs[i] = evalMove(g.in, g.Telemetry, s, e, d)
 	}
+}
+
+// evalMove returns the objectives of d on s: its delta against e, the
+// schedule cache of s, or Apply's when the delta declines. It only reads
+// s and e, so moves of one sweep may be evaluated concurrently.
+func evalMove(in *vrptw.Instance, tel *telemetry.Telemetry, s *solution.Solution, e *solution.Eval, d MoveData) solution.Objectives {
+	obj, ok := d.Delta(in, s, e)
+	if !ok {
+		tel.Inc(telemetry.DeltaFallback)
+		return d.Apply(in, s).Obj
+	}
+	tel.Inc(telemetry.DeltaFast)
+	return obj
 }
 
 // before returns the site preceding position p of route (depot if p == 0).

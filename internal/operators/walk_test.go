@@ -19,38 +19,26 @@ import (
 // and one slot, and every customer.
 func walkListLengths(in *vrptw.Instance) []int { return []int{1, 20, 63, 64, 65, in.N()} }
 
-// granularWalk carries one CandidateBuffer along a walk of solutions and
-// calls visit on each once the buffer's customer table is bound to it by
-// a granular sweep, as a search iteration binds it. The walk applies
-// random sweep moves; then relocates, one by one, the customers of the
-// shortest route ahead of the last two into the last route, so the
-// emptied route's successors shift down; then jumps to an unrelated I1
-// solution, as a restart does; and then, through a new Generator but the
-// same buffer, goes on on the instance RemoveSite and AddSite derive.
-// Every two solutions the sweep's lists change length, so the slot memos
-// carry tags across solutions under one list and are rebound to the next.
-func granularWalk(t *testing.T, class, n, seed, walk uint64, visit func(in *vrptw.Instance, s *solution.Solution, nl *vrptw.NeighborLists, buf *CandidateBuffer)) {
+// searchWalk calls visit on each solution of a walk like a search's and
+// steps on by applying one of the moves visit returns, drawn with wr (the
+// walk's RNG, which visit may draw from too). The walk applies random
+// moves; then relocates, one by one, the customers of the shortest route
+// ahead of the last two into the last route, so the emptied route's
+// successors shift down; then jumps to an unrelated I1 solution, as a
+// restart does; and then goes on on the instance RemoveSite and AddSite
+// derive. A stretch of random moves ends early where visit returns none.
+func searchWalk(t *testing.T, class, n, seed, walk uint64, visit func(in *vrptw.Instance, s *solution.Solution, wr *rng.Rand) []MoveData) {
 	t.Helper()
 	in, err := vrptw.Generate(vrptw.GenConfig{Class: vrptw.Class(class % 6), N: int(3 + n%120), Seed: seed})
 	if err != nil {
 		t.Skip(err)
 	}
 	wr := rng.New(walk)
-	g := NewGenerator(in, Extended())
-	var buf CandidateBuffer
-	bound := 0
-	bind := func(s *solution.Solution) {
-		lens := walkListLengths(in)
-		g.Granular = in.NeighborLists(lens[bound/2%len(lens)])
-		bound++
-		g.MovesInto(&buf, s, wr, 4)
-		visit(in, s, g.Granular, &buf)
-	}
 	stroll := func(s *solution.Solution, steps int) *solution.Solution {
-		bind(s)
-		for i := 0; i < steps && len(buf.Data) > 0; i++ {
-			s = buf.Data[wr.Intn(len(buf.Data))].Apply(in, s)
-			bind(s)
+		moves := visit(in, s, wr)
+		for i := 0; i < steps && len(moves) > 0; i++ {
+			s = moves[wr.Intn(len(moves))].Apply(in, s)
+			moves = visit(in, s, wr)
 		}
 		return s
 	}
@@ -69,7 +57,7 @@ func granularWalk(t *testing.T, class, n, seed, walk uint64, visit func(in *vrpt
 			to := len(s.Routes) - 1
 			m := MoveData{Kind: KindRelocate, A: int32(victim), B: 0, C: int32(to), D: int32(len(s.Routes[to])), E: int32(s.Routes[victim][0])}
 			s = m.Apply(in, s)
-			bind(s)
+			visit(in, s, wr)
 		}
 	}
 
@@ -96,8 +84,33 @@ func granularWalk(t *testing.T, class, n, seed, walk uint64, visit func(in *vrpt
 		routes = append(routes, nr)
 	}
 	routes = append(routes, []int{in3.N()})
-	in, g = in3, NewGenerator(in3, Extended())
+	in = in3
 	stroll(solution.New(in, routes), 3)
+}
+
+// granularWalk carries one CandidateBuffer along a searchWalk and calls
+// visit on each solution once the buffer's customer table is bound to it
+// by a granular sweep of the walk's RNG, as a search iteration binds it;
+// the walk steps on by the sweep's moves, and after the instance changes
+// a new Generator sweeps into the same buffer. Every two solutions the
+// sweep's lists change length, so the slot memos carry tags across
+// solutions under one list and are rebound to the next.
+func granularWalk(t *testing.T, class, n, seed, walk uint64, visit func(in *vrptw.Instance, s *solution.Solution, nl *vrptw.NeighborLists, buf *CandidateBuffer)) {
+	t.Helper()
+	var g *Generator
+	var buf CandidateBuffer
+	bound := 0
+	searchWalk(t, class, n, seed, walk, func(in *vrptw.Instance, s *solution.Solution, wr *rng.Rand) []MoveData {
+		if g == nil || g.in != in {
+			g = NewGenerator(in, Extended())
+		}
+		lens := walkListLengths(in)
+		g.Granular = in.NeighborLists(lens[bound/2%len(lens)])
+		bound++
+		g.MovesInto(&buf, s, wr, 4)
+		visit(in, s, g.Granular, &buf)
+		return buf.Data
+	})
 }
 
 // FuzzGranularWalkMatchesReference holds the granular proposers to their

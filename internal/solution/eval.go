@@ -91,7 +91,10 @@ func sized(buf []float64, n int) []float64 {
 
 // Eval is the delta-evaluation cache of one solution: a RouteEval per
 // route. It is bound to a specific *Solution; derive new solutions first
-// and Reset the cache afterwards. An Eval is not safe for concurrent use.
+// and Reset the cache afterwards. The metric methods (SpliceMetrics,
+// InsertMetrics, ReplaceMetrics, RemoveMetrics) only read the cache and
+// count into Telemetry's atomic counters, so they may be called
+// concurrently; Reset may not run concurrently with them or with itself.
 type Eval struct {
 	sol *Solution
 	in  *vrptw.Instance
