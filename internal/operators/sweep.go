@@ -10,7 +10,7 @@ package operators
 // no bit of the sweep's output, and with no helper engaged the producer's
 // claim loop evaluates every move: there is one sweep, not two.
 //
-// The protocol (DESIGN §11, "One evaluation path"):
+// The protocol (DESIGN §11, "One evaluation path, overlapped with proposal"):
 //   - The producer binds the schedule cache and sizes buf.Data/buf.Objs to
 //     the request before anything is published; neither slice is
 //     reallocated during the sweep.
