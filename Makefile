@@ -50,16 +50,17 @@ allocs:
 # assertions on the sweep (full and granular) and the searcher's generate
 # path, at one processor and at two, where a helper goroutine evaluates
 # the sweep's moves, plus one untimed pass over the 400-customer benchmarks — the
-# sweeps, the searcher iteration and the three start-up steps every job
-# runs, the instance build, the granular lists' first build and the I1
-# construction on R1 and R2 — so a broken benchmark fails here. Timed measurements are scripts/tsmobench's job;
+# sweeps, each operator's granular draw, the searcher iteration and the
+# three start-up steps every job runs, the instance build, the granular
+# lists' first build and the I1 construction on R1 and R2 — so a broken
+# benchmark fails here. Timed measurements are scripts/tsmobench's job;
 # its own module's smoke test runs all four workloads at toy scale with
 # their output checks, so a change to an API the benchmark compiles
 # against fails here, not in the next benchmark run.
 bench-smoke:
 	$(GO) test -run 'TestCandidatesZeroAlloc|TestGranularSweepDeterministic' -cpu 1,2 -count 1 -v ./internal/operators/
 	$(GO) test -run 'TestGenerateZeroAlloc' -cpu 1,2 -count 1 -v ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkCandidatesInto400|BenchmarkCandidatesGranular400' \
+	$(GO) test -run '^$$' -bench 'BenchmarkCandidatesInto400|BenchmarkCandidatesGranular400|BenchmarkProposeGranular400' \
 	  -benchtime 1x ./internal/operators/
 	$(GO) test -run '^$$' -bench 'BenchmarkSearcherIteration' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkGenerate|BenchmarkNeighborLists' -benchtime 1x ./internal/vrptw/

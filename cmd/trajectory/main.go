@@ -2,9 +2,11 @@
 // search trajectory of the asynchronous TSMO in objective space, with each
 // candidate tagged by the iteration its neighborhood was generated in and
 // selected current solutions marked. The CSV can be plotted directly
-// (distance vs. vehicles, colored by the born column).
+// (distance vs. vehicles, colored by the born column). Its defaults are
+// those of `experiments -figure1`, so both write the same run; the
+// checked-in figure1.csv and figure1.txt come from
 //
-//	trajectory -n 100 -procs 3 -evals 5000 -o figure1.csv
+//	trajectory -plot > figure1.txt
 package main
 
 import (
@@ -23,7 +25,7 @@ func main() {
 		n       = flag.Int("n", 100, "instance size (customers)")
 		procs   = flag.Int("procs", 3, "processor count")
 		evals   = flag.Int("evals", 5000, "evaluation budget")
-		seed    = flag.Uint64("seed", 1, "run seed")
+		seed    = flag.Uint64("seed", 2007, "run seed")
 		out     = flag.String("o", "figure1.csv", "output CSV path (- for stdout)")
 		plot    = flag.Bool("plot", false, "also draw an ASCII rendition of Figure 1")
 		version = flag.Bool("version", false, "print the version and exit")

@@ -133,7 +133,8 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 			}
 		}
 		// The master's own share of the neighborhood.
-		s.pending = append(s.pending, s.generate(p, chunk)...)
+		s.generate(p, chunk)
+		s.pending = wrapCands(s.pending, s.cur, s.iter, s.buf.Data, s.buf.Objs)
 
 		// Decision function (Algorithm 2): stop waiting when a worker
 		// is idle (c1), a collected candidate dominates the current
@@ -227,7 +228,7 @@ func asyncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, work
 			}
 		}
 
-		improved := s.step(p, s.pending)
+		improved := s.stepCands(p, s.pending)
 		s.pending = s.pending[:0]
 		s.share(p, improved)
 

@@ -69,7 +69,8 @@ func collaborativeBody(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand
 			break
 		}
 
-		s.share(p, s.step(p, s.generate(p, s.neighborhood)))
+		s.generate(p, s.neighborhood)
+		s.share(p, s.stepSweep(p))
 
 		if p.ID() == 0 && cfg.checkpointDue(s.iter) && !s.done(p) {
 			h, err := s.collabBarrier(p)

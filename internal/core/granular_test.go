@@ -74,7 +74,8 @@ func TestGenerateZeroAlloc(t *testing.T) {
 	s.init(p)
 	// A few full iterations warm the reusable buffers and the tabu list.
 	for i := 0; i < 3; i++ {
-		s.step(p, s.generate(p, cfg.NeighborhoodSize))
+		s.generate(p, cfg.NeighborhoodSize)
+		s.stepSweep(p)
 	}
 	if avg := testing.AllocsPerRun(20, func() {
 		s.generate(p, cfg.NeighborhoodSize)

@@ -102,14 +102,15 @@ type searcher struct {
 	yielded time.Time
 
 	// Reusable hot-path storage, all owned by this searcher: the
-	// generator's candidate buffer, the assembled candidate set, the
-	// incrementally-maintained non-dominated front over it, and the
-	// selection scratch lists. Aliasing rule: the slice generate returns
-	// is backed by cands and valid only until the next generate call —
-	// callers that carry candidates across iterations (the async master)
-	// copy them out.
+	// generator's candidate buffer (moves, objectives and their front),
+	// the candidates built for a step's front, the objectives and front
+	// of a step on a candidate set (stepCands), and the selection scratch
+	// lists. Candidates are built only for the front; callers that carry
+	// candidates across iterations (the async master) wrap every move of
+	// the buffer themselves.
 	buf        operators.CandidateBuffer
 	cands      []cand
+	objs       []solution.Objectives
 	nd         []int
 	allowed    []int
 	dominating []int
@@ -196,11 +197,11 @@ func evalSpan(p deme.Proc, cfg *Config, in *vrptw.Instance, gen *operators.Gener
 }
 
 // wrapCands appends one candidate per delta-evaluated move of base, born
-// in iteration born, to dst and counts each move as proposed in the
-// operator funnel. It is the one place candidates are made: from the
-// searcher's own sweep, the synchronous master's reassembled neighborhood
-// and an asynchronous worker's chunk.
-func wrapCands(dst []cand, tel *telemetry.Telemetry, base *solution.Solution, born int, data []operators.MoveData, objs []solution.Objectives) []cand {
+// in iteration born, to dst. It is the one place candidates are made:
+// from the front of a searcher's own sweep or of the synchronous master's
+// reassembled neighborhood (stepSweep), and from every move of an
+// asynchronous chunk, the master's own or a worker's.
+func wrapCands(dst []cand, base *solution.Solution, born int, data []operators.MoveData, objs []solution.Objectives) []cand {
 	for i := range data {
 		d := data[i]
 		dst = append(dst, cand{
@@ -210,7 +211,6 @@ func wrapCands(dst []cand, tel *telemetry.Telemetry, base *solution.Solution, bo
 			op:   d.Kind,
 			born: born,
 		})
-		tel.IncOp(uint8(d.Kind), d.Kind.String(), telemetry.OpProposed)
 	}
 	return dst
 }
@@ -352,34 +352,63 @@ func (s *searcher) init(p deme.Proc) {
 }
 
 // generate draws and delta-evaluates up to n neighbors of the current
-// solution, charging their modeled cost to p. The candidates carry
-// objectives only; no neighbor solution is materialized here. The returned
-// slice is backed by the searcher's reusable storage and is valid only
-// until the next generate call.
-func (s *searcher) generate(p deme.Proc, n int) []cand {
+// solution into s.buf — moves, objectives and their non-dominated front —
+// charging their modeled cost to p. No candidate is built and no neighbor
+// solution is materialized here.
+func (s *searcher) generate(p deme.Proc, n int) {
 	s.gen.CandidatesInto(&s.buf, s.cur, s.r, n)
-	s.cands = wrapCands(s.cands[:0], s.tel, s.cur, s.iter, s.buf.Data, s.buf.Objs)
 	s.cfg.Cost.charge(p, s.in, s.buf.Objs)
-	s.countEvals(len(s.cands))
-	return s.cands
+	s.countEvals(len(s.buf.Data))
 }
 
-// step performs the selection and memory-update part of one Algorithm 1
-// iteration on an already-evaluated candidate set (which, for the
-// asynchronous variant, may mix several birth iterations). It returns
-// whether the archive improved this iteration.
-func (s *searcher) step(p deme.Proc, cands []cand) bool {
-	p.Compute(s.cfg.Cost.OverheadPerNeighbor * float64(len(cands)))
-
-	// The candidate set's non-dominated indices feed both the selection
-	// and the M_nondom update.
-	nd := s.foldFront(cands)
-	sel := s.selectCand(cands, nd)
+// stepSweep runs step on the neighborhood of the current solution in
+// s.buf, moves with their objectives and front: it records every neighbor
+// on the trajectory, in index order, then builds candidates for the front
+// only.
+func (s *searcher) stepSweep(p deme.Proc) bool {
+	b := &s.buf
 	if s.rec != nil {
-		for i := range cands {
+		for i := range b.Objs {
+			s.rec.add(s.iter+1, s.iter, b.Objs[i], false)
+		}
+	}
+	s.cands = s.cands[:0]
+	for _, i := range b.Front {
+		s.cands = wrapCands(s.cands, s.cur, s.iter, b.Data[i:i+1], b.Objs[i:i+1])
+	}
+	return s.step(p, s.cands, len(b.Data))
+}
+
+// stepCands runs step on an evaluated candidate set that may mix several
+// birth iterations, the asynchronous master's pending list: it records
+// every candidate on the trajectory, in order, then steps on copies of
+// the set's non-dominated members.
+func (s *searcher) stepCands(p deme.Proc, cands []cand) bool {
+	s.objs = s.objs[:0]
+	for i := range cands {
+		s.objs = append(s.objs, cands[i].obj)
+		if s.rec != nil {
 			s.rec.add(s.iter+1, cands[i].born, cands[i].obj, false)
 		}
 	}
+	s.nd = pareto.Front(s.nd, s.objs)
+	s.cands = s.cands[:0]
+	for _, i := range s.nd {
+		s.cands = append(s.cands, cands[i])
+	}
+	return s.step(p, s.cands, len(cands))
+}
+
+// step performs the selection and memory-update part of one Algorithm 1
+// iteration on front, the non-dominated members of an evaluated
+// neighborhood of size candidates, in the neighborhood's order: the
+// selection draws from front and only front enters M_nondom, while the
+// modeled per-neighbor overhead is charged for all size. It returns
+// whether the archive improved this iteration.
+func (s *searcher) step(p deme.Proc, front []cand, size int) bool {
+	p.Compute(s.cfg.Cost.OverheadPerNeighbor * float64(size))
+
+	sel := s.selectCand(front)
 	selectedOp := operators.KindNone
 	if sel < 0 || s.noImprovement {
 		// Restart from the memories: M_nondom entries are consumed,
@@ -398,9 +427,9 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 		}
 		s.noImprovement = false
 	} else {
-		s.cur = cands[sel].materialize(s.in)
-		s.tl.Add(cands[sel].attribute())
-		selectedOp = cands[sel].op
+		s.cur = front[sel].materialize(s.in)
+		s.tl.Add(front[sel].attribute())
+		selectedOp = front[sel].op
 		s.tel.IncOp(uint8(selectedOp), selectedOp.String(), telemetry.OpSelected)
 	}
 	if s.rec != nil {
@@ -411,9 +440,9 @@ func (s *searcher) step(p deme.Proc, cands []cand) bool {
 	// chosen current solution is offered to the archive. Candidates the
 	// memory would reject anyway are never materialized.
 	improved := false
-	for _, i := range nd {
-		if s.nondom.WouldAccept(cands[i].obj) {
-			s.nondom.Add(cands[i].materialize(s.in))
+	for i := range front {
+		if s.nondom.WouldAccept(front[i].obj) {
+			s.nondom.Add(front[i].materialize(s.in))
 		}
 	}
 	if s.archive.Add(s.cur) {
@@ -497,51 +526,21 @@ func (s *searcher) closeSweep() {
 	s.sweep = nil
 }
 
-// foldFront returns the indices of the candidates non-dominated within the
-// set, folding them one at a time into the reusable buffer s.nd: a
-// candidate that some front member dominates leaves the front unchanged;
-// otherwise the members it dominates are compacted out and it is appended.
-// Because front members are mutually non-dominated, no removal can precede
-// finding a dominator (dominance is transitive), so the early exit is safe
-// — and the result equals pareto.NondominatedIndices over the whole set,
-// duplicates kept, indices ascending. That is one pass against the running
-// front instead of the full O(n²) pairwise scan, with zero allocations in
-// steady state.
-func (s *searcher) foldFront(cands []cand) []int {
-	s.nd = s.nd[:0]
-next:
-	for i := range cands {
-		obj := cands[i].obj
-		w := 0
-		for _, j := range s.nd {
-			if cands[j].obj.Dominates(obj) {
-				continue next // dominated; nothing before j can have been removed
-			}
-			if !obj.Dominates(cands[j].obj) {
-				s.nd[w] = j
-				w++
-			}
-		}
-		s.nd = append(s.nd[:w], i)
-	}
-	return s.nd
-}
-
-// selectCand picks the next current solution from the candidate set: among
-// the candidates non-dominated within the set (nd, as computed by
-// foldFront) and not forbidden by the tabu list (with archive-entry
-// aspiration), it prefers one that dominates the current solution and
-// otherwise draws uniformly. It returns -1 when every candidate is
-// unavailable — the paper's "s not in N" restart trigger.
-func (s *searcher) selectCand(cands []cand, nd []int) int {
-	if len(cands) == 0 {
+// selectCand picks the next current solution from front, the candidates
+// non-dominated within the neighborhood: among those not forbidden by the
+// tabu list (with archive-entry aspiration), it prefers one that dominates
+// the current solution and otherwise draws uniformly. It returns the
+// pick's index in front, or -1 when every candidate is unavailable — the
+// paper's "s not in N" restart trigger.
+func (s *searcher) selectCand(front []cand) int {
+	if len(front) == 0 {
 		return -1
 	}
 	allowed := s.allowed[:0]
-	for _, i := range nd {
-		if !s.tl.Contains(cands[i].attribute()) {
+	for i := range front {
+		if !s.tl.Contains(front[i].attribute()) {
 			allowed = append(allowed, i)
-		} else if !s.cfg.DisableAspiration && s.archive.WouldAccept(cands[i].obj) {
+		} else if !s.cfg.DisableAspiration && s.archive.WouldAccept(front[i].obj) {
 			s.tel.Inc(telemetry.AspirationFires)
 			allowed = append(allowed, i)
 		} else {
@@ -554,7 +553,7 @@ func (s *searcher) selectCand(cands []cand, nd []int) int {
 	}
 	dominating := s.dominating[:0]
 	for _, i := range allowed {
-		if cands[i].obj.Dominates(s.cur.Obj) {
+		if front[i].obj.Dominates(s.cur.Obj) {
 			dominating = append(dominating, i)
 		}
 	}

@@ -46,16 +46,17 @@ func benchSearcher(b *testing.B, tel *telemetry.Telemetry) (*searcher, *stubProc
 // BenchmarkSearcherIteration measures one full generate+step iteration of
 // the granular candidate engine — the ROADMAP's hot-path target
 // (<=150µs/op, <=10 allocs/op on 400 customers): granular proposals from
-// the sparse k-nearest graph, flat moves in reusable buffers, objectives-
-// only candidates, incremental non-dominated bookkeeping, and lazy
-// materialization of just the selected solution and the memory-bound
-// entries.
+// the sparse k-nearest graph, flat moves in reusable buffers, the sweep's
+// non-dominated front folded where its moves are evaluated, objectives-
+// only candidates for that front alone, and lazy materialization of just
+// the selected solution and the memory-bound entries.
 func BenchmarkSearcherIteration(b *testing.B) {
 	s, p, size := benchSearcherCfg(b, nil, benchGranularK)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.step(p, s.generate(p, size))
+		s.generate(p, size)
+		s.stepSweep(p)
 	}
 }
 
@@ -67,7 +68,8 @@ func BenchmarkSearcherIterationFull(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.step(p, s.generate(p, size))
+		s.generate(p, size)
+		s.stepSweep(p)
 	}
 }
 
@@ -80,7 +82,8 @@ func BenchmarkSearcherIterationTelemetry(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.step(p, s.generate(p, size))
+		s.generate(p, size)
+		s.stepSweep(p)
 	}
 }
 
@@ -97,14 +100,16 @@ func BenchmarkSearcherIterationTrace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.step(p, s.generate(p, size))
+		s.generate(p, size)
+		s.stepSweep(p)
 	}
 }
 
 // TestStepMaterializesLazily asserts the lazy-materialization contract: a
 // step over a full neighborhood must apply only a small fraction of the
-// candidate moves (the selected one plus memory-accepted non-dominated
-// entries), not all of them.
+// neighborhood's moves (the selected one plus memory-accepted
+// non-dominated entries, all among the front's candidates), not all of
+// them.
 func TestStepMaterializesLazily(t *testing.T) {
 	in := testInstance(t, 60)
 	cfg := smallConfig()
@@ -116,11 +121,11 @@ func TestStepMaterializesLazily(t *testing.T) {
 	s.init(p)
 	total, applied := 0, 0
 	for iter := 0; iter < 10; iter++ {
-		cands := s.generate(p, cfg.NeighborhoodSize)
-		s.step(p, cands)
-		total += len(cands)
-		for i := range cands {
-			if cands[i].sol != nil {
+		s.generate(p, cfg.NeighborhoodSize)
+		s.stepSweep(p)
+		total += len(s.buf.Data)
+		for i := range s.cands {
+			if s.cands[i].sol != nil {
 				applied++
 			}
 		}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"slices"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/deme"
 	"repro/internal/pareto"
@@ -50,40 +48,22 @@ func newTestSearcher(t *testing.T) (*searcher, *stubProc) {
 	return s, p
 }
 
-// TestFoldFrontMatchesNondominatedIndices checks foldFront's contract
-// against the reference pareto.NondominatedIndices on random candidate
-// sets: objectives are drawn from a coarse grid so dominance ties are
-// common, and some candidates copy an earlier candidate's objectives
-// outright. Both must keep every duplicate, in ascending index order.
-func TestFoldFrontMatchesNondominatedIndices(t *testing.T) {
-	var s searcher
-	f := func(seed uint64, size uint8) bool {
-		r := rng.New(seed)
-		n := int(size % 64)
-		cands := make([]cand, n)
-		objs := make([]solution.Objectives, n)
-		for i := range cands {
-			if i > 0 && r.Intn(4) == 0 {
-				objs[i] = objs[r.Intn(i)] // forced duplicate
-			} else {
-				objs[i] = solution.Objectives{
-					Distance:  float64(r.Intn(6)),
-					Vehicles:  float64(r.Intn(3)),
-					Tardiness: float64(r.Intn(3)),
-				}
-			}
-			cands[i].obj = objs[i]
-		}
-		want := pareto.NondominatedIndices(objs)
-		got := s.foldFront(cands)
-		if len(want) == 0 {
-			return len(got) == 0
-		}
-		return slices.Equal(got, want)
+// selectFrom runs selectCand on the non-dominated members of an arbitrary
+// candidate set and returns the pick's index in the set, -1 for none.
+func (s *searcher) selectFrom(cands []cand) int {
+	objs := make([]solution.Objectives, len(cands))
+	for i := range cands {
+		objs[i] = cands[i].obj
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
+	nd := pareto.Front(nil, objs)
+	front := make([]cand, len(nd))
+	for k, i := range nd {
+		front[k] = cands[i]
 	}
+	if k := s.selectCand(front); k >= 0 {
+		return nd[k]
+	}
+	return -1
 }
 
 func TestSelectCandPrefersDominating(t *testing.T) {
@@ -95,7 +75,7 @@ func TestSelectCandPrefersDominating(t *testing.T) {
 		mkCand(cur.Distance+5, cur.Vehicles-1, cur.Tardiness, 3), // trade-off
 	}
 	for trial := 0; trial < 20; trial++ {
-		got := s.selectCand(cands, s.foldFront(cands))
+		got := s.selectFrom(cands)
 		if got != 1 {
 			t.Fatalf("selectCand picked %d, want the dominating candidate 1", got)
 		}
@@ -111,7 +91,7 @@ func TestSelectCandSkipsTabu(t *testing.T) {
 	cands := []cand{
 		mkCand(cur.Distance+10, cur.Vehicles, cur.Tardiness+1, 7),
 	}
-	if got := s.selectCand(cands, s.foldFront(cands)); got != -1 {
+	if got := s.selectFrom(cands); got != -1 {
 		t.Fatalf("tabu candidate selected (%d)", got)
 	}
 }
@@ -122,11 +102,11 @@ func TestSelectCandAspiration(t *testing.T) {
 	s.tl.Add(9)
 	// Tabu but archive-improving (dominates everything stored).
 	cands := []cand{mkCand(cur.Distance-50, cur.Vehicles, 0, 9)}
-	if got := s.selectCand(cands, s.foldFront(cands)); got != 0 {
+	if got := s.selectFrom(cands); got != 0 {
 		t.Fatal("aspiration did not admit an archive-improving tabu candidate")
 	}
 	s.cfg.DisableAspiration = true
-	if got := s.selectCand(cands, s.foldFront(cands)); got != -1 {
+	if got := s.selectFrom(cands); got != -1 {
 		t.Fatal("DisableAspiration did not suppress the aspiration criterion")
 	}
 	s.cfg.DisableAspiration = false
@@ -134,7 +114,7 @@ func TestSelectCandAspiration(t *testing.T) {
 
 func TestSelectCandEmpty(t *testing.T) {
 	s, _ := newTestSearcher(t)
-	if got := s.selectCand(nil, nil); got != -1 {
+	if got := s.selectCand(nil); got != -1 {
 		t.Fatalf("empty candidate set selected %d", got)
 	}
 }
@@ -147,7 +127,7 @@ func TestStepUpdatesMemoriesAndTabu(t *testing.T) {
 		mkCand(cur.Distance-2, cur.Vehicles+1, cur.Tardiness, 12),    // nondominated trade-off
 		mkCand(cur.Distance+99, cur.Vehicles+2, cur.Tardiness+5, 13), // dominated by cand 0
 	}
-	improved := s.step(p, cands)
+	improved := s.stepCands(p, cands)
 	if !improved {
 		t.Error("dominating candidate should improve the archive")
 	}
@@ -175,14 +155,14 @@ func TestStepRestartAfterStagnation(t *testing.T) {
 	// Feed only dominated candidates: the archive never improves.
 	for i := 0; i < s.restartIters; i++ {
 		bad := mkCand(cur.Obj.Distance+float64(i+1), cur.Obj.Vehicles+1, cur.Obj.Tardiness+1, tabu.Attribute(100+i))
-		s.step(p, []cand{bad})
+		s.stepCands(p, []cand{bad})
 	}
 	if !s.noImprovement {
 		t.Fatal("stagnation did not raise the noImprovement flag")
 	}
 	// The next step must restart from the memories instead of selecting.
 	good := mkCand(cur.Obj.Distance-1, cur.Obj.Vehicles, cur.Obj.Tardiness, 999)
-	s.step(p, []cand{good})
+	s.stepCands(p, []cand{good})
 	if s.noImprovement {
 		t.Error("noImprovement flag not consumed by the restart")
 	}

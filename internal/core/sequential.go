@@ -13,7 +13,8 @@ import (
 func sequentialBody(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *Trajectory) procOutcome {
 	s := startSearcher(p, in, cfg, r, rec, nil)
 	for !s.done(p) {
-		s.share(p, s.step(p, s.generate(p, s.neighborhood)))
+		s.generate(p, s.neighborhood)
+		s.share(p, s.stepSweep(p))
 		if cfg.checkpointDue(s.iter) && !s.done(p) && s.ckptBarrier(p, s.barrierSpan(p), nil, true) {
 			break
 		}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/deme"
 	"repro/internal/operators"
+	"repro/internal/pareto"
 	"repro/internal/rng"
 	"repro/internal/solution"
 	"repro/internal/telemetry"
@@ -45,7 +46,6 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 		}
 	}
 
-	var objs []solution.Objectives
 	var outstanding []span
 	for !s.done(p) {
 		// Reap workers that crashed or exited since the last iteration.
@@ -65,10 +65,11 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 		s.gen.MovesInto(&s.buf, s.cur, s.r, s.neighborhood)
 		data := s.buf.Data
 		n := len(data)
-		if cap(objs) < n {
-			objs = make([]solution.Objectives, n)
+		if cap(s.buf.Objs) < n {
+			s.buf.Objs = make([]solution.Objectives, n)
 		}
-		objs = objs[:n]
+		objs := s.buf.Objs[:n]
+		s.buf.Objs = objs
 
 		// Even spans per worker; the master absorbs the remainder (all of
 		// it once every worker is gone — the sequential degradation).
@@ -141,8 +142,8 @@ func syncMaster(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, rec *
 		}
 
 		s.countEvals(n)
-		s.cands = wrapCands(s.cands[:0], tel, s.cur, s.iter, data, objs)
-		s.share(p, s.step(p, s.cands))
+		s.buf.Front = pareto.Front(s.buf.Front, objs)
+		s.share(p, s.stepSweep(p))
 		// Workers are idle between iterations, so the barrier fits between
 		// the result collection and the next dispatch.
 		if cfg.checkpointDue(s.iter) && !s.done(p) && s.ckptBarrier(p, s.barrierSpan(p), alive, true) {

@@ -35,7 +35,7 @@ func TestTelemetryRestartNoCandidate(t *testing.T) {
 	s.tl.Add(7)
 	// Tabu, and dominated by the archived current solution: no aspiration.
 	bad := mkCand(cur.Distance+10, cur.Vehicles, cur.Tardiness+1, 7)
-	s.step(p, []cand{bad})
+	s.stepCands(p, []cand{bad})
 
 	if got := tel.Load(telemetry.RestartsNoCandidate); got != 1 {
 		t.Errorf("RestartsNoCand = %d, want 1", got)
@@ -58,7 +58,7 @@ func TestTelemetryRestartStagnation(t *testing.T) {
 	cur := s.cur
 	for i := 0; i < s.restartIters; i++ {
 		bad := mkCand(cur.Obj.Distance+float64(i+1), cur.Obj.Vehicles+1, cur.Obj.Tardiness+1, tabu.Attribute(100+i))
-		s.step(p, []cand{bad})
+		s.stepCands(p, []cand{bad})
 	}
 	if !s.noImprovement {
 		t.Fatal("stagnation flag not raised")
@@ -67,7 +67,7 @@ func TestTelemetryRestartStagnation(t *testing.T) {
 		t.Fatalf("stagnation restart fired early: %d", got)
 	}
 	good := mkCand(cur.Obj.Distance-1, cur.Obj.Vehicles, cur.Obj.Tardiness, 999)
-	s.step(p, []cand{good})
+	s.stepCands(p, []cand{good})
 	if got := tel.Load(telemetry.RestartsStagnation); got != 1 {
 		t.Errorf("RestartsStagn = %d, want 1", got)
 	}
@@ -117,7 +117,7 @@ func TestTelemetryRestartConsumesNondom(t *testing.T) {
 	for i := 0; i < 50 && tel.Load(telemetry.NondomConsumed) == 0; i++ {
 		s.tl.Add(tabu.Attribute(500 + i))
 		bad := mkCand(cur.Distance+10, cur.Vehicles+1, cur.Tardiness+1, tabu.Attribute(500+i))
-		s.step(p, []cand{bad})
+		s.stepCands(p, []cand{bad})
 		// Refill so a consumable entry is always available.
 		s.nondom.Add(&solution.Solution{Obj: solution.Objectives{Distance: 1, Vehicles: 1}})
 	}
@@ -133,7 +133,7 @@ func TestTelemetryAspirationCounter(t *testing.T) {
 	cur := s.cur.Obj
 	s.tl.Add(9)
 	cands := []cand{mkCand(cur.Distance-50, cur.Vehicles, 0, 9)}
-	if got := s.selectCand(cands, s.foldFront(cands)); got != 0 {
+	if got := s.selectFrom(cands); got != 0 {
 		t.Fatal("aspiration did not admit the candidate")
 	}
 	if got := tel.Load(telemetry.AspirationFires); got != 1 {
@@ -175,7 +175,8 @@ func TestTelemetryOperatorFunnel(t *testing.T) {
 			p := &stubProc{}
 			s.init(p)
 			for i := 0; i < tc.iters; i++ {
-				s.step(p, s.generate(p, s.neighborhood))
+				s.generate(p, s.neighborhood)
+				s.stepSweep(p)
 			}
 			snap := tel.Snapshot()["operators"].(map[string]map[string]any)
 			if len(snap) == 0 {
@@ -227,7 +228,8 @@ func TestTelemetryDeterminism(t *testing.T) {
 		p := &stubProc{}
 		s.init(p)
 		for i := 0; i < 40; i++ {
-			s.step(p, s.generate(p, s.neighborhood))
+			s.generate(p, s.neighborhood)
+			s.stepSweep(p)
 		}
 		return s.cur.Obj
 	}
@@ -262,7 +264,8 @@ func TestSearcherIterationTelemetryAllocs(t *testing.T) {
 		p := &stubProc{}
 		s.init(p)
 		return testing.AllocsPerRun(20, func() {
-			s.step(p, s.generate(p, cfg.NeighborhoodSize))
+			s.generate(p, cfg.NeighborhoodSize)
+			s.stepSweep(p)
 		})
 	}
 	disabled := measure(nil)
@@ -302,7 +305,7 @@ func TestRestartStepTelemetryAllocs(t *testing.T) {
 		bad := []cand{mkCand(cur.Distance+10, cur.Vehicles, cur.Tardiness+1, 7)}
 		return testing.AllocsPerRun(50, func() {
 			s.lastSample = s.evals - 1
-			s.step(p, bad)
+			s.stepCands(p, bad)
 		})
 	}
 	off := measure(nil)

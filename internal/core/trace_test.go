@@ -35,7 +35,8 @@ func TestSweepBatching(t *testing.T) {
 	s, p := traceSearcher(t, tr)
 	iters := sweepBatchIters + 10
 	for i := 0; i < iters; i++ {
-		s.step(p, s.generate(p, s.neighborhood))
+		s.generate(p, s.neighborhood)
+		s.stepSweep(p)
 	}
 	s.outcome()
 
@@ -194,7 +195,8 @@ func TestSearcherIterationTraceAllocs(t *testing.T) {
 		p := &stubProc{}
 		s.init(p)
 		return testing.AllocsPerRun(20, func() {
-			s.step(p, s.generate(p, cfg.NeighborhoodSize))
+			s.generate(p, cfg.NeighborhoodSize)
+			s.stepSweep(p)
 		})
 	}
 	disabled := measure(nil)

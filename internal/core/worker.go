@@ -79,7 +79,7 @@ func workerLoop(p deme.Proc, in *vrptw.Instance, cfg *Config, r *rng.Rand, seed 
 				SetInt("proc", int64(p.ID())).
 				SetInt("moves", int64(w.count))
 			gen.CandidatesInto(&buf, w.cur, r, w.count)
-			res.cands = wrapCands(make([]cand, 0, len(buf.Data)), tel, w.cur, w.iter, buf.Data, buf.Objs)
+			res.cands = wrapCands(make([]cand, 0, len(buf.Data)), w.cur, w.iter, buf.Data, buf.Objs)
 			cfg.Cost.charge(p, in, buf.Objs)
 			sp.End()
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/construct"
 	"repro/internal/rng"
 	"repro/internal/solution"
 	"repro/internal/vrptw"
@@ -203,5 +204,57 @@ func BenchmarkCandidatesGranular400(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.CandidatesInto(&buf, s, r, 200)
+	}
+}
+
+// searchedSolution returns a solution of in after a short descent like a
+// search's: from a seeded I1 construction, 400 granular 200-move sweeps,
+// each applying the first front move that dominates the current solution,
+// or else the front's first move.
+func searchedSolution(in *vrptw.Instance, nl *vrptw.NeighborLists) *solution.Solution {
+	s := construct.I1(in, construct.RandomParams(rng.New(7)))
+	g := NewGenerator(in, nil)
+	g.Granular = nl
+	r := rng.New(9)
+	var buf CandidateBuffer
+	for it := 0; it < 400; it++ {
+		g.CandidatesInto(&buf, s, r, 200)
+		if len(buf.Front) == 0 {
+			break
+		}
+		pick := buf.Front[0]
+		for _, i := range buf.Front {
+			if buf.Objs[i].Dominates(s.Obj) {
+				pick = i
+				break
+			}
+		}
+		s = buf.Data[pick].Apply(in, s)
+	}
+	return s
+}
+
+// BenchmarkProposeGranular400 times one granular draw of each of the
+// paper's operators on a searched solution of an R1 instance of 400
+// customers with k=20 lists: the proposal side of a searcher's iteration,
+// its critical path once evaluation overlaps proposal.
+func BenchmarkProposeGranular400(b *testing.B) {
+	in, err := vrptw.Generate(vrptw.GenConfig{Class: vrptw.R1, N: 400, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	nl := in.NeighborLists(20)
+	s := searchedSolution(in, nl)
+	for _, k := range All() {
+		b.Run(k.String(), func(b *testing.B) {
+			var px PosIndex
+			px.Reset(in, s)
+			r := rng.New(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.proposeGranular(in, s, &px, nl, r)
+			}
+		})
 	}
 }

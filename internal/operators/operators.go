@@ -82,8 +82,10 @@ type Generator struct {
 	// Telemetry, when non-nil, counts delta-evaluated candidates vs.
 	// full-simulation Apply fallbacks, the SpliceMetrics exits of the
 	// schedule caches, and the generation side of the operator funnel:
-	// proposal exhaustions and granular-list fallbacks, per move kind.
-	// nil (the default) disables it at one branch per candidate.
+	// proposals, proposal exhaustions and granular-list fallbacks, per
+	// move kind. Proposals and evaluations are added once per sweep.
+	// nil (the default) disables it at one branch per sweep and per
+	// failed draw.
 	Telemetry *telemetry.Telemetry
 	// Granular, when non-nil, switches MovesInto to the granular proposal
 	// paths: operators draw only moves whose key created arc lies in the
@@ -93,6 +95,7 @@ type Generator struct {
 
 	lastEval *solution.Eval
 	granFB   []uint8 // per-sweep fallback count, aligned with ops; granular path memoized dead at the budget
+	proposed []int   // per-sweep proposal count, aligned with ops
 	helpFn   func()  // g.help, bound once so starting a helper allocates nothing
 	sw       sweep   // state shared with the helper goroutine (sweep.go)
 }
@@ -103,7 +106,7 @@ func NewGenerator(in *vrptw.Instance, ops []MoveKind) *Generator {
 	if ops == nil {
 		ops = All()
 	}
-	g := &Generator{in: in, ops: ops, granFB: make([]uint8, len(ops))}
+	g := &Generator{in: in, ops: ops, granFB: make([]uint8, len(ops)), proposed: make([]int, len(ops))}
 	g.helpFn = g.help
 	return g
 }
@@ -126,15 +129,19 @@ func (g *Generator) eval(s *solution.Solution) *solution.Eval {
 const failuresPerMove = 50
 
 // CandidateBuffer holds the reusable storage of one candidate sweep: the
-// flat move list, the index-aligned delta objectives, and the customer
-// table of the granular proposal paths. One buffer belongs to exactly one
-// caller (a searcher or a worker) and is overwritten by every
-// MovesInto/CandidatesInto call — after warm-up a full sweep runs at zero
-// heap allocations.
+// flat move list, the index-aligned delta objectives, the sweep's
+// non-dominated front, and the customer table of the granular proposal
+// paths. One buffer belongs to exactly one caller (a searcher or a worker)
+// and is overwritten by every MovesInto/CandidatesInto call — after
+// warm-up a full sweep runs at zero heap allocations.
 type CandidateBuffer struct {
 	Data []MoveData
 	Objs []solution.Objectives
-	pos  PosIndex
+	// Front holds the ascending indices of the moves of the last
+	// CandidatesInto sweep whose objectives no other move of the sweep
+	// dominates, duplicates kept: pareto.NondominatedIndices(Objs).
+	Front []int
+	pos   PosIndex
 }
 
 // MovesInto proposes up to size moves on s into buf.Data (reusing its
@@ -156,9 +163,10 @@ func (g *Generator) MovesInto(buf *CandidateBuffer, s *solution.Solution, r *rng
 }
 
 // propose is MovesInto's proposal loop: it fills buf.Data, already sized
-// to the request, from the front and returns how many moves it proposed.
-// With publish set it stores the count into the sweep's published count
-// every publishBatch moves, for the helper to claim (sweep.go).
+// to the request, from the front and returns how many moves it proposed,
+// counting them per move kind in the operator funnel. With publish set it
+// stores the count into the sweep's published count every publishBatch
+// moves, for the helper to claim (sweep.go).
 func (g *Generator) propose(buf *CandidateBuffer, s *solution.Solution, r *rng.Rand, publish bool) int {
 	size := len(buf.Data)
 	budget := failuresPerMove * size
@@ -169,6 +177,7 @@ func (g *Generator) propose(buf *CandidateBuffer, s *solution.Solution, r *rng.R
 			g.granFB[i] = 0
 		}
 	}
+	clear(g.proposed)
 	n := 0
 	for n < size && budget > 0 {
 		oi := r.Intn(len(g.ops))
@@ -192,12 +201,18 @@ func (g *Generator) propose(buf *CandidateBuffer, s *solution.Solution, r *rng.R
 		if ok {
 			buf.Data[n] = d
 			n++
+			g.proposed[oi]++
 			if publish && n%publishBatch == 0 {
 				g.sw.published.Store(uint32(n))
 			}
 		} else {
 			g.Telemetry.IncOp(uint8(k), k.String(), telemetry.OpExhausted)
 			budget--
+		}
+	}
+	if g.Telemetry != nil {
+		for oi, c := range g.proposed {
+			g.Telemetry.AddOp(uint8(g.ops[oi]), g.ops[oi].String(), telemetry.OpProposed, c)
 		}
 	}
 	return n
@@ -213,22 +228,34 @@ func (g *Generator) EvalDataInto(s *solution.Solution, data []MoveData, objs []s
 		return
 	}
 	e := g.eval(s)
+	fallbacks := 0
 	for i, d := range data {
-		objs[i] = evalMove(g.in, g.Telemetry, s, e, d)
+		objs[i] = evalMove(g.in, s, e, d, &fallbacks)
 	}
+	countDeltas(g.Telemetry, len(data), fallbacks)
 }
 
 // evalMove returns the objectives of d on s: its delta against e, the
-// schedule cache of s, or Apply's when the delta declines. It only reads
-// s and e, so moves of one sweep may be evaluated concurrently.
-func evalMove(in *vrptw.Instance, tel *telemetry.Telemetry, s *solution.Solution, e *solution.Eval, d MoveData) solution.Objectives {
-	obj, ok := d.Delta(in, s, e)
-	if !ok {
-		tel.Inc(telemetry.DeltaFallback)
-		return d.Apply(in, s).Obj
+// schedule cache of s, or Apply's when the delta declines, which it counts
+// in *fallbacks. It only reads s and e, so moves of one sweep may be
+// evaluated concurrently, each goroutine counting into its own total.
+func evalMove(in *vrptw.Instance, s *solution.Solution, e *solution.Eval, d MoveData, fallbacks *int) solution.Objectives {
+	if obj, ok := d.Delta(in, s, e); ok {
+		return obj
 	}
-	tel.Inc(telemetry.DeltaFast)
-	return obj
+	*fallbacks++
+	return d.Apply(in, s).Obj
+}
+
+// countDeltas books n evaluated moves, fallbacks of which fell back to
+// Apply, with one add per counter.
+func countDeltas(tel *telemetry.Telemetry, n, fallbacks int) {
+	if n > fallbacks {
+		tel.Add(telemetry.DeltaFast, n-fallbacks)
+	}
+	if fallbacks > 0 {
+		tel.Add(telemetry.DeltaFallback, fallbacks)
+	}
 }
 
 // before returns the site preceding position p of route (depot if p == 0).

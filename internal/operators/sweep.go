@@ -10,10 +10,16 @@ package operators
 // no bit of the sweep's output, and with no helper engaged the producer's
 // claim loop evaluates every move: there is one sweep, not two.
 //
+// Each goroutine folds the moves it evaluates into a non-dominated front
+// of its own (pareto.Fold); after its wait the producer folds the
+// helper's front into its own and sorts it. Dominance is a strict partial
+// order, so the merged front holds the sweep's non-dominated moves
+// whatever the order of folding (DESIGN §11, "The sweep's front").
+//
 // The protocol (DESIGN §11, "One evaluation path, overlapped with proposal"):
-//   - The producer binds the schedule cache and sizes buf.Data/buf.Objs to
-//     the request before anything is published; neither slice is
-//     reallocated during the sweep.
+//   - The producer binds the schedule cache, sizes buf.Data/buf.Objs to
+//     the request and gives both fronts room for every move before
+//     anything is published; no slice is reallocated during the sweep.
 //   - A claim is a compare-and-swap on the word generation<<32 | next
 //     index, and a claimer loads that word before the published count. A
 //     claim that succeeds thus saw its sweep's generation before it read
@@ -22,15 +28,21 @@ package operators
 //   - The published count is stored every publishBatch moves, and the
 //     producer-written count sits on another cache line than the claim
 //     word and the done count the helper writes.
+//   - The helper writes its front and fallback count before the done
+//     count of the move it folded, and the producer reads them only after
+//     its wait on done, then empties them at the start of its next sweep,
+//     before the helper can claim a move of it.
 //   - The helper polls between sweeps, yielding every helperPolls idle
 //     polls, and exits once it has claimed nothing for helperIdle or the
 //     gate has shut; the next sweep starts a new one.
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/pareto"
 	"repro/internal/rng"
 	"repro/internal/solution"
 )
@@ -95,20 +107,30 @@ type sweep struct {
 	done      atomic.Uint32 // moves the helper evaluated this sweep
 	running   atomic.Bool   // a helper goroutine is live
 	_         cacheLine
+
+	// The helper's share of the sweep's results: written by the helper
+	// as it evaluates, read by the producer after its wait on done and
+	// emptied by the producer before the next sweep is published.
+	front     []int // the front of the moves the helper evaluated
+	fallbacks int   // how many of them fell back to Apply
+	_         cacheLine
 }
 
 // CandidatesInto is the hot-path candidate sweep: the moves MovesInto
-// proposes, each with the objectives EvalDataInto gives it, entirely
-// within buf's reusable storage — one route-schedule rebuild per distinct
-// s, then O(1)–O(segment) per candidate instead of one full
-// materialization. When helperGate allows, a helper goroutine evaluates
-// the moves while they are proposed (see above); the result is the same
-// bits either way. Every returned candidate counts as one
-// objective-function evaluation.
+// proposes, each with the objectives EvalDataInto gives it, and the
+// sweep's non-dominated front in buf.Front, entirely within buf's
+// reusable storage — one route-schedule rebuild per distinct s, then
+// O(1)–O(segment) per candidate instead of one full materialization. When
+// helperGate allows, a helper goroutine evaluates the moves while they
+// are proposed (see above); the result is the same bits either way. Every
+// returned candidate counts as one objective-function evaluation.
 func (g *Generator) CandidatesInto(buf *CandidateBuffer, s *solution.Solution, r *rng.Rand, size int) {
 	sw := &g.sw
 	size = max(size, 0)
 	buf.Data, buf.Objs = resize(buf.Data, size), resize(buf.Objs, size)
+	// Room for every move, so neither fold allocates.
+	buf.Front, sw.front = resize(buf.Front, size)[:0], resize(sw.front, size)[:0]
+	sw.fallbacks = 0
 	sw.s, sw.e, sw.data, sw.objs = s, g.eval(s), buf.Data, buf.Objs
 	sw.gen++
 	sw.published.Store(0)
@@ -126,7 +148,7 @@ func (g *Generator) CandidatesInto(buf *CandidateBuffer, s *solution.Solution, r
 
 	// Evaluate what the helper has not claimed, half the remainder per
 	// claim so a helper still claiming one at a time takes its share.
-	own := 0
+	own, fallbacks := 0, 0
 	for {
 		c := sw.claim.Load()
 		i := int(uint32(c))
@@ -138,7 +160,8 @@ func (g *Generator) CandidatesInto(buf *CandidateBuffer, s *solution.Solution, r
 			continue
 		}
 		for j := i; j < i+k; j++ {
-			buf.Objs[j] = evalMove(g.in, g.Telemetry, s, sw.e, buf.Data[j])
+			buf.Objs[j] = evalMove(g.in, s, sw.e, buf.Data[j], &fallbacks)
+			buf.Front = pareto.Fold(buf.Front, buf.Objs, j)
 		}
 		own += k
 	}
@@ -151,13 +174,18 @@ func (g *Generator) CandidatesInto(buf *CandidateBuffer, s *solution.Solution, r
 		sw.panicked = nil
 		panic(v)
 	}
+	for _, j := range sw.front {
+		buf.Front = pareto.Fold(buf.Front, buf.Objs, j)
+	}
+	slices.Sort(buf.Front)
+	countDeltas(g.Telemetry, n, fallbacks+sw.fallbacks)
 	buf.Data, buf.Objs = buf.Data[:n], buf.Objs[:n]
 }
 
-// help is the helper goroutine: it claims published moves in index order
-// and evaluates them, polling between sweeps, until it has claimed nothing
-// for helperIdle or the gate has shut. A panic ends it too, and the sweep
-// that claimed the move re-raises it.
+// help is the helper goroutine: it claims published moves in index order,
+// evaluates them and folds them into its front, polling between sweeps,
+// until it has claimed nothing for helperIdle or the gate has shut. A
+// panic ends it too, and the sweep that claimed the move re-raises it.
 func (g *Generator) help() {
 	sw := &g.sw
 	defer func() {
@@ -175,7 +203,8 @@ func (g *Generator) help() {
 		c := sw.claim.Load() // before the published count: see sweep
 		if i := uint32(c); i < sw.published.Load() {
 			if sw.claim.CompareAndSwap(c, c+1) {
-				sw.objs[i] = evalMove(g.in, g.Telemetry, sw.s, sw.e, sw.data[i])
+				sw.objs[i] = evalMove(g.in, sw.s, sw.e, sw.data[i], &sw.fallbacks)
+				sw.front = pareto.Fold(sw.front, sw.objs, int(i))
 				sw.done.Add(1)
 				busy = true
 			}

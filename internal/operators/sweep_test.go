@@ -3,9 +3,11 @@ package operators
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/pareto"
 	"repro/internal/rng"
 	"repro/internal/solution"
 	"repro/internal/telemetry"
@@ -23,10 +25,10 @@ var sweepSizes = []int{200, 1, 2, 7, 8, 9, 17, 3, 64, 1, 5}
 // then EvalDataInto on a twin generator. Along searchWalks on three classes
 // — applied moves, an emptied route, a restart, a derived instance — with
 // granular (k=20) and dense sweeps, each with telemetry on and off, every
-// sweep returns the same moves and bit-identical objectives and leaves the
-// RNG in the same state, and the delta and splice counters reach the same
-// totals. Which path a sweep takes depends on GOMAXPROCS: `make race` runs
-// this test at -cpu 1,2,4.
+// sweep returns the same moves and bit-identical objectives, the front of
+// those objectives, and leaves the RNG in the same state, and the delta
+// and splice counters reach the same totals. Which path a sweep takes
+// depends on GOMAXPROCS: `make race` runs this test at -cpu 1,2,4.
 func TestOverlappedSweepMatchesSerial(t *testing.T) {
 	counters := []telemetry.CounterID{telemetry.DeltaFast, telemetry.DeltaFallback,
 		telemetry.SpliceCalls, telemetry.SplicePrefixFolds, telemetry.SpliceSuffixEarlyExits,
@@ -72,6 +74,9 @@ func TestOverlappedSweepMatchesSerial(t *testing.T) {
 								t.Fatalf("k=%d sweep %d move %d (%s): objectives %+v, serial %+v",
 									k, sweeps, i, buf.Data[i].Kind, buf.Objs[i], objs[i])
 							}
+						}
+						if want := pareto.NondominatedIndices(objs); !slices.Equal(buf.Front, want) {
+							t.Fatalf("k=%d sweep %d: front %v, want %v", k, sweeps, buf.Front, want)
 						}
 						if r.State() != rr.State() {
 							t.Fatalf("k=%d sweep %d: RNG state diverged from the serial sweep", k, sweeps)
@@ -204,7 +209,7 @@ func TestHelperExitsAfterLastSweep(t *testing.T) {
 // TestOverlappedSweepBackToBack runs tiny sweeps back to back, so the
 // helper meets a sweep boundary every few moves with nothing in between,
 // and then holds every one of them to a serial replay on a twin generator:
-// same moves, bit-identical objectives.
+// same moves, bit-identical objectives, and the front of those objectives.
 func TestOverlappedSweepBackToBack(t *testing.T) {
 	in, err := vrptw.Generate(vrptw.GenConfig{Class: vrptw.R1, N: 60, Seed: 4})
 	if err != nil {
@@ -216,13 +221,15 @@ func TestOverlappedSweepBackToBack(t *testing.T) {
 	r, rr := rng.New(5), rng.New(5)
 	var buf, twinBuf CandidateBuffer
 	type result struct {
-		data []MoveData
-		objs []solution.Objectives
+		data  []MoveData
+		objs  []solution.Objectives
+		front []int
 	}
 	results := make([]result, 3000)
 	for i := range results {
 		g.CandidatesInto(&buf, s, r, 1+i%3)
-		results[i] = result{append([]MoveData(nil), buf.Data...), append([]solution.Objectives(nil), buf.Objs...)}
+		results[i] = result{append([]MoveData(nil), buf.Data...), append([]solution.Objectives(nil), buf.Objs...),
+			append([]int(nil), buf.Front...)}
 	}
 	var objs []solution.Objectives
 	for i, res := range results {
@@ -233,6 +240,9 @@ func TestOverlappedSweepBackToBack(t *testing.T) {
 			if res.data[j] != twinBuf.Data[j] || !sameBits(res.objs[j], objs[j]) {
 				t.Fatalf("sweep %d move %d: %+v %+v, serial %+v %+v", i, j, res.data[j], res.objs[j], twinBuf.Data[j], objs[j])
 			}
+		}
+		if want := pareto.NondominatedIndices(objs); !slices.Equal(res.front, want) {
+			t.Fatalf("sweep %d: front %v, want %v", i, res.front, want)
 		}
 	}
 }
@@ -250,11 +260,13 @@ func TestHelperPanicReachesProducer(t *testing.T) {
 	sw.published.Store(0)
 	sw.done.Store(0)
 	sw.claim.Store(uint64(sw.gen) << 32)
-	if sw.running.CompareAndSwap(false, true) {
-		go g.helpFn()
-	}
 	sw.published.Store(1)
+	// The helper the sweep above left running may reach its idle exit
+	// before it claims the move, so start one whenever none is live.
 	for sw.done.Load() == 0 {
+		if sw.running.CompareAndSwap(false, true) {
+			go g.helpFn()
+		}
 		runtime.Gosched()
 	}
 	if sw.panicked == nil {

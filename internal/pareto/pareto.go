@@ -248,6 +248,45 @@ func NondominatedIndices(objs []solution.Objectives) []int {
 	return out
 }
 
+// Fold folds objs[i] into front, a list of indices into objs whose vectors
+// are mutually non-dominated, and returns the updated list: objs[i] is
+// dropped when a member dominates it; otherwise the members it dominates
+// are compacted out and i is appended. Members are mutually
+// non-dominated, so no removal can precede finding a dominator (dominance
+// is transitive) and the early exit leaves front as it was. Duplicates are
+// all kept. Dominance is a strict partial order, so folding any
+// permutation of a set of indices leaves the same members, those of
+// NondominatedIndices over the set, and folding the members of one fold's
+// result into another's gives those of the union. The order of front is
+// the order of folding, less the removals; it never allocates while front
+// has room for one more index.
+func Fold(front []int, objs []solution.Objectives, i int) []int {
+	o := objs[i]
+	w := 0
+	for _, j := range front {
+		if objs[j].Dominates(o) {
+			return front
+		}
+		if !o.Dominates(objs[j]) {
+			front[w] = j
+			w++
+		}
+	}
+	return append(front[:w], i)
+}
+
+// Front returns the indices of the vectors of objs no other vector
+// dominates, ascending and duplicates kept, in dst's storage: what
+// NondominatedIndices returns, folded in one pass against the running
+// front instead of the all-pairs scan.
+func Front(dst []int, objs []solution.Objectives) []int {
+	dst = dst[:0]
+	for i := range objs {
+		dst = Fold(dst, objs, i)
+	}
+	return dst
+}
+
 // Merge adds every item of src into dst and reports how many were accepted.
 func Merge(dst *Archive, src []*solution.Solution) int {
 	n := 0

@@ -2,6 +2,7 @@ package pareto
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -213,6 +214,67 @@ func TestNondominatedIndices(t *testing.T) {
 	}
 	if NondominatedIndices(nil) != nil {
 		t.Error("empty input should yield nil")
+	}
+}
+
+// TestFoldMatchesNondominatedIndices holds Fold to the all-pairs
+// reference on random sets: objectives come from a coarse grid so
+// dominance ties are common, and some vectors copy an earlier one
+// outright. Folded in index order (Front), in a random permutation, and
+// as two random halves folded apart and the second's result folded into
+// the first's, the sorted result must equal NondominatedIndices,
+// duplicates kept.
+func TestFoldMatchesNondominatedIndices(t *testing.T) {
+	f := func(seed uint64, size uint8) bool {
+		r := rng.New(seed)
+		n := int(size % 64)
+		objs := make([]solution.Objectives, n)
+		for i := range objs {
+			if i > 0 && r.Intn(4) == 0 {
+				objs[i] = objs[r.Intn(i)] // forced duplicate
+			} else {
+				objs[i] = solution.Objectives{
+					Distance:  float64(r.Intn(6)),
+					Vehicles:  float64(r.Intn(3)),
+					Tardiness: float64(r.Intn(3)),
+				}
+			}
+		}
+		want := NondominatedIndices(objs)
+		if got := Front(nil, objs); !slices.Equal(got, want) {
+			t.Logf("index order: %v, want %v", got, want)
+			return false
+		}
+		perm := r.Perm(n)
+		var all []int
+		for _, i := range perm {
+			all = Fold(all, objs, i)
+		}
+		slices.Sort(all)
+		if !slices.Equal(all, want) {
+			t.Logf("permutation %v: %v, want %v", perm, all, want)
+			return false
+		}
+		cut := r.Intn(n + 1)
+		var a, b []int
+		for _, i := range perm[:cut] {
+			a = Fold(a, objs, i)
+		}
+		for _, i := range perm[cut:] {
+			b = Fold(b, objs, i)
+		}
+		for _, i := range b {
+			a = Fold(a, objs, i)
+		}
+		slices.Sort(a)
+		if !slices.Equal(a, want) {
+			t.Logf("halves %v | %v: %v, want %v", perm[:cut], perm[cut:], a, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }
 

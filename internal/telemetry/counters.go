@@ -245,9 +245,9 @@ type opRow struct {
 	n    [NumOpStages]Counter
 }
 
-func (r *opRow) inc(name string, st OpStage) {
+func (r *opRow) add(name string, st OpStage, n int) {
 	r.once.Do(func() { r.name = name })
-	r.n[st].Inc()
+	r.n[st].Add(int64(n))
 }
 
 // Inc adds 1 to the counter.
@@ -282,8 +282,14 @@ func (t *Telemetry) AddFloat(id FloatID, v float64) {
 // IncOp counts one funnel stage of the operator with the given move kind
 // and static name. Kind 0 (no operator) is not counted.
 func (t *Telemetry) IncOp(kind uint8, name string, st OpStage) {
-	if t != nil && kind != 0 {
-		t.ops[kind].inc(name, st)
+	t.AddOp(kind, name, st, 1)
+}
+
+// AddOp counts n of one funnel stage at once, as a sweep counts its
+// proposals per move kind. A zero n counts nothing.
+func (t *Telemetry) AddOp(kind uint8, name string, st OpStage, n int) {
+	if t != nil && kind != 0 && n != 0 {
+		t.ops[kind].add(name, st, n)
 	}
 }
 

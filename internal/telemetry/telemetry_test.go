@@ -147,6 +147,22 @@ func TestOpTable(t *testing.T) {
 	}
 }
 
+// TestAddOp checks the per-sweep funnel count: AddOp(n) lands where n
+// IncOps would, and a zero count neither counts nor opens a row.
+func TestAddOp(t *testing.T) {
+	tel := New(nil, nil)
+	tel.AddOp(3, "relocate", OpProposed, 7)
+	tel.IncOp(3, "relocate", OpProposed)
+	tel.AddOp(4, "exchange", OpProposed, 0)
+	tel.AddOp(0, "none", OpProposed, 5) // kind 0 is no operator: never counted
+	c := tel.Counters()
+	if f := c.Funnel(); len(f) != 1 || f[0].Name != "relocate" || f[0].N[OpProposed] != 8 {
+		t.Errorf("Funnel() = %+v, want one relocate row with 8 proposals", f)
+	}
+	var off *Telemetry
+	off.AddOp(3, "relocate", OpProposed, 2) // nil-safe
+}
+
 // TestNilSafety drives every recording method through a nil layer: the
 // disabled path must be a silent no-op everywhere.
 func TestNilSafety(t *testing.T) {
