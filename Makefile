@@ -144,12 +144,16 @@ cluster-e2e:
 	$(GO) test -race -count 1 -run 'TestShareSSEFanoutRace|TestShareIngressConcurrentSubscribers' ./internal/service/
 
 # flaky-guard reruns the service and cluster e2e suites three times with a
-# shuffled test order to flush order- and timing-dependent failures. CI
-# runs it non-blocking and uploads flaky-guard.log as an artifact.
+# shuffled test order to flush order- and timing-dependent failures, then
+# the searcher's two yield-timing tests five times, so a regression in
+# either yield rule shows up too. CI runs it non-blocking and uploads
+# flaky-guard.log as an artifact.
 flaky-guard:
-	$(GO) test -race -count 3 -shuffle on ./internal/service/ ./internal/cluster/ > flaky-guard.log 2>&1 \
-	  || (tail -n 100 flaky-guard.log; exit 1)
-	@tail -n 4 flaky-guard.log
+	@status=0; \
+	$(GO) test -race -count 3 -shuffle on ./internal/service/ ./internal/cluster/ > flaky-guard.log 2>&1 || status=1; \
+	$(GO) test -count 5 -run 'TestSearcherYields' ./internal/core/ >> flaky-guard.log 2>&1 || status=1; \
+	if [ $$status -ne 0 ]; then tail -n 100 flaky-guard.log; exit 1; fi; \
+	tail -n 6 flaky-guard.log
 
 # fuzz-smoke runs each fuzz target for FUZZTIME (default 30s) on top of the
 # checked-in seed corpora. The checkpoint decoder's inputs and the SSE

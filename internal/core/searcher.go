@@ -137,12 +137,15 @@ type searcher struct {
 // the <=3% enabled-tracing budget (scripts/tsmobench: trace.overhead_pct).
 const sweepBatchIters = 128
 
-// yieldEvery is the wall time a searcher runs between two yields of its
-// processor (see yield). Every iteration would be too often: Gosched puts
-// the searcher on the global run queue and wakes an idle processor, so a
-// searcher with a processor to spare hops between processors; at 500 µs
-// that still cost a daemon job 9% of its evaluation rate (DESIGN §9).
-const yieldEvery = time.Millisecond
+// yieldEvery and yieldEveryFull are the least wall time a searcher runs
+// between two yields of its processor (see yield): yieldEvery while a CPU
+// is spare (operators.SpareCPU), where at 500 µs the hops between CPUs
+// still cost a daemon job 9% of its evaluation rate, and yieldEveryFull
+// while none is, which is every step at 400 customers (DESIGN §9).
+const (
+	yieldEvery     = time.Millisecond
+	yieldEveryFull = 100 * time.Microsecond
+)
 
 // procOutcome is what each algorithm body hands back to Run.
 type procOutcome struct {
@@ -484,14 +487,19 @@ func (s *searcher) step(p deme.Proc, front []cand, size int) bool {
 
 // yield lets goroutines queued behind the searcher — the service's SSE
 // writers and HTTP handlers, share followers — run once yieldEvery of
-// wall time has passed since its last yield, so they wait about a
-// millisecond, not until Go preempts the searcher (10 ms): a searcher
-// never blocks on the goroutine backend, and on the simulator each
-// handoff with the scheduler goroutine passes the time slice on. Wall
-// time, because p.Now() is virtual on the simulator. The first step
-// always yields; it emits a job's first archive_accept.
+// wall time has passed since its last yield, or yieldEveryFull while no
+// CPU is spare, so they wait about a millisecond or a step, not until Go
+// preempts the searcher (10 ms): a searcher never blocks on the goroutine
+// backend, and on the simulator each handoff with the scheduler goroutine
+// passes the time slice on. Wall time, because p.Now() is virtual on the
+// simulator. The first step always yields; it emits a job's first
+// archive_accept.
 func (s *searcher) yield() {
-	if now := time.Now(); now.Sub(s.yielded) >= yieldEvery {
+	every := yieldEvery
+	if !operators.SpareCPU() {
+		every = yieldEveryFull
+	}
+	if now := time.Now(); now.Sub(s.yielded) >= every {
 		s.yielded = now
 		runtime.Gosched()
 	}

@@ -33,8 +33,8 @@ package operators
 //     its wait on done, then empties them at the start of its next sweep,
 //     before the helper can claim a move of it.
 //   - The helper polls between sweeps, yielding every helperPolls idle
-//     polls, and exits once it has claimed nothing for helperIdle or the
-//     gate has shut; the next sweep starts a new one.
+//     polls, and exits once it has claimed nothing for helperIdle or no
+//     CPU is spare (SpareCPU); the next sweep starts a new one.
 
 import (
 	"runtime"
@@ -53,15 +53,19 @@ var searchProcs atomic.Int64
 
 // AddSearchProcs adds n, negative to remove, to the count of search
 // processes running in this OS process. A run registers its processes for
-// as long as it lasts (core.RunContext), and a sweep engages a helper only
-// while GOMAXPROCS exceeds the count, so a helper only ever takes a CPU no
-// search process would use.
+// as long as it lasts (core.RunContext); SpareCPU compares GOMAXPROCS with
+// the count.
 func AddSearchProcs(n int) { searchProcs.Add(int64(n)) }
 
-// helperGate reports whether a sweep may engage a helper: never at
-// GOMAXPROCS 1, and only while GOMAXPROCS exceeds the registered search
-// processes.
-func helperGate() bool {
+// SpareCPU reports whether a CPU is spare: GOMAXPROCS exceeds 1 and the
+// search processes registered with AddSearchProcs. It serves two callers.
+// A sweep engages a helper only while a CPU is spare, so a helper never
+// takes a CPU a search process needs. A searcher yields its processor
+// every millisecond while a CPU is spare, since the idle processor runs
+// the goroutines it wakes and more yields would only make it hop between
+// CPUs, and after every step while none is, since those goroutines then
+// wait for its yield (core's searcher.yield, DESIGN §9).
+func SpareCPU() bool {
 	p := int64(runtime.GOMAXPROCS(0))
 	return p > 1 && p > searchProcs.Load()
 }
@@ -121,8 +125,8 @@ type sweep struct {
 // sweep's non-dominated front in buf.Front, entirely within buf's
 // reusable storage — one route-schedule rebuild per distinct s, then
 // O(1)–O(segment) per candidate instead of one full materialization. When
-// helperGate allows, a helper goroutine evaluates the moves while they
-// are proposed (see above); the result is the same bits either way. Every
+// a CPU is spare, a helper goroutine evaluates the moves while they are
+// proposed (see above); the result is the same bits either way. Every
 // returned candidate counts as one objective-function evaluation.
 func (g *Generator) CandidatesInto(buf *CandidateBuffer, s *solution.Solution, r *rng.Rand, size int) {
 	sw := &g.sw
@@ -136,7 +140,7 @@ func (g *Generator) CandidatesInto(buf *CandidateBuffer, s *solution.Solution, r
 	sw.published.Store(0)
 	sw.done.Store(0)
 	sw.claim.Store(uint64(sw.gen) << 32)
-	helped := size > 0 && helperGate()
+	helped := size > 0 && SpareCPU()
 	if helped && sw.running.CompareAndSwap(false, true) {
 		sw.starts++
 		go g.helpFn()
@@ -184,7 +188,7 @@ func (g *Generator) CandidatesInto(buf *CandidateBuffer, s *solution.Solution, r
 
 // help is the helper goroutine: it claims published moves in index order,
 // evaluates them and folds them into its front, polling between sweeps,
-// until it has claimed nothing for helperIdle or the gate has shut. A
+// until it has claimed nothing for helperIdle or no CPU is spare. A
 // panic ends it too, and the sweep that claimed the move re-raises it.
 func (g *Generator) help() {
 	sw := &g.sw
@@ -219,7 +223,7 @@ func (g *Generator) help() {
 		if busy {
 			last, busy = now, false
 		}
-		if now.Sub(last) >= helperIdle || !helperGate() {
+		if now.Sub(last) >= helperIdle || !SpareCPU() {
 			sw.running.Store(false)
 			return
 		}
