@@ -95,6 +95,8 @@ recover-e2e:
 # dynamic-e2e runs the live re-optimization acceptance battery under the
 # race detector: the mutation model and splice/repair unit tests with the
 # live-equals-resume and bit-identical replay goldens across all variants,
+# the mutation primitives with the seeds of the fuzz target that holds the
+# neighbor lists a derived instance carries to a fresh build,
 # the schedule cache keeping the schedules of shared routes across Reset
 # (TestEvalRebind), the service PATCH/SSE/WAL e2e (batch and inline
 # mutations, epoch pinning, 409/400 surfaces, flight-recorder marker,
@@ -103,6 +105,7 @@ recover-e2e:
 # SIGKILLed in both exactly-once windows).
 dynamic-e2e:
 	$(GO) test -race -count 1 ./internal/dynamic/
+	$(GO) test -race -count 1 -run 'TestMutate|FuzzDerivedListsMatchBuild' ./internal/vrptw/
 	$(GO) test -race -count 1 -run 'TestEvalRebind' ./internal/solution/
 	$(GO) test -race -count 1 -run 'TestE2EDynamic|TestE2EMutate|TestE2EResumeGranularKMismatch' ./internal/service/
 	$(GO) test -race -count 1 -run 'TestMutateCommand' ./cmd/tsmoctl/
@@ -168,6 +171,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFeasibilityGuard -fuzztime $(FUZZTIME) ./internal/operators/
 	$(GO) test -run '^$$' -fuzz FuzzGranularMatchesReference -fuzztime $(FUZZTIME) ./internal/operators/
 	$(GO) test -run '^$$' -fuzz FuzzGranularWalkMatchesReference -fuzztime $(FUZZTIME) ./internal/operators/
+	$(GO) test -run '^$$' -fuzz FuzzDerivedListsMatchBuild -fuzztime $(FUZZTIME) ./internal/vrptw/
 	$(GO) test -run '^$$' -fuzz FuzzClusterMessages -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/service/

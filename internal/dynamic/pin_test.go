@@ -15,33 +15,40 @@ import (
 	"repro/internal/deme"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/vrptw"
 )
 
-// mutatedPinGolden holds the pinned outputs of mutatedPinOutput.
-const mutatedPinGolden = "testdata/mutated_pin.golden"
+// The pinned outputs of mutatedPinOutput: dense neighborhoods with
+// testBatch, and granular ones with granularBatch.
+const (
+	mutatedPinGolden         = "testdata/mutated_pin.golden"
+	granularMutatedPinGolden = "testdata/granular_mutated_pin.golden"
+)
 
 // mutatedPinOutput runs one mutated simulator run per checkpointable
-// variant — N=40, default operators, SampleEvery set, telemetry and a
-// traced context attached, two mutation epochs — and renders its
-// counters, exact virtual elapsed time, a digest of the merged front
-// (objective bits plus routes), the convergence samples, the Snapshot()
-// JSON, the span-name counts, and a digest of every encoded checkpoint
-// the sink receives.
-func mutatedPinOutput(t *testing.T) string {
+// variant — N=40, default operators drawn from granular neighborhoods of
+// granularK when it is positive, SampleEvery set, telemetry and a traced
+// context attached, the first two mutations of batch at barrier 2 and
+// the rest at barrier 5 — and renders its counters, exact virtual
+// elapsed time, a digest of the merged front (objective bits plus
+// routes), the convergence samples, the Snapshot() JSON, the span-name
+// counts, and a digest of every encoded checkpoint the sink receives.
+func mutatedPinOutput(t *testing.T, granularK int, batch func(*vrptw.Instance) []Mutation) string {
 	t.Helper()
 	in := testInstance(t, 40)
 	var out strings.Builder
 	for _, alg := range []core.Algorithm{core.Sequential, core.Synchronous, core.Asynchronous, core.Collaborative} {
 		cfg := testConfig(5)
 		cfg.MaxEvaluations = 3000
+		cfg.GranularK = granularK
 		if alg != core.Sequential {
 			cfg.Processors = 3
 		}
 		sc := NewSchedule()
-		if err := sc.AddAt(2, testBatch(in)[:2]); err != nil {
+		if err := sc.AddAt(2, batch(in)[:2]); err != nil {
 			t.Fatal(err)
 		}
-		if err := sc.AddAt(5, testBatch(in)[2:]); err != nil {
+		if err := sc.AddAt(5, batch(in)[2:]); err != nil {
 			t.Fatal(err)
 		}
 		cfg.Dynamic = sc
@@ -104,11 +111,52 @@ func mutatedPinOutput(t *testing.T) string {
 // paths that shifts a message, a draw or a counter fails against fixed
 // bytes rather than only against a second run of the same code.
 func TestMutatedOutputsPinned(t *testing.T) {
-	want, err := os.ReadFile(mutatedPinGolden)
+	checkPinned(t, mutatedPinGolden, mutatedPinOutput(t, 0, testBatch))
+}
+
+// granularBatch is testBatch's four kinds of mutation aimed at customers
+// the granular lists of the N=40 instance lean on (testBatch's cancelled
+// customer 9 sits in no customer row): customer 26, re-windowed at the
+// first epoch, sits in 9 customer rows at k=5 and 14 at k=12; customer
+// 36, cancelled at the second, in 9 and 14 of the rows it is cancelled
+// from; and the new arrival lands beside customer 6 (7 and 14) with its
+// window. The warm restarts then search lists carried across a window
+// change, a cancellation and an arrival.
+func granularBatch(in *vrptw.Instance) []Mutation {
+	s6, s26 := in.Sites[6], in.Sites[26]
+	return []Mutation{
+		{Version: 1, Op: ShiftWindow, Customer: 26, Ready: s26.Ready + 40, Due: s26.Due + 40},
+		{Version: 1, Op: UpdateDemand, Customer: 7, Demand: in.Sites[7].Demand + 5},
+		{Version: 1, Op: CancelCustomer, Customer: 36},
+		{Version: 1, Op: AddCustomer, Site: &vrptw.Site{
+			X: s6.X + 2, Y: s6.Y - 1, Demand: 10,
+			Ready: s6.Ready, Due: s6.Due, Service: s6.Service,
+		}},
+	}
+}
+
+// TestGranularMutatedOutputsPinned pins the mutated runs of every
+// checkpointable variant at GranularK 5 and 12, so the neighbor lists a
+// derived instance carries over from its parent are held to fixed bytes:
+// a carried row that differs from a fresh build shifts the warm restart's
+// draws.
+func TestGranularMutatedOutputsPinned(t *testing.T) {
+	var out strings.Builder
+	for _, k := range []int{5, 12} {
+		fmt.Fprintf(&out, "## granular_k=%d\n", k)
+		out.WriteString(mutatedPinOutput(t, k, granularBatch))
+	}
+	checkPinned(t, granularMutatedPinGolden, out.String())
+}
+
+// checkPinned fails t at the first line where got differs from the
+// golden file.
+func checkPinned(t *testing.T, golden, got string) {
+	t.Helper()
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := mutatedPinOutput(t)
 	if got == string(want) {
 		return
 	}
@@ -122,7 +170,7 @@ func TestMutatedOutputsPinned(t *testing.T) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Fatalf("%s line %d:\n got  %q\n want %q", mutatedPinGolden, i+1, g, w)
+			t.Fatalf("%s line %d:\n got  %q\n want %q", golden, i+1, g, w)
 		}
 	}
 }

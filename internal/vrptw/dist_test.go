@@ -103,11 +103,11 @@ func TestDistMatchesMatrixReference(t *testing.T) {
 	}
 }
 
-// TestInstanceFootprint bounds the bytes New, AddSite and RemoveSite
-// allocate for a 2,000-customer instance. Its distance matrix alone would
-// be 32 MB; the instance keeps its sites, 24 bytes of coordinates and
-// departure time per site, and RemoveSite's ID remap, about 0.3 MB at
-// most. The bound is 1 MB.
+// TestInstanceFootprint bounds the bytes New and the four mutation
+// primitives allocate for a 2,000-customer instance. Its distance matrix
+// alone would be 32 MB; the instance keeps its sites, 24 bytes of
+// coordinates and departure time per site, and RemoveSite's ID remap,
+// about 0.3 MB at most. The bound is 1 MB.
 func TestInstanceFootprint(t *testing.T) {
 	const bound = 1 << 20
 	gen, err := Generate(GenConfig{Class: R1, N: 2000, Seed: 1})
@@ -141,6 +141,14 @@ func TestInstanceFootprint(t *testing.T) {
 		}},
 		{"RemoveSite", func() error {
 			_, _, _, err := in.RemoveSite(1000)
+			return err
+		}},
+		{"UpdateWindow", func() error {
+			_, _, err := in.UpdateWindow(1000, 0, in.Horizon())
+			return err
+		}},
+		{"UpdateDemand", func() error {
+			_, _, err := in.UpdateDemand(1000, 0)
 			return err
 		}},
 	} {

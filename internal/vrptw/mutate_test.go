@@ -1,8 +1,12 @@
 package vrptw
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // rebuilt constructs a fresh instance from the derived sites and returns
@@ -179,4 +183,154 @@ func TestMutateValidation(t *testing.T) {
 	if _, _, err := in.AddSite(Site{ID: 3}); err == nil {
 		t.Fatal("AddSite with an existing ID accepted")
 	}
+}
+
+// FuzzDerivedListsMatchBuild runs a chain of the four mutation primitives
+// on a generated instance of 40–80 customers whose neighbor lists are
+// cached for k = 1, 3, 8 and N+10 (rows shorter than k), and after every
+// step holds each list set the derived instance carries to a fresh build
+// on its sites, and the parent to what it held before the step. Each op
+// byte picks a step: its low two bits the primitive; bit 2 an arrival on
+// top of an existing customer with its window (every arc into the two
+// then ties on score, so the index decides their order), or else a
+// target among such twins; bit 3 a window copied from the target's twin.
+// The lists must be carried, not rebuilt: UpdateDemand shares the
+// parent's list sets, and a row that holds the touched site in neither
+// instance (and, after a removal, no renumbered member) shares the
+// parent row's storage.
+func FuzzDerivedListsMatchBuild(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 1, 2, 3})
+	f.Add(uint64(2), []byte{4, 6, 14, 6, 14, 6, 14, 2, 1, 14})
+	f.Add(uint64(3), []byte{4, 4, 14, 10, 6, 14, 5, 0, 2, 3, 1, 2, 14, 6, 14})
+	f.Add(uint64(11), []byte{2, 2, 2, 1, 1, 0, 0, 3, 2, 1})
+	f.Add(uint64(12), []byte{4, 6, 14, 6, 14, 4, 6, 14, 6, 14, 7, 6, 14})
+	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+		if len(ops) > 32 {
+			ops = ops[:32]
+		}
+		r := rng.New(seed)
+		in, err := Generate(GenConfig{Class: Class(r.Intn(6)), N: 40 + r.Intn(41), Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks := []int{1, 3, 8, in.N() + 10}
+		for _, k := range ks {
+			in.NeighborLists(k)
+		}
+		for step, op := range ops {
+			sites := slices.Clone(in.Sites)
+			rows := map[int][][]int32{}
+			for _, k := range ks {
+				rows[k] = slices.Clone(in.nbrs[k].lists)
+			}
+			id := 1 + r.Intn(in.N())
+			if tw := twinned(in); op&4 != 0 && op%4 != 0 && len(tw) > 0 {
+				id = tw[r.Intn(len(tw))]
+			}
+			s := in.Sites[id]
+			// The touched site is the parent's site old and the derived
+			// instance's site cur; -1 where it has none.
+			old, cur := id, id
+			var (
+				d    *Instance
+				what string
+			)
+			switch op % 4 {
+			case 0:
+				add := Site{X: r.Float64() * 100, Y: r.Float64() * 100, Service: 10}
+				add.Ready = r.Float64() * in.Horizon() * 0.9
+				add.Due = add.Ready + r.Float64()*(in.Horizon()-add.Ready)
+				if op&4 != 0 {
+					add = Site{X: s.X, Y: s.Y, Ready: s.Ready, Due: s.Due, Service: s.Service}
+				}
+				what = fmt.Sprintf("AddSite(%+v)", add)
+				d, _, err = in.AddSite(add)
+				old, cur = -1, len(in.Sites)
+			case 1:
+				what = fmt.Sprintf("RemoveSite(%d)", id)
+				d, _, _, err = in.RemoveSite(id)
+				cur = -1
+			case 2:
+				ready := r.Float64() * in.Horizon() * 0.9
+				due := ready + r.Float64()*(in.Horizon()-ready)
+				for j, o := range in.Sites {
+					if op&8 != 0 && j != id && j > 0 && o.X == s.X && o.Y == s.Y {
+						ready, due = o.Ready, o.Due
+					}
+				}
+				what = fmt.Sprintf("UpdateWindow(%d, %g, %g)", id, ready, due)
+				d, _, err = in.UpdateWindow(id, ready, due)
+			default:
+				what = fmt.Sprintf("UpdateDemand(%d)", id)
+				d, _, err = in.UpdateDemand(id, s.Demand/2)
+			}
+			if err != nil {
+				t.Fatalf("step %d: %s: %v", step, what, err)
+			}
+			what = fmt.Sprintf("step %d, %s", step, what)
+
+			if !slices.Equal(in.Sites, sites) {
+				t.Fatalf("%s changed the parent's sites", what)
+			}
+			fresh, err := New(d.Name, slices.Clone(d.Sites), d.Vehicles, d.Capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range ks {
+				parent := in.nbrs[k]
+				for i, row := range rows[k] {
+					if !slices.Equal(parent.lists[i], row) {
+						t.Fatalf("%s changed the parent's k=%d row %d: %v, was %v", what, k, i, parent.lists[i], row)
+					}
+				}
+				got, want := d.nbrs[k], fresh.NeighborLists(k)
+				if got == nil {
+					t.Fatalf("%s carried no k=%d lists", what, k)
+				}
+				for i := range d.Sites {
+					if !slices.Equal(got.lists[i], want.lists[i]) {
+						t.Fatalf("%s: k=%d row %d is %v, a fresh build has %v", what, k, i, got.lists[i], want.lists[i])
+					}
+				}
+				if op%4 == 3 {
+					if got != parent {
+						t.Fatalf("%s did not share the parent's k=%d lists", what, k)
+					}
+					continue
+				}
+				for i, drow := range got.lists {
+					if i == cur {
+						continue
+					}
+					oi := i
+					if cur < 0 && i >= old {
+						oi++
+					}
+					prow := parent.lists[oi]
+					kept := len(drow) > 0 &&
+						!slices.Contains(prow, int32(old)) && !slices.Contains(drow, int32(cur)) &&
+						(cur >= 0 || !slices.ContainsFunc(prow, func(j int32) bool { return int(j) > old }))
+					if kept && &drow[0] != &prow[0] {
+						t.Fatalf("%s copied k=%d row %d, which holds the touched site in neither instance", what, k, i)
+					}
+				}
+			}
+			in = d
+		}
+	})
+}
+
+// twinned returns the customers of in that share their coordinates with
+// another customer.
+func twinned(in *Instance) []int {
+	var out []int
+	for i := 1; i < len(in.Sites); i++ {
+		for j := 1; j < len(in.Sites); j++ {
+			if j != i && in.Sites[j].X == in.Sites[i].X && in.Sites[j].Y == in.Sites[i].Y {
+				out = append(out, i)
+				break
+			}
+		}
+	}
+	return out
 }
