@@ -70,7 +70,6 @@ func reportPercentiles(b *testing.B, durs []time.Duration) {
 func benchApply(b *testing.B, in *vrptw.Instance, ck *core.Checkpoint, muts []Mutation) {
 	ctx := context.Background()
 	durs := make([]time.Duration, 0, b.N)
-	var rebuilt int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sc := NewSchedule()
@@ -84,12 +83,9 @@ func benchApply(b *testing.B, in *vrptw.Instance, ck *core.Checkpoint, muts []Mu
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep := sc.Reports()
-		rebuilt = rep[len(rep)-1].ListsRebuilt
 	}
 	b.StopTimer()
 	reportPercentiles(b, durs)
-	b.ReportMetric(float64(rebuilt), "lists-rebuilt")
 }
 
 // BenchmarkSpliceRepairCancel400 is the acceptance benchmark: one

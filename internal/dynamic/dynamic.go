@@ -5,11 +5,12 @@
 // shifting, a demand update). Mutations are grouped into epochs pinned to
 // checkpoint barriers of the run; at an epoch the run halts on its
 // ordinary checkpoint barrier, Schedule.Apply splices the changes into a
-// derived instance (incremental neighbor-list repair, see vrptw's mutate
-// primitives), repairs every checkpoint part so its solutions stay
-// complete and capacity-sane (orphaned customers re-inserted greedily via
-// internal/construct, dominated archive members re-filtered via pareto),
-// and the run warm-restarts from the patched checkpoint.
+// derived instance (which carries its parent's neighbor lists over, see
+// vrptw's mutate primitives), repairs every checkpoint part so its
+// solutions stay complete and capacity-sane (orphaned customers
+// re-inserted greedily via internal/construct, dominated archive members
+// re-filtered via pareto), and the run warm-restarts from the patched
+// checkpoint.
 //
 // Everything is deterministic in (seed, mutation log): replaying the same
 // mutations at the same epochs reproduces the run bit-identically on the
@@ -24,7 +25,8 @@ import (
 	"repro/internal/vrptw"
 )
 
-// Version is the mutation format version; Validate rejects others.
+// Version is the mutation format version; Project and Schedule.Apply
+// reject others.
 const Version = 1
 
 // Op enumerates the mutation kinds.
@@ -56,43 +58,34 @@ type Mutation struct {
 	Demand float64 `json:"demand,omitempty"`
 }
 
-// Validate checks the mutation's shape and applicability against the
-// given (projected) instance without deriving anything. It returns the
-// error the apply would fail with, or nil.
-func (m *Mutation) Validate(in *vrptw.Instance) error {
-	_, _, _, _, err := m.apply(in)
-	return err
-}
-
 // apply derives the mutated instance. remap maps every site index of in to
 // its index in the derived instance, with a missing customer key marking
 // the removed one; a nil remap means identity. added is the
-// derived-instance index of a newly added customer, or -1. st reports the
-// neighbor-list repair effort.
-func (m *Mutation) apply(in *vrptw.Instance) (d *vrptw.Instance, remap map[int]int, added int, st vrptw.RepairStats, err error) {
+// derived-instance index of a newly added customer, or -1.
+func (m *Mutation) apply(in *vrptw.Instance) (d *vrptw.Instance, remap map[int]int, added int, err error) {
 	if m.Version != Version {
-		return nil, nil, -1, st, fmt.Errorf("dynamic: unsupported mutation version %d (want %d)", m.Version, Version)
+		return nil, nil, -1, fmt.Errorf("dynamic: unsupported mutation version %d (want %d)", m.Version, Version)
 	}
 	added = -1
 	switch m.Op {
 	case AddCustomer:
 		if m.Site == nil {
-			return nil, nil, -1, st, fmt.Errorf("dynamic: add_customer needs a site payload")
+			return nil, nil, -1, fmt.Errorf("dynamic: add_customer needs a site payload")
 		}
-		d, st, err = in.AddSite(*m.Site)
+		d, err = in.AddSite(*m.Site)
 		if err == nil {
 			added = d.N() // AddSite appends: the new customer is site N
 		}
 	case CancelCustomer:
-		d, remap, st, err = in.RemoveSite(m.Customer)
+		d, remap, err = in.RemoveSite(m.Customer)
 	case ShiftWindow:
-		d, st, err = in.UpdateWindow(m.Customer, m.Ready, m.Due)
+		d, err = in.UpdateWindow(m.Customer, m.Ready, m.Due)
 	case UpdateDemand:
-		d, st, err = in.UpdateDemand(m.Customer, m.Demand)
+		d, err = in.UpdateDemand(m.Customer, m.Demand)
 	default:
-		return nil, nil, -1, st, fmt.Errorf("dynamic: unknown mutation op %q", m.Op)
+		return nil, nil, -1, fmt.Errorf("dynamic: unknown mutation op %q", m.Op)
 	}
-	return d, remap, added, st, err
+	return d, remap, added, err
 }
 
 // String renders the mutation for logs and error messages.
@@ -120,7 +113,7 @@ func (m *Mutation) String() string {
 func Project(in *vrptw.Instance, muts []Mutation) (*vrptw.Instance, error) {
 	cur := in
 	for i := range muts {
-		d, _, _, _, err := muts[i].apply(cur)
+		d, _, _, err := muts[i].apply(cur)
 		if err != nil {
 			return nil, fmt.Errorf("dynamic: mutation %d (%s): %w", i, muts[i].String(), err)
 		}
@@ -129,8 +122,10 @@ func Project(in *vrptw.Instance, muts []Mutation) (*vrptw.Instance, error) {
 	return cur, nil
 }
 
-// Report summarizes one applied epoch for telemetry, journals and the
-// job event stream.
+// Report summarizes one applied epoch. Schedule.OnApplied receives it
+// (the service renders it as the job's "mutations" event) and
+// Schedule.Reports returns every one (the service sums them into the
+// job's status).
 type Report struct {
 	// Epoch is the checkpoint barrier the mutations were applied at.
 	Epoch int `json:"epoch"`
@@ -146,10 +141,6 @@ type Report struct {
 	// PendingDropped counts asynchronous pending candidates discarded at
 	// the mutation barrier — the iterations lost to the warm restart.
 	PendingDropped int `json:"pending_dropped"`
-	// Neighbor-list repair effort (summed over mutations and cached ks).
-	ListsReused  int `json:"lists_reused"`
-	ListsPatched int `json:"lists_patched"`
-	ListsRebuilt int `json:"lists_rebuilt"`
 	// Seconds is the wall time of the splice+repair pass.
 	Seconds float64 `json:"seconds"`
 }

@@ -132,8 +132,8 @@ func TestProjectValidatesMutations(t *testing.T) {
 	if _, err := Project(in, []Mutation{{Version: 2, Op: CancelCustomer, Customer: 1}}); err == nil {
 		t.Error("projection accepted an unknown mutation version")
 	}
-	if err := (&Mutation{Version: 1, Op: "teleport"}).Validate(in); err == nil {
-		t.Error("Validate accepted an unknown op")
+	if _, err := Project(in, []Mutation{{Version: 1, Op: "teleport"}}); err == nil {
+		t.Error("projection accepted an unknown op")
 	}
 }
 

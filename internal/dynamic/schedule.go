@@ -226,9 +226,8 @@ func (sc *Schedule) Apply(ctx context.Context, in *vrptw.Instance, ck *core.Chec
 	}
 	var added []int
 	var applied []Mutation
-	var rstats vrptw.RepairStats
 	for i := range muts {
-		d, mrm, add, st, err := muts[i].apply(cur)
+		d, mrm, add, err := muts[i].apply(cur)
 		if err != nil {
 			// Skipping (not failing) keeps the run alive under racy input:
 			// a cancel for a customer another batch already cancelled, say.
@@ -237,9 +236,6 @@ func (sc *Schedule) Apply(ctx context.Context, in *vrptw.Instance, ck *core.Chec
 			continue
 		}
 		cur = d
-		rstats.ListsReused += st.ListsReused
-		rstats.ListsPatched += st.ListsPatched
-		rstats.ListsRebuilt += st.ListsRebuilt
 		if mrm != nil {
 			compose(remap, mrm)
 			added = composeAdded(added, mrm)
@@ -272,9 +268,6 @@ func (sc *Schedule) Apply(ctx context.Context, in *vrptw.Instance, ck *core.Chec
 	nck.Parts = parts
 	nck.InstanceDigest = core.InstanceDigest(cur)
 
-	rep.ListsReused = rstats.ListsReused
-	rep.ListsPatched = rstats.ListsPatched
-	rep.ListsRebuilt = rstats.ListsRebuilt
 	tel.Add(telemetry.Orphans, rep.Orphans)
 	tel.Add(telemetry.Invalidated, rep.Invalidated)
 	tel.Add(telemetry.PendingDropped, rep.PendingDropped)

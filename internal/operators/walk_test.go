@@ -63,13 +63,13 @@ func searchWalk(t *testing.T, class, n, seed, walk uint64, visit func(in *vrptw.
 
 	s = stroll(construct.I1(in, construct.RandomParams(wr)), 2)
 
-	in2, remap, _, err := in.RemoveSite(1 + wr.Intn(in.N()))
+	in2, remap, err := in.RemoveSite(1 + wr.Intn(in.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	site := in2.Sites[1+wr.Intn(in2.N())]
 	site.ID = 0
-	in3, _, err := in2.AddSite(site)
+	in3, err := in2.AddSite(site)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,14 +79,14 @@ type projection struct {
 	in  *vrptw.Instance // nil: no projection cached
 }
 
-// extend projects base through log. An added or cancelled customer
-// copies the sites and repairs the neighbor lists, so when log starts
-// with the cached log — a batch that landed at the tail of the log the
+// extend projects base through log. Every mutation derives an instance
+// (vrptw's mutate primitives: New on a copy of the sites, with the
+// parent's cached neighbor lists carried over), so when log starts with
+// the cached log — a batch that landed at the tail of the log the
 // previous batch committed — only the rest is projected, on top of the
-// cached instance. Any other
-// log (a batch pinned below an epoch already queued, a log the run
-// shortened by rejecting a mutation, the first batch after recovery) is
-// projected from base.
+// cached instance. Any other log (a batch pinned below an epoch already
+// queued, a log the run shortened by rejecting a mutation, the first
+// batch after recovery) is projected from base.
 func (p projection) extend(base *vrptw.Instance, log []dynamic.Mutation) (*vrptw.Instance, error) {
 	if p.in != nil && len(log) >= len(p.log) && slices.Equal(log[:len(p.log)], p.log) {
 		return dynamic.Project(p.in, log[len(p.log):])

@@ -53,7 +53,7 @@ func TestMutateProjectionCache(t *testing.T) {
 			}
 			in := runIn
 			if r.IntN(4) == 0 {
-				if in, _, _, err = in.RemoveSite(in.N()); err != nil {
+				if in, _, err = in.RemoveSite(in.N()); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -23,9 +23,11 @@ func (a *ArcBits) OK(i, j int) bool {
 // ArcBits returns the instance's arc bitset, building it on first use
 // (one pass over the (N+1)² pairs, computing each one's distance; 20 KB
 // at N = 400). The first NeighborLists build also builds it and ranks
-// only the arcs it admits; New, Generate and the mutation primitives
-// never do, so an instance that is never searched never pays for it, and
-// a derived (mutated) instance builds its own. Safe for concurrent use.
+// only the arcs it admits. New never builds it, and so neither do
+// Generate and the mutation primitives, which carry a derived instance's
+// lists over from its parent without one: an instance that is never
+// searched never pays for it, and a derived (mutated) instance builds its
+// own on first use. Safe for concurrent use.
 func (in *Instance) ArcBits() *ArcBits {
 	if a := in.arcs.Load(); a != nil {
 		return a

@@ -79,21 +79,21 @@ func TestDistMatchesMatrixReference(t *testing.T) {
 				}
 				op = fmt.Sprintf("AddSite(%g, %g)", add.X, add.Y)
 				var d *Instance
-				if d, _, err = in.AddSite(add); err == nil {
+				if d, err = in.AddSite(add); err == nil {
 					in, m = d, refAddSite(m, in.Sites, add)
 				}
 			case 1:
 				op = fmt.Sprintf("RemoveSite(%d)", id)
 				var d *Instance
-				if d, _, _, err = in.RemoveSite(id); err == nil {
+				if d, _, err = in.RemoveSite(id); err == nil {
 					in, m = d, refRemoveSite(m, id)
 				}
 			case 2:
 				op = fmt.Sprintf("UpdateWindow(%d)", id)
-				in, _, err = in.UpdateWindow(id, s.Ready, s.Due+r.Float64()*10)
+				in, err = in.UpdateWindow(id, s.Ready, s.Due+r.Float64()*10)
 			default:
 				op = fmt.Sprintf("UpdateDemand(%d)", id)
-				in, _, err = in.UpdateDemand(id, s.Demand/2)
+				in, err = in.UpdateDemand(id, s.Demand/2)
 			}
 			if err != nil {
 				t.Fatalf("chain %d step %d: %s: %v", x, step, op, err)
@@ -136,19 +136,19 @@ func TestInstanceFootprint(t *testing.T) {
 			return err
 		}},
 		{"AddSite", func() error {
-			_, _, err := in.AddSite(Site{X: 1, Y: 2, Demand: 1, Due: in.Horizon()})
+			_, err := in.AddSite(Site{X: 1, Y: 2, Demand: 1, Due: in.Horizon()})
 			return err
 		}},
 		{"RemoveSite", func() error {
-			_, _, _, err := in.RemoveSite(1000)
+			_, _, err := in.RemoveSite(1000)
 			return err
 		}},
 		{"UpdateWindow", func() error {
-			_, _, err := in.UpdateWindow(1000, 0, in.Horizon())
+			_, err := in.UpdateWindow(1000, 0, in.Horizon())
 			return err
 		}},
 		{"UpdateDemand", func() error {
-			_, _, err := in.UpdateDemand(1000, 0)
+			_, err := in.UpdateDemand(1000, 0)
 			return err
 		}},
 	} {

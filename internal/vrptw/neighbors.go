@@ -82,8 +82,9 @@ func (in *Instance) buildNeighborLists(k int, a *ArcBits) *NeighborLists {
 // arcScore returns the granular ranking score of arc i -> j (travel
 // distance plus unavoidable waiting at j) and whether the arc is admissible
 // at all — departing i as early as possible still reaches j by its due
-// date. The incremental repairs (mutate.go) rank by it; the full build
-// takes admissibility from the arc bitset and the score from rankScore.
+// date. A derived instance (mutate.go) ranks the arcs it carries over or
+// re-derives by it; the full build takes admissibility from the arc
+// bitset and the score from rankScore.
 func (in *Instance) arcScore(i, j int) (float64, bool) {
 	arrive := in.DepartReady(i) + in.Dist(i, j)
 	if arrive > in.Sites[j].Due {
@@ -153,8 +154,9 @@ func (t *topK) list() []int32 {
 }
 
 // buildNeighborRow derives site i's up-to-k best-first successor list from
-// scratch, testing every arc with arcScore: the mutation repairs re-derive
-// single rows of a derived instance this way without building its bitset.
+// scratch, testing every arc with arcScore: a derived instance (mutate.go)
+// re-derives the rows it cannot carry over this way without building its
+// bitset.
 func (in *Instance) buildNeighborRow(i, k int) []int32 {
 	row := topK{k: k}
 	for j := 1; j < len(in.Sites); j++ {

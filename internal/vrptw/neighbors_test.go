@@ -163,20 +163,20 @@ type derived struct {
 func deriveAll(t *testing.T, in *Instance) []derived {
 	t.Helper()
 	tight := in.Sites[12]
-	d1, _, err := in.UpdateWindow(12, tight.Ready+20, tight.Ready+25)
+	d1, err := in.UpdateWindow(12, tight.Ready+20, tight.Ready+25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, _, err := d1.UpdateDemand(7, d1.Sites[7].Demand+3)
+	d2, err := d1.UpdateDemand(7, d1.Sites[7].Demand+3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	site := Site{X: d2.Sites[0].X + 5, Y: d2.Sites[0].Y + 1, Demand: 4, Ready: 30, Due: 60, Service: 10}
-	d3, _, err := d2.AddSite(site)
+	d3, err := d2.AddSite(site)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d4, _, _, err := d3.RemoveSite(20)
+	d4, _, err := d3.RemoveSite(20)
 	if err != nil {
 		t.Fatal(err)
 	}
