@@ -100,14 +100,15 @@ recover-e2e:
 # the schedule cache keeping the schedules of shared routes across Reset
 # (TestEvalRebind), the service PATCH/SSE/WAL e2e (batch and inline
 # mutations, epoch pinning, 409/400 surfaces, flight-recorder marker,
-# HTTP-level determinism), the tsmoctl mutate CLI with a timed -script
-# replay, and the kill -9 mutation-replay chaos test (a real tsmod
+# HTTP-level determinism), the allocations of a PATCH's validation
+# projection, the tsmoctl mutate CLI with a timed -script replay, and the
+# kill -9 mutation-replay chaos test (a real tsmod
 # SIGKILLed in both exactly-once windows).
 dynamic-e2e:
 	$(GO) test -race -count 1 ./internal/dynamic/
 	$(GO) test -race -count 1 -run 'TestMutate|FuzzDerivedListsMatchBuild' ./internal/vrptw/
 	$(GO) test -race -count 1 -run 'TestEvalRebind' ./internal/solution/
-	$(GO) test -race -count 1 -run 'TestE2EDynamic|TestE2EMutate|TestE2EResumeGranularKMismatch' ./internal/service/
+	$(GO) test -race -count 1 -run 'TestE2EDynamic|TestE2EMutate|TestE2EResumeGranularKMismatch|TestProjectionAllocs' ./internal/service/
 	$(GO) test -race -count 1 -run 'TestMutateCommand' ./cmd/tsmoctl/
 	$(GO) test -race -count 1 -v -run 'TestKill9MutationReplay' ./cmd/tsmod/
 
@@ -128,10 +129,11 @@ tenant-e2e:
 
 # chaos runs the deterministic fault-injection suite under the race
 # detector: every scenario must complete, stay bit-identical across
-# repetitions, and no variant may deadlock when a process dies.
+# repetitions, and no variant may deadlock when a process dies; a traced
+# run on the fault decorator records one deme.run span.
 chaos:
 	$(GO) test -race -count 1 -v \
-	  -run 'TestChaosScenarios|TestChaosGoroutineNoDeadlock|TestSyncTrajectoryMatchesSequential|TestMalformedPayloadSurfacesAsError' \
+	  -run 'TestChaosScenarios|TestChaosGoroutineNoDeadlock|TestSyncTrajectoryMatchesSequential|TestMalformedPayloadSurfacesAsError|TestFaultyRunRecordsOneDemeRun' \
 	  ./internal/core/
 	$(GO) test -race -count 1 -run 'TestFaulty|TestParseFaultPlans|TestGoroutineAlive' ./internal/deme/
 

@@ -8,6 +8,7 @@ package repro
 // cmd/experiments -scale medium|paper for the real reproduction.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -296,7 +297,7 @@ func BenchmarkCoverageMetric(b *testing.B) {
 func BenchmarkSimBackend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := deme.NewSim(deme.Ideal())
-		err := s.Run(2, func(p deme.Proc) {
+		err := s.Run(context.Background(), 2, func(p deme.Proc) {
 			if p.ID() == 0 {
 				for k := 0; k < 100; k++ {
 					p.Send(1, 1, nil, 0)

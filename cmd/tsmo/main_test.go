@@ -224,13 +224,13 @@ func TestRunTelemetryReport(t *testing.T) {
 	if idle, ok := worker["idle_seconds"].(float64); !ok || idle <= 0 {
 		t.Errorf("worker idle_seconds not positive: %v", worker["idle_seconds"])
 	}
-	// Delta fast-path vs full-simulation fallback counts.
+	// Delta-evaluation count: every candidate takes the one path.
 	delta := counters["delta"].(map[string]any)
 	if fast, ok := delta["fast"].(float64); !ok || fast == 0 {
 		t.Errorf("delta fast-path count not positive: %v", delta["fast"])
 	}
-	if _, ok := delta["apply_fallback"]; !ok {
-		t.Errorf("delta counters missing apply_fallback: %v", delta)
+	if len(delta) != 1 {
+		t.Errorf("delta counters hold more than the fast path: %v", delta)
 	}
 	// Search counters made it through too.
 	search := counters["search"].(map[string]any)

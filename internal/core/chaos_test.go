@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/deme"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // chaosConfig is the shared setup of the chaos scenarios: a small budget
@@ -317,10 +319,11 @@ type corruptingRuntime struct {
 	tag   int
 }
 
-func (c *corruptingRuntime) Elapsed() float64 { return c.inner.Elapsed() }
+func (c *corruptingRuntime) Elapsed() float64        { return c.inner.Elapsed() }
+func (c *corruptingRuntime) Stats() []deme.ProcStats { return c.inner.Stats() }
 
-func (c *corruptingRuntime) Run(n int, body func(deme.Proc)) error {
-	return c.inner.Run(n, func(p deme.Proc) { body(corruptingProc{p, c.tag}) })
+func (c *corruptingRuntime) Run(ctx context.Context, n int, body func(deme.Proc)) error {
+	return c.inner.Run(ctx, n, func(p deme.Proc) { body(corruptingProc{p, c.tag}) })
 }
 
 type corruptingProc struct {
@@ -374,4 +377,39 @@ func TestMalformedPayloadSurfacesAsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSearch(t, "corrupted work vs sequential", seq, res)
+}
+
+// TestFaultyRunRecordsOneDemeRun runs a traced search on a fault-injecting
+// runtime: the decorator calls its inner backend directly, so the run
+// records one "deme.run" span, opened by RunContext, and the search equals
+// the fault-free one on the same backend.
+func TestFaultyRunRecordsOneDemeRun(t *testing.T) {
+	in := testInstance(t, 20)
+	cfg := chaosConfig()
+	cfg.Processors = 3
+	plans := map[int]deme.FaultPlan{deme.WildcardProc: {ClockSkew: 0.1, Seed: 5}}
+	tr := trace.New(0)
+	ctx := trace.NewContext(context.Background(), tr, nil)
+	res, err := RunContext(ctx, Synchronous, in, cfg, deme.NewFaulty(deme.NewSim(deme.Ideal()), plans))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, dropped := tr.Snapshot()
+	if dropped != 0 {
+		t.Fatalf("dropped %d spans", dropped)
+	}
+	runs := 0
+	for _, d := range spans {
+		if d.Name == "deme.run" {
+			runs++
+		}
+	}
+	if runs != 1 {
+		t.Errorf("deme.run spans = %d, want 1", runs)
+	}
+	ref, err := Run(Synchronous, in, cfg, deme.NewSim(deme.Ideal()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSearch(t, "faulty vs plain", ref, res)
 }

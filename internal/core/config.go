@@ -254,9 +254,9 @@ type Config struct {
 	Telemetry *telemetry.Telemetry
 
 	// ctx carries the run's cancellation signal; set by RunContext, nil
-	// for a plain Run. Every searcher and worker loop polls it at its
-	// loop head, so cancellation stops a run within one iteration and
-	// the partial result is still returned.
+	// only where a test drives a searcher directly. Every searcher and
+	// worker loop polls it at its loop head, so cancellation stops a run
+	// within one iteration and the partial result is still returned.
 	ctx context.Context
 
 	// Tracing internals, set by RunContext from the span recorder carried

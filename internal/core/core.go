@@ -174,7 +174,12 @@ func RunContext(ctx context.Context, alg Algorithm, in *vrptw.Instance, cfg Conf
 	// (seed, mutation log).
 	for {
 		cfg.haltB = 0
-		if err := deme.RunWith(ctx, rt, cfg.Processors, body); err != nil {
+		// The whole backend execution, spawn to last body return, is one
+		// "deme.run" span.
+		dsp := tr.Start(runSpan, "deme.run").SetInt("procs", int64(cfg.Processors))
+		err := rt.Run(ctx, cfg.Processors, body)
+		dsp.End()
+		if err != nil {
 			return nil, fmt.Errorf("core: %v run failed: %w", alg, err)
 		}
 		for i := range outcomes {

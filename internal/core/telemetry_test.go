@@ -202,9 +202,8 @@ func TestTelemetryOperatorFunnel(t *testing.T) {
 			if selected == 0 {
 				t.Errorf("no operator was ever selected over %d iterations", tc.iters)
 			}
-			if tel.Load(telemetry.DeltaFast)+tel.Load(telemetry.DeltaFallback) != proposed {
-				t.Errorf("delta fast %d + fallback %d != proposals %d",
-					tel.Load(telemetry.DeltaFast), tel.Load(telemetry.DeltaFallback), proposed)
+			if tel.Load(telemetry.DeltaFast) != proposed {
+				t.Errorf("delta fast %d != proposals %d", tel.Load(telemetry.DeltaFast), proposed)
 			}
 			if tel.Load(telemetry.SpliceCalls) == 0 {
 				t.Error("SpliceMetrics instrument never fired")

@@ -16,7 +16,7 @@ func TestGoroutineRunContextUnblocksRecv(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		done <- NewGoroutine().RunContext(ctx, 3, func(p Proc) {
+		done <- NewGoroutine().Run(ctx, 3, func(p Proc) {
 			for {
 				if _, ok := p.Recv(); !ok {
 					return
@@ -44,7 +44,7 @@ func TestSimRunContextReleasesBlocked(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		done <- NewSim(Origin3800()).RunContext(ctx, 2, func(p Proc) {
+		done <- NewSim(Origin3800()).Run(ctx, 2, func(p Proc) {
 			for {
 				// Perpetual ping-pong: each waits on the other with a
 				// timeout, so the virtual clock keeps advancing and the
@@ -63,34 +63,5 @@ func TestSimRunContextReleasesBlocked(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancellation did not stop the simulation")
-	}
-}
-
-// TestRunWithoutContextUnchanged makes sure RunContext with a background
-// context is byte-for-byte the plain Run (determinism guard).
-func TestRunWithoutContextUnchanged(t *testing.T) {
-	run := func(withCtx bool) float64 {
-		s := NewSim(Origin3800())
-		body := func(p Proc) {
-			p.Compute(1.0)
-			if p.ID() == 0 {
-				p.Send(1, 1, "x", 64)
-			} else {
-				p.Recv()
-			}
-		}
-		var err error
-		if withCtx {
-			err = s.RunContext(context.Background(), 2, body)
-		} else {
-			err = s.Run(2, body)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.Elapsed()
-	}
-	if a, b := run(false), run(true); a != b {
-		t.Fatalf("uncancelled context changed the simulation: %v vs %v", a, b)
 	}
 }

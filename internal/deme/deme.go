@@ -24,7 +24,6 @@ import (
 	"context"
 
 	"repro/internal/rng"
-	"repro/internal/trace"
 )
 
 // Message is the unit of inter-process communication.
@@ -72,21 +71,17 @@ type Proc interface {
 type Runtime interface {
 	// Run starts n processes executing body (distinguished by
 	// Proc.ID()) and blocks until all have returned. It returns the
-	// first panic raised by a body, if any.
-	Run(n int, body func(Proc)) error
+	// first panic raised by a body, if any. Cancellation is cooperative:
+	// once ctx is done, blocked receives return ok=false, so bodies that
+	// poll the context at their loop heads unwind promptly, and Run still
+	// waits for every body to return.
+	Run(ctx context.Context, n int, body func(Proc)) error
 	// Elapsed returns the makespan of the last Run in seconds: the
 	// maximum process clock on the simulator, the wall-clock duration on
 	// the goroutine backend.
 	Elapsed() float64
-}
-
-// ContextRunner is implemented by runtimes that support cooperative
-// cancellation: once ctx is done, blocked receives return ok=false so
-// bodies that poll the context at their loop heads can unwind promptly.
-// Cancellation is always cooperative — RunContext still waits for every
-// body to return, it only stops them from sleeping through the cancel.
-type ContextRunner interface {
-	RunContext(ctx context.Context, n int, body func(Proc)) error
+	// Stats returns per-process statistics of the last Run.
+	Stats() []ProcStats
 }
 
 // ProcSnapshot captures the runtime-level state of one simulated process
@@ -113,21 +108,4 @@ type Snapshotter interface {
 // process ID; entries with Speed 0 are skipped.
 type Restorer interface {
 	RestoreProcs(snaps []ProcSnapshot)
-}
-
-// RunWith runs body on rt under ctx: runtimes implementing ContextRunner
-// get the context natively; any other backend falls back to a plain Run,
-// where cancellation works solely through the bodies' own context checks.
-// When ctx carries a span recorder (trace.FromContext), the whole backend
-// execution — spawn to last body return — is one "deme.run" span.
-func RunWith(ctx context.Context, rt Runtime, n int, body func(Proc)) error {
-	tr, parent := trace.FromContext(ctx)
-	sp := tr.Start(parent, "deme.run").SetInt("procs", int64(n))
-	defer sp.End()
-	if ctx != nil {
-		if cr, ok := rt.(ContextRunner); ok {
-			return cr.RunContext(ctx, n, body)
-		}
-	}
-	return rt.Run(n, body)
 }

@@ -85,34 +85,18 @@ func NewFaulty(inner Runtime, plans map[int]FaultPlan) *Faulty {
 // Elapsed implements Runtime.
 func (f *Faulty) Elapsed() float64 { return f.inner.Elapsed() }
 
-// Stats implements StatsReporter by delegation when the wrapped runtime
-// supports it.
-func (f *Faulty) Stats() []ProcStats {
-	if sr, ok := f.inner.(StatsReporter); ok {
-		return sr.Stats()
-	}
-	return nil
-}
+// Stats implements Runtime.
+func (f *Faulty) Stats() []ProcStats { return f.inner.Stats() }
 
 // crashSignal is the sentinel panic value that implements crash-at-time:
 // the Run wrapper recovers it, so the backend observes a normal body
 // return and the process simply goes silent.
 type crashSignal struct{}
 
-// Run implements Runtime. Processes without an active plan run on the raw
-// Proc; the rest are wrapped in a faultyProc.
-func (f *Faulty) Run(n int, body func(Proc)) error {
-	return f.runCtx(nil, n, body)
-}
-
-// RunContext implements ContextRunner by delegating to the wrapped
-// runtime's own context support when it has any.
-func (f *Faulty) RunContext(ctx context.Context, n int, body func(Proc)) error {
-	return f.runCtx(ctx, n, body)
-}
-
-func (f *Faulty) runCtx(ctx context.Context, n int, body func(Proc)) error {
-	return RunWith(ctx, f.inner, n, func(p Proc) {
+// Run implements Runtime on the wrapped runtime. Processes without an
+// active plan run on the raw Proc; the rest are wrapped in a faultyProc.
+func (f *Faulty) Run(ctx context.Context, n int, body func(Proc)) error {
+	return f.inner.Run(ctx, n, func(p Proc) {
 		plan, ok := f.plans[p.ID()]
 		if !ok {
 			plan, ok = f.plans[WildcardProc]

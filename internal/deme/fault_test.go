@@ -1,6 +1,7 @@
 package deme
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -21,7 +22,7 @@ func TestFaultyDropIsSeededAndDeterministic(t *testing.T) {
 	run := func() int {
 		ft := NewFaulty(NewSim(Ideal()), map[int]FaultPlan{1: {DropProb: 0.5, Seed: 9}})
 		got := 0
-		err := ft.Run(2, func(p Proc) {
+		err := ft.Run(context.Background(), 2, func(p Proc) {
 			if p.ID() == 0 {
 				for i := 0; i < 200; i++ {
 					p.Send(1, 1, i, 0)
@@ -47,7 +48,7 @@ func TestFaultyDropIsSeededAndDeterministic(t *testing.T) {
 func TestFaultyDuplicatesEveryMessage(t *testing.T) {
 	ft := NewFaulty(NewSim(Ideal()), map[int]FaultPlan{1: {DupProb: 1, Seed: 3}})
 	got := 0
-	err := ft.Run(2, func(p Proc) {
+	err := ft.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 0 {
 			for i := 0; i < 5; i++ {
 				p.Send(1, 1, i, 0)
@@ -68,7 +69,7 @@ func TestFaultyDelayHoldsMessagesBack(t *testing.T) {
 	ft := NewFaulty(NewSim(Ideal()), map[int]FaultPlan{1: {DelayProb: 1, DelayMax: 10, Seed: 5}})
 	got := 0
 	var firstAt float64
-	err := ft.Run(2, func(p Proc) {
+	err := ft.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 0 {
 			for i := 0; i < 5; i++ {
 				p.Send(1, 1, i, 0)
@@ -100,7 +101,7 @@ func TestFaultyCrashSilencesProcess(t *testing.T) {
 	ft := NewFaulty(NewSim(Ideal()), map[int]FaultPlan{1: {CrashAt: 5}})
 	var deadSeen bool
 	var lastClock float64
-	err := ft.Run(2, func(p Proc) {
+	err := ft.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 1 {
 			for {
 				p.Compute(1)
@@ -123,7 +124,7 @@ func TestFaultyCrashSilencesProcess(t *testing.T) {
 
 func TestFaultyCrashInterruptsBlockedReceive(t *testing.T) {
 	ft := NewFaulty(NewSim(Ideal()), map[int]FaultPlan{0: {CrashAt: 7}})
-	err := ft.Run(1, func(p Proc) {
+	err := ft.Run(context.Background(), 1, func(p Proc) {
 		p.Recv() // would deadlock forever without the crash
 		t.Error("receive returned instead of crashing")
 	})
@@ -135,7 +136,7 @@ func TestFaultyCrashInterruptsBlockedReceive(t *testing.T) {
 func TestFaultyStallFreezesOnce(t *testing.T) {
 	ft := NewFaulty(NewSim(Ideal()), map[int]FaultPlan{0: {StallAt: 5, StallFor: 100}})
 	var now float64
-	err := ft.Run(1, func(p Proc) {
+	err := ft.Run(context.Background(), 1, func(p Proc) {
 		p.Compute(6) // no checkpoint crossing yet at entry (t=0)
 		p.Compute(1) // entry checkpoint at t=6 serves the stall
 		p.Compute(1) // one-shot: no second stall
@@ -152,7 +153,7 @@ func TestFaultyStallFreezesOnce(t *testing.T) {
 func TestFaultyClockSkew(t *testing.T) {
 	ft := NewFaulty(NewSim(Ideal()), map[int]FaultPlan{WildcardProc: {ClockSkew: 0.5}})
 	var now float64
-	err := ft.Run(1, func(p Proc) {
+	err := ft.Run(context.Background(), 1, func(p Proc) {
 		p.Compute(10)
 		now = p.Now()
 	})
@@ -170,7 +171,7 @@ func TestFaultyClockSkew(t *testing.T) {
 
 func TestFaultyInertPlanUsesRawProc(t *testing.T) {
 	ft := NewFaulty(NewSim(Ideal()), map[int]FaultPlan{0: {}})
-	err := ft.Run(1, func(p Proc) {
+	err := ft.Run(context.Background(), 1, func(p Proc) {
 		if _, wrapped := p.(*faultyProc); wrapped {
 			t.Error("an inert plan must not pay the interception overhead")
 		}
@@ -182,7 +183,7 @@ func TestFaultyInertPlanUsesRawProc(t *testing.T) {
 
 func TestFaultyPanicsStillPropagate(t *testing.T) {
 	ft := NewFaulty(NewSim(Ideal()), map[int]FaultPlan{0: {DropProb: 0.1}})
-	err := ft.Run(1, func(p Proc) { panic("boom") })
+	err := ft.Run(context.Background(), 1, func(p Proc) { panic("boom") })
 	if err == nil {
 		t.Fatal("a genuine panic must still surface as a run error")
 	}
@@ -191,7 +192,7 @@ func TestFaultyPanicsStillPropagate(t *testing.T) {
 func TestFaultyOnGoroutineBackend(t *testing.T) {
 	ft := NewFaulty(NewGoroutine(), map[int]FaultPlan{1: {DropProb: 0.3, Seed: 2}})
 	got := 0
-	err := ft.Run(2, func(p Proc) {
+	err := ft.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 0 {
 			for i := 0; i < 50; i++ {
 				p.Send(1, 1, i, 0)
@@ -220,7 +221,7 @@ func TestFaultyOnGoroutineBackend(t *testing.T) {
 
 func TestGoroutineAlive(t *testing.T) {
 	g := NewGoroutine()
-	err := g.Run(2, func(p Proc) {
+	err := g.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 1 {
 			return // dies immediately
 		}

@@ -40,12 +40,12 @@ type goRun struct {
 	procs   []*goProc
 	live    int             // processes that have not returned yet
 	blocked int             // processes parked in an untimed Recv
-	ctx     context.Context // nil on a plain Run; done releases receivers
+	ctx     context.Context // done releases receivers
 }
 
-// cancelled reports whether the run's context (if any) is done.
+// cancelled reports whether the run's context is done.
 func (r *goRun) cancelled() bool {
-	return r.ctx != nil && r.ctx.Err() != nil
+	return r.ctx.Err() != nil
 }
 
 // anyQueuedLocked reports whether any mailbox holds an undelivered message.
@@ -203,19 +203,10 @@ func (p *goProc) recv(timeout <-chan time.Time) (Message, bool) {
 	}
 }
 
-// Run implements Runtime.
-func (g *Goroutine) Run(n int, body func(Proc)) error {
-	return g.runCtx(nil, n, body)
-}
-
-// RunContext implements ContextRunner: when ctx is done every parked
-// receive returns ok=false, so bodies that poll the context unwind within
-// one loop turn. The call still blocks until all bodies have returned.
-func (g *Goroutine) RunContext(ctx context.Context, n int, body func(Proc)) error {
-	return g.runCtx(ctx, n, body)
-}
-
-func (g *Goroutine) runCtx(ctx context.Context, n int, body func(Proc)) error {
+// Run implements Runtime: when ctx is done every parked receive returns
+// ok=false, so bodies that poll the context unwind within one loop turn.
+// The call still blocks until all bodies have returned.
+func (g *Goroutine) Run(ctx context.Context, n int, body func(Proc)) error {
 	if n < 1 {
 		return fmt.Errorf("deme: Run needs at least one process, got %d", n)
 	}
@@ -224,19 +215,17 @@ func (g *Goroutine) runCtx(ctx context.Context, n int, body func(Proc)) error {
 	for i := range run.procs {
 		run.procs[i] = &goProc{id: i, n: n, start: start, run: run, notify: make(chan struct{}, 1)}
 	}
-	if ctx != nil {
-		// Wake every parked receiver the moment the context is
-		// cancelled; the watcher exits with the run.
-		watcherDone := make(chan struct{})
-		defer close(watcherDone)
-		go func() {
-			select {
-			case <-ctx.Done():
-				run.pingAll()
-			case <-watcherDone:
-			}
-		}()
-	}
+	// Wake every parked receiver the moment the context is cancelled;
+	// the watcher exits with the run.
+	watcherDone := make(chan struct{})
+	defer close(watcherDone)
+	go func() {
+		select {
+		case <-ctx.Done():
+			run.pingAll()
+		case <-watcherDone:
+		}
+	}()
 	var wg sync.WaitGroup
 	var panicMu sync.Mutex
 	var firstPanic error

@@ -1,6 +1,7 @@
 package deme
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 func TestGoroutinePingPong(t *testing.T) {
 	g := NewGoroutine()
 	var got atomic.Int64
-	err := g.Run(2, func(p Proc) {
+	err := g.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 0 {
 			p.Send(1, 1, 41, 0)
 			msg, ok := p.Recv()
@@ -40,7 +41,7 @@ func TestGoroutinePingPong(t *testing.T) {
 func TestGoroutineRecvAfterAllDone(t *testing.T) {
 	g := NewGoroutine()
 	var falses atomic.Int64
-	err := g.Run(3, func(p Proc) {
+	err := g.Run(context.Background(), 3, func(p Proc) {
 		if p.ID() == 0 {
 			return
 		}
@@ -60,7 +61,7 @@ func TestGoroutineRecvAfterAllDone(t *testing.T) {
 
 func TestGoroutineTryRecv(t *testing.T) {
 	g := NewGoroutine()
-	err := g.Run(1, func(p Proc) {
+	err := g.Run(context.Background(), 1, func(p Proc) {
 		if _, ok := p.TryRecv(); ok {
 			t.Error("TryRecv on empty mailbox returned a message")
 		}
@@ -76,7 +77,7 @@ func TestGoroutineTryRecv(t *testing.T) {
 
 func TestGoroutineRecvTimeout(t *testing.T) {
 	g := NewGoroutine()
-	err := g.Run(2, func(p Proc) {
+	err := g.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 0 {
 			// Keep the run alive but never send.
 			p.RecvTimeout(0.2)
@@ -97,7 +98,7 @@ func TestGoroutineManyMessages(t *testing.T) {
 	const n = 4
 	const per = 500
 	var sum atomic.Int64
-	err := g.Run(n, func(p Proc) {
+	err := g.Run(context.Background(), n, func(p Proc) {
 		if p.ID() == 0 {
 			for i := 0; i < (n-1)*per; i++ {
 				m, ok := p.Recv()
@@ -123,7 +124,7 @@ func TestGoroutineManyMessages(t *testing.T) {
 
 func TestGoroutinePanicPropagates(t *testing.T) {
 	g := NewGoroutine()
-	err := g.Run(2, func(p Proc) {
+	err := g.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 0 {
 			panic("boom")
 		}
@@ -135,14 +136,14 @@ func TestGoroutinePanicPropagates(t *testing.T) {
 }
 
 func TestGoroutineRunValidation(t *testing.T) {
-	if err := NewGoroutine().Run(0, func(Proc) {}); err == nil {
+	if err := NewGoroutine().Run(context.Background(), 0, func(Proc) {}); err == nil {
 		t.Error("Run(0) should fail")
 	}
 }
 
 func TestGoroutineFIFOPerSender(t *testing.T) {
 	g := NewGoroutine()
-	err := g.Run(2, func(p Proc) {
+	err := g.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 0 {
 			for i := 0; i < 100; i++ {
 				p.Send(1, i, nil, 0)

@@ -1,6 +1,7 @@
 package deme
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -44,7 +45,7 @@ func TestSimRandomProgramsDeterministic(t *testing.T) {
 		procs := 2 + int(rawProcs%6)
 		run := func() float64 {
 			s := NewSim(Origin3800())
-			if err := s.Run(procs, randomProgram(seed, procs)); err != nil {
+			if err := s.Run(context.Background(), procs, randomProgram(seed, procs)); err != nil {
 				return -1
 			}
 			return s.Elapsed()
@@ -63,7 +64,7 @@ func TestGoroutineRandomProgramsComplete(t *testing.T) {
 	f := func(seed uint64, rawProcs uint8) bool {
 		procs := 2 + int(rawProcs%6)
 		g := NewGoroutine()
-		return g.Run(procs, randomProgram(seed, procs)) == nil
+		return g.Run(context.Background(), procs, randomProgram(seed, procs)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
@@ -74,7 +75,7 @@ func TestGoroutineRandomProgramsComplete(t *testing.T) {
 // operation mix.
 func TestSimClocksNeverRegress(t *testing.T) {
 	s := NewSim(Origin3800())
-	err := s.Run(3, func(p Proc) {
+	err := s.Run(context.Background(), 3, func(p Proc) {
 		r := rng.New(uint64(p.ID()) + 7)
 		last := p.Now()
 		check := func() {

@@ -27,7 +27,7 @@ type Sim struct {
 	stats []ProcStats
 
 	// restore holds per-process runtime snapshots to apply at the next
-	// runCtx; consumed (one-shot) so later Runs start fresh.
+	// Run; consumed (one-shot) so later Runs start fresh.
 	restore []ProcSnapshot
 }
 
@@ -208,21 +208,12 @@ func (p *simProc) wake() float64 {
 	return w
 }
 
-// Run implements Runtime.
-func (s *Sim) Run(n int, body func(Proc)) error {
-	return s.runCtx(nil, n, body)
-}
-
-// RunContext implements ContextRunner. A cancelled context releases every
-// blocked receive with ok=false at its current virtual clock (instead of
-// sleeping to its deadline), so bodies that poll the context unwind within
-// one loop turn. An uncancelled context leaves the event order — and hence
+// Run implements Runtime. A cancelled context releases every blocked
+// receive with ok=false at its current virtual clock (instead of sleeping
+// to its deadline), so bodies that poll the context unwind within one
+// loop turn. An uncancelled context leaves the event order — and hence
 // the simulation's determinism — completely untouched.
-func (s *Sim) RunContext(ctx context.Context, n int, body func(Proc)) error {
-	return s.runCtx(ctx, n, body)
-}
-
-func (s *Sim) runCtx(ctx context.Context, n int, body func(Proc)) error {
+func (s *Sim) Run(ctx context.Context, n int, body func(Proc)) error {
 	if n < 1 {
 		return fmt.Errorf("deme: Run needs at least one process, got %d", n)
 	}
@@ -280,7 +271,7 @@ func (s *Sim) runCtx(ctx context.Context, n int, body func(Proc)) error {
 	for running > 0 {
 		// Poll the context every few events only: Err takes a lock, and
 		// compute-heavy simulations yield millions of times.
-		if ctx != nil && !cancelled && events%64 == 0 {
+		if !cancelled && events%64 == 0 {
 			cancelled = ctx.Err() != nil
 		}
 		events++

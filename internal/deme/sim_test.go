@@ -1,6 +1,7 @@
 package deme
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 func TestSimComputeAdvancesClock(t *testing.T) {
 	s := NewSim(Ideal())
 	var now float64
-	err := s.Run(1, func(p Proc) {
+	err := s.Run(context.Background(), 1, func(p Proc) {
 		p.Compute(1.5)
 		p.Compute(0.5)
 		now = p.Now()
@@ -30,7 +31,7 @@ func TestSimJitterBounds(t *testing.T) {
 	m.Seed = 7
 	s := NewSim(m)
 	clocks := make([]float64, 4)
-	err := s.Run(4, func(p Proc) {
+	err := s.Run(context.Background(), 4, func(p Proc) {
 		p.Compute(1)
 		clocks[p.ID()] = p.Now()
 	})
@@ -55,7 +56,7 @@ func TestSimPingPongTiming(t *testing.T) {
 	m := Machine{Latency: 2}
 	s := NewSim(m)
 	var bRecvAt, aRecvAt float64
-	err := s.Run(2, func(p Proc) {
+	err := s.Run(context.Background(), 2, func(p Proc) {
 		switch p.ID() {
 		case 0:
 			p.Send(1, 1, "ping", 0)
@@ -89,7 +90,7 @@ func TestSimSendCharges(t *testing.T) {
 	m := Machine{SendOverhead: 0.5, Bandwidth: 100} // 200 bytes -> 2s
 	s := NewSim(m)
 	var after float64
-	err := s.Run(2, func(p Proc) {
+	err := s.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 0 {
 			p.Send(1, 1, nil, 200)
 			after = p.Now()
@@ -109,7 +110,7 @@ func TestSimRecvOverheadCharged(t *testing.T) {
 	m := Machine{Latency: 1, RecvOverhead: 0.25}
 	s := NewSim(m)
 	var at float64
-	err := s.Run(2, func(p Proc) {
+	err := s.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 0 {
 			p.Send(1, 1, nil, 0)
 		} else {
@@ -128,7 +129,7 @@ func TestSimRecvOverheadCharged(t *testing.T) {
 func TestSimTryRecvCausality(t *testing.T) {
 	m := Machine{Latency: 1}
 	s := NewSim(m)
-	err := s.Run(2, func(p Proc) {
+	err := s.Run(context.Background(), 2, func(p Proc) {
 		switch p.ID() {
 		case 0:
 			p.Send(1, 1, nil, 0) // arrives at t=1
@@ -152,7 +153,7 @@ func TestSimRecvTimeout(t *testing.T) {
 	s := NewSim(Ideal())
 	var ok bool
 	var now float64
-	err := s.Run(2, func(p Proc) {
+	err := s.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 0 {
 			p.Compute(10) // never sends
 			return
@@ -174,7 +175,7 @@ func TestSimRecvTimeout(t *testing.T) {
 func TestSimRecvTimeoutBeatenByMessage(t *testing.T) {
 	m := Machine{Latency: 1}
 	s := NewSim(m)
-	err := s.Run(2, func(p Proc) {
+	err := s.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 0 {
 			p.Send(1, 1, nil, 0)
 			return
@@ -195,7 +196,7 @@ func TestSimRecvTimeoutBeatenByMessage(t *testing.T) {
 func TestSimRecvAfterAllDone(t *testing.T) {
 	s := NewSim(Ideal())
 	var got []bool
-	err := s.Run(3, func(p Proc) {
+	err := s.Run(context.Background(), 3, func(p Proc) {
 		if p.ID() == 0 {
 			// finishes immediately
 			return
@@ -214,7 +215,7 @@ func TestSimRecvAfterAllDone(t *testing.T) {
 func TestSimFIFOAndTieOrder(t *testing.T) {
 	s := NewSim(Ideal()) // zero latency: all arrive at t=0
 	var tags []int
-	err := s.Run(2, func(p Proc) {
+	err := s.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 0 {
 			for i := 1; i <= 5; i++ {
 				p.Send(1, i, nil, 0)
@@ -245,7 +246,7 @@ func TestSimDeterminism(t *testing.T) {
 		m := Origin3800()
 		s := NewSim(m)
 		order := make([]int, 0, 32)
-		err := s.Run(4, func(p Proc) {
+		err := s.Run(context.Background(), 4, func(p Proc) {
 			if p.ID() == 0 {
 				for received := 0; received < 9; {
 					msg, ok := p.Recv()
@@ -285,7 +286,7 @@ func TestSimDeterminism(t *testing.T) {
 func TestSimDeadlockReleased(t *testing.T) {
 	s := NewSim(Ideal())
 	results := make([]bool, 2)
-	err := s.Run(2, func(p Proc) {
+	err := s.Run(context.Background(), 2, func(p Proc) {
 		_, ok := p.Recv() // both block forever
 		results[p.ID()] = ok
 	})
@@ -299,7 +300,7 @@ func TestSimDeadlockReleased(t *testing.T) {
 
 func TestSimPanicPropagates(t *testing.T) {
 	s := NewSim(Ideal())
-	err := s.Run(2, func(p Proc) {
+	err := s.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 1 {
 			panic("boom")
 		}
@@ -310,7 +311,7 @@ func TestSimPanicPropagates(t *testing.T) {
 }
 
 func TestSimRunValidation(t *testing.T) {
-	if err := NewSim(Ideal()).Run(0, func(Proc) {}); err == nil {
+	if err := NewSim(Ideal()).Run(context.Background(), 0, func(Proc) {}); err == nil {
 		t.Error("Run(0) should fail")
 	}
 }
@@ -318,7 +319,7 @@ func TestSimRunValidation(t *testing.T) {
 func TestSimSelfSend(t *testing.T) {
 	m := Machine{Latency: 1}
 	s := NewSim(m)
-	err := s.Run(1, func(p Proc) {
+	err := s.Run(context.Background(), 1, func(p Proc) {
 		p.Send(p.ID(), 7, "self", 0)
 		msg, ok := p.Recv()
 		if !ok || msg.Tag != 7 {
@@ -332,7 +333,7 @@ func TestSimSelfSend(t *testing.T) {
 
 func TestSimNegativeComputePanics(t *testing.T) {
 	s := NewSim(Ideal())
-	err := s.Run(1, func(p Proc) { p.Compute(-1) })
+	err := s.Run(context.Background(), 1, func(p Proc) { p.Compute(-1) })
 	if err == nil {
 		t.Fatal("negative compute should panic and be reported")
 	}

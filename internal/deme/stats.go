@@ -26,15 +26,9 @@ func (s ProcStats) Utilization() float64 {
 	return s.Compute / s.End
 }
 
-// StatsReporter is implemented by runtimes that can report per-process
-// statistics for the most recent Run.
-type StatsReporter interface {
-	Stats() []ProcStats
-}
-
-// Stats implements StatsReporter for the simulator.
+// Stats implements Runtime for the simulator.
 func (s *Sim) Stats() []ProcStats { return s.stats }
 
-// Stats implements StatsReporter for the goroutine backend (message
-// counts only; times are not modeled there).
+// Stats implements Runtime for the goroutine backend (message counts
+// only; times are not modeled there).
 func (g *Goroutine) Stats() []ProcStats { return g.stats }

@@ -1,6 +1,7 @@
 package deme
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 func TestSimStats(t *testing.T) {
 	m := Machine{Latency: 1}
 	s := NewSim(m)
-	err := s.Run(2, func(p Proc) {
+	err := s.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 0 {
 			p.Compute(2)
 			p.Send(1, 1, nil, 128)
@@ -53,7 +54,7 @@ func TestSimStats(t *testing.T) {
 func TestSimStatsJitteredComputeCounted(t *testing.T) {
 	m := Origin3800()
 	s := NewSim(m)
-	err := s.Run(1, func(p Proc) {
+	err := s.Run(context.Background(), 1, func(p Proc) {
 		for i := 0; i < 10; i++ {
 			p.Compute(1)
 		}
@@ -73,7 +74,7 @@ func TestSimStatsJitteredComputeCounted(t *testing.T) {
 
 func TestGoroutineStats(t *testing.T) {
 	g := NewGoroutine()
-	err := g.Run(2, func(p Proc) {
+	err := g.Run(context.Background(), 2, func(p Proc) {
 		if p.ID() == 0 {
 			p.Send(1, 1, nil, 64)
 		} else {

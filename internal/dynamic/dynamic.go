@@ -58,34 +58,33 @@ type Mutation struct {
 	Demand float64 `json:"demand,omitempty"`
 }
 
-// apply derives the mutated instance. remap maps every site index of in to
-// its index in the derived instance, with a missing customer key marking
-// the removed one; a nil remap means identity. added is the
-// derived-instance index of a newly added customer, or -1.
-func (m *Mutation) apply(in *vrptw.Instance) (d *vrptw.Instance, remap map[int]int, added int, err error) {
+// apply derives the mutated instance. removed is the index of the
+// customer of in a cancel removed, every later index shifting down by
+// one; added is the derived-instance index of a newly added customer.
+// Each is -1 when the mutation removed or added none.
+func (m *Mutation) apply(in *vrptw.Instance) (d *vrptw.Instance, removed, added int, err error) {
 	if m.Version != Version {
-		return nil, nil, -1, fmt.Errorf("dynamic: unsupported mutation version %d (want %d)", m.Version, Version)
+		return nil, -1, -1, fmt.Errorf("dynamic: unsupported mutation version %d (want %d)", m.Version, Version)
 	}
-	added = -1
+	removed, added = -1, -1
 	switch m.Op {
 	case AddCustomer:
 		if m.Site == nil {
-			return nil, nil, -1, fmt.Errorf("dynamic: add_customer needs a site payload")
+			return nil, -1, -1, fmt.Errorf("dynamic: add_customer needs a site payload")
 		}
 		d, err = in.AddSite(*m.Site)
-		if err == nil {
-			added = d.N() // AddSite appends: the new customer is site N
-		}
+		added = in.N() + 1 // AddSite appends: the new customer is site N
 	case CancelCustomer:
-		d, remap, err = in.RemoveSite(m.Customer)
+		d, err = in.RemoveSite(m.Customer)
+		removed = m.Customer
 	case ShiftWindow:
 		d, err = in.UpdateWindow(m.Customer, m.Ready, m.Due)
 	case UpdateDemand:
 		d, err = in.UpdateDemand(m.Customer, m.Demand)
 	default:
-		return nil, nil, -1, fmt.Errorf("dynamic: unknown mutation op %q", m.Op)
+		return nil, -1, -1, fmt.Errorf("dynamic: unknown mutation op %q", m.Op)
 	}
-	return d, remap, added, err
+	return d, removed, added, err
 }
 
 // String renders the mutation for logs and error messages.
@@ -107,8 +106,10 @@ func (m *Mutation) String() string {
 	return string(m.Op)
 }
 
-// Project applies every mutation in order to in, skipping invalid ones,
-// and returns the projected instance. The service validates incoming
+// Project applies every mutation in order to in and returns the projected
+// instance, or the error of the first mutation that does not apply (so a
+// caller that must skip invalid mutations, as Schedule.Apply does,
+// projects one mutation at a time). The service validates incoming
 // mutations against the projection of everything already queued.
 func Project(in *vrptw.Instance, muts []Mutation) (*vrptw.Instance, error) {
 	cur := in

@@ -84,12 +84,12 @@ func TestScheduleEpochs(t *testing.T) {
 	sc := NewSchedule()
 	m := Mutation{Version: 1, Op: CancelCustomer, Customer: 3}
 
-	if _, err := sc.Add(nil); err == nil {
-		t.Error("Add accepted an empty batch")
+	if _, err := sc.AddFunc(0, nil, nil); err == nil {
+		t.Error("AddFunc accepted an empty batch")
 	}
-	e, err := sc.Add([]Mutation{m})
+	e, err := sc.AddFunc(0, []Mutation{m}, nil)
 	if err != nil || e != 1 {
-		t.Fatalf("Add before any barrier: epoch %d, err %v (want 1, nil)", e, err)
+		t.Fatalf("AddFunc before any barrier: epoch %d, err %v (want 1, nil)", e, err)
 	}
 	if !sc.HaltAt(1) {
 		t.Error("HaltAt(1) = false with epoch 1 pending")
@@ -100,8 +100,8 @@ func TestScheduleEpochs(t *testing.T) {
 	}
 	// The high-water mark is now 2: live adds pin to 3, stale explicit
 	// epochs are refused.
-	if e, _ := sc.Add([]Mutation{m}); e != 3 {
-		t.Errorf("Add after HaltAt(2) pinned epoch %d, want 3", e)
+	if e, _ := sc.AddFunc(0, []Mutation{m}, nil); e != 3 {
+		t.Errorf("AddFunc after HaltAt(2) pinned epoch %d, want 3", e)
 	}
 	if err := sc.AddAt(2, []Mutation{m}); err == nil {
 		t.Error("AddAt accepted an already-passed epoch")
@@ -182,49 +182,7 @@ func TestApplyRepairsParts(t *testing.T) {
 		t.Error("instance digest unchanged by the mutation")
 	}
 
-	checkRoutes := func(label string, routes [][]int) {
-		t.Helper()
-		seen := make([]int, len(newIn.Sites))
-		for _, route := range routes {
-			var load float64
-			for _, c := range route {
-				if c < 1 || c > newIn.N() {
-					t.Fatalf("%s visits out-of-range customer %d", label, c)
-				}
-				seen[c]++
-				load += newIn.Sites[c].Demand
-			}
-			if load > newIn.Capacity {
-				t.Errorf("%s has an overloaded route (load %g > capacity %g)", label, load, newIn.Capacity)
-			}
-		}
-		for c := 1; c <= newIn.N(); c++ {
-			if seen[c] != 1 {
-				t.Errorf("%s visits customer %d %d times", label, c, seen[c])
-			}
-		}
-	}
-	for _, part := range newCk.Parts {
-		if part.Worker {
-			continue
-		}
-		checkRoutes(fmt.Sprintf("part %d Cur", part.ID), part.Cur)
-		for i, r := range part.Nondom {
-			checkRoutes(fmt.Sprintf("part %d Nondom[%d]", part.ID, i), r)
-		}
-		for i, r := range part.Archive {
-			checkRoutes(fmt.Sprintf("part %d Archive[%d]", part.ID, i), r)
-		}
-		if len(part.Pending) != 0 {
-			t.Errorf("part %d kept %d pending candidates", part.ID, len(part.Pending))
-		}
-		// The repaired part must restore: solution.New must accept every
-		// stored route list against the new instance.
-		for i, r := range part.Nondom {
-			_ = i
-			_ = solution.New(newIn, r)
-		}
-	}
+	checkRepaired(t, newIn, newCk)
 
 	reps := sc.Reports()
 	if len(reps) != 1 {
@@ -246,6 +204,107 @@ func TestApplyRepairsParts(t *testing.T) {
 	if sc.HaltAt(ck.Barrier + 1) {
 		t.Error("HaltAt still true after Apply consumed the epoch")
 	}
+}
+
+// checkRepaired fails unless every solution stored in ck's searcher parts
+// visits each customer of in exactly once on routes within capacity,
+// restores on in, and no part kept pending candidates.
+func checkRepaired(t *testing.T, in *vrptw.Instance, ck *core.Checkpoint) {
+	t.Helper()
+	checkRoutes := func(label string, routes [][]int) {
+		t.Helper()
+		seen := make([]int, len(in.Sites))
+		for _, route := range routes {
+			var load float64
+			for _, c := range route {
+				if c < 1 || c > in.N() {
+					t.Fatalf("%s visits out-of-range customer %d", label, c)
+				}
+				seen[c]++
+				load += in.Sites[c].Demand
+			}
+			if load > in.Capacity {
+				t.Errorf("%s has an overloaded route (load %g > capacity %g)", label, load, in.Capacity)
+			}
+		}
+		for c := 1; c <= in.N(); c++ {
+			if seen[c] != 1 {
+				t.Errorf("%s visits customer %d %d times", label, c, seen[c])
+			}
+		}
+	}
+	for _, part := range ck.Parts {
+		if part.Worker {
+			continue
+		}
+		checkRoutes(fmt.Sprintf("part %d Cur", part.ID), part.Cur)
+		for i, r := range part.Nondom {
+			checkRoutes(fmt.Sprintf("part %d Nondom[%d]", part.ID, i), r)
+		}
+		for i, r := range part.Archive {
+			checkRoutes(fmt.Sprintf("part %d Archive[%d]", part.ID, i), r)
+		}
+		if len(part.Pending) != 0 {
+			t.Errorf("part %d kept %d pending candidates", part.ID, len(part.Pending))
+		}
+		// The repaired part must restore: solution.New must accept every
+		// stored route list against the new instance.
+		for _, r := range part.Nondom {
+			_ = solution.New(in, r)
+		}
+	}
+}
+
+// TestApplyShiftsArrivalsPastCancels applies a batch whose cancellations
+// follow its arrivals: cancelling customer 1 shifts both new customers
+// down by one, and cancelling the first of them drops it from the
+// arrivals to insert, so the repaired parts visit exactly the customers
+// of the derived instance.
+func TestApplyShiftsArrivalsPastCancels(t *testing.T) {
+	in := testInstance(t, 25)
+	cfg := testConfig(7)
+	var ck *core.Checkpoint
+	cfg.CheckpointSink = func(c *core.Checkpoint) error {
+		if ck == nil {
+			ck = c
+		}
+		return nil
+	}
+	if _, err := core.Run(core.Sequential, in, cfg, deme.NewSim(deme.Origin3800())); err != nil {
+		t.Fatal(err)
+	}
+	if ck == nil {
+		t.Fatal("run produced no checkpoint")
+	}
+	arrival := func(dx float64) Mutation {
+		s := in.Sites[5]
+		return Mutation{Version: 1, Op: AddCustomer, Site: &vrptw.Site{
+			X: s.X + dx, Y: s.Y, Demand: 5, Ready: s.Ready, Due: s.Due, Service: s.Service}}
+	}
+	n := in.N()
+	muts := []Mutation{
+		arrival(2), // customer n+1
+		arrival(4), // customer n+2
+		{Version: 1, Op: CancelCustomer, Customer: 1}, // arrivals now n and n+1
+		{Version: 1, Op: CancelCustomer, Customer: n}, // the first arrival
+	}
+	sc := NewSchedule()
+	if err := sc.AddAt(ck.Barrier, muts); err != nil {
+		t.Fatal(err)
+	}
+	sc.HaltAt(ck.Barrier)
+	newIn, newCk, err := sc.Apply(context.Background(), in, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if newIn.N() != n || newIn.Sites[n].X != in.Sites[5].X+4 {
+		t.Fatalf("derived instance has %d customers, the last at x=%g; want %d, the second arrival",
+			newIn.N(), newIn.Sites[newIn.N()].X, n)
+	}
+	if rep := sc.Reports()[0]; rep.Applied != len(muts) || rep.Rejected != 0 {
+		t.Fatalf("applied %d, rejected %d; want %d, 0", rep.Applied, rep.Rejected, len(muts))
+	}
+	checkRepaired(t, newIn, newCk)
 }
 
 // TestApplyRejectsInvalid: an epoch whose every mutation is invalid still

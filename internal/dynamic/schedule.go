@@ -51,13 +51,6 @@ func NewSchedule() *Schedule {
 // epoch is at or below the last barrier the run already polled.
 var ErrEpochPassed = errors.New("dynamic: mutation epoch already passed")
 
-// Add queues a batch of mutations for the next barrier the run has not
-// yet reached and returns that epoch. The caller validates the batch
-// against the projected instance first; Add only checks shape.
-func (sc *Schedule) Add(muts []Mutation) (int, error) {
-	return sc.AddFunc(0, muts, nil)
-}
-
 // AddAt queues a batch at an explicit epoch (a barrier number). Used by
 // timed replay scripts and by recovery, which re-primes journaled
 // mutations at their original epochs. The epoch must still be ahead of
@@ -227,7 +220,7 @@ func (sc *Schedule) Apply(ctx context.Context, in *vrptw.Instance, ck *core.Chec
 	var added []int
 	var applied []Mutation
 	for i := range muts {
-		d, mrm, add, err := muts[i].apply(cur)
+		d, removed, add, err := muts[i].apply(cur)
 		if err != nil {
 			// Skipping (not failing) keeps the run alive under racy input:
 			// a cancel for a customer another batch already cancelled, say.
@@ -236,9 +229,9 @@ func (sc *Schedule) Apply(ctx context.Context, in *vrptw.Instance, ck *core.Chec
 			continue
 		}
 		cur = d
-		if mrm != nil {
-			compose(remap, mrm)
-			added = composeAdded(added, mrm)
+		if removed >= 0 {
+			compose(remap, removed)
+			added = composeAdded(added, removed)
 		}
 		if add >= 0 {
 			added = append(added, add)
@@ -427,31 +420,35 @@ func (sc *Schedule) repairRoutes(in *vrptw.Instance, routes [][]int, remap, adde
 	return out, changed
 }
 
-// compose folds one RemoveSite remap into the running old-index → new-index
-// map. mrm is keyed by the pre-removal index; a missing customer key marks
-// the removed one.
-func compose(remap []int, mrm map[int]int) {
-	for i, cur := range remap {
-		if cur <= 0 {
-			continue // depot or already removed
-		}
-		nc, ok := mrm[cur]
-		if !ok {
-			remap[i] = -1
-			continue
-		}
-		remap[i] = nc
+// shifted returns the index customer c takes once customer removed is
+// cancelled: -1 for removed itself, one less past it, c otherwise (the
+// depot, and -1 for a customer already cancelled).
+func shifted(c, removed int) int {
+	switch {
+	case c == removed:
+		return -1
+	case c > removed:
+		return c - 1
+	}
+	return c
+}
+
+// compose folds the cancellation of customer removed into the running
+// old-index → new-index map.
+func compose(remap []int, removed int) {
+	for i, c := range remap {
+		remap[i] = shifted(c, removed)
 	}
 }
 
-// composeAdded shifts the tracked indices of batch-added customers through
-// one RemoveSite remap, dropping an added customer that a later mutation
-// of the same apply cancelled.
-func composeAdded(added []int, mrm map[int]int) []int {
+// composeAdded shifts the tracked indices of batch-added customers past
+// the cancellation of customer removed, dropping an added customer that a
+// later mutation of the same apply cancelled.
+func composeAdded(added []int, removed int) []int {
 	out := added[:0]
 	for _, a := range added {
-		if nc, ok := mrm[a]; ok {
-			out = append(out, nc)
+		if a = shifted(a, removed); a >= 0 {
+			out = append(out, a)
 		}
 	}
 	return out

@@ -41,7 +41,7 @@ func replaceRoute(obj *solution.Objectives, s *solution.Solution, r int, dist, t
 // remove entry points, which walk the same arithmetic as SpliceMetrics on
 // the equivalent segments without building them.
 
-func (m relocateMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
+func (m relocateMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) solution.Objectives {
 	obj := s.Obj
 	if len(s.Routes[m.from]) == 1 {
 		spliceInto(&obj, in, s, e, m.from)
@@ -51,29 +51,29 @@ func (m relocateMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solutio
 	}
 	d, t := e.InsertMetrics(in, m.to, m.tpos, m.cust)
 	replaceRoute(&obj, s, m.to, d, t)
-	return obj, true
+	return obj
 }
 
-func (m exchangeMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
+func (m exchangeMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) solution.Objectives {
 	obj := s.Obj
 	d, t := e.ReplaceMetrics(in, m.r1, m.p1, m.c2)
 	replaceRoute(&obj, s, m.r1, d, t)
 	d, t = e.ReplaceMetrics(in, m.r2, m.p2, m.c1)
 	replaceRoute(&obj, s, m.r2, d, t)
-	return obj, true
+	return obj
 }
 
-func (m twoOptMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
+func (m twoOptMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) solution.Objectives {
 	route := s.Routes[m.route]
 	obj := s.Obj
 	spliceInto(&obj, in, s, e, m.route,
 		solution.Piece(m.route, 0, m.i),
 		solution.ReversedPiece(m.route, m.i, m.j+1),
 		solution.Piece(m.route, m.j+1, len(route)))
-	return obj, true
+	return obj
 }
 
-func (m twoOptStarMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
+func (m twoOptStarMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) solution.Objectives {
 	a, b := s.Routes[m.r1], s.Routes[m.r2]
 	obj := s.Obj
 	if m.p1 == 0 && m.p2 == len(b) {
@@ -90,17 +90,17 @@ func (m twoOptStarMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solut
 			solution.Piece(m.r2, 0, m.p2),
 			solution.Piece(m.r1, m.p1, len(a)))
 	}
-	return obj, true
+	return obj
 }
 
-func (m orOptMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
+func (m orOptMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) solution.Objectives {
 	return orOptDelta(in, s, e, m.route, m.seg, 2, m.dst)
 }
 
 // orOptDelta computes the delta of moving the length-l segment starting at
 // seg to position dst of the remainder, expressed entirely in original
 // route coordinates so every piece can come from the schedule cache.
-func orOptDelta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval, route, seg, l, dst int) (solution.Objectives, bool) {
+func orOptDelta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval, route, seg, l, dst int) solution.Objectives {
 	k := len(s.Routes[route])
 	obj := s.Obj
 	if dst < seg {
@@ -116,14 +116,14 @@ func orOptDelta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval, rout
 			solution.Piece(route, seg, seg+l),
 			solution.Piece(route, dst+l, k))
 	}
-	return obj, true
+	return obj
 }
 
-func (m orOptNMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
+func (m orOptNMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) solution.Objectives {
 	return orOptDelta(in, s, e, m.route, m.seg, m.length, m.dst)
 }
 
-func (m relocateNewMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
+func (m relocateNewMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) solution.Objectives {
 	rf := s.Routes[m.from]
 	obj := s.Obj
 	spliceInto(&obj, in, s, e, m.from,
@@ -133,10 +133,10 @@ func (m relocateNewMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solu
 	obj.Distance += d
 	obj.Tardiness += t
 	obj.Vehicles++
-	return obj, true
+	return obj
 }
 
-func (m crossExchangeMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
+func (m crossExchangeMove) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) solution.Objectives {
 	a, b := s.Routes[m.r1], s.Routes[m.r2]
 	obj := s.Obj
 	spliceInto(&obj, in, s, e, m.r1,
@@ -147,5 +147,5 @@ func (m crossExchangeMove) Delta(in *vrptw.Instance, s *solution.Solution, e *so
 		solution.Piece(m.r2, 0, m.p2),
 		solution.Piece(m.r1, m.p1, m.p1+m.l1),
 		solution.Piece(m.r2, m.p2+m.l2, len(b)))
-	return obj, true
+	return obj
 }

@@ -177,10 +177,9 @@ func (d MoveData) Apply(in *vrptw.Instance, s *solution.Solution) *solution.Solu
 // Delta returns the objectives of the solution Apply would produce,
 // agreeing with it to within floating-point noise (well below 1e-9), in
 // time proportional to the changed segments rather than the touched
-// routes. e must be the schedule cache of s. The second result reports
-// whether the delta could be computed; callers fall back to Apply when it
-// is false.
-func (d MoveData) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) (solution.Objectives, bool) {
+// routes. e must be the schedule cache of s. It only reads s and e, so
+// the moves of one sweep may be evaluated concurrently.
+func (d MoveData) Delta(in *vrptw.Instance, s *solution.Solution, e *solution.Eval) solution.Objectives {
 	switch d.Kind {
 	case KindRelocate:
 		return d.asRelocate().Delta(in, s, e)

@@ -51,13 +51,11 @@ func FuzzDeltaMatchesApply(f *testing.F) {
 				if err := solution.Validate(in, applied); err != nil {
 					t.Fatalf("%s produced an invalid solution: %v", m.Kind, err)
 				}
-				if got, ok := m.Delta(in, s, e); ok {
-					want := applied.Obj
-					if math.Abs(got.Distance-want.Distance) > deltaTol ||
-						got.Vehicles != want.Vehicles ||
-						math.Abs(got.Tardiness-want.Tardiness) > deltaTol {
-						t.Fatalf("%s: Delta %+v != Apply %+v for %v", m.Kind, got, want, m)
-					}
+				got, want := m.Delta(in, s, e), applied.Obj
+				if math.Abs(got.Distance-want.Distance) > deltaTol ||
+					got.Vehicles != want.Vehicles ||
+					math.Abs(got.Tardiness-want.Tardiness) > deltaTol {
+					t.Fatalf("%s: Delta %+v != Apply %+v for %v", m.Kind, got, want, m)
 				}
 				next = applied
 			}

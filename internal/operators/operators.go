@@ -79,11 +79,11 @@ const granFallbackBudget = 1
 type Generator struct {
 	in  *vrptw.Instance
 	ops []MoveKind
-	// Telemetry, when non-nil, counts delta-evaluated candidates vs.
-	// full-simulation Apply fallbacks, the SpliceMetrics exits of the
-	// schedule caches, and the generation side of the operator funnel:
-	// proposals, proposal exhaustions and granular-list fallbacks, per
-	// move kind. Proposals and evaluations are added once per sweep.
+	// Telemetry, when non-nil, counts delta-evaluated candidates, the
+	// SpliceMetrics exits of the schedule caches, and the generation side
+	// of the operator funnel: proposals, proposal exhaustions and
+	// granular-list fallbacks, per move kind. Proposals and evaluations
+	// are added once per sweep.
 	// nil (the default) disables it at one branch per sweep and per
 	// failed draw.
 	Telemetry *telemetry.Telemetry
@@ -219,43 +219,19 @@ func (g *Generator) propose(buf *CandidateBuffer, s *solution.Solution, r *rng.R
 }
 
 // EvalDataInto delta-evaluates an already-proposed flat move span against
-// s's schedule cache into objs (len(objs) == len(data)), falling back to
-// Apply per move when the delta declines. Evaluation is deterministic in
-// (s, data), so a span evaluated anywhere — by any process, or
-// re-evaluated after a fault — yields bit-identical objectives.
+// s's schedule cache into objs (len(objs) == len(data)). Evaluation is
+// deterministic in (s, data), so a span evaluated anywhere — by any
+// process, or re-evaluated after a fault — yields bit-identical
+// objectives.
 func (g *Generator) EvalDataInto(s *solution.Solution, data []MoveData, objs []solution.Objectives) {
 	if len(data) == 0 {
 		return
 	}
 	e := g.eval(s)
-	fallbacks := 0
 	for i, d := range data {
-		objs[i] = evalMove(g.in, s, e, d, &fallbacks)
+		objs[i] = d.Delta(g.in, s, e)
 	}
-	countDeltas(g.Telemetry, len(data), fallbacks)
-}
-
-// evalMove returns the objectives of d on s: its delta against e, the
-// schedule cache of s, or Apply's when the delta declines, which it counts
-// in *fallbacks. It only reads s and e, so moves of one sweep may be
-// evaluated concurrently, each goroutine counting into its own total.
-func evalMove(in *vrptw.Instance, s *solution.Solution, e *solution.Eval, d MoveData, fallbacks *int) solution.Objectives {
-	if obj, ok := d.Delta(in, s, e); ok {
-		return obj
-	}
-	*fallbacks++
-	return d.Apply(in, s).Obj
-}
-
-// countDeltas books n evaluated moves, fallbacks of which fell back to
-// Apply, with one add per counter.
-func countDeltas(tel *telemetry.Telemetry, n, fallbacks int) {
-	if n > fallbacks {
-		tel.Add(telemetry.DeltaFast, n-fallbacks)
-	}
-	if fallbacks > 0 {
-		tel.Add(telemetry.DeltaFallback, fallbacks)
-	}
+	g.Telemetry.Add(telemetry.DeltaFast, len(data))
 }
 
 // before returns the site preceding position p of route (depot if p == 0).

@@ -28,10 +28,10 @@ package operators
 //   - The published count is stored every publishBatch moves, and the
 //     producer-written count sits on another cache line than the claim
 //     word and the done count the helper writes.
-//   - The helper writes its front and fallback count before the done
-//     count of the move it folded, and the producer reads them only after
-//     its wait on done, then empties them at the start of its next sweep,
-//     before the helper can claim a move of it.
+//   - The helper writes its front before the done count of the move it
+//     folded, and the producer reads it only after its wait on done, then
+//     empties it at the start of its next sweep, before the helper can
+//     claim a move of it.
 //   - The helper polls between sweeps, yielding every helperPolls idle
 //     polls, and exits once it has claimed nothing for helperIdle or no
 //     CPU is spare (SpareCPU); the next sweep starts a new one.
@@ -45,6 +45,7 @@ import (
 	"repro/internal/pareto"
 	"repro/internal/rng"
 	"repro/internal/solution"
+	"repro/internal/telemetry"
 )
 
 // searchProcs counts the search processes running in this OS process
@@ -112,12 +113,11 @@ type sweep struct {
 	running   atomic.Bool   // a helper goroutine is live
 	_         cacheLine
 
-	// The helper's share of the sweep's results: written by the helper
+	// The front of the moves the helper evaluated: written by the helper
 	// as it evaluates, read by the producer after its wait on done and
 	// emptied by the producer before the next sweep is published.
-	front     []int // the front of the moves the helper evaluated
-	fallbacks int   // how many of them fell back to Apply
-	_         cacheLine
+	front []int
+	_     cacheLine
 }
 
 // CandidatesInto is the hot-path candidate sweep: the moves MovesInto
@@ -134,7 +134,6 @@ func (g *Generator) CandidatesInto(buf *CandidateBuffer, s *solution.Solution, r
 	buf.Data, buf.Objs = resize(buf.Data, size), resize(buf.Objs, size)
 	// Room for every move, so neither fold allocates.
 	buf.Front, sw.front = resize(buf.Front, size)[:0], resize(sw.front, size)[:0]
-	sw.fallbacks = 0
 	sw.s, sw.e, sw.data, sw.objs = s, g.eval(s), buf.Data, buf.Objs
 	sw.gen++
 	sw.published.Store(0)
@@ -152,7 +151,7 @@ func (g *Generator) CandidatesInto(buf *CandidateBuffer, s *solution.Solution, r
 
 	// Evaluate what the helper has not claimed, half the remainder per
 	// claim so a helper still claiming one at a time takes its share.
-	own, fallbacks := 0, 0
+	own := 0
 	for {
 		c := sw.claim.Load()
 		i := int(uint32(c))
@@ -164,7 +163,7 @@ func (g *Generator) CandidatesInto(buf *CandidateBuffer, s *solution.Solution, r
 			continue
 		}
 		for j := i; j < i+k; j++ {
-			buf.Objs[j] = evalMove(g.in, s, sw.e, buf.Data[j], &fallbacks)
+			buf.Objs[j] = buf.Data[j].Delta(g.in, s, sw.e)
 			buf.Front = pareto.Fold(buf.Front, buf.Objs, j)
 		}
 		own += k
@@ -182,7 +181,7 @@ func (g *Generator) CandidatesInto(buf *CandidateBuffer, s *solution.Solution, r
 		buf.Front = pareto.Fold(buf.Front, buf.Objs, j)
 	}
 	slices.Sort(buf.Front)
-	countDeltas(g.Telemetry, n, fallbacks+sw.fallbacks)
+	g.Telemetry.Add(telemetry.DeltaFast, n)
 	buf.Data, buf.Objs = buf.Data[:n], buf.Objs[:n]
 }
 
@@ -207,7 +206,7 @@ func (g *Generator) help() {
 		c := sw.claim.Load() // before the published count: see sweep
 		if i := uint32(c); i < sw.published.Load() {
 			if sw.claim.CompareAndSwap(c, c+1) {
-				sw.objs[i] = evalMove(g.in, sw.s, sw.e, sw.data[i], &sw.fallbacks)
+				sw.objs[i] = sw.data[i].Delta(g.in, sw.s, sw.e)
 				sw.front = pareto.Fold(sw.front, sw.objs, int(i))
 				sw.done.Add(1)
 				busy = true

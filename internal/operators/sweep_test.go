@@ -30,8 +30,8 @@ var sweepSizes = []int{200, 1, 2, 7, 8, 9, 17, 3, 64, 1, 5}
 // and splice counters reach the same totals. Which path a sweep takes
 // depends on GOMAXPROCS: `make race` runs this test at -cpu 1,2,4.
 func TestOverlappedSweepMatchesSerial(t *testing.T) {
-	counters := []telemetry.CounterID{telemetry.DeltaFast, telemetry.DeltaFallback,
-		telemetry.SpliceCalls, telemetry.SplicePrefixFolds, telemetry.SpliceSuffixEarlyExits,
+	counters := []telemetry.CounterID{telemetry.DeltaFast, telemetry.SpliceCalls,
+		telemetry.SplicePrefixFolds, telemetry.SpliceSuffixEarlyExits,
 		telemetry.SpliceSuffixResyncs, telemetry.SpliceFullWalks}
 	for _, k := range []int{20, 0} {
 		for _, telOn := range []bool{false, true} {

@@ -63,7 +63,8 @@ func searchWalk(t *testing.T, class, n, seed, walk uint64, visit func(in *vrptw.
 
 	s = stroll(construct.I1(in, construct.RandomParams(wr)), 2)
 
-	in2, remap, err := in.RemoveSite(1 + wr.Intn(in.N()))
+	removed := 1 + wr.Intn(in.N())
+	in2, err := in.RemoveSite(removed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +78,11 @@ func searchWalk(t *testing.T, class, n, seed, walk uint64, visit func(in *vrptw.
 	for _, route := range s.Routes {
 		var nr []int
 		for _, c := range route {
-			if nc := remap[c]; nc != 0 {
-				nr = append(nr, nc)
+			switch {
+			case c < removed:
+				nr = append(nr, c)
+			case c > removed:
+				nr = append(nr, c-1)
 			}
 		}
 		routes = append(routes, nr)

@@ -163,9 +163,6 @@ func (a *Archive) TakeRandom(r *rng.Rand) *solution.Solution {
 	return s
 }
 
-// Clear removes all members.
-func (a *Archive) Clear() { a.items = a.items[:0] }
-
 // CrowdingDistances computes the NSGA-II crowding distance of every
 // objective vector: boundary points per objective get +Inf, interior
 // points accumulate the normalized gap between their neighbors. Larger
@@ -285,15 +282,4 @@ func Front(dst []int, objs []solution.Objectives) []int {
 		dst = Fold(dst, objs, i)
 	}
 	return dst
-}
-
-// Merge adds every item of src into dst and reports how many were accepted.
-func Merge(dst *Archive, src []*solution.Solution) int {
-	n := 0
-	for _, s := range src {
-		if dst.Add(s) {
-			n++
-		}
-	}
-	return n
 }

@@ -278,18 +278,6 @@ func TestFoldMatchesNondominatedIndices(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := NewArchive(10)
-	a.Add(sol(5, 5, 0))
-	n := Merge(a, []*solution.Solution{sol(1, 10, 0), sol(6, 6, 0), sol(10, 1, 0)})
-	if n != 2 {
-		t.Errorf("Merge accepted %d, want 2", n)
-	}
-	if a.Len() != 3 {
-		t.Errorf("archive size %d, want 3", a.Len())
-	}
-}
-
 func TestNewArchivePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -219,12 +219,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestPickEmpty(t *testing.T) {
-	if got := New(1).Pick(0); got != -1 {
-		t.Fatalf("Pick(0) = %d, want -1", got)
-	}
-}
-
 // TestIntnGolden pins Intn's draws from a fixed seed for a trivial, a
 // small, a route-sized and a power-of-two bound, and the stream position
 // after them: a change to the bounded multiply moves a draw or the number

@@ -86,12 +86,18 @@ type projection struct {
 // previous batch committed — only the rest is projected, on top of the
 // cached instance. Any other log (a batch pinned below an epoch already
 // queued, a log the run shortened by rejecting a mutation, the first
-// batch after recovery) is projected from base.
+// batch after recovery) is projected from a copy of base built without
+// the run's neighbor lists, which validation never reads: carrying them
+// through every mutation would cost more than the mutation itself.
 func (p projection) extend(base *vrptw.Instance, log []dynamic.Mutation) (*vrptw.Instance, error) {
 	if p.in != nil && len(log) >= len(p.log) && slices.Equal(log[:len(p.log)], p.log) {
 		return dynamic.Project(p.in, log[len(p.log):])
 	}
-	return dynamic.Project(base, log)
+	bare, err := vrptw.New(base.Name, base.Sites, base.Vehicles, base.Capacity)
+	if err != nil {
+		return nil, err
+	}
+	return dynamic.Project(bare, log)
 }
 
 // checkGrowth refuses a mutation log that takes an instance of n

@@ -53,7 +53,7 @@ func TestMutateProjectionCache(t *testing.T) {
 			}
 			in := runIn
 			if r.IntN(4) == 0 {
-				if in, _, err = in.RemoveSite(in.N()); err != nil {
+				if in, err = in.RemoveSite(in.N()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -153,4 +153,37 @@ func randomMutation(r *rand.Rand, in *vrptw.Instance, invalid bool) dynamic.Muta
 			X: s.X + 1, Y: s.Y + 1, Demand: 1, Ready: s.Ready, Due: s.Due, Service: s.Service}}
 	}
 	return m
+}
+
+// TestProjectionAllocs bounds what validating one mutation costs when the
+// projection starts from the job's base instance (no cached projection):
+// on R1 N=400 with the run's k=20 neighbor lists cached on the base, one
+// extend per mutation kind allocates at most 16 objects, since the
+// projection is built on a copy without the lists, which validation never
+// reads and a cancel or window change would re-derive row by row.
+func TestProjectionAllocs(t *testing.T) {
+	base, err := vrptw.Generate(vrptw.GenConfig{Class: vrptw.R1, N: 400, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.NeighborLists(20)
+	s := base.Sites[1]
+	for _, m := range []dynamic.Mutation{
+		{Version: dynamic.Version, Op: dynamic.CancelCustomer, Customer: 1},
+		{Version: dynamic.Version, Op: dynamic.ShiftWindow, Customer: 1, Ready: s.Ready / 2, Due: s.Due},
+		{Version: dynamic.Version, Op: dynamic.AddCustomer, Site: &vrptw.Site{
+			X: s.X + 1, Y: s.Y + 1, Demand: 1, Ready: s.Ready, Due: s.Due, Service: s.Service}},
+		{Version: dynamic.Version, Op: dynamic.UpdateDemand, Customer: 1, Demand: s.Demand / 2},
+	} {
+		log := []dynamic.Mutation{m}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := (projection{}).extend(base, log); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations", m.Op, allocs)
+		if allocs > 16 {
+			t.Errorf("%s: extend allocated %.0f objects, want at most 16", m.Op, allocs)
+		}
+	}
 }

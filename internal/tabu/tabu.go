@@ -31,17 +31,6 @@ func NewList(tenure int) *List {
 // Tenure returns the current tenure.
 func (l *List) Tenure() int { return l.tenure }
 
-// SetTenure changes the tenure; if the list shrinks, the oldest entries are
-// forgotten immediately. The collaborative multisearch perturbs tenures
-// per searcher through this. It panics if tenure < 1.
-func (l *List) SetTenure(tenure int) {
-	if tenure < 1 {
-		panic("tabu: tenure must be >= 1")
-	}
-	l.tenure = tenure
-	l.trim()
-}
-
 // Len returns the number of remembered attributes.
 func (l *List) Len() int { return len(l.queue) }
 
@@ -85,9 +74,3 @@ func (l *List) Restore(queue []Attribute) {
 
 // Contains reports whether the attribute is currently tabu.
 func (l *List) Contains(a Attribute) bool { return l.counts[a] > 0 }
-
-// Clear forgets everything.
-func (l *List) Clear() {
-	l.queue = l.queue[:0]
-	clear(l.counts)
-}

@@ -40,45 +40,10 @@ func TestDuplicateAttributes(t *testing.T) {
 	}
 }
 
-func TestSetTenureShrinks(t *testing.T) {
-	l := NewList(5)
-	for i := Attribute(1); i <= 5; i++ {
-		l.Add(i)
-	}
-	l.SetTenure(2)
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 after shrink", l.Len())
-	}
-	if l.Contains(1) || l.Contains(2) || l.Contains(3) {
-		t.Error("old entries survived shrink")
-	}
-	if !l.Contains(4) || !l.Contains(5) {
-		t.Error("recent entries lost in shrink")
-	}
-	if l.Tenure() != 2 {
-		t.Errorf("Tenure = %d, want 2", l.Tenure())
-	}
-}
-
-func TestClear(t *testing.T) {
-	l := NewList(4)
-	l.Add(1)
-	l.Add(2)
-	l.Clear()
-	if l.Len() != 0 || l.Contains(1) || l.Contains(2) {
-		t.Error("Clear did not empty the list")
-	}
-	l.Add(9)
-	if !l.Contains(9) {
-		t.Error("list unusable after Clear")
-	}
-}
-
 func TestPanicsOnBadTenure(t *testing.T) {
 	for name, f := range map[string]func(){
-		"NewList(0)":    func() { NewList(0) },
-		"SetTenure(0)":  func() { NewList(1).SetTenure(0) },
-		"SetTenure(-1)": func() { NewList(1).SetTenure(-1) },
+		"NewList(0)":  func() { NewList(0) },
+		"NewList(-1)": func() { NewList(-1) },
 	} {
 		func() {
 			defer func() {

@@ -54,10 +54,9 @@ const (
 	NondomRejects
 	NondomEvictions
 
-	// Candidate evaluation: the delta fast path vs. the full Apply
-	// simulation fallback.
+	// Candidate evaluation: moves delta-evaluated against the schedule
+	// cache.
 	DeltaFast
-	DeltaFallback
 
 	// Exits of solution.Eval.SpliceMetrics, the innermost hot function.
 	SpliceCalls
@@ -161,8 +160,7 @@ var counterTable = [numCounters]counterDesc{
 	NondomRejects:    {"nondom", "rejects", "tsmo_store_rejects_total", "memory", "nondom"},
 	NondomEvictions:  {"nondom", "evictions", "tsmo_store_evictions_total", "memory", "nondom"},
 
-	DeltaFast:     {"delta", "fast", "tsmo_delta_evals_total", "path", "fast"},
-	DeltaFallback: {"delta", "apply_fallback", "tsmo_delta_evals_total", "path", "apply_fallback"},
+	DeltaFast: {"delta", "fast", "tsmo_delta_evals_total", "path", "fast"},
 
 	SpliceCalls:            {"splice", "calls", "tsmo_splice_calls_total", "", ""},
 	SplicePrefixFolds:      {"splice", "prefix_folds", "tsmo_splice_exits_total", "kind", "prefix_fold"},

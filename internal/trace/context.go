@@ -17,8 +17,7 @@ func NewContext(ctx context.Context, tr *Trace, sp *Span) context.Context {
 
 // FromContext extracts the trace and current span threaded through ctx,
 // or (nil, nil) — the fully-disabled recorder — when none was attached.
-// A nil ctx is legal and disabled, matching backends whose plain Run path
-// has no context to thread.
+// A nil ctx is legal and disabled too.
 func FromContext(ctx context.Context) (*Trace, *Span) {
 	if ctx == nil {
 		return nil, nil

@@ -236,8 +236,7 @@ func TestContextRoundTrip(t *testing.T) {
 	if tr2, sp2 := FromContext(context.Background()); tr2 != nil || sp2 != nil {
 		t.Error("bare context yielded a non-nil recorder")
 	}
-	// Backends without context support call RunWith(nil, ...): a nil ctx
-	// must read as the disabled layer, not panic.
+	// A nil ctx must read as the disabled layer, not panic.
 	if tr3, sp3 := FromContext(nil); tr3 != nil || sp3 != nil { //nolint:staticcheck // nil ctx is the point
 		t.Error("nil context yielded a non-nil recorder")
 	}

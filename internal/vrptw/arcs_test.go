@@ -58,7 +58,7 @@ func TestArcBitsMatchPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d4, _, err := d3.RemoveSite(20)
+	d4, err := d3.RemoveSite(20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestDistMatchesMatrixReference(t *testing.T) {
 			case 1:
 				op = fmt.Sprintf("RemoveSite(%d)", id)
 				var d *Instance
-				if d, _, err = in.RemoveSite(id); err == nil {
+				if d, err = in.RemoveSite(id); err == nil {
 					in, m = d, refRemoveSite(m, id)
 				}
 			case 2:
@@ -106,8 +106,8 @@ func TestDistMatchesMatrixReference(t *testing.T) {
 // TestInstanceFootprint bounds the bytes New and the four mutation
 // primitives allocate for a 2,000-customer instance. Its distance matrix
 // alone would be 32 MB; the instance keeps its sites, 24 bytes of
-// coordinates and departure time per site, and RemoveSite's ID remap,
-// about 0.3 MB at most. The bound is 1 MB.
+// coordinates and departure time per site, about 0.2 MB at most. The
+// bound is 1 MB.
 func TestInstanceFootprint(t *testing.T) {
 	const bound = 1 << 20
 	gen, err := Generate(GenConfig{Class: R1, N: 2000, Seed: 1})
@@ -140,7 +140,7 @@ func TestInstanceFootprint(t *testing.T) {
 			return err
 		}},
 		{"RemoveSite", func() error {
-			_, _, err := in.RemoveSite(1000)
+			_, err := in.RemoveSite(1000)
 			return err
 		}},
 		{"UpdateWindow", func() error {

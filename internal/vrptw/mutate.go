@@ -31,31 +31,17 @@ func (in *Instance) AddSite(s Site) (*Instance, error) {
 }
 
 // RemoveSite derives an instance with customer id cancelled. Customer
-// indices above id shift down by one (the ID-equals-index invariant);
-// the returned remap translates old customer IDs to new ones, with
-// remap[id] == 0 marking the removed customer.
-func (in *Instance) RemoveSite(id int) (*Instance, map[int]int, error) {
+// indices above id shift down by one (the ID-equals-index invariant).
+func (in *Instance) RemoveSite(id int) (*Instance, error) {
 	n := len(in.Sites)
 	if id < 1 || id >= n {
-		return nil, nil, fmt.Errorf("vrptw: cannot remove site %d (instance has customers 1..%d)", id, n-1)
+		return nil, fmt.Errorf("vrptw: cannot remove site %d (instance has customers 1..%d)", id, n-1)
 	}
-	sites := make([]Site, 0, n-1)
-	remap := make(map[int]int, n-1)
-	for i, s := range in.Sites {
-		if i == id {
-			continue
-		}
-		if i > id {
-			s.ID = i - 1
-		}
-		remap[i] = s.ID
-		sites = append(sites, s)
+	sites := slices.Delete(slices.Clone(in.Sites), id, id+1)
+	for i := id; i < len(sites); i++ {
+		sites[i].ID = i
 	}
-	d, err := in.derive(sites, id, -1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d, remap, nil
+	return in.derive(sites, id, -1)
 }
 
 // UpdateWindow derives an instance with customer id's service window

@@ -128,23 +128,21 @@ func TestMutateNeighborRepairExact(t *testing.T) {
 	}
 
 	// Cancel a customer: indices above it shift down.
-	d5, remap, err := d4.RemoveSite(33)
+	d5, err := d4.RemoveSite(33)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d5.N() != d4.N()-1 {
 		t.Fatalf("RemoveSite: N = %d, want %d", d5.N(), d4.N()-1)
 	}
-	if remap[32] != 32 || remap[34] != 33 {
-		t.Fatalf("RemoveSite remap: got 32->%d 34->%d", remap[32], remap[34])
-	}
-	if _, ok := remap[33]; ok {
-		t.Fatal("RemoveSite remap still maps the removed customer")
-	}
 	checkDistances(t, "RemoveSite", d5)
 	for i, s := range d5.Sites {
-		if s.ID != i {
-			t.Fatalf("RemoveSite: site %d has ID %d", i, s.ID)
+		old := d4.Sites[i]
+		if i >= 33 {
+			old = d4.Sites[i+1]
+		}
+		if old.ID = i; s != old {
+			t.Fatalf("RemoveSite: site %d is %+v, want %+v", i, s, old)
 		}
 	}
 	for _, k := range ks {
@@ -174,10 +172,10 @@ func TestMutateValidation(t *testing.T) {
 	if _, err := in.UpdateWindow(0, 0, 10); err == nil {
 		t.Fatal("UpdateWindow on the depot accepted")
 	}
-	if _, _, err := in.RemoveSite(0); err == nil {
+	if _, err := in.RemoveSite(0); err == nil {
 		t.Fatal("RemoveSite on the depot accepted")
 	}
-	if _, _, err := in.RemoveSite(in.N() + 1); err == nil {
+	if _, err := in.RemoveSite(in.N() + 1); err == nil {
 		t.Fatal("RemoveSite out of range accepted")
 	}
 	if _, err := in.AddSite(Site{ID: 3}); err == nil {
@@ -250,7 +248,7 @@ func FuzzDerivedListsMatchBuild(f *testing.F) {
 				old, cur = -1, len(in.Sites)
 			case 1:
 				what = fmt.Sprintf("RemoveSite(%d)", id)
-				d, _, err = in.RemoveSite(id)
+				d, err = in.RemoveSite(id)
 				cur = -1
 			case 2:
 				ready := r.Float64() * in.Horizon() * 0.9

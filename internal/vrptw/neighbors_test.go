@@ -176,7 +176,7 @@ func deriveAll(t *testing.T, in *Instance) []derived {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d4, _, err := d3.RemoveSite(20)
+	d4, err := d3.RemoveSite(20)
 	if err != nil {
 		t.Fatal(err)
 	}

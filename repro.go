@@ -105,13 +105,8 @@ type (
 const WildcardProc = deme.WildcardProc
 
 // RuntimeStats returns per-process statistics of the runtime's most recent
-// run, or nil when the backend does not report them.
-func RuntimeStats(rt Runtime) []ProcStats {
-	if sr, ok := rt.(deme.StatsReporter); ok {
-		return sr.Stats()
-	}
-	return nil
-}
+// run: rt.Stats().
+func RuntimeStats(rt Runtime) []ProcStats { return rt.Stats() }
 
 // Generate builds an extended-Solomon-style CVRPTW instance; it stands in
 // for the Homberger 400/600-city benchmark set (see DESIGN.md §2).
