@@ -130,12 +130,14 @@ tenant-e2e:
 # chaos runs the deterministic fault-injection suite under the race
 # detector: every scenario must complete, stay bit-identical across
 # repetitions, and no variant may deadlock when a process dies; a traced
-# run on the fault decorator records one deme.run span.
+# run on the fault decorator records one deme.run span; every backend
+# fails a run whose receive has no finite timeout, and fault plans out of
+# range are refused.
 chaos:
 	$(GO) test -race -count 1 -v \
 	  -run 'TestChaosScenarios|TestChaosGoroutineNoDeadlock|TestSyncTrajectoryMatchesSequential|TestMalformedPayloadSurfacesAsError|TestFaultyRunRecordsOneDemeRun' \
 	  ./internal/core/
-	$(GO) test -race -count 1 -run 'TestFaulty|TestParseFaultPlans|TestGoroutineAlive' ./internal/deme/
+	$(GO) test -race -count 1 -run 'TestFaulty|TestParseFaultPlans|TestGoroutineAlive|TestRecvTimeoutNeedsFiniteTimeout' ./internal/deme/
 
 # cluster-e2e runs the multi-node acceptance suite under the race
 # detector: the 3-node collaborative-share golden (bit-identical replay,
@@ -175,6 +177,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGranularWalkMatchesReference -fuzztime $(FUZZTIME) ./internal/operators/
 	$(GO) test -run '^$$' -fuzz FuzzDerivedListsMatchBuild -fuzztime $(FUZZTIME) ./internal/vrptw/
 	$(GO) test -run '^$$' -fuzz FuzzClusterMessages -fuzztime $(FUZZTIME) ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzParseFaultPlans -fuzztime $(FUZZTIME) ./internal/deme/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzSubmitSpec -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/service/

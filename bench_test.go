@@ -188,7 +188,7 @@ func BenchmarkAblationMachine(b *testing.B) {
 				cfg.NeighborhoodSize = 60
 				cfg.Processors = 3
 				cfg.Seed = uint64(i)
-				res, err := SolveOn(Asynchronous, in, cfg, NewSimRuntime(tc.m))
+				res, err := SolveOn(context.Background(), Asynchronous, in, cfg, NewSimRuntime(tc.m))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -263,7 +263,7 @@ func initialSolution(b *testing.B, in *vrptw.Instance) *Solution {
 	cfg := DefaultConfig()
 	cfg.MaxEvaluations = 300
 	cfg.NeighborhoodSize = 30
-	res, err := SolveOn(Sequential, in, cfg, NewSimRuntime(IdealMachine()))
+	res, err := SolveOn(context.Background(), Sequential, in, cfg, NewSimRuntime(IdealMachine()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -301,12 +301,12 @@ func BenchmarkSimBackend(b *testing.B) {
 			if p.ID() == 0 {
 				for k := 0; k < 100; k++ {
 					p.Send(1, 1, nil, 0)
-					p.Recv()
+					p.RecvTimeout(1e6)
 				}
 				p.Send(1, 2, nil, 0)
 			} else {
 				for {
-					m, ok := p.Recv()
+					m, ok := p.RecvTimeout(1e6)
 					if !ok || m.Tag == 2 {
 						return
 					}

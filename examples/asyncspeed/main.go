@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -33,7 +34,7 @@ func run() error {
 		cfg.Processors = procs
 		m := repro.Origin3800()
 		m.Seed = machineSeed
-		res, err := repro.SolveOn(alg, in, cfg, repro.NewSimRuntime(m))
+		res, err := repro.SolveOn(context.Background(), alg, in, cfg, repro.NewSimRuntime(m))
 		if err != nil {
 			return 0, err
 		}
@@ -81,12 +82,11 @@ func run() error {
 		cfg := base
 		cfg.Processors = 6
 		rt := repro.NewSimRuntime(repro.Origin3800())
-		if _, err := repro.SolveOn(alg, in, cfg, rt); err != nil {
+		if _, err := repro.SolveOn(context.Background(), alg, in, cfg, rt); err != nil {
 			return err
 		}
-		stats := repro.RuntimeStats(rt)
 		fmt.Printf("  %-14s", alg.String())
-		for id, st := range stats {
+		for id, st := range rt.Stats() {
 			role := "w"
 			if id == 0 {
 				role = "M"

@@ -160,11 +160,11 @@ type Config struct {
 	// runtime backend).
 	Seed uint64
 	// WaitTimeout is the asynchronous master's "waiting too long"
-	// threshold (decision-function condition c3) in runtime seconds.
-	// 0 picks 1.5× the expected worker chunk time.
+	// threshold (decision-function condition c3) in runtime seconds,
+	// finite. 0 picks 1.5× the expected worker chunk time.
 	WaitTimeout float64
 	// RecvTimeout is the failure-suspicion threshold of the self-healing
-	// layer, in runtime seconds: how long a master waits on a worker
+	// layer, in finite runtime seconds: how long a master waits on a worker
 	// result (and a worker on its next work chunk) before suspecting the
 	// peer is gone and re-dispatching / re-checking. 0 picks 30× the
 	// expected worker chunk time — far above the machine model's worst
@@ -411,13 +411,14 @@ func (c *Config) validate(in *vrptw.Instance, alg Algorithm) error {
 	return nil
 }
 
-// checkCoordination rejects a negative or NaN WaitTimeout or RecvTimeout
-// and a negative EvictAfter — zero asks for the derived default. Any of
-// them keeps a master, a worker or a barrier waiting forever, so a run
-// never returns.
+// checkCoordination rejects a negative, infinite or NaN WaitTimeout or
+// RecvTimeout and a negative EvictAfter — zero asks for the derived
+// default. Any of them keeps a master, a worker or a barrier waiting
+// forever, so a run never returns; every deme receive needs a finite
+// timeout.
 func checkCoordination(wait, recv float64, evictAfter int) error {
-	if !(wait >= 0) || !(recv >= 0) || evictAfter < 0 {
-		return fmt.Errorf("core: WaitTimeout and RecvTimeout must be >= 0 and EvictAfter >= 0, got %v, %v and %d", wait, recv, evictAfter)
+	if !(wait >= 0 && wait <= math.MaxFloat64) || !(recv >= 0 && recv <= math.MaxFloat64) || evictAfter < 0 {
+		return fmt.Errorf("core: WaitTimeout and RecvTimeout must be finite and >= 0 and EvictAfter >= 0, got %v, %v and %d", wait, recv, evictAfter)
 	}
 	return nil
 }

@@ -270,12 +270,15 @@ func TestConfigValidation(t *testing.T) {
 		func() Config { c := smallConfig(); c.NeighborhoodSize = 0; return c }(),
 		func() Config { c := smallConfig(); c.TabuTenure = 0; return c }(),
 		func() Config { c := smallConfig(); c.RestartIterations = 0; return c }(),
-		// Coordination timeouts: zero derives a default; a negative or NaN
-		// value would keep the parallel variants from ever returning.
+		// Coordination timeouts: zero derives a default; a negative, NaN
+		// or infinite value would keep the parallel variants from ever
+		// returning, and no deme receive takes an infinite timeout.
 		func() Config { c := smallConfig(); c.WaitTimeout = -1; return c }(),
 		func() Config { c := smallConfig(); c.WaitTimeout = math.NaN(); return c }(),
+		func() Config { c := smallConfig(); c.WaitTimeout = math.Inf(1); return c }(),
 		func() Config { c := smallConfig(); c.RecvTimeout = -1; return c }(),
 		func() Config { c := smallConfig(); c.RecvTimeout = math.NaN(); return c }(),
+		func() Config { c := smallConfig(); c.RecvTimeout = math.Inf(1); return c }(),
 		func() Config { c := smallConfig(); c.EvictAfter = -1; return c }(),
 		// Operator sets no sweep can draw from: every sweep draws an
 		// operator by index, and an unknown kind has no proposal path.

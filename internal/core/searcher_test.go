@@ -22,7 +22,6 @@ func (s *stubProc) Now() float64                             { return s.clock }
 func (s *stubProc) Compute(sec float64)                      { s.clock += sec }
 func (s *stubProc) Send(int, int, any, int)                  {}
 func (s *stubProc) TryRecv() (deme.Message, bool)            { return deme.Message{}, false }
-func (s *stubProc) Recv() (deme.Message, bool)               { return deme.Message{}, false }
 func (s *stubProc) RecvTimeout(float64) (deme.Message, bool) { return deme.Message{}, false }
 func (s *stubProc) Alive(int) bool                           { return false }
 

@@ -6,8 +6,9 @@ import (
 	"time"
 )
 
-// TestGoroutineRunContextUnblocksRecv parks every process in a blocking
-// Recv with no sender and expects cancellation to release them all.
+// TestGoroutineRunContextUnblocksRecv parks every process in a receive
+// that no message and no timeout ends and expects cancellation to release
+// them all.
 func TestGoroutineRunContextUnblocksRecv(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -18,7 +19,7 @@ func TestGoroutineRunContextUnblocksRecv(t *testing.T) {
 	go func() {
 		done <- NewGoroutine().Run(ctx, 3, func(p Proc) {
 			for {
-				if _, ok := p.Recv(); !ok {
+				if _, ok := p.RecvTimeout(longWait); !ok {
 					return
 				}
 			}
@@ -30,12 +31,12 @@ func TestGoroutineRunContextUnblocksRecv(t *testing.T) {
 			t.Fatalf("cancelled run returned error: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("cancellation did not unblock Recv")
+		t.Fatal("cancellation did not unblock RecvTimeout")
 	}
 }
 
-// TestSimRunContextReleasesBlocked parks sim processes in Recv and expects
-// the scheduler to release them once the context is cancelled.
+// TestSimRunContextReleasesBlocked parks sim processes in RecvTimeout and
+// expects the scheduler to release them once the context is cancelled.
 func TestSimRunContextReleasesBlocked(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {

@@ -22,6 +22,7 @@ package deme
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/rng"
 )
@@ -54,17 +55,26 @@ type Proc interface {
 	// TryRecv returns a pending message without blocking; ok is false
 	// when none has arrived yet.
 	TryRecv() (Message, bool)
-	// Recv blocks until a message arrives. ok is false when no message
-	// can ever arrive anymore (all other processes finished, or the
-	// system is deadlocked).
-	Recv() (Message, bool)
-	// RecvTimeout is Recv with a deadline of now+seconds; ok is false on
-	// timeout or global completion.
+	// RecvTimeout blocks until a message arrives or the deadline
+	// now+seconds passes; ok is false on timeout, on cancellation, or
+	// when every other process has returned. seconds must be finite (a
+	// negative value polls): a non-finite timeout panics with
+	// "deme: RecvTimeout needs a finite timeout", which Run reports as
+	// the run's error.
 	RecvTimeout(seconds float64) (Message, bool)
 	// Alive reports whether process id's body is still running. A process
 	// whose body returned — normally or through a fault — is not alive;
 	// masters use this to stop waiting on dead workers.
 	Alive(id int) bool
+}
+
+// recvSeconds checks a RecvTimeout argument: a non-finite timeout panics,
+// a negative one polls.
+func recvSeconds(seconds float64) float64 {
+	if math.IsInf(seconds, 0) || math.IsNaN(seconds) {
+		panic("deme: RecvTimeout needs a finite timeout")
+	}
+	return max(seconds, 0)
 }
 
 // Runtime executes a set of process bodies to completion.

@@ -18,6 +18,9 @@ import (
 // say "drop 30% of the result messages reaching the master" directly.
 // Times are true runtime seconds (virtual on Sim, wall on Goroutine),
 // unaffected by the plan's own clock skew. The zero value injects nothing.
+// Faulty.Run and ParseFaultPlans refuse a plan with a probability outside
+// [0, 1], a negative or non-finite time, or a ClockSkew that is not finite
+// or is -1 or less.
 type FaultPlan struct {
 	// DropProb is the probability that an incoming message is silently
 	// discarded.
@@ -59,6 +62,50 @@ func (fp *FaultPlan) active() bool {
 		fp.CrashAt > 0 || fp.StallFor > 0 || fp.ClockSkew != 0
 }
 
+// check returns an error naming the first value of the plan no run can
+// execute.
+func (fp *FaultPlan) check() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+		ok   bool
+	}{
+		{"DropProb", fp.DropProb, 0 <= fp.DropProb && fp.DropProb <= 1},
+		{"DupProb", fp.DupProb, 0 <= fp.DupProb && fp.DupProb <= 1},
+		{"DelayProb", fp.DelayProb, 0 <= fp.DelayProb && fp.DelayProb <= 1},
+		{"DelayMax", fp.DelayMax, 0 <= fp.DelayMax && fp.DelayMax <= math.MaxFloat64},
+		{"CrashAt", fp.CrashAt, 0 <= fp.CrashAt && fp.CrashAt <= math.MaxFloat64},
+		{"StallAt", fp.StallAt, 0 <= fp.StallAt && fp.StallAt <= math.MaxFloat64},
+		{"StallFor", fp.StallFor, 0 <= fp.StallFor && fp.StallFor <= math.MaxFloat64},
+		{"ClockSkew", fp.ClockSkew, -1 < fp.ClockSkew && fp.ClockSkew <= math.MaxFloat64},
+	} {
+		if !f.ok {
+			return fmt.Errorf("%s %v is out of range", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// checkPlans checks every plan, in process order.
+func checkPlans(plans map[int]FaultPlan) error {
+	ids := make([]int, 0, len(plans))
+	for id := range plans {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		plan := plans[id]
+		if err := plan.check(); err != nil {
+			target := strconv.Itoa(id)
+			if id == WildcardProc {
+				target = "*"
+			}
+			return fmt.Errorf("deme: fault plan %s: %w", target, err)
+		}
+	}
+	return nil
+}
+
 // Faulty is a Runtime decorator that injects the faults described by a set
 // of per-process FaultPlans into any backend. On Sim the injected faults
 // are part of the deterministic event order, so every chaos scenario is a
@@ -95,7 +142,11 @@ type crashSignal struct{}
 
 // Run implements Runtime on the wrapped runtime. Processes without an
 // active plan run on the raw Proc; the rest are wrapped in a faultyProc.
+// A plan out of range (see FaultPlan) fails the run before it starts.
 func (f *Faulty) Run(ctx context.Context, n int, body func(Proc)) error {
+	if err := checkPlans(f.plans); err != nil {
+		return err
+	}
 	return f.inner.Run(ctx, n, func(p Proc) {
 		plan, ok := f.plans[p.ID()]
 		if !ok {
@@ -249,17 +300,10 @@ func (fp *faultyProc) TryRecv() (Message, bool) {
 	}
 }
 
-// Recv implements Proc.
-func (fp *faultyProc) Recv() (Message, bool) {
-	return fp.recvDeadline(math.Inf(1))
-}
-
 // RecvTimeout implements Proc. seconds is expressed on the process's
 // (possibly skewed) clock and converted to true runtime seconds.
 func (fp *faultyProc) RecvTimeout(seconds float64) (Message, bool) {
-	if seconds < 0 {
-		seconds = 0
-	}
+	seconds = recvSeconds(seconds)
 	if fp.plan.ClockSkew != 0 {
 		seconds /= 1 + fp.plan.ClockSkew
 	}
@@ -267,10 +311,9 @@ func (fp *faultyProc) RecvTimeout(seconds float64) (Message, bool) {
 }
 
 // recvDeadline blocks for a deliverable message until the absolute
-// deadline (true runtime seconds; +Inf for Recv). Inner waits are capped
-// at the next pending release and the crash time, so parked messages
-// surface on schedule and a crash fires exactly at CrashAt even while
-// blocked.
+// deadline (true runtime seconds). Inner waits are capped at the next
+// pending release and the crash time, so parked messages surface on
+// schedule and a crash fires exactly at CrashAt even while blocked.
 func (fp *faultyProc) recvDeadline(deadline float64) (Message, bool) {
 	for {
 		fp.checkpoint()
@@ -288,19 +331,13 @@ func (fp *faultyProc) recvDeadline(deadline float64) (Message, bool) {
 		if fp.plan.CrashAt > now && fp.plan.CrashAt < wake {
 			wake = fp.plan.CrashAt
 		}
-		var m Message
-		var ok bool
-		if math.IsInf(wake, 1) {
-			m, ok = fp.Proc.Recv()
-		} else {
-			m, ok = fp.Proc.RecvTimeout(wake - now)
-		}
+		m, ok := fp.Proc.RecvTimeout(wake - now)
 		if !ok {
 			// The inner receive ended before its local deadline only on
-			// global completion or a deadlock release — report that
-			// through. Otherwise the deadline was a wake point we
-			// installed (pending release, crash time) or the real one;
-			// loop to re-evaluate at the top.
+			// cancellation or global completion — report that through.
+			// Otherwise the deadline was a wake point we installed
+			// (pending release, crash time) or the real one; loop to
+			// re-evaluate at the top.
 			if fp.Proc.Now() < wake-1e-9 {
 				return Message{}, false
 			}
@@ -327,7 +364,8 @@ func (fp *faultyProc) recvDeadline(deadline float64) (Message, bool) {
 //	tags=N+N     restrict message faults to these numeric tags
 //	seed=N       fault-stream seed
 //
-// Example: "1:crash@5;0:drop=0.2,tags=2;*:skew=0.1".
+// Example: "1:crash@5;0:drop=0.2,tags=2;*:skew=0.1". A value out of range
+// (see FaultPlan) is refused.
 func ParseFaultPlans(spec string) (map[int]FaultPlan, error) {
 	plans := make(map[int]FaultPlan)
 	for _, entry := range strings.Split(spec, ";") {
@@ -357,6 +395,9 @@ func ParseFaultPlans(spec string) (map[int]FaultPlan, error) {
 	}
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("deme: empty fault spec")
+	}
+	if err := checkPlans(plans); err != nil {
+		return nil, err
 	}
 	return plans, nil
 }

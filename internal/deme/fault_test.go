@@ -3,6 +3,7 @@ package deme
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -125,7 +126,7 @@ func TestFaultyCrashSilencesProcess(t *testing.T) {
 func TestFaultyCrashInterruptsBlockedReceive(t *testing.T) {
 	ft := NewFaulty(NewSim(Ideal()), map[int]FaultPlan{0: {CrashAt: 7}})
 	err := ft.Run(context.Background(), 1, func(p Proc) {
-		p.Recv() // would deadlock forever without the crash
+		p.RecvTimeout(longWait) // would wait a million seconds without the crash
 		t.Error("receive returned instead of crashing")
 	})
 	if err != nil {
@@ -234,6 +235,104 @@ func TestGoroutineAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRecvTimeoutNeedsFiniteTimeout holds every backend to a finite
+// receive deadline: a body that asks for a non-finite timeout fails the
+// run instead of timing out at once or waiting forever.
+func TestRecvTimeoutNeedsFiniteTimeout(t *testing.T) {
+	backends := []struct {
+		name string
+		rt   func() Runtime
+	}{
+		{"sim", func() Runtime { return NewSim(Ideal()) }},
+		{"goroutine", func() Runtime { return NewGoroutine() }},
+		{"faulty-sim", func() Runtime {
+			return NewFaulty(NewSim(Ideal()), map[int]FaultPlan{WildcardProc: {ClockSkew: 0.5}})
+		}},
+	}
+	for _, b := range backends {
+		for _, timeout := range []float64{math.Inf(1), math.NaN(), math.Inf(-1)} {
+			err := b.rt().Run(context.Background(), 2, func(p Proc) {
+				if p.ID() == 1 {
+					p.RecvTimeout(timeout)
+				}
+			})
+			if err == nil || !strings.Contains(err.Error(), "RecvTimeout needs a finite timeout") {
+				t.Errorf("%s: RecvTimeout(%v) ended the run with %v, want the finite-timeout error", b.name, timeout, err)
+			}
+		}
+	}
+}
+
+// outOfRangePlans are fault specs no run can execute, each with the value
+// its error must name.
+var outOfRangePlans = []struct{ spec, value string }{
+	{"1:skew=NaN", "ClockSkew NaN"},
+	{"1:stall@0.5+Inf", "StallFor +Inf"},
+	{"*:skew=-1", "ClockSkew -1"},
+	{"0:skew=-Inf", "ClockSkew -Inf"},
+	{"0:drop=1.5", "DropProb 1.5"},
+	{"0:dup=-0.1", "DupProb -0.1"},
+	{"0:delay=NaN/1", "DelayProb NaN"},
+	{"0:delay=0.5/-1", "DelayMax -1"},
+	{"0:crash@-2", "CrashAt -2"},
+	{"0:crash@Inf", "CrashAt +Inf"},
+	{"0:stall@-1+2", "StallAt -1"},
+}
+
+func TestFaultyRefusesOutOfRangePlans(t *testing.T) {
+	for _, bad := range outOfRangePlans {
+		_, perr := ParseFaultPlans(bad.spec)
+		if perr == nil || !strings.Contains(perr.Error(), bad.value) {
+			t.Errorf("ParseFaultPlans(%q) = %v, want an error naming %s", bad.spec, perr, bad.value)
+		}
+		// The same plan built in Go fails Faulty.Run before any body runs.
+		var plan FaultPlan
+		_, clauses, _ := strings.Cut(bad.spec, ":")
+		if err := parseFault(&plan, clauses); err != nil {
+			t.Fatal(err)
+		}
+		ran := false
+		err := NewFaulty(NewSim(Ideal()), map[int]FaultPlan{0: plan}).Run(context.Background(), 1, func(Proc) { ran = true })
+		if err == nil || !strings.Contains(err.Error(), bad.value) || ran {
+			t.Errorf("Faulty.Run with %+v: err %v, body ran %v; want an error naming %s and no body", plan, err, ran, bad.value)
+		}
+	}
+}
+
+// FuzzParseFaultPlans holds ParseFaultPlans to the plans a run can
+// execute: every field of an accepted plan is finite and in range, and
+// Faulty.Run accepts the plans.
+func FuzzParseFaultPlans(f *testing.F) {
+	f.Add("1:crash@5;0:drop=0.2,dup=0.1,delay=0.3/2.5,tags=2+4,seed=77;*:skew=0.1,stall@3+9")
+	for _, bad := range outOfRangePlans {
+		f.Add(bad.spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		plans, err := ParseFaultPlans(spec)
+		if err != nil {
+			return
+		}
+		for id, p := range plans {
+			for _, v := range []float64{p.DropProb, p.DupProb, p.DelayProb} {
+				if !(v >= 0 && v <= 1) {
+					t.Fatalf("plan %d = %+v: probability %v outside [0, 1]", id, p, v)
+				}
+			}
+			for _, v := range []float64{p.DelayMax, p.CrashAt, p.StallAt, p.StallFor} {
+				if !(v >= 0) || math.IsInf(v, 1) {
+					t.Fatalf("plan %d = %+v: time %v negative or not finite", id, p, v)
+				}
+			}
+			if !(p.ClockSkew > -1) || math.IsInf(p.ClockSkew, 1) {
+				t.Fatalf("plan %d = %+v: skew %v not finite and > -1", id, p, p.ClockSkew)
+			}
+		}
+		if err := NewFaulty(NewSim(Ideal()), plans).Run(context.Background(), 1, func(Proc) {}); err != nil {
+			t.Fatalf("Faulty.Run refused the parsed plans %+v: %v", plans, err)
+		}
+	})
 }
 
 func TestParseFaultPlans(t *testing.T) {

@@ -34,29 +34,12 @@ type goProc struct {
 }
 
 // goRun holds the shared state of one Run. mu guards queue contents and
-// the live/blocked counters so that deadlock detection is exact.
+// the live counter.
 type goRun struct {
-	mu      sync.Mutex
-	procs   []*goProc
-	live    int             // processes that have not returned yet
-	blocked int             // processes parked in an untimed Recv
-	ctx     context.Context // done releases receivers
-}
-
-// cancelled reports whether the run's context is done.
-func (r *goRun) cancelled() bool {
-	return r.ctx.Err() != nil
-}
-
-// anyQueuedLocked reports whether any mailbox holds an undelivered message.
-// Callers must hold mu.
-func (r *goRun) anyQueuedLocked() bool {
-	for _, q := range r.procs {
-		if len(q.queue) > 0 {
-			return true
-		}
-	}
-	return false
+	mu    sync.Mutex
+	procs []*goProc
+	live  int             // processes that have not returned yet
+	ctx   context.Context // done releases receivers
 }
 
 // pingAll wakes every process so it can re-evaluate run state.
@@ -123,27 +106,13 @@ func (p *goProc) Alive(id int) bool {
 	return !r.procs[id].done
 }
 
-// Recv implements Proc.
-func (p *goProc) Recv() (Message, bool) { return p.recv(nil) }
-
-// RecvTimeout implements Proc.
+// RecvTimeout implements Proc: it blocks until a message arrives, the
+// run's context is done, no other process is left to send, or the timer
+// fires.
 func (p *goProc) RecvTimeout(seconds float64) (Message, bool) {
-	if seconds < 0 {
-		seconds = 0
-	}
-	t := time.NewTimer(time.Duration(seconds * float64(time.Second)))
+	t := time.NewTimer(time.Duration(recvSeconds(seconds) * float64(time.Second)))
 	defer t.Stop()
-	return p.recv(t.C)
-}
-
-// recv blocks until a message, global completion, or — for untimed
-// receives — a detected global deadlock: when every live process is parked
-// in an untimed Recv no message can ever arrive, so the detecting process
-// releases itself with ok=false (mirroring the simulator's release rule; a
-// released process may send again, re-activating the others).
-func (p *goProc) recv(timeout <-chan time.Time) (Message, bool) {
 	r := p.run
-	untimed := timeout == nil
 	blockStart := time.Now()
 	defer func() {
 		d := time.Since(blockStart).Seconds()
@@ -157,43 +126,18 @@ func (p *goProc) recv(timeout <-chan time.Time) (Message, bool) {
 			r.mu.Unlock()
 			return m, true
 		}
-		if r.cancelled() {
-			// The run's context is done: release the receiver so its
-			// body can observe the cancellation at its loop head
-			// instead of sleeping out the timeout.
+		if r.ctx.Err() != nil || r.live <= 1 {
+			// The run's context is done, or only this process is left
+			// and nothing can arrive: release the receiver so its body
+			// can observe that at its loop head instead of sleeping out
+			// the timeout.
 			r.mu.Unlock()
 			return Message{}, false
-		}
-		if r.live <= 1 {
-			// Only this process is left; nothing can arrive.
-			r.mu.Unlock()
-			return Message{}, false
-		}
-		if untimed {
-			r.blocked++
-			// Deadlock only if, additionally, no mailbox anywhere
-			// holds a message: a queued message means its owner
-			// has been pinged and will wake up and act.
-			if r.blocked >= r.live && !r.anyQueuedLocked() {
-				r.blocked--
-				r.mu.Unlock()
-				r.pingAll()
-				return Message{}, false
-			}
 		}
 		r.mu.Unlock()
-		parked := true
 		select {
 		case <-p.notify:
-		case <-timeout:
-			parked = false
-		}
-		if untimed {
-			r.mu.Lock()
-			r.blocked--
-			r.mu.Unlock()
-		}
-		if !parked {
+		case <-t.C:
 			// Timed out: one final drain to not lose a racing push.
 			r.mu.Lock()
 			m, ok := p.popLocked()

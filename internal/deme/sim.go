@@ -4,8 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/rng"
 )
@@ -77,7 +75,7 @@ type simProc struct {
 	stat  ProcStats
 
 	state    simState
-	deadline float64 // absolute wake deadline while blocked (Inf for Recv)
+	deadline float64 // absolute wake deadline while blocked
 	mailbox  mailHeap
 
 	resume chan struct{}
@@ -148,21 +146,9 @@ func (p *simProc) TryRecv() (Message, bool) {
 	return p.replyMsg, p.replyOK
 }
 
-// Recv implements Proc.
-func (p *simProc) Recv() (Message, bool) {
-	start := p.clock
-	p.state = stBlocked
-	p.deadline = math.Inf(1)
-	p.yield()
-	p.stat.Blocked += p.clock - start
-	return p.replyMsg, p.replyOK
-}
-
 // RecvTimeout implements Proc.
 func (p *simProc) RecvTimeout(seconds float64) (Message, bool) {
-	if seconds < 0 {
-		seconds = 0
-	}
+	seconds = recvSeconds(seconds)
 	start := p.clock
 	p.state = stBlocked
 	p.deadline = p.clock + seconds
@@ -276,49 +262,17 @@ func (s *Sim) Run(ctx context.Context, n int, body func(Proc)) error {
 		}
 		events++
 		p := s.pickNext()
-		if cancelled && p != nil && p.state == stBlocked {
+		switch {
+		case p.state == stBlocked && cancelled:
 			// Cancelled: release the receive at the process's current
 			// clock instead of sleeping to its mail or deadline, so
 			// the body can observe the cancellation at its loop head.
 			p.replyMsg, p.replyOK = Message{}, false
-			p.state = stReady
-			p.resume <- struct{}{}
-			q := <-s.yield
-			if q.state == stDone {
-				running--
-				if q.panicVal != nil && firstPanic == nil {
-					firstPanic = fmt.Errorf("deme: process %d panicked: %v", q.id, q.panicVal)
-				}
-			}
-			continue
-		}
-		if p == nil {
-			// Global deadlock: every live process waits forever.
-			// Release them deterministically with ok=false.
-			p = s.minBlocked()
-			p.replyOK = false
-			p.replyMsg = Message{}
-			p.state = stReady
-		} else {
-			switch p.state {
-			case stTryRecv:
-				p.replyMsg, p.replyOK = s.deliver(p)
-			case stBlocked:
-				w := p.wake()
-				if math.IsInf(w, 1) {
-					// Only reachable when other procs can
-					// still send; pickNext guarantees w is
-					// minimal, so this is the deadlock path
-					// handled above. Defensive fallback:
-					p.replyOK = false
-					p.state = stReady
-					break
-				}
-				if w > p.clock {
-					p.clock = w
-				}
-				p.replyMsg, p.replyOK = s.deliver(p)
-			}
+		case p.state == stBlocked:
+			p.clock = p.wake()
+			p.replyMsg, p.replyOK = s.deliver(p)
+		case p.state == stTryRecv:
+			p.replyMsg, p.replyOK = s.deliver(p)
 		}
 		p.state = stReady
 		p.resume <- struct{}{}
@@ -343,12 +297,13 @@ func (s *Sim) Run(ctx context.Context, n int, body func(Proc)) error {
 	return firstPanic
 }
 
-// pickNext selects the live process with the smallest next event time:
-// ready processes keyed by their clock, blocked ones by their wake time.
-// Returns nil when all live processes are blocked forever.
+// pickNext selects the live process with the smallest next event time —
+// ready processes keyed by their clock, blocked ones by their wake time —
+// the lowest ID first on a tie. Every receive has a finite deadline, so
+// some live process always has a next event.
 func (s *Sim) pickNext() *simProc {
 	var best *simProc
-	bestKey := math.Inf(1)
+	var bestKey float64
 	for _, p := range s.procs {
 		var key float64
 		switch p.state {
@@ -359,35 +314,11 @@ func (s *Sim) pickNext() *simProc {
 		case stBlocked:
 			key = p.wake()
 		}
-		if key < bestKey || (key == bestKey && best != nil && p.id < best.id) {
+		if best == nil || key < bestKey {
 			best, bestKey = p, key
 		}
 	}
-	if best != nil && math.IsInf(bestKey, 1) {
-		return nil
-	}
 	return best
-}
-
-// minBlocked returns the lowest-ID blocked process (used on deadlock).
-func (s *Sim) minBlocked() *simProc {
-	ids := make([]int, 0, len(s.procs))
-	for _, p := range s.procs {
-		if p.state == stBlocked || p.state == stTryRecv {
-			ids = append(ids, p.id)
-		}
-	}
-	sort.Ints(ids)
-	if len(ids) == 0 {
-		// All remaining are ready; pick the first live one (cannot
-		// happen in a correct deadlock, defensive only).
-		for _, p := range s.procs {
-			if p.state != stDone {
-				return p
-			}
-		}
-	}
-	return s.procs[ids[0]]
 }
 
 // deliver pops the earliest deliverable message for p, charging the

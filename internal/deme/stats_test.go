@@ -15,8 +15,8 @@ func TestSimStats(t *testing.T) {
 			p.Send(1, 1, nil, 128)
 			p.Send(1, 2, nil, 128)
 		} else {
-			p.Recv()
-			p.Recv()
+			p.RecvTimeout(longWait)
+			p.RecvTimeout(longWait)
 		}
 	})
 	if err != nil {
@@ -78,7 +78,7 @@ func TestGoroutineStats(t *testing.T) {
 		if p.ID() == 0 {
 			p.Send(1, 1, nil, 64)
 		} else {
-			p.Recv()
+			p.RecvTimeout(longWait)
 		}
 	})
 	if err != nil {

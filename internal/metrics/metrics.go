@@ -5,9 +5,7 @@
 //     results column;
 //   - Hypervolume: the dominated volume w.r.t. a reference point
 //     (Zitzler's S-metric), in 3-D by inclusion–exclusion sweep;
-//   - Spacing: Schott's spacing, measuring how evenly a front is spread;
-//   - AdditiveEpsilon: the smallest shift making one front weakly dominate
-//     another.
+//   - Spacing: Schott's spacing, measuring how evenly a front is spread.
 //
 // All indicators operate on plain objective vectors so they work on any
 // front snapshot.
@@ -190,51 +188,4 @@ func manhattan(a, b solution.Objectives) float64 {
 		s += math.Abs(av[i] - bv[i])
 	}
 	return s
-}
-
-// AdditiveEpsilon returns the smallest eps such that every point of b is
-// weakly dominated by some point of a shifted by eps in every objective
-// (the additive epsilon indicator I_eps+(a, b)). Smaller is better; 0
-// means a already covers b. It is +Inf when either front is empty.
-func AdditiveEpsilon(a, b []solution.Objectives) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return math.Inf(1)
-	}
-	eps := math.Inf(-1)
-	for _, ob := range b {
-		best := math.Inf(1)
-		for _, oa := range a {
-			av, bv := oa.Values(), ob.Values()
-			worst := math.Inf(-1)
-			for i := range av {
-				if d := av[i] - bv[i]; d > worst {
-					worst = d
-				}
-			}
-			if worst < best {
-				best = worst
-			}
-		}
-		if best > eps {
-			eps = best
-		}
-	}
-	return eps
-}
-
-// PairwiseCoverage computes the paper's coverage presentation for one
-// algorithm against a pool of others: the average of C(mine, other) over
-// all runs in others ("how much I dominate") and the average of
-// C(other, mine) ("how much the others dominate me"). Each element of
-// others is one run's front.
-func PairwiseCoverage(mine []solution.Objectives, others [][]solution.Objectives) (dominate, dominated float64) {
-	if len(others) == 0 {
-		return 0, 0
-	}
-	for _, o := range others {
-		dominate += Coverage(mine, o)
-		dominated += Coverage(o, mine)
-	}
-	n := float64(len(others))
-	return dominate / n, dominated / n
 }

@@ -111,44 +111,6 @@ func TestSpacing(t *testing.T) {
 	}
 }
 
-func TestAdditiveEpsilon(t *testing.T) {
-	a := []solution.Objectives{o(1, 1, 1)}
-	b := []solution.Objectives{o(0, 0, 0)}
-	// a needs shift 1 to cover b.
-	if got := AdditiveEpsilon(a, b); got != 1 {
-		t.Errorf("eps(a,b) = %g, want 1", got)
-	}
-	// b already covers a: negative epsilon allowed (b is strictly better).
-	if got := AdditiveEpsilon(b, a); got != -1 {
-		t.Errorf("eps(b,a) = %g, want -1", got)
-	}
-	if got := AdditiveEpsilon(a, a); got != 0 {
-		t.Errorf("eps(a,a) = %g, want 0", got)
-	}
-	if !math.IsInf(AdditiveEpsilon(nil, a), 1) {
-		t.Error("empty front should give +Inf")
-	}
-}
-
-func TestPairwiseCoverage(t *testing.T) {
-	mine := []solution.Objectives{o(1, 1, 0)}
-	others := [][]solution.Objectives{
-		{o(2, 2, 0)},             // fully covered by mine
-		{o(0, 0, 0)},             // covers mine
-		{o(2, 0, 0), o(0, 2, 0)}, // neither covered
-	}
-	dom, domd := PairwiseCoverage(mine, others)
-	if math.Abs(dom-1.0/3) > 1e-12 {
-		t.Errorf("dominate = %g, want 1/3", dom)
-	}
-	if math.Abs(domd-1.0/3) > 1e-12 {
-		t.Errorf("dominated = %g, want 1/3", domd)
-	}
-	if d1, d2 := PairwiseCoverage(mine, nil); d1 != 0 || d2 != 0 {
-		t.Error("empty pool should give zeros")
-	}
-}
-
 func TestObjsHelpers(t *testing.T) {
 	front := []*solution.Solution{
 		{Obj: o(1, 2, 0)},

@@ -1,16 +1,14 @@
-// Package stats provides the descriptive statistics and significance tests
-// used in the paper's evaluation: mean ± standard deviation for the result
-// tables, and the pairwise (paired) t-test of §IV ("To test the statistical
-// significance a pairwise t-test was performed on the results"). A Welch
-// unequal-variance t-test and a Wilcoxon signed-rank test are included for
-// robustness checks. The Student-t CDF is computed from scratch through
-// the regularized incomplete beta function (Lentz's continued fraction).
+// Package stats provides the descriptive statistics and the significance
+// test used in the paper's evaluation: mean ± standard deviation for the
+// result tables, and the pairwise (paired) t-test of §IV ("To test the
+// statistical significance a pairwise t-test was performed on the
+// results"). The Student-t CDF is computed from scratch through the
+// regularized incomplete beta function (Lentz's continued fraction).
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
@@ -86,27 +84,6 @@ func PairedTTest(a, b []float64) (TTestResult, error) {
 		return TTestResult{T: math.Inf(sign(md)), DF: df, P: 0}, nil
 	}
 	t := md / (sd / math.Sqrt(float64(n)))
-	return TTestResult{T: t, DF: df, P: twoSidedP(t, df)}, nil
-}
-
-// WelchTTest performs an unequal-variance two-sample t-test with
-// Welch–Satterthwaite degrees of freedom.
-func WelchTTest(a, b []float64) (TTestResult, error) {
-	if len(a) < 2 || len(b) < 2 {
-		return TTestResult{}, errors.New("stats: need at least two samples per group")
-	}
-	ma, mb := Mean(a), Mean(b)
-	va, vb := Variance(a), Variance(b)
-	na, nb := float64(len(a)), float64(len(b))
-	se2 := va/na + vb/nb
-	if se2 == 0 {
-		if ma == mb {
-			return TTestResult{T: 0, DF: na + nb - 2, P: 1}, nil
-		}
-		return TTestResult{T: math.Inf(sign(ma - mb)), DF: na + nb - 2, P: 0}, nil
-	}
-	t := (ma - mb) / math.Sqrt(se2)
-	df := se2 * se2 / (va*va/(na*na*(na-1)) + vb*vb/(nb*nb*(nb-1)))
 	return TTestResult{T: t, DF: df, P: twoSidedP(t, df)}, nil
 }
 
@@ -206,62 +183,4 @@ func betaCF(a, b, x float64) float64 {
 		}
 	}
 	return h
-}
-
-// WilcoxonSignedRank performs the Wilcoxon signed-rank test on matched
-// samples with the normal approximation (suitable for n >= 10; zeros are
-// dropped, ties get average ranks). It returns the two-sided p-value.
-func WilcoxonSignedRank(a, b []float64) (w float64, p float64, err error) {
-	if len(a) != len(b) {
-		return 0, 0, errors.New("stats: paired samples must have equal length")
-	}
-	type pair struct {
-		abs  float64
-		sign float64
-	}
-	var pairs []pair
-	for i := range a {
-		d := a[i] - b[i]
-		if d == 0 {
-			continue
-		}
-		s := 1.0
-		if d < 0 {
-			s = -1
-		}
-		pairs = append(pairs, pair{abs: math.Abs(d), sign: s})
-	}
-	n := len(pairs)
-	if n < 2 {
-		return 0, 1, nil
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].abs < pairs[j].abs })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j < n && pairs[j].abs == pairs[i].abs {
-			j++
-		}
-		avg := float64(i+j+1) / 2 // average of ranks i+1..j
-		for k := i; k < j; k++ {
-			ranks[k] = avg
-		}
-		i = j
-	}
-	var wplus float64
-	for i, pr := range pairs {
-		if pr.sign > 0 {
-			wplus += ranks[i]
-		}
-	}
-	nf := float64(n)
-	mean := nf * (nf + 1) / 4
-	sd := math.Sqrt(nf * (nf + 1) * (2*nf + 1) / 24)
-	z := (wplus - mean) / sd
-	p = 2 * (1 - normCDF(math.Abs(z)))
-	return wplus, p, nil
-}
-
-func normCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }

@@ -144,49 +144,6 @@ func TestPairedTTestNoFalsePositiveRate(t *testing.T) {
 	}
 }
 
-func TestWelchTTest(t *testing.T) {
-	a := []float64{27.5, 21.0, 19.0, 23.6, 17.0, 17.9, 16.9, 20.1, 21.9, 22.6, 23.1, 19.6, 19.0, 21.7, 21.4}
-	b := []float64{27.1, 22.0, 20.8, 23.4, 23.4, 23.5, 25.8, 22.0, 24.8, 20.2, 21.9, 22.1, 22.9, 30.5, 31.2}
-	res, err := WelchTTest(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference values computed independently (Welch–Satterthwaite):
-	// t = -2.95132, df = 27.3501, p = 0.0064222.
-	approx(t, "welch t", res.T, -2.95132, 1e-4)
-	approx(t, "welch df", res.DF, 27.3501, 1e-3)
-	approx(t, "welch p", res.P, 0.0064222, 1e-5)
-	if _, err := WelchTTest(a[:1], b); err == nil {
-		t.Error("short sample accepted")
-	}
-}
-
-func TestWilcoxonSignedRank(t *testing.T) {
-	r := rng.New(3)
-	n := 30
-	a := make([]float64, n)
-	b := make([]float64, n)
-	for i := range a {
-		base := r.NormFloat64()
-		a[i] = base + 0.8
-		b[i] = base
-	}
-	_, p, err := WilcoxonSignedRank(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p > 0.001 {
-		t.Errorf("clear shift not detected: p=%g", p)
-	}
-	// Identical samples: all differences zero -> p=1.
-	if _, p, err = WilcoxonSignedRank(a, a); err != nil || p != 1 {
-		t.Errorf("identical samples: p=%g err=%v", p, err)
-	}
-	if _, _, err := WilcoxonSignedRank(a, b[:2]); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
 func TestStudentCDFMonotoneProperty(t *testing.T) {
 	f := func(raw1, raw2 int16, dfRaw uint8) bool {
 		t1 := float64(raw1) / 1000

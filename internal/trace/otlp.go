@@ -113,16 +113,6 @@ func Export(serviceName string, traces ...*Trace) ([]byte, error) {
 	return json.Marshal(otlpExport{ResourceSpans: []otlpResourceSpans{rs}})
 }
 
-// WriteOTLP writes the OTLP JSON document to w.
-func WriteOTLP(w io.Writer, serviceName string, traces ...*Trace) error {
-	b, err := Export(serviceName, traces...)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
 // ExportFile writes the OTLP JSON document to path (0644, truncating).
 func ExportFile(path, serviceName string, traces ...*Trace) error {
 	b, err := Export(serviceName, traces...)

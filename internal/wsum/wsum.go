@@ -61,19 +61,6 @@ func Lattice(n int) []Weights {
 	return out
 }
 
-// RandomWeights draws k weight vectors uniformly from the simplex.
-func RandomWeights(r *rng.Rand, k int) []Weights {
-	out := make([]Weights, k)
-	for i := range out {
-		a, b := r.Float64(), r.Float64()
-		if a > b {
-			a, b = b, a
-		}
-		out[i] = Weights{Distance: a, Vehicles: b - a, Tardiness: 1 - b}
-	}
-	return out
-}
-
 // Config parameterizes the multi-start weighted-sum Tabu Search.
 type Config struct {
 	// Weights to run; each gets an equal share of MaxEvaluations.

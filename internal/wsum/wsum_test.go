@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/rng"
 	"repro/internal/solution"
 	"repro/internal/vrptw"
 )
@@ -34,16 +33,6 @@ func TestLattice(t *testing.T) {
 	}
 	if len(Lattice(0)) != 3 {
 		t.Errorf("Lattice(min) should fall back to resolution 1")
-	}
-}
-
-func TestRandomWeightsOnSimplex(t *testing.T) {
-	r := rng.New(3)
-	for _, w := range RandomWeights(r, 100) {
-		sum := w.Distance + w.Vehicles + w.Tardiness
-		if math.Abs(sum-1) > 1e-9 || w.Distance < 0 || w.Vehicles < 0 || w.Tardiness < 0 {
-			t.Fatalf("invalid simplex point %+v", w)
-		}
 	}
 }
 

@@ -104,10 +104,6 @@ type (
 // a plan of its own.
 const WildcardProc = deme.WildcardProc
 
-// RuntimeStats returns per-process statistics of the runtime's most recent
-// run: rt.Stats().
-func RuntimeStats(rt Runtime) []ProcStats { return rt.Stats() }
-
 // Generate builds an extended-Solomon-style CVRPTW instance; it stands in
 // for the Homberger 400/600-city benchmark set (see DESIGN.md §2).
 func Generate(cfg GenConfig) (*Instance, error) { return vrptw.Generate(cfg) }
@@ -164,22 +160,12 @@ func Solve(alg Algorithm, in *Instance, cfg Config) (*Result, error) {
 	return core.Run(alg, in, cfg, deme.NewSim(deme.Origin3800()))
 }
 
-// SolveOn runs the algorithm on an explicit runtime backend.
-func SolveOn(alg Algorithm, in *Instance, cfg Config, rt Runtime) (*Result, error) {
-	return core.Run(alg, in, cfg, rt)
-}
-
-// SolveContext is Solve with cooperative cancellation: when ctx is
+// SolveOn runs the algorithm on an explicit runtime backend (rt.Stats()
+// then reports its processes) with cooperative cancellation: when ctx is
 // cancelled (or its deadline expires) the search stops within one
 // iteration and the partial result is returned with a nil error; check
 // ctx.Err() to distinguish a cancelled run from a completed one.
-func SolveContext(ctx context.Context, alg Algorithm, in *Instance, cfg Config) (*Result, error) {
-	return core.RunContext(ctx, alg, in, cfg, deme.NewSim(deme.Origin3800()))
-}
-
-// SolveOnContext is SolveOn with cooperative cancellation (see
-// SolveContext).
-func SolveOnContext(ctx context.Context, alg Algorithm, in *Instance, cfg Config, rt Runtime) (*Result, error) {
+func SolveOn(ctx context.Context, alg Algorithm, in *Instance, cfg Config, rt Runtime) (*Result, error) {
 	return core.RunContext(ctx, alg, in, cfg, rt)
 }
 

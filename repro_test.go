@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -41,7 +42,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	cfg.Processors = 3
-	par, err := SolveOn(Asynchronous, in, cfg, NewSimRuntime(Origin3800()))
+	par, err := SolveOn(context.Background(), Asynchronous, in, cfg, NewSimRuntime(Origin3800()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestFacadeGoroutineBackend(t *testing.T) {
 	cfg.MaxEvaluations = 1000
 	cfg.NeighborhoodSize = 40
 	cfg.Processors = 2
-	res, err := SolveOn(Collaborative, in, cfg, NewGoroutineRuntime())
+	res, err := SolveOn(context.Background(), Collaborative, in, cfg, NewGoroutineRuntime())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,16 +134,16 @@ func TestFacadeMOTSAndStats(t *testing.T) {
 	if got, want := frontDigest(res.Front), "927be20ab59e82fd"; got != want {
 		t.Errorf("MOTS front digest %s, want %s", got, want)
 	}
-	// RuntimeStats through the facade.
+	// A runtime's per-process statistics through the facade.
 	cfg := DefaultConfig()
 	cfg.MaxEvaluations = 500
 	cfg.NeighborhoodSize = 30
 	cfg.Processors = 3
 	rt := NewSimRuntime(Origin3800())
-	if _, err := SolveOn(Asynchronous, in, cfg, rt); err != nil {
+	if _, err := SolveOn(context.Background(), Asynchronous, in, cfg, rt); err != nil {
 		t.Fatal(err)
 	}
-	stats := RuntimeStats(rt)
+	stats := rt.Stats()
 	if len(stats) != 3 {
 		t.Fatalf("got %d proc stats, want 3", len(stats))
 	}
