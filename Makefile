@@ -142,11 +142,13 @@ chaos:
 # cluster-e2e runs the multi-node acceptance suite under the race
 # detector: the 3-node collaborative-share golden (bit-identical replay,
 # merged front dominates a same-budget single node), the kill-a-member
-# migration chaos test, coordinator partition handling, work stealing, and
-# the share fan-out/ingress race tests on the node side.
+# migration chaos test, coordinator partition handling, work stealing, a
+# share shard canceled while its sibling waits at an epoch, the
+# coordinator's cluster-wide tenant sum and its own healthz, and the
+# share fan-out/ingress race tests on the node side.
 cluster-e2e:
 	$(GO) test -race -count 1 -v \
-	  -run 'TestClusterShareGolden|TestClusterShareDominatesSingleNode|TestClusterKillMemberMigrates|TestCoordinatorPartition|TestClusterSteal|TestMergeFronts|TestSubmitValidation' \
+	  -run 'TestClusterShareGolden|TestClusterShareDominatesSingleNode|TestClusterKillMemberMigrates|TestCoordinatorPartition|TestClusterSteal|TestClusterShareSiblingCanceled|TestCoordinatorTenantsSum|TestCoordinatorHealthz|TestMergeFronts|TestSubmitValidation' \
 	  ./internal/cluster/
 	$(GO) test -race -count 1 -run 'TestShareSSEFanoutRace|TestShareIngressConcurrentSubscribers' ./internal/service/
 
