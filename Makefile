@@ -83,12 +83,12 @@ service-e2e:
 	$(GO) test -race -count 1 ./internal/service/ ./cmd/tsmod/ ./cmd/tsmoctl/
 
 # recover-e2e runs the durability acceptance suite under the race
-# detector: checkpoint/resume bit-identity across every variant, the
-# journal replay and crash-snapshot service tests, and the kill -9 daemon
+# detector: checkpoint/resume bit-identity across every variant, a resume
+# refusing routes that do not fit its instance, the journal replay and crash-snapshot service tests, and the kill -9 daemon
 # e2e (a real tsmod process SIGKILLed mid-job, restarted, and checked
 # against an uninterrupted reference run).
 recover-e2e:
-	$(GO) test -race -count 1 -run 'TestResumeBitIdentical|TestResumeRejectsMismatch|TestCheckpointConfigGuards' ./internal/core/
+	$(GO) test -race -count 1 -run 'TestResumeBitIdentical|TestResumeRejectsMismatch|TestResumeChecksRoutes|TestCheckpointConfigGuards' ./internal/core/
 	$(GO) test -race -count 1 -run 'TestJournal|TestDurable|TestCrashRecovery|TestIdempotent' ./internal/service/
 	$(GO) test -race -count 1 -v -run 'TestKill9Recovery' ./cmd/tsmod/
 
@@ -131,13 +131,14 @@ tenant-e2e:
 # detector: every scenario must complete, stay bit-identical across
 # repetitions, and no variant may deadlock when a process dies; a traced
 # run on the fault decorator records one deme.run span; every backend
-# fails a run whose receive has no finite timeout, and fault plans out of
-# range are refused.
+# fails a run whose receive has no finite timeout, the goroutine backend
+# waits out a finite timeout past the largest Duration instead of
+# overflowing it, and fault plans out of range are refused.
 chaos:
 	$(GO) test -race -count 1 -v \
 	  -run 'TestChaosScenarios|TestChaosGoroutineNoDeadlock|TestSyncTrajectoryMatchesSequential|TestMalformedPayloadSurfacesAsError|TestFaultyRunRecordsOneDemeRun' \
 	  ./internal/core/
-	$(GO) test -race -count 1 -run 'TestFaulty|TestParseFaultPlans|TestGoroutineAlive|TestRecvTimeoutNeedsFiniteTimeout' ./internal/deme/
+	$(GO) test -race -count 1 -run 'TestFaulty|TestParseFaultPlans|TestGoroutineAlive|TestRecvTimeoutNeedsFiniteTimeout|TestGoroutineRecvTimeoutClamped' ./internal/deme/
 
 # cluster-e2e runs the multi-node acceptance suite under the race
 # detector: the 3-node collaborative-share golden (bit-identical replay,

@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/pareto"
 	"repro/internal/resultio"
 	"repro/internal/rng"
 	"repro/internal/service"
@@ -57,10 +58,12 @@ type Config struct {
 	// RetryAfter is the backoff hint attached to 503 responses when no
 	// live member can take work. Default 2s.
 	RetryAfter time.Duration
-	// CallTimeout bounds each control call (heartbeat, status poll,
-	// checkpoint fetch). Streaming share proxies are exempt. Default 5s.
+	// CallTimeout bounds each control call (heartbeat, submission,
+	// status poll, result and checkpoint fetch, tenant poll, cancel),
+	// reading the reply included. Streaming share proxies are exempt.
+	// Default 5s.
 	CallTimeout time.Duration
-	// Logger, when non-nil, receives cluster lifecycle log lines.
+	// Logger receives cluster lifecycle log lines. nil logs nothing.
 	Logger *slog.Logger
 	// Version is reported by the coordinator's own /v1/healthz.
 	Version string
@@ -133,8 +136,11 @@ type member struct {
 // Coordinator routes, monitors, steals and migrates. All state is guarded
 // by mu; member-bound HTTP calls happen outside the lock.
 type Coordinator struct {
-	cfg    Config
-	client *http.Client
+	cfg Config
+	// ctl is Config.Client with Config.CallTimeout as its Timeout: the
+	// client of every control call. Share proxies stream on
+	// Config.Client itself.
+	ctl *http.Client
 
 	mu      sync.Mutex
 	members map[string]*member
@@ -156,9 +162,14 @@ func New(cfg Config) *Coordinator {
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = 5 * time.Second
 	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
+	}
+	ctl := *cfg.Client
+	ctl.Timeout = cfg.CallTimeout
 	c := &Coordinator{
 		cfg:     cfg,
-		client:  cfg.Client,
+		ctl:     &ctl,
 		members: make(map[string]*member),
 		jobs:    make(map[string]*clusterJob),
 	}
@@ -166,18 +177,6 @@ func New(cfg Config) *Coordinator {
 		c.members[url] = &member{URL: url, Alive: true}
 	}
 	return c
-}
-
-func (c *Coordinator) logWarn(msg string, args ...any) {
-	if c.cfg.Logger != nil {
-		c.cfg.Logger.Warn(msg, args...)
-	}
-}
-
-func (c *Coordinator) logInfo(msg string, args ...any) {
-	if c.cfg.Logger != nil {
-		c.cfg.Logger.Info(msg, args...)
-	}
 }
 
 // shardSpecs splits a cluster request into per-shard service specs. Seeds
@@ -260,14 +259,14 @@ func (c *Coordinator) Submit(req JobRequest, traceparent, auth string) (*cluster
 			// placed and bounce the verdict back to the caller as a 400.
 			for _, prev := range j.Shards {
 				if prev.JobID != "" {
-					c.cancelJob(prev.Node, prev.JobID) //nolint:errcheck // best-effort cleanup
+					call(context.Background(), c.ctl, http.MethodDelete, prev.Node+"/v1/jobs/"+prev.JobID, nil, nil) // best-effort cleanup
 				}
 			}
 			return nil, err
 		}
 		if err != nil {
 			errors.As(err, &bp)
-			c.logWarn("cluster: shard placement deferred", "job", id, "shard", sh.Shard, "error", err)
+			c.cfg.Logger.Warn("cluster: shard placement deferred", "job", id, "shard", sh.Shard, "error", err)
 			continue
 		}
 		placed++
@@ -284,7 +283,7 @@ func (c *Coordinator) Submit(req JobRequest, traceparent, auth string) (*cluster
 	c.jobs[id] = j
 	c.order = append(c.order, id)
 	c.mu.Unlock()
-	c.logInfo("cluster: job accepted", "job", id, "shards", req.Shards, "placed", placed)
+	c.cfg.Logger.Info("cluster: job accepted", "job", id, "shards", req.Shards, "placed", placed)
 	return j, nil
 }
 
@@ -332,33 +331,42 @@ func (c *Coordinator) place(j *clusterJob, sh *shardState) error {
 		if sh.ckpt != nil {
 			spec.Resume = sh.ckpt
 		}
-		jobID, err := c.submitTo(node, spec, j.Traceparent, j.Auth)
-		var rej *rejectedError
-		if errors.As(err, &rej) {
-			return err
+		r := call(context.Background(), c.ctl, http.MethodPost, node+"/v1/jobs", spec,
+			map[string]string{"traceparent": j.Traceparent, "Authorization": j.Auth})
+		var sub service.SubmitResponse
+		err := r.decode(http.StatusAccepted, &sub)
+		if err != nil {
+			err = fmt.Errorf("submit: %w", err)
 		}
-		var nbp *backpressureError
-		if errors.As(err, &nbp) {
-			// Keep the verdict promising the soonest retry; a co-tenant's
-			// lane freeing on any one node unblocks the caller.
-			if bp == nil || retrySeconds(nbp.retryAfter) < retrySeconds(bp.retryAfter) {
-				bp = nbp
+		switch {
+		case err == nil:
+			c.mu.Lock()
+			sh.Node, sh.JobID, sh.State = node, sub.ID, service.StateQueued
+			c.mu.Unlock()
+			c.cfg.Logger.Info("cluster: shard placed", "job", j.ID, "shard", sh.Shard, "node", node,
+				"node_job", sub.ID, "attempt", sh.Attempt, "barrier", sh.Barrier)
+			return nil
+		case r.status == http.StatusTooManyRequests || r.status == http.StatusServiceUnavailable:
+			// Backpressure from a healthy node: quota, full queue,
+			// draining, load shed. Keep the verdict promising the soonest
+			// retry, with the member's Retry-After verbatim; a
+			// co-tenant's lane freeing on any one node unblocks the
+			// caller.
+			ra := r.header.Get("Retry-After")
+			if bp == nil || retrySeconds(ra) < retrySeconds(bp.retryAfter) {
+				bp = &backpressureError{status: r.status, retryAfter: ra, err: err}
 			}
 			tried[node] = true
-			c.logInfo("cluster: member backpressure, trying next", "node", node, "error", err)
-			continue
-		}
-		if err != nil {
-			c.logWarn("cluster: submission failed, marking node dead", "node", node, "error", err)
+			c.cfg.Logger.Info("cluster: member backpressure, trying next", "node", node, "error", err)
+		case r.status >= 400 && r.status < 500:
+			// Any other 4xx is the member's verdict on the spec, not on
+			// its own health: every node enforces the same limits, so
+			// retrying elsewhere would reject everywhere.
+			return &rejectedError{err}
+		default:
+			c.cfg.Logger.Warn("cluster: submission failed, marking node dead", "node", node, "error", err)
 			c.markDead(node)
-			continue
 		}
-		c.mu.Lock()
-		sh.Node, sh.JobID, sh.State = node, jobID, service.StateQueued
-		c.mu.Unlock()
-		c.logInfo("cluster: shard placed", "job", j.ID, "shard", sh.Shard, "node", node,
-			"node_job", jobID, "attempt", sh.Attempt, "barrier", sh.Barrier)
-		return nil
 	}
 }
 
@@ -438,27 +446,24 @@ func (c *Coordinator) Tick() TickReport {
 
 	// Heartbeats refresh liveness and load.
 	for _, url := range c.cfg.Peers {
-		st, err := c.healthz(url)
+		var st service.Stats
+		err := call(context.Background(), c.ctl, http.MethodGet, url+"/v1/healthz", nil, nil).decode(http.StatusOK, &st)
 		c.mu.Lock()
 		m := c.members[url]
+		was := m.Alive
 		if err != nil {
-			if m.Alive {
-				c.mu.Unlock()
-				c.logWarn("cluster: member lost", "node", url, "error", err)
-				c.mu.Lock()
-			}
 			m.Alive = false
 			rep.Dead++
 		} else {
-			if !m.Alive {
-				c.mu.Unlock()
-				c.logInfo("cluster: member joined", "node", url)
-				c.mu.Lock()
-			}
-			m.Alive, m.Stats, m.LastSeen, m.placed = true, *st, time.Now(), 0
+			m.Alive, m.Stats, m.LastSeen, m.placed = true, st, time.Now(), 0
 			rep.Alive++
 		}
 		c.mu.Unlock()
+		if err != nil && was {
+			c.cfg.Logger.Warn("cluster: member lost", "node", url, "error", err)
+		} else if err == nil && !was {
+			c.cfg.Logger.Info("cluster: member joined", "node", url)
+		}
 	}
 
 	// Poll shards and migrate the stranded ones.
@@ -493,11 +498,11 @@ func (c *Coordinator) Tick() TickReport {
 					c.mu.Lock()
 					sh.State, sh.Error = service.StateFailed, err.Error()
 					c.mu.Unlock()
-					c.logWarn("cluster: migration rejected, shard failed",
+					c.cfg.Logger.Warn("cluster: migration rejected, shard failed",
 						"job", j.ID, "shard", sh.Shard, "error", err)
 					continue
 				}
-				c.logWarn("cluster: migration deferred, no live node", "job", j.ID, "shard", sh.Shard)
+				c.cfg.Logger.Warn("cluster: migration deferred, no live node", "job", j.ID, "shard", sh.Shard)
 				continue
 			}
 			rep.Migrations++
@@ -512,36 +517,42 @@ func (c *Coordinator) Tick() TickReport {
 // finished, and its newest checkpoint (the migration artifact — cached
 // eagerly, because once the node dies it is too late to ask).
 func (c *Coordinator) pollShard(j *clusterJob, sh *shardState) {
-	st, err := c.jobStatus(sh.Node, sh.JobID)
-	if err != nil {
-		c.logWarn("cluster: shard poll failed", "job", j.ID, "shard", sh.Shard, "node", sh.Node, "error", err)
+	job := sh.Node + "/v1/jobs/" + sh.JobID
+	var st struct {
+		State service.State `json:"state"`
+		Error string        `json:"error"`
+	}
+	if err := call(context.Background(), c.ctl, http.MethodGet, job, nil, nil).decode(http.StatusOK, &st); err != nil {
+		c.cfg.Logger.Warn("cluster: shard poll failed", "job", j.ID, "shard", sh.Shard, "node", sh.Node, "error", err)
 		c.markDead(sh.Node)
 		return
 	}
 	if st.State.Terminal() {
 		var front *resultio.FrontFile
 		if st.State == service.StateDone {
-			front, err = c.jobResult(sh.Node, sh.JobID)
-			if err != nil {
+			front = new(resultio.FrontFile)
+			if err := call(context.Background(), c.ctl, http.MethodGet, job+"/result", nil, nil).decode(http.StatusOK, front); err != nil {
 				// The node answered the status poll but not the result
 				// fetch; leave the shard non-terminal and let the next
 				// tick retry (or migrate, if the node died in between).
-				c.logWarn("cluster: result fetch failed", "job", j.ID, "shard", sh.Shard, "error", err)
+				c.cfg.Logger.Warn("cluster: result fetch failed", "job", j.ID, "shard", sh.Shard, "error", err)
 				return
 			}
 		}
 		c.mu.Lock()
 		sh.State, sh.Error, sh.front = st.State, st.Error, front
 		c.mu.Unlock()
-		c.logInfo("cluster: shard finished", "job", j.ID, "shard", sh.Shard, "state", string(st.State))
+		c.cfg.Logger.Info("cluster: shard finished", "job", j.ID, "shard", sh.Shard, "state", string(st.State))
 		return
 	}
 	c.mu.Lock()
 	sh.State = st.State
 	c.mu.Unlock()
-	if data, barrier, err := c.jobCheckpoint(sh.Node, sh.JobID); err == nil && barrier > sh.Barrier {
+	r := call(context.Background(), c.ctl, http.MethodGet, job+"/checkpoint", nil, nil)
+	barrier, _ := strconv.Atoi(r.header.Get("X-Checkpoint-Barrier")) //nolint:errcheck // 0 on absence
+	if r.decode(http.StatusOK, nil) == nil && barrier > sh.Barrier {
 		c.mu.Lock()
-		sh.ckpt, sh.Barrier = data, barrier
+		sh.ckpt, sh.Barrier = r.body, barrier
 		c.mu.Unlock()
 	}
 }
@@ -575,8 +586,8 @@ func (c *Coordinator) steal() int {
 			if !hot {
 				continue
 			}
-			if err := c.cancelJob(sh.Node, sh.JobID); err != nil {
-				c.logWarn("cluster: steal cancel failed", "job", j.ID, "shard", sh.Shard, "error", err)
+			if err := call(context.Background(), c.ctl, http.MethodDelete, sh.Node+"/v1/jobs/"+sh.JobID, nil, nil).decode(http.StatusOK, nil); err != nil {
+				c.cfg.Logger.Warn("cluster: steal cancel failed", "job", j.ID, "shard", sh.Shard, "error", err)
 				continue
 			}
 			c.mu.Lock()
@@ -588,7 +599,7 @@ func (c *Coordinator) steal() int {
 				// tick's migration pass re-places the shard.
 				return 0
 			}
-			c.logInfo("cluster: stole queued shard", "job", j.ID, "shard", sh.Shard, "to", idle)
+			c.cfg.Logger.Info("cluster: stole queued shard", "job", j.ID, "shard", sh.Shard, "to", idle)
 			return 1
 		}
 	}
@@ -684,18 +695,13 @@ func MergeFronts(recs []resultio.SolutionRecord) []resultio.SolutionRecord {
 	obj := func(r resultio.SolutionRecord) solution.Objectives {
 		return solution.Objectives{Distance: r.Distance, Vehicles: r.Vehicles, Tardiness: r.Tardiness}
 	}
+	objs := make([]solution.Objectives, len(recs))
+	for i, r := range recs {
+		objs[i] = obj(r)
+	}
 	var front []resultio.SolutionRecord
-	for _, r := range recs {
-		dominated := false
-		for _, q := range recs {
-			if obj(q).Dominates(obj(r)) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, r)
-		}
+	for _, i := range pareto.NondominatedIndices(objs) {
+		front = append(front, recs[i])
 	}
 	sort.Slice(front, func(i, k int) bool {
 		a, b := obj(front[i]).Values(), obj(front[k]).Values()
@@ -721,29 +727,27 @@ func MergeFronts(recs []resultio.SolutionRecord) []resultio.SolutionRecord {
 // keyed by tenant. Policy comes from the first member reporting the
 // tenant (the keyfile is shared, so they agree).
 func (c *Coordinator) TenantsReport() map[string]service.TenantStatus {
-	c.mu.Lock()
-	peers := append([]string(nil), c.cfg.Peers...)
-	c.mu.Unlock()
 	agg := make(map[string]service.TenantStatus)
-	for _, url := range peers {
+	for _, url := range c.cfg.Peers {
 		if !c.alive(url) {
 			continue
 		}
-		mt, err := c.memberTenants(url)
+		var body struct {
+			Tenants map[string]service.TenantStatus `json:"tenants"`
+		}
+		err := call(context.Background(), c.ctl, http.MethodGet, url+"/v1/tenants", nil, nil).decode(http.StatusOK, &body)
 		if err != nil {
-			c.logWarn("cluster: tenant poll failed", "node", url, "error", err)
+			c.cfg.Logger.Warn("cluster: tenant poll failed", "node", url, "error", err)
 			continue
 		}
-		for name, ts := range mt {
+		for name, ts := range body.Tenants {
 			a, ok := agg[name]
 			if !ok {
 				a.Policy = ts.Policy
 			}
 			a.Lane.Queued += ts.Lane.Queued
 			a.Lane.Running += ts.Lane.Running
-			if ts.Lane.Weight > a.Lane.Weight {
-				a.Lane.Weight = ts.Lane.Weight
-			}
+			a.Lane.Weight = max(a.Lane.Weight, ts.Lane.Weight)
 			a.Submitted += ts.Submitted
 			a.Rejected += ts.Rejected
 			agg[name] = a
@@ -754,174 +758,66 @@ func (c *Coordinator) TenantsReport() map[string]service.TenantStatus {
 
 // ---- member HTTP calls ----------------------------------------------------
 
-func (c *Coordinator) call(method, url string, body io.Reader) (*http.Response, context.CancelFunc, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
+// reply is a member's answer to one control call: its status, headers
+// and body read in full, or err when the call got no answer (status 0).
+type reply struct {
+	status int
+	header http.Header
+	body   []byte
+	err    error
+}
+
+// call issues one control call to a member: it sends the request — body
+// JSON-encoded when non-nil, every non-empty header set — under ctx on
+// client and reads the whole reply, so the connection returns to the
+// pool. The coordinator calls on its ctl client, which times each call
+// out after Config.CallTimeout; a share follower calls under its
+// gatherer's context, which Close cancels.
+func call(ctx context.Context, client *http.Client, method, url string, body any, header map[string]string) reply {
+	var rd io.Reader
+	if body != nil {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return reply{err: err}
+		}
+		rd = bytes.NewReader(data)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		cancel()
-		return nil, nil, err
+		return reply{err: err}
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		cancel()
-		return nil, nil, err
-	}
-	return resp, cancel, nil
-}
-
-func (c *Coordinator) healthz(node string) (*service.Stats, error) {
-	resp, cancel, err := c.call(http.MethodGet, node+"/v1/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer cancel()
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("healthz: %s", resp.Status)
-	}
-	var st service.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-func (c *Coordinator) submitTo(node string, spec service.JobSpec, traceparent, auth string) (string, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return "", err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if traceparent != "" {
-		req.Header.Set("traceparent", traceparent)
-	}
-	if auth != "" {
-		req.Header.Set("Authorization", auth)
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusAccepted {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024)) //nolint:errcheck // best-effort detail
-		err := fmt.Errorf("submit: %s: %s", resp.Status, bytes.TrimSpace(msg))
-		// 429 and 503 are backpressure from a healthy node — quota, full
-		// queue, draining, load shed. Capture the member's Retry-After
-		// verbatim so the caller can see the real hint if every node
-		// pushes back.
-		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-			return "", &backpressureError{status: resp.StatusCode,
-				retryAfter: resp.Header.Get("Retry-After"), err: err}
+	for k, v := range header {
+		if v != "" {
+			req.Header.Set(k, v)
 		}
-		// Any other 4xx is the member's verdict on the spec, not on its
-		// own health: every node enforces the same limits, so retrying
-		// elsewhere would reject everywhere. Wrap it so placement aborts
-		// instead of marking healthy nodes dead.
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return "", &rejectedError{err}
-		}
-		return "", err
 	}
-	var sub service.SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		return "", err
-	}
-	return sub.ID, nil
-}
-
-func (c *Coordinator) jobStatus(node, jobID string) (*service.Status, error) {
-	resp, cancel, err := c.call(http.MethodGet, node+"/v1/jobs/"+jobID, nil)
+	resp, err := client.Do(req)
 	if err != nil {
-		return nil, err
+		return reply{err: err}
 	}
-	defer cancel()
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status: %s", resp.Status)
-	}
-	var st service.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-func (c *Coordinator) jobResult(node, jobID string) (*resultio.FrontFile, error) {
-	resp, cancel, err := c.call(http.MethodGet, node+"/v1/jobs/"+jobID+"/result", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer cancel()
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("result: %s", resp.Status)
-	}
-	return resultio.Read(resp.Body)
-}
-
-func (c *Coordinator) jobCheckpoint(node, jobID string) ([]byte, int, error) {
-	resp, cancel, err := c.call(http.MethodGet, node+"/v1/jobs/"+jobID+"/checkpoint", nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer cancel()
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, fmt.Errorf("checkpoint: %s", resp.Status)
-	}
+	defer resp.Body.Close() //nolint:errcheck // read side
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, 0, err
+		return reply{err: err}
 	}
-	barrier, _ := strconv.Atoi(resp.Header.Get("X-Checkpoint-Barrier")) //nolint:errcheck // 0 on absence
-	return data, barrier, nil
+	return reply{status: resp.StatusCode, header: resp.Header, body: data}
 }
 
-func (c *Coordinator) memberTenants(node string) (map[string]service.TenantStatus, error) {
-	resp, cancel, err := c.call(http.MethodGet, node+"/v1/tenants", nil)
-	if err != nil {
-		return nil, err
+// decode returns the call's error, fails a reply whose status is not
+// want with the member's own error text, and otherwise unmarshals the
+// JSON body into v (when v is non-nil).
+func (r reply) decode(want int, v any) error {
+	if r.err != nil {
+		return r.err
 	}
-	defer cancel()
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("tenants: %s", resp.Status)
+	if r.status != want {
+		return fmt.Errorf("%d %s: %s", r.status, http.StatusText(r.status), bytes.TrimSpace(r.body))
 	}
-	var body struct {
-		Tenants map[string]service.TenantStatus `json:"tenants"`
+	if v == nil {
+		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, err
-	}
-	return body.Tenants, nil
-}
-
-func (c *Coordinator) cancelJob(node, jobID string) error {
-	resp, cancel, err := c.call(http.MethodDelete, node+"/v1/jobs/"+jobID, nil)
-	if err != nil {
-		return err
-	}
-	defer cancel()
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cancel: %s", resp.Status)
-	}
-	return nil
-}
-
-// drain consumes and closes a response body so the transport's connection
-// can be reused.
-func drain(resp *http.Response) {
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10)) //nolint:errcheck // best effort
-	resp.Body.Close()                                      //nolint:errcheck // read side
+	return json.Unmarshal(r.body, v)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -182,25 +183,13 @@ func (g *gatherer) follow(shard int) {
 // another node". Unreachable or undecided answers report false: the
 // follower keeps re-dialing, which is always safe.
 func (g *gatherer) shardFinished(shard int) bool {
-	req, err := http.NewRequestWithContext(g.ctx, http.MethodGet, g.base+"/v1/jobs/"+g.group, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return false
-	}
 	var st struct {
 		Shards []struct {
 			Shard int           `json:"shard"`
 			State service.State `json:"state"`
 		} `json:"shards"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if call(g.ctx, g.client, http.MethodGet, g.base+"/v1/jobs/"+g.group, nil, nil).decode(http.StatusOK, &st) != nil {
 		return false
 	}
 	for _, sh := range st.Shards {
@@ -243,6 +232,13 @@ func (g *gatherer) stream(shard int, peer string, cursor *int) (bool, error) {
 		return !done
 	})
 	return done, err // not done: the stream ended or broke; reconnect from the cursor
+}
+
+// drain consumes and closes a response body so the transport's connection
+// can be reused.
+func drain(resp *http.Response) {
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10)) //nolint:errcheck // best effort
+	resp.Body.Close()                                      //nolint:errcheck // read side
 }
 
 // dispatch folds one complete SSE frame into the peer's feed and reports

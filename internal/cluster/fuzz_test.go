@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/solution"
 	"repro/internal/sse"
 	"repro/internal/telemetry"
 	"repro/internal/vrptw"
@@ -68,11 +69,14 @@ func FuzzClusterMessages(f *testing.F) {
 			}
 		}
 
-		// Route payloads inside a batch hit the core trust boundary.
+		// Route payloads inside a batch hit the core trust boundary: a
+		// plan the check accepts must build without a panic.
 		var b core.ShareBatch
 		if json.Unmarshal(data, &b) == nil {
 			for _, routes := range b.Solutions {
-				_ = core.ValidateShareRoutes(in, routes) // must not panic
+				if solution.CheckRoutes(in, routes) == nil {
+					solution.New(in, routes)
+				}
 			}
 		}
 	})

@@ -227,7 +227,7 @@ func (c *Coordinator) handleShareProxy(w http.ResponseWriter, r *http.Request) {
 	if id := r.Header.Get("Last-Event-ID"); id != "" {
 		req.Header.Set("Last-Event-ID", id)
 	}
-	resp, err := c.client.Do(req)
+	resp, err := c.cfg.Client.Do(req)
 	if err != nil {
 		c.markDead(node)
 		c.retryAfter(w)

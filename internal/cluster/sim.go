@@ -5,11 +5,12 @@
 // races — so every cluster behavior runs bit-for-bit reproducibly inside
 // go test. Node-level faults are first-class: Kill stops a node the way
 // SIGKILL would (its jobs die mid-flight, its address stops resolving),
-// Partition makes it unreachable while its jobs keep running, Heal undoes
-// a partition. The search itself runs on the deterministic deme simulator
-// (the service default), so fault timing perturbs wall-clock interleaving
-// only — never the search trajectories, which is what makes the chaos
-// suite's run-twice bit-identity assertions possible.
+// PartitionCoordinator cuts every node off while its jobs keep running,
+// and HealAll undoes that. The search itself runs on the deterministic
+// deme simulator (the service default), so fault timing perturbs
+// wall-clock interleaving only — never the search trajectories, which is
+// what makes the chaos suite's run-twice bit-identity assertions
+// possible.
 package cluster
 
 import (
@@ -236,7 +237,7 @@ func NewSim(opts SimOptions) (*SimCluster, error) {
 
 // Kill stops node i the way SIGKILL would: its address stops resolving,
 // its in-flight streams break, and its running jobs die. The node stays
-// dead (use Partition/Heal for a temporary outage).
+// dead.
 func (sc *SimCluster) Kill(i int) {
 	sc.Transport.SetDown(hostOf(sc.NodeURLs[i]), true)
 	for _, j := range sc.Nodes[i].Jobs() {
@@ -246,19 +247,12 @@ func (sc *SimCluster) Kill(i int) {
 	}
 }
 
-// Partition makes node i unreachable without stopping its work — the
-// classic asymmetric failure the coordinator must treat as death.
-func (sc *SimCluster) Partition(i int) { sc.Transport.SetDown(hostOf(sc.NodeURLs[i]), true) }
-
 // PartitionCoordinator cuts the coordinator off from everyone.
 func (sc *SimCluster) PartitionCoordinator() {
 	for _, url := range sc.NodeURLs {
 		sc.Transport.SetDown(hostOf(url), true)
 	}
 }
-
-// Heal reconnects node i.
-func (sc *SimCluster) Heal(i int) { sc.Transport.SetDown(hostOf(sc.NodeURLs[i]), false) }
 
 // HealAll reconnects every node.
 func (sc *SimCluster) HealAll() {

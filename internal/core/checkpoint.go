@@ -796,7 +796,10 @@ func (s *searcher) collabBarrier(p deme.Proc) (bool, error) {
 // verified against the instance and the rest of the configuration through
 // the stored digests), every process restores its part, and the run
 // continues to its configured budget. On the simulator backend the result
-// is bit-identical to the uninterrupted run.
+// is bit-identical to the uninterrupted run. A checkpoint comes from
+// outside the run, and the digests do not cover its routes, so every
+// route set a part restores is checked against the instance with
+// solution.CheckRoutes before any process starts.
 func ResumeContext(ctx context.Context, ck *Checkpoint, in *vrptw.Instance, cfg Config, rt deme.Runtime) (*Result, error) {
 	if ck == nil {
 		return nil, fmt.Errorf("core: nil checkpoint")
@@ -804,6 +807,21 @@ func ResumeContext(ctx context.Context, ck *Checkpoint, in *vrptw.Instance, cfg 
 	alg, err := ParseAlgorithm(ck.Algorithm)
 	if err != nil {
 		return nil, err
+	}
+	for _, part := range ck.Parts {
+		if part == nil || part.Worker {
+			continue
+		}
+		sets := append([][][]int{part.Cur}, part.Nondom...)
+		sets = append(sets, part.Archive...)
+		for _, pc := range part.Pending {
+			sets = append(sets, pc.Routes)
+		}
+		for _, routes := range sets {
+			if err := solution.CheckRoutes(in, routes); err != nil {
+				return nil, fmt.Errorf("core: checkpoint part %d: %w", part.ID, err)
+			}
+		}
 	}
 	cfg.Seed = ck.Seed
 	cfg.Processors = ck.Processors

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/deme"
@@ -186,6 +187,70 @@ func TestResumeRejectsMismatch(t *testing.T) {
 		if _, err := DecodeCheckpoint(data); err == nil {
 			t.Errorf("decode accepted wait %v, recv %v, evict %d", bad.WaitTimeout, bad.RecvTimeout, bad.EvictAfter)
 		}
+	}
+}
+
+// TestResumeChecksRoutes corrupts the routes of one searcher part in
+// each route set it restores: a customer past N in its current solution,
+// a customer routed twice in M_nondom, one left out of the archive, and
+// an empty route in a pending candidate. The digests cover the instance
+// and the config, not the routes, so each corrupted checkpoint encodes,
+// decodes and matches the run; ResumeContext must refuse it, naming the
+// part, before any process starts rather than fail or search on inside
+// one.
+func TestResumeChecksRoutes(t *testing.T) {
+	in := testInstance(t, 40)
+	cfg := smallConfig()
+	cfg.MaxEvaluations = 1500
+	cfg.NeighborhoodSize = 30
+	cfg.CheckpointEvery = 5
+	cfg.Processors = 3
+	_, cks := runWithCheckpoints(t, Asynchronous, in, cfg)
+	var base []byte
+	for _, ck := range cks {
+		if len(ck.Parts[0].Pending) > 0 {
+			var err error
+			if base, err = EncodeCheckpoint(ck); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	if base == nil {
+		t.Fatal("no checkpoint holds pending candidates")
+	}
+	grow := func(r []int, c ...int) []int { return append(append([]int(nil), r...), c...) }
+	for name, edit := range map[string]func(*SearcherState){
+		"customer past N in cur": func(st *SearcherState) { st.Cur[0] = grow(st.Cur[0], in.N()+5) },
+		"customer twice in nondom": func(st *SearcherState) {
+			st.Nondom[0][0] = grow(st.Nondom[0][0], st.Nondom[0][1][0])
+		},
+		"customer missing from archive": func(st *SearcherState) {
+			last := len(st.Archive[0]) - 1
+			st.Archive[0] = append(append([][]int(nil), st.Archive[0][:last]...), grow(st.Archive[0][last])[1:])
+		},
+		"empty route in pending": func(st *SearcherState) {
+			st.Pending[0].Routes = append(append([][]int(nil), st.Pending[0].Routes...), []int{})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ck, err := DecodeCheckpoint(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edit(ck.Parts[0])
+			data, err := EncodeCheckpoint(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck, err = DecodeCheckpoint(data); err != nil {
+				t.Fatalf("decode refused the corrupted routes: %v", err)
+			}
+			_, err = ResumeContext(t.Context(), ck, in, cfg, deme.NewSim(deme.Origin3800()))
+			if err == nil || !strings.Contains(err.Error(), "checkpoint part 0") || strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("resume = %v; want the route check to refuse part 0", err)
+			}
+		})
 	}
 }
 

@@ -93,6 +93,27 @@ func DefaultCostModel() CostModel {
 	}
 }
 
+// check refuses a negative or non-finite cost, naming its field: the
+// simulated clock charges the costs, and the coordination timeouts, which
+// every deme receive needs finite, derive from them.
+func (c *CostModel) check() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"EvalBase", c.EvalBase},
+		{"EvalPerCustomer", c.EvalPerCustomer},
+		{"EvalPerRouteCustomer", c.EvalPerRouteCustomer},
+		{"OverheadPerNeighbor", c.OverheadPerNeighbor},
+		{"ConstructPerCustomer", c.ConstructPerCustomer},
+	} {
+		if !(f.v >= 0 && f.v <= math.MaxFloat64) {
+			return fmt.Errorf("core: Cost.%s must be finite and >= 0, got %v", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // evalCost returns the modeled cost of producing and evaluating one
 // candidate deploying the given number of routes. The model charges the
 // paper's full-materialization price regardless of how the candidate was
@@ -387,7 +408,7 @@ func (c *Config) validate(in *vrptw.Instance, alg Algorithm) error {
 	default:
 		return fmt.Errorf("core: unknown algorithm %d", int(alg))
 	}
-	if err := checkCoordination(c.WaitTimeout, c.RecvTimeout, c.EvictAfter); err != nil {
+	if err := c.Cost.check(); err != nil {
 		return err
 	}
 	chunk := c.NeighborhoodSize / c.Processors
@@ -408,7 +429,9 @@ func (c *Config) validate(in *vrptw.Instance, alg Algorithm) error {
 	if c.EvictAfter == 0 {
 		c.EvictAfter = 2
 	}
-	return nil
+	// Checked as derived, so costs too large for the derivation are
+	// refused as well.
+	return checkCoordination(c.WaitTimeout, c.RecvTimeout, c.EvictAfter)
 }
 
 // checkCoordination rejects a negative, infinite or NaN WaitTimeout or

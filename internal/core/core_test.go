@@ -8,6 +8,7 @@ import (
 	"repro/internal/deme"
 	"repro/internal/operators"
 	"repro/internal/solution"
+	"repro/internal/telemetry"
 	"repro/internal/vrptw"
 )
 
@@ -280,6 +281,15 @@ func TestConfigValidation(t *testing.T) {
 		func() Config { c := smallConfig(); c.RecvTimeout = math.NaN(); return c }(),
 		func() Config { c := smallConfig(); c.RecvTimeout = math.Inf(1); return c }(),
 		func() Config { c := smallConfig(); c.EvictAfter = -1; return c }(),
+		// Cost fields: the coordination timeouts derive from them, so a
+		// NaN, infinite or negative cost, or one whose derived timeout
+		// overflows, must be refused before the run starts.
+		func() Config { c := smallConfig(); c.Cost.EvalBase = math.NaN(); return c }(),
+		func() Config { c := smallConfig(); c.Cost.EvalPerCustomer = math.Inf(1); return c }(),
+		func() Config { c := smallConfig(); c.Cost.EvalPerRouteCustomer = -1e-6; return c }(),
+		func() Config { c := smallConfig(); c.Cost.OverheadPerNeighbor = math.NaN(); return c }(),
+		func() Config { c := smallConfig(); c.Cost.ConstructPerCustomer = math.Inf(-1); return c }(),
+		func() Config { c := smallConfig(); c.Cost.EvalBase = 1e308; return c }(),
 		// Operator sets no sweep can draw from: every sweep draws an
 		// operator by index, and an unknown kind has no proposal path.
 		func() Config { c := smallConfig(); c.Operators = []operators.MoveKind{}; return c }(),
@@ -297,6 +307,12 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("config %d accepted", i)
 		}
 	}
+	// A zero cost model is legal: every modeled cost is free.
+	free := smallConfig()
+	free.Cost = CostModel{}
+	if err := free.validate(in, Sequential); err != nil {
+		t.Errorf("zero cost model refused: %v", err)
+	}
 	// Parallel variants need P >= 2.
 	c := smallConfig()
 	c.Processors = 1
@@ -310,6 +326,38 @@ func TestConfigValidation(t *testing.T) {
 	c.Islands = 3
 	if _, err := Run(Combined, in, c, rt); err == nil {
 		t.Error("combined accepted 3 islands of 1 process")
+	}
+}
+
+// TestShareIngressTakesOverFleetRoutes folds, through the cluster
+// exchange, an I1 construction that deploys more routes than its tight
+// fleet, as I1 itself does on it. The ingress checks only what
+// solution.New needs, so each share is absorbed, not counted malformed.
+func TestShareIngressTakesOverFleetRoutes(t *testing.T) {
+	gen := testInstance(t, 100)
+	in, err := vrptw.New("tight", append([]vrptw.Site(nil), gen.Sites...), 3, 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i1 := construct.I1(in, construct.DefaultParams())
+	if len(i1.Routes) <= in.Vehicles {
+		t.Fatalf("I1 built %d routes for a %d-vehicle fleet; the test needs more", len(i1.Routes), in.Vehicles)
+	}
+	cfg := smallConfig()
+	cfg.MaxEvaluations = 600
+	cfg.NeighborhoodSize = 30
+	cfg.Telemetry = telemetry.New(nil, nil)
+	cfg.Share = &pinShare{batch: [][][]int{i1.Routes}}
+	cfg.ShareEvery = 5
+	if _, err := Run(Sequential, in, cfg, deme.NewSim(deme.Ideal())); err != nil {
+		t.Fatal(err)
+	}
+	tel := cfg.Telemetry
+	if n := tel.Load(telemetry.MalformedMsgs); n != 0 {
+		t.Errorf("%d shares counted malformed", n)
+	}
+	if tel.Load(telemetry.SharesAccepted)+tel.Load(telemetry.SharesRejected) == 0 {
+		t.Error("no share was folded")
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"repro/internal/deme"
 	"repro/internal/solution"
 	"repro/internal/telemetry"
-	"repro/internal/vrptw"
 )
 
 // ShareBatch is one shard's contribution to one share epoch: the solutions
@@ -113,59 +112,18 @@ func (s *searcher) exchange(p deme.Proc) {
 			continue
 		}
 		for _, routes := range b.Solutions {
-			sol, err := safeSolution(s.in, routes)
-			if err != nil {
+			// The trust boundary for routes that crossed a machine: a
+			// peer's malformed share is counted, never materialized.
+			if solution.CheckRoutes(s.in, routes) != nil {
 				tel.Inc(telemetry.MalformedMsgs)
 				continue
 			}
-			s.absorb(p, sol)
+			s.absorb(p, solution.New(s.in, routes))
 			folded++
 		}
 	}
 	sp.SetInt("published", int64(len(out.Solutions))).
 		SetInt("folded", int64(folded))
-}
-
-// ValidateShareRoutes checks one foreign route plan against an instance
-// exactly as the share ingress does before materializing it. Exported for
-// the fuzz harness that feeds hostile peer payloads through the trust
-// boundary.
-func ValidateShareRoutes(in *vrptw.Instance, routes [][]int) error {
-	_, err := safeSolution(in, routes)
-	return err
-}
-
-// safeSolution validates foreign routes before materializing them: every
-// customer routed exactly once, ids in range, no empty routes, fleet not
-// exceeded. solution.New assumes these invariants (and would index out of
-// range on garbage) — a peer's malformed share must surface as a counted
-// error instead, so this is the trust boundary for route payloads that
-// crossed a machine boundary.
-func safeSolution(in *vrptw.Instance, routes [][]int) (*solution.Solution, error) {
-	if len(routes) == 0 || len(routes) > in.Vehicles {
-		return nil, fmt.Errorf("core: shared solution deploys %d routes for a %d-vehicle fleet", len(routes), in.Vehicles)
-	}
-	seen := make([]bool, in.N()+1)
-	total := 0
-	for i, r := range routes {
-		if len(r) == 0 {
-			return nil, fmt.Errorf("core: shared solution route %d is empty", i)
-		}
-		for _, c := range r {
-			if c < 1 || c > in.N() {
-				return nil, fmt.Errorf("core: shared solution routes customer %d (instance has %d)", c, in.N())
-			}
-			if seen[c] {
-				return nil, fmt.Errorf("core: shared solution routes customer %d twice", c)
-			}
-			seen[c] = true
-			total++
-		}
-	}
-	if total != in.N() {
-		return nil, fmt.Errorf("core: shared solution routes %d of %d customers", total, in.N())
-	}
-	return solution.New(in, routes), nil
 }
 
 // foldShare absorbs a solution shared by another searcher of the run

@@ -3,6 +3,7 @@ package deme
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -108,9 +109,14 @@ func (p *goProc) Alive(id int) bool {
 
 // RecvTimeout implements Proc: it blocks until a message arrives, the
 // run's context is done, no other process is left to send, or the timer
-// fires.
+// fires. A timeout past the largest time.Duration (about 292 years)
+// waits that long.
 func (p *goProc) RecvTimeout(seconds float64) (Message, bool) {
-	t := time.NewTimer(time.Duration(recvSeconds(seconds) * float64(time.Second)))
+	d := time.Duration(math.MaxInt64)
+	if ns := recvSeconds(seconds) * float64(time.Second); ns < float64(d) {
+		d = time.Duration(ns)
+	}
+	t := time.NewTimer(d)
 	defer t.Stop()
 	r := p.run
 	blockStart := time.Now()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestGoroutinePingPong(t *testing.T) {
@@ -66,6 +67,28 @@ func TestGoroutineRecvTimeout(t *testing.T) {
 			t.Error("timeout returned a message")
 		}
 		p.Send(0, 1, nil, 0) // release proc 0 quickly
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGoroutineRecvTimeoutClamped receives, under a timeout past the
+// largest time.Duration, a message sent about 50 ms later. Converted
+// unchecked, 1e10 seconds overflows into a negative Duration and the
+// receive times out at once.
+func TestGoroutineRecvTimeoutClamped(t *testing.T) {
+	g := NewGoroutine()
+	err := g.Run(context.Background(), 2, func(p Proc) {
+		if p.ID() == 1 {
+			time.Sleep(50 * time.Millisecond)
+			p.Send(0, 1, nil, 0)
+			return
+		}
+		start := time.Now()
+		if _, ok := p.RecvTimeout(1e10); !ok {
+			t.Errorf("RecvTimeout(1e10) returned after %v without the message sent 50 ms later", time.Since(start))
+		}
 	})
 	if err != nil {
 		t.Fatal(err)

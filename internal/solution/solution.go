@@ -244,8 +244,9 @@ func Encode(in *vrptw.Instance, s *Solution) ([]int, error) {
 }
 
 // Decode parses a permutation string (as produced by Encode) back into an
-// evaluated Solution. It validates the encoding invariants: first and last
-// symbol 0, length N+R+1, exactly R+1 zeros, and each customer exactly once.
+// evaluated Solution. It checks the length N+R+1, the depot at both ends
+// and, through CheckRoutes, each customer exactly once; together these
+// leave exactly R+1 depot symbols.
 func Decode(in *vrptw.Instance, perm []int) (*Solution, error) {
 	if len(perm) != in.PermLen() {
 		return nil, fmt.Errorf("solution: permutation length %d, want %d", len(perm), in.PermLen())
@@ -253,37 +254,50 @@ func Decode(in *vrptw.Instance, perm []int) (*Solution, error) {
 	if perm[0] != 0 || perm[len(perm)-1] != 0 {
 		return nil, fmt.Errorf("solution: permutation must start and end with the depot")
 	}
-	seen := make([]bool, in.N()+1)
 	var routes [][]int
 	var cur []int
-	zeros := 0
 	for _, v := range perm {
-		if v == 0 {
-			zeros++
-			if len(cur) > 0 {
-				routes = append(routes, cur)
-				cur = nil
-			}
-			continue
+		if v != 0 {
+			cur = append(cur, v)
+		} else if len(cur) > 0 {
+			routes = append(routes, cur)
+			cur = nil
 		}
-		if v < 0 || v > in.N() {
-			return nil, fmt.Errorf("solution: symbol %d out of range", v)
-		}
-		if seen[v] {
-			return nil, fmt.Errorf("solution: customer %d appears twice", v)
-		}
-		seen[v] = true
-		cur = append(cur, v)
 	}
-	if zeros != in.Vehicles+1 {
-		return nil, fmt.Errorf("solution: %d depot symbols, want %d", zeros, in.Vehicles+1)
-	}
-	for c := 1; c <= in.N(); c++ {
-		if !seen[c] {
-			return nil, fmt.Errorf("solution: customer %d missing", c)
-		}
+	if err := CheckRoutes(in, routes); err != nil {
+		return nil, err
 	}
 	return New(in, routes), nil
+}
+
+// CheckRoutes checks routes that come from outside the run — a peer's
+// share batch, a decoded permutation, a stored checkpoint — for what New
+// needs: every customer in 1..N, each routed once, all routed, and no
+// empty route. New assumes these and indexes out of range on garbage.
+// It does not bound the routes by the fleet: a run's own solutions may
+// deploy more vehicles than the instance has.
+func CheckRoutes(in *vrptw.Instance, routes [][]int) error {
+	seen := make([]bool, in.N()+1)
+	total := 0
+	for i, r := range routes {
+		if len(r) == 0 {
+			return fmt.Errorf("solution: route %d is empty", i)
+		}
+		for _, c := range r {
+			if c < 1 || c > in.N() {
+				return fmt.Errorf("solution: route %d holds customer %d (instance has %d)", i, c, in.N())
+			}
+			if seen[c] {
+				return fmt.Errorf("solution: customer %d appears twice", c)
+			}
+			seen[c] = true
+			total++
+		}
+	}
+	if total != in.N() {
+		return fmt.Errorf("solution: routes hold %d of %d customers", total, in.N())
+	}
+	return nil
 }
 
 // Validate checks the structural invariants of s against the instance:

@@ -346,6 +346,32 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestCheckRoutes pins the check foreign routes pass before New builds
+// them: exactly what New needs, and no fleet bound.
+func TestCheckRoutes(t *testing.T) {
+	in := testInstance(t) // N=12, R=6
+	if err := CheckRoutes(in, roundRobin(in.N(), 3)); err != nil {
+		t.Fatalf("valid routes refused: %v", err)
+	}
+	if err := CheckRoutes(in, roundRobin(in.N(), in.N())); err != nil {
+		t.Errorf("12 routes on a 6-vehicle fleet refused: %v", err)
+	}
+	bad := map[string][][]int{
+		"none":         nil,
+		"empty route":  append(roundRobin(in.N(), 3), []int{}),
+		"depot":        {{0, 1, 2, 3, 4, 5, 6}, {7, 8, 9, 10, 11, 12}},
+		"past N":       {{1, 2, 3, 4, 5, 6, 13}, {7, 8, 9, 10, 11, 12}},
+		"negative":     {{1, 2, 3, 4, 5, 6, -1}, {7, 8, 9, 10, 11, 12}},
+		"twice":        {{1, 2, 3, 4, 5, 6, 7}, {7, 8, 9, 10, 11, 12}},
+		"one left out": {{1, 2, 3, 4, 5, 6}, {7, 8, 9, 10, 11}},
+	}
+	for name, routes := range bad {
+		if CheckRoutes(in, routes) == nil {
+			t.Errorf("%s: CheckRoutes accepted %v", name, routes)
+		}
+	}
+}
+
 func TestValidateCatchesCorruption(t *testing.T) {
 	in := testInstance(t)
 	s := New(in, roundRobin(in.N(), 3))
