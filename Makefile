@@ -84,12 +84,18 @@ service-e2e:
 
 # recover-e2e runs the durability acceptance suite under the race
 # detector: checkpoint/resume bit-identity across every variant, a resume
-# refusing routes that do not fit its instance, the journal replay and crash-snapshot service tests, and the kill -9 daemon
-# e2e (a real tsmod process SIGKILLed mid-job, restarted, and checked
-# against an uninterrupted reference run).
+# refusing routes that do not fit its instance (in the core, and at
+# submission), the journal replay and crash-snapshot service tests — a
+# crash snapshot resuming from ckpt.json alone, an older daemon's journal
+# with its start and ckpt records, a torn mutate before such a ckpt
+# record, a reused job ID starting in an empty directory — and the
+# kill -9 daemon e2e (a real tsmod process SIGKILLed mid-job, restarted,
+# and checked against an uninterrupted reference run).
 recover-e2e:
 	$(GO) test -race -count 1 -run 'TestResumeBitIdentical|TestResumeRejectsMismatch|TestResumeChecksRoutes|TestCheckpointConfigGuards' ./internal/core/
-	$(GO) test -race -count 1 -run 'TestJournal|TestDurable|TestCrashRecovery|TestIdempotent' ./internal/service/
+	$(GO) test -race -count 1 \
+	  -run 'TestJournal|TestDurable|TestCrashRecovery|TestIdempotent|TestSubmitStartsInEmptyJobDir|TestSubmitRefusesResumeRoutes|TestTornMutateBeforeCkptRecovery' \
+	  ./internal/service/
 	$(GO) test -race -count 1 -v -run 'TestKill9Recovery' ./cmd/tsmod/
 
 # dynamic-e2e runs the live re-optimization acceptance battery under the

@@ -791,23 +791,12 @@ func (s *searcher) collabBarrier(p deme.Proc) (bool, error) {
 	return halt && ok, nil
 }
 
-// ResumeContext resumes a checkpointed run: the algorithm, processor
-// count, seed and checkpoint interval are taken from the checkpoint (and
-// verified against the instance and the rest of the configuration through
-// the stored digests), every process restores its part, and the run
-// continues to its configured budget. On the simulator backend the result
-// is bit-identical to the uninterrupted run. A checkpoint comes from
-// outside the run, and the digests do not cover its routes, so every
-// route set a part restores is checked against the instance with
-// solution.CheckRoutes before any process starts.
-func ResumeContext(ctx context.Context, ck *Checkpoint, in *vrptw.Instance, cfg Config, rt deme.Runtime) (*Result, error) {
-	if ck == nil {
-		return nil, fmt.Errorf("core: nil checkpoint")
-	}
-	alg, err := ParseAlgorithm(ck.Algorithm)
-	if err != nil {
-		return nil, err
-	}
+// CheckRoutes checks every route set a searcher part restores (current
+// solution, M_nondom, archive, pending candidates) against in with
+// solution.CheckRoutes. A checkpoint comes from outside the run, and its
+// digests do not cover its routes: ResumeContext runs this before any
+// process starts, and a caller admitting a checkpoint may run it first.
+func (ck *Checkpoint) CheckRoutes(in *vrptw.Instance) error {
 	for _, part := range ck.Parts {
 		if part == nil || part.Worker {
 			continue
@@ -819,9 +808,31 @@ func ResumeContext(ctx context.Context, ck *Checkpoint, in *vrptw.Instance, cfg 
 		}
 		for _, routes := range sets {
 			if err := solution.CheckRoutes(in, routes); err != nil {
-				return nil, fmt.Errorf("core: checkpoint part %d: %w", part.ID, err)
+				return fmt.Errorf("core: checkpoint part %d: %w", part.ID, err)
 			}
 		}
+	}
+	return nil
+}
+
+// ResumeContext resumes a checkpointed run: the algorithm, processor
+// count, seed and checkpoint interval are taken from the checkpoint (and
+// verified against the instance and the rest of the configuration through
+// the stored digests), every process restores its part, and the run
+// continues to its configured budget. On the simulator backend the result
+// is bit-identical to the uninterrupted run. The checkpoint's routes are
+// checked against the instance (Checkpoint.CheckRoutes) before any
+// process starts.
+func ResumeContext(ctx context.Context, ck *Checkpoint, in *vrptw.Instance, cfg Config, rt deme.Runtime) (*Result, error) {
+	if ck == nil {
+		return nil, fmt.Errorf("core: nil checkpoint")
+	}
+	alg, err := ParseAlgorithm(ck.Algorithm)
+	if err != nil {
+		return nil, err
+	}
+	if err := ck.CheckRoutes(in); err != nil {
+		return nil, err
 	}
 	cfg.Seed = ck.Seed
 	cfg.Processors = ck.Processors

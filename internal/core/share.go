@@ -48,7 +48,7 @@ type ShareBatch struct {
 // on resume, so siblings that reconnect can still fetch pre-migration
 // epochs.
 type ShareExchange interface {
-	Publish(ShareBatch) error
+	Publish(ShareBatch)
 	Gather(ctx context.Context, epoch int) ([]ShareBatch, error)
 	History() []ShareBatch
 	Prime([]ShareBatch)
@@ -65,9 +65,9 @@ func (c *Config) shareDue(iter int) bool {
 // exchange runs one share epoch on the primary searcher: publish the
 // solutions accepted since the last boundary, gather the sibling batches
 // of the same epoch, and fold them into M_nondom in shard order, charging
-// the same modeled handling cost as an in-process share. A publish or
-// gather failure degrades the epoch (nothing folded) and is counted; it
-// never stops the search.
+// the same modeled handling cost as an in-process share. A gather failure
+// degrades the epoch (nothing folded) and is counted; it never stops the
+// search.
 func (s *searcher) exchange(p deme.Proc) {
 	cfg := s.cfg
 	epoch := s.iter / cfg.ShareEvery
@@ -79,11 +79,7 @@ func (s *searcher) exchange(p deme.Proc) {
 	out := ShareBatch{Epoch: epoch, Solutions: s.shareOut}
 	s.shareOut = nil
 	tel := cfg.Telemetry
-	if err := cfg.Share.Publish(out); err != nil {
-		tel.Inc(telemetry.MalformedMsgs)
-		sp.SetAttr("error", err.Error())
-		return
-	}
+	cfg.Share.Publish(out)
 	s.xshares += len(out.Solutions)
 	tel.Add(telemetry.SharesSent, len(out.Solutions))
 

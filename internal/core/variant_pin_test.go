@@ -31,9 +31,9 @@ type pinShare struct {
 	sent  []ShareBatch
 }
 
-func (s *pinShare) Publish(b ShareBatch) error { s.sent = append(s.sent, b); return nil }
-func (s *pinShare) History() []ShareBatch      { return append([]ShareBatch(nil), s.sent...) }
-func (s *pinShare) Prime(h []ShareBatch)       { s.sent = append(s.sent[:0], h...) }
+func (s *pinShare) Publish(b ShareBatch)  { s.sent = append(s.sent, b) }
+func (s *pinShare) History() []ShareBatch { return append([]ShareBatch(nil), s.sent...) }
+func (s *pinShare) Prime(h []ShareBatch)  { s.sent = append(s.sent[:0], h...) }
 func (s *pinShare) Gather(_ context.Context, epoch int) ([]ShareBatch, error) {
 	return []ShareBatch{{Shard: 1, Epoch: epoch, Solutions: s.batch}}, nil
 }

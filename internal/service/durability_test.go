@@ -10,8 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/deme"
 	"repro/internal/dynamic"
 	"repro/internal/resultio"
+	"repro/internal/telemetry"
 )
 
 // durableConfig is a durable single-worker service rooted at a fresh
@@ -258,6 +261,7 @@ func TestCrashRecoveryResumesDeterministically(t *testing.T) {
 	snapshot := t.TempDir()
 	copyTree(t, cfg.DataDir, snapshot)
 	svc.Close()
+	ck := readCheckpoint(t, filepath.Join(snapshot, "jobs", j.ID, "ckpt.json"))
 
 	parentFormat := t.TempDir()
 	copyTree(t, snapshot, parentFormat)
@@ -287,7 +291,16 @@ func TestCrashRecoveryResumesDeterministically(t *testing.T) {
 			if !ok {
 				t.Fatalf("job %s not recovered from snapshot", j.ID)
 			}
+			// A restart from scratch reaches the same front on the
+			// simulator: check that the job resumed the snapshot's
+			// checkpoint.
+			if got := requeuedBarrier(t, j2); got != ck.Barrier {
+				t.Errorf("job requeued at barrier %d; want %d, the snapshot checkpoint's", got, ck.Barrier)
+			}
 			waitState(t, j2, StateDone)
+			if j2.tel.Load(telemetry.CkptResumes) == 0 {
+				t.Error("the recovered job did not resume from a checkpoint")
+			}
 			checkSameFront(t, j2.Result(), ref)
 		})
 	}
@@ -296,6 +309,156 @@ func TestCrashRecoveryResumesDeterministically(t *testing.T) {
 		t.Fatal(err)
 	} else if strings.Contains(string(raw), "eval_workers") {
 		t.Errorf("compacted journal still carries eval_workers:\n%s", raw)
+	}
+}
+
+// readCheckpoint decodes the checkpoint file at path.
+func readCheckpoint(t *testing.T, path string) *core.Checkpoint {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := core.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ck
+}
+
+// requeuedBarrier returns the barrier a recovered job's requeued event
+// names, -1 when it names none (the job starts from its spec).
+func requeuedBarrier(t *testing.T, j *Job) int {
+	t.Helper()
+	evs, _, _, _ := j.events.Since(0)
+	for _, e := range evs {
+		if name, fields := e.ev.Render(); name == "requeued" {
+			if b, ok := fields["barrier"].(int); ok {
+				return b
+			}
+			return -1
+		}
+	}
+	t.Fatalf("job %s has no requeued event", j.ID)
+	return -1
+}
+
+// TestSubmitStartsInEmptyJobDir: recovery drops a job whose spec no
+// longer validates — the service's customer limit was lowered — and
+// leaves its directory, checkpoint included, behind, while compaction
+// drops its records, so the next restart hands its ID out again. The new
+// job holding that ID must start in an empty directory: a crash before
+// its first barrier then recovers it from its spec, not from the dropped
+// job's checkpoint.
+func TestSubmitStartsInEmptyJobDir(t *testing.T) {
+	cfg := durableConfig(t)
+	cfg.MaxEvaluations = -1
+	svc := New(cfg)
+	dropped, err := svc.Submit(longSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := filepath.Join("jobs", dropped.ID, "ckpt.json")
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if _, err := os.Stat(filepath.Join(cfg.DataDir, rel)); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint appeared")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	dir := t.TempDir()
+	copyTree(t, cfg.DataDir, dir)
+	svc.Close()
+
+	svc2, err := Open(Config{Workers: 1, DataDir: dir, MaxEvaluations: -1, MaxCustomers: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(svc2.Jobs()); n != 0 {
+		t.Fatalf("recovery kept %d jobs; want the 40-customer job dropped", n)
+	}
+	svc2.Close()
+	if _, err := os.Stat(filepath.Join(dir, rel)); err != nil {
+		t.Fatalf("the dropped job's checkpoint is not left behind: %v", err)
+	}
+
+	// Its first barrier lies far past what the test lets the job run.
+	cfg3 := Config{Workers: 1, DataDir: dir, MaxEvaluations: -1, CheckpointEvery: 1_000_000}
+	svc3 := New(cfg3)
+	j, err := svc3.Submit(longSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID != dropped.ID {
+		t.Fatalf("new job is %s; want the dropped job's ID %s handed out again", j.ID, dropped.ID)
+	}
+	if _, err := os.Stat(filepath.Join(dir, rel)); !os.IsNotExist(err) {
+		t.Fatalf("the dropped job's checkpoint outlived the new job's submission: %v", err)
+	}
+	crash := t.TempDir()
+	copyTree(t, dir, crash)
+	svc3.Close()
+
+	cfg3.DataDir = crash
+	svc4, err := Open(cfg3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc4.Close()
+	j4, ok := svc4.Job(j.ID)
+	if !ok {
+		t.Fatalf("job %s not recovered", j.ID)
+	}
+	if got := requeuedBarrier(t, j4); got != -1 {
+		t.Errorf("job requeued at barrier %d; want it started from its spec", got)
+	}
+}
+
+// TestSubmitRefusesResumeRoutes: a resume whose routes do not fit the
+// spec's instance is refused at submission with the route check's error,
+// before anything is journaled, so a coordinator migrating it sees a 400.
+func TestSubmitRefusesResumeRoutes(t *testing.T) {
+	spec := smallSpec()
+	in, err := specInstance(spec.Instance, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Seed, cfg.Processors, cfg.MaxEvaluations, cfg.CheckpointEvery = spec.Seed, 1, spec.MaxEvaluations, 3
+	var first []byte
+	cfg.CheckpointSink = func(ck *core.Checkpoint) error {
+		if first == nil {
+			first, err = core.EncodeCheckpoint(ck)
+		}
+		return err
+	}
+	if _, err := core.RunContext(t.Context(), core.Sequential, in, cfg, deme.NewSim(deme.Origin3800())); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := core.DecodeCheckpoint(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Parts[0].Cur[0] = append(ck.Parts[0].Cur[0], in.N()+5)
+	if spec.Resume, err = core.EncodeCheckpoint(ck); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	svc := testService(t, Config{Workers: 1, DataDir: dir})
+	_, err = svc.Submit(spec)
+	want := "resume: core: checkpoint part 0: solution: route 0 holds customer 45 (instance has 40)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("submit = %v; want %q", err, want)
+	}
+	if n := len(svc.Jobs()); n != 0 {
+		t.Errorf("refused spec left %d jobs", n)
+	}
+	if st, err := os.Stat(filepath.Join(dir, "journal.jsonl")); err != nil || st.Size() != 0 {
+		t.Errorf("refused spec left journal bytes: %v, %v", st.Size(), err)
 	}
 }
 
@@ -421,12 +584,14 @@ func TestJournalCompaction(t *testing.T) {
 // journal record is a mutate immediately followed by a ckpt record for
 // the same job — the nastiest WAL tail for the exactly-once fold,
 // because the checkpoint on disk embodies a mutation the journal no
-// longer proves. Recovery must notice the digest mismatch, discard the
-// checkpoint, and restart from scratch with only the surviving batch
-// re-primed: the torn batch is not half- or double-applied (the folded
-// window), and the intact batch applies exactly once (the re-prime
-// window). The recovered front must be bit-identical to a reference run
-// that only ever had the surviving batch.
+// longer proves. (Only an older daemon wrote ckpt records; recovery
+// ignores them and reads the checkpoint file either way.) Recovery must
+// notice the digest mismatch, discard the checkpoint, and restart from
+// scratch with only the surviving batch re-primed: the torn batch is not
+// half- or double-applied (the folded window), and the intact batch
+// applies exactly once (the re-prime window). The recovered front must
+// be bit-identical to a reference run that only ever had the surviving
+// batch.
 func TestTornMutateBeforeCkptRecovery(t *testing.T) {
 	spec := smallSpec()
 	spec.MaxEvaluations = 60_000
@@ -498,16 +663,18 @@ func TestTornMutateBeforeCkptRecovery(t *testing.T) {
 	svc.Close()
 
 	// Doctor the snapshot's journal: the victim job's records become
-	// submit, start, the intact mutate@4, a torn half of mutate@2, then
-	// its ckpt records — so the torn record is a mutate immediately
-	// followed by a ckpt record for the same job.
+	// submit, start, the intact mutate@4, a torn half of mutate@2, then a
+	// ckpt record pointing at the checkpoint on disk — so the torn record
+	// is a mutate immediately followed by a ckpt record for the same job.
+	// Only an older daemon wrote start and ckpt records, so those two
+	// lines take its literal format.
 	jpath := filepath.Join(snapshot, "journal.jsonl")
 	raw, err := os.ReadFile(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var head, ckpts []string
-	var submitLine, startLine, tornLine, keptLine string
+	var head []string
+	var submitLine, tornLine, keptLine string
 	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
 		var rec journalRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -520,32 +687,31 @@ func TestTornMutateBeforeCkptRecovery(t *testing.T) {
 		switch rec.Type {
 		case "submit":
 			submitLine = line
-		case "start":
-			startLine = line
 		case "mutate":
 			if rec.Barrier == 2 {
 				tornLine = line
 			} else {
 				keptLine = line
 			}
-		case "ckpt":
-			ckpts = append(ckpts, line)
 		default:
 			t.Fatalf("unexpected %q record for the running victim", rec.Type)
 		}
 	}
-	if submitLine == "" || startLine == "" || tornLine == "" || keptLine == "" || len(ckpts) == 0 {
-		t.Fatalf("snapshot journal is missing records: submit=%t start=%t mut2=%t mut4=%t ckpts=%d",
-			submitLine != "", startLine != "", tornLine != "", keptLine != "", len(ckpts))
+	if submitLine == "" || tornLine == "" || keptLine == "" {
+		t.Fatalf("snapshot journal is missing records: submit=%t mut2=%t mut4=%t",
+			submitLine != "", tornLine != "", keptLine != "")
 	}
+	ck := readCheckpoint(t, filepath.Join(snapshot, "jobs", j.ID, "ckpt.json"))
+	startLine := fmt.Sprintf(`{"type":"start","ts":"2026-10-17T11:31:23.030059091Z","job":"%s"}`, j.ID)
+	ckptLine := fmt.Sprintf(`{"type":"ckpt","ts":"2026-10-17T11:31:23.033361625Z","job":"%s","barrier":%d,"note":"granular_k=0"}`,
+		j.ID, ck.Barrier)
 	torn := tornLine[:len(tornLine)/2]
 	if json.Valid([]byte(torn)) {
 		t.Fatalf("half of the mutate record still parses: %q", torn)
 	}
-	doctored := append(append([]string{}, head...), submitLine, startLine, keptLine, torn)
-	doctored = append(doctored, ckpts...)
-	// Guard: the satellite scenario demands the torn mutate be followed
-	// immediately by a ckpt record for the same job.
+	doctored := append(append([]string{}, head...), submitLine, startLine, keptLine, torn, ckptLine)
+	// Guard: the scenario needs the torn mutate followed immediately by
+	// a ckpt record for the same job.
 	var next journalRecord
 	if err := json.Unmarshal([]byte(doctored[len(head)+4]), &next); err != nil ||
 		next.Type != "ckpt" || next.Job != j.ID {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"slices"
 
 	"repro/internal/core"
@@ -29,7 +28,7 @@ var (
 // jobMutations adapts a job's mutation schedule into the run's
 // core.MutationSource and owns the durability of mutation epochs: the
 // core skips the checkpoint sink at halt barriers, so the patched
-// checkpoint Apply produces here is the barrier's only persisted form.
+// checkpoint Apply stores here is the barrier's only persisted form.
 // That makes recovery's fold rule exact — a journaled mutation with
 // epoch at or below the recovered checkpoint's barrier is always already
 // spliced into it, and one above it never is.
@@ -45,32 +44,14 @@ func (m *jobMutations) Apply(ctx context.Context, in *vrptw.Instance, ck *core.C
 	if err != nil {
 		return nil, nil, err
 	}
-	j, s := m.j, m.j.svc
-	data, err := core.EncodeCheckpoint(nck)
-	if err != nil {
-		return nil, nil, fmt.Errorf("encoding patched checkpoint: %w", err)
-	}
-	j.setCheckpoint(nck.Barrier, data)
-	if s != nil && s.jl != nil {
-		// A persistence failure is logged, not fatal: the disk keeps an
-		// older checkpoint whose barrier precedes this epoch, so recovery
-		// re-primes the mutation instead of folding it — still exactly
-		// once, just with more recomputation.
-		path := filepath.Join(s.jobDir(j.ID), "ckpt.json")
-		if werr := writeFileSync(path, data); werr != nil {
-			s.logWarn("persisting patched checkpoint", "job", j.ID, "barrier", nck.Barrier, "error", werr)
-		} else if jerr := s.jl.append(journalRecord{Type: "ckpt", Job: j.ID, Barrier: nck.Barrier,
-			Note: fingerprintNote(nck.GranularK)}); jerr != nil {
-			s.logWarn("journal: patched ckpt record", "job", j.ID, "barrier", nck.Barrier, "error", jerr)
-		}
+	// A failure to store is logged, not fatal: the disk keeps an older
+	// checkpoint whose barrier precedes this epoch, so recovery re-primes
+	// the mutation instead of folding it — still exactly once, just with
+	// more recomputation.
+	if err := m.j.storeCheckpoint(nck); err != nil {
+		m.j.svc.cfg.Logger.Warn("storing patched checkpoint", "job", m.j.ID, "barrier", nck.Barrier, "error", err)
 	}
 	return nin, nck, nil
-}
-
-// fingerprintNote renders the human-readable half of a checkpoint's
-// config fingerprint for journal ckpt records.
-func fingerprintNote(granularK int) string {
-	return fmt.Sprintf("granular_k=%d", granularK)
 }
 
 // projection is a base instance projected through a mutation log.
@@ -228,8 +209,6 @@ func (s *Service) MutateAs(caller, id string, epoch int, muts []dynamic.Mutation
 	j.emit(telemetry.Record{Kind: "mutation_scheduled", Values: map[string]any{
 		"job": j.ID, "epoch": committed, "mutations": len(muts),
 	}})
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Info("mutations scheduled", "job", j.ID, "epoch", committed, "mutations", len(muts))
-	}
+	s.cfg.Logger.Info("mutations scheduled", "job", j.ID, "epoch", committed, "mutations", len(muts))
 	return committed, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -239,8 +240,8 @@ type Job struct {
 
 	// dyn is the job's live-mutation schedule, nil when the job cannot
 	// accept instance mutations (no checkpoint barriers, or a
-	// cluster-share shard). Created in newJob so PATCHes land while the
-	// job is still queued; armCheckpoints wires it into the run.
+	// cluster-share shard). Created with the job, and wired into its run
+	// configuration, so PATCHes land while the job is still queued.
 	// recoveredMuts are the journaled mutate records recovery replayed —
 	// retained so journal compaction keeps them (set before the job is
 	// reachable, read before the workers start).
@@ -255,8 +256,8 @@ type Job struct {
 	// Latest checkpoint envelope, kept in memory while a checkpointed job
 	// (durable or not) is live so GET /v1/jobs/{id}/checkpoint can hand
 	// the cluster coordinator a migration artifact. Guarded by ckptMu, not
-	// j.mu: the sink runs on a solver goroutine and must never contend
-	// with the observe hook.
+	// j.mu: storeCheckpoint runs on a solver goroutine and must never
+	// contend with the observe hook.
 	ckptMu      sync.Mutex
 	lastCkpt    []byte
 	lastBarrier int
@@ -293,6 +294,13 @@ func newJob(spec JobSpec, limits *Config) (*Job, error) {
 	j, err := jobFromSpec(spec, limits, in.Name)
 	if err != nil {
 		return nil, err
+	}
+	if j.resume != nil {
+		// Refused here, not when a worker resumes it: a coordinator
+		// migrating the checkpoint sees the 400.
+		if err := j.resume.CheckRoutes(in); err != nil {
+			return nil, fmt.Errorf("resume: %w", err)
+		}
 	}
 	j.in, j.customers = in, in.N()
 	return j, nil
@@ -446,21 +454,36 @@ func jobFromSpec(spec JobSpec, limits *Config, instName string) (*Job, error) {
 	j.tel = telemetry.New(nil, nil)
 	j.tel.SetHook(j.observe)
 	cfg.Telemetry = j.tel
-	j.cfg = cfg
 
-	// Jobs with deterministic checkpoint barriers accept live instance
-	// mutations; the schedule exists from submission so a PATCH can land
-	// while the job is still queued. Cluster-share shards are excluded:
-	// shared solutions would reference diverging instances.
-	every := limits.CheckpointEvery
+	// The checkpoint plan, decided once. A resumed run keeps the interval
+	// it was cut at: the barrier cadence is part of the deterministic
+	// trajectory. The combined variant and an in-run MaxSeconds budget
+	// cannot be checkpointed deterministically (the solver refuses both),
+	// so those runs take no checkpoints and restart from their spec after
+	// a crash. A checkpointed job stores every snapshot with
+	// storeCheckpoint and, unless it is a cluster-share shard (shared
+	// solutions would reference diverging instances), accepts live
+	// instance mutations: the schedule exists from submission, so a PATCH
+	// can land while the job is still queued, and at a mutation epoch it
+	// halts the run, splices, and stores the patched checkpoint itself
+	// (jobMutations.Apply).
+	cfg.CheckpointEvery = limits.CheckpointEvery
 	if j.resume != nil {
-		every = j.resume.Every
+		cfg.CheckpointEvery = j.resume.Every
 	}
-	if every > 0 && alg != core.Combined && cfg.MaxSeconds <= 0 && spec.ShareGroup == "" {
-		j.dyn = dynamic.NewSchedule()
-		j.dyn.Telemetry = j.tel
-		j.dyn.OnApplied = j.mutationApplied
+	if alg == core.Combined || cfg.MaxSeconds > 0 {
+		cfg.CheckpointEvery = 0
 	}
+	if cfg.CheckpointEvery > 0 {
+		cfg.CheckpointSink = j.storeCheckpoint
+		if spec.ShareGroup == "" {
+			j.dyn = dynamic.NewSchedule()
+			j.dyn.Telemetry = j.tel
+			j.dyn.OnApplied = j.mutationApplied
+			cfg.Dynamic = &jobMutations{j: j, sc: j.dyn}
+		}
+	}
+	j.cfg = cfg
 
 	// Every job is traced: the recorder costs nothing until spans are
 	// recorded, and its span log grows lazily. A submitted traceparent makes
@@ -709,7 +732,24 @@ func (j *Job) Result() *resultio.FrontFile {
 	return j.result
 }
 
-// setCheckpoint stores the newest checkpoint envelope (the sink path).
+// storeCheckpoint makes ck the job's newest checkpoint: it encodes it,
+// keeps the envelope GET /v1/jobs/{id}/checkpoint serves, and on a
+// durable service installs it at jobs/<id>/ckpt.json, where recovery
+// resumes from it. It is the run's checkpoint sink, and
+// jobMutations.Apply stores a mutation epoch's patched checkpoint with it.
+func (j *Job) storeCheckpoint(ck *core.Checkpoint) error {
+	data, err := core.EncodeCheckpoint(ck)
+	if err != nil {
+		return err
+	}
+	j.setCheckpoint(ck.Barrier, data)
+	if j.svc.jl == nil {
+		return nil
+	}
+	return writeFileSync(filepath.Join(j.svc.jobDir(j.ID), "ckpt.json"), data)
+}
+
+// setCheckpoint sets the newest checkpoint envelope.
 func (j *Job) setCheckpoint(barrier int, data []byte) {
 	j.ckptMu.Lock()
 	j.lastCkpt, j.lastBarrier = data, barrier

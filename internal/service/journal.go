@@ -21,13 +21,11 @@ import (
 // before the transition takes effect, so a kill -9 at any instant loses at
 // most the record being written. Recovery (see recover.go) replays the
 // journal to rebuild the job table: terminal jobs serve their persisted
-// results, incomplete jobs are re-queued from their latest checkpoint.
+// results, incomplete jobs are re-queued.
 //
 // Record types, in lifecycle order:
 //
 //	submit    job accepted; carries the full JobSpec (and idempotency key)
-//	start     a worker began running the job
-//	ckpt      a search checkpoint reached disk (jobs/<id>/ckpt.json)
 //	mutate    an instance-mutation batch was accepted; Barrier is its
 //	          epoch and Muts the batch — journaled before the batch is
 //	          visible to the run, so recovery replays it exactly once
@@ -35,6 +33,12 @@ import (
 //	failed    the job failed; Error carries the message
 //	canceled  the job was canceled (its partial result, if any, persisted)
 //	evict     the job fell out of retention; its directory is gone
+//
+// A search checkpoint is its own record: jobs/<id>/ckpt.json, installed
+// atomically by writeFileSync and checksummed, and a submitted job starts
+// in an empty jobs/<id>, so whatever checkpoint is there is the job's own
+// latest. Older daemons also wrote start and ckpt records; recovery reads
+// and ignores them, and compaction drops them.
 //
 // The three terminal records also carry the instance name, its customer
 // count and the run's master iterations, so recovery re-serves a terminal
@@ -49,12 +53,8 @@ type journalRecord struct {
 	Spec    *JobSpec  `json:"spec,omitempty"`
 	Barrier int       `json:"barrier,omitempty"`
 	// Muts is a mutate record's mutation batch, replayed by recovery.
-	Muts []dynamic.Mutation `json:"muts,omitempty"`
-	// Note carries the human-readable half of a ckpt record's config
-	// fingerprint (granular_k) for operators reading the journal;
-	// recovery ignores it.
-	Note  string `json:"note,omitempty"`
-	Error string `json:"error,omitempty"`
+	Muts  []dynamic.Mutation `json:"muts,omitempty"`
+	Error string             `json:"error,omitempty"`
 	// Instance, Customers and Iterations are a terminal record's Status
 	// scalars; records written before they existed carry none.
 	Instance   string `json:"instance,omitempty"`
@@ -70,9 +70,9 @@ func (j *Job) terminalRecord() journalRecord {
 }
 
 // journal is the fsync-on-append JSONL WAL. Appends come from submission
-// (under the service lock), checkpoint sinks (solver goroutines) and
-// terminal transitions (under job locks), so the journal serializes them
-// itself; mu is a leaf lock — nothing is acquired while holding it.
+// (under the service lock), mutation commits and terminal transitions
+// (under job locks), so the journal serializes them itself; mu is a leaf
+// lock — nothing is acquired while holding it.
 type journal struct {
 	mu   sync.Mutex
 	path string
@@ -177,8 +177,8 @@ func (jl *journal) append(rec journalRecord) error {
 	return nil
 }
 
-// rewrite compacts the journal to exactly recs: write a temporary file,
-// fsync it, rename it over the journal, fsync the directory. Called during
+// rewrite compacts the journal to exactly recs: install them with
+// writeFileSync, then reopen the file for appending. Called during
 // recovery, before the worker pool starts, so no append races it.
 func (jl *journal) rewrite(recs []journalRecord) error {
 	if jl == nil {
@@ -186,44 +186,25 @@ func (jl *journal) rewrite(recs []journalRecord) error {
 	}
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	tmp := jl.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: creating %s: %w", tmp, err)
-	}
-	w := bufio.NewWriter(f)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	for _, rec := range recs {
-		data, err := json.Marshal(rec)
-		if err != nil {
-			f.Close()
+		if err := enc.Encode(rec); err != nil {
 			return fmt.Errorf("journal: encoding compacted record: %w", err)
 		}
-		w.Write(data)     //nolint:errcheck // flushed below
-		w.WriteByte('\n') //nolint:errcheck // flushed below
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: writing compacted journal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: syncing compacted journal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, jl.path); err != nil {
+	if err := writeFileSync(jl.path, buf.Bytes()); err != nil {
 		return fmt.Errorf("journal: installing compacted journal: %w", err)
 	}
 	if err := jl.f.Close(); err != nil {
 		return err
 	}
-	nf, err := os.OpenFile(jl.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(jl.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: reopening compacted journal: %w", err)
 	}
-	jl.f = nf
-	return syncDir(filepath.Dir(jl.path))
+	jl.f = f
+	return nil
 }
 
 // Close releases the journal file.

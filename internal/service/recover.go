@@ -17,9 +17,10 @@ import (
 // recovering whatever a previous process — cleanly drained or killed mid
 // job — left behind. Recovery replays the journal, re-serves terminal jobs
 // from their persisted results, re-queues incomplete jobs from their
-// latest on-disk checkpoint (or from scratch when none was reached), and
-// compacts the journal before the worker pool starts. Without a DataDir,
-// Open is New: an in-memory service that cannot fail to construct.
+// latest on-disk checkpoint (or from their spec when none was reached),
+// and compacts the journal before the worker pool starts. Without a
+// DataDir, Open is New: an in-memory service that cannot fail to
+// construct.
 func Open(cfg Config) (*Service, error) {
 	cfg.applyDefaults()
 	s := &Service{
@@ -71,7 +72,6 @@ func Open(cfg Config) (*Service, error) {
 type replayJob struct {
 	spec    JobSpec
 	state   State
-	barrier int
 	evicted bool
 	// term is the job's terminal record, when it has one.
 	term journalRecord
@@ -83,8 +83,8 @@ type replayJob struct {
 
 // replay folds the journal into the job table. Terminal jobs come back
 // with their persisted result and the scalars of their terminal record,
-// without an instance; queued and running jobs come back queued,
-// carrying their latest decodable checkpoint. Jobs whose records are
+// without an instance; every other job comes back queued, carrying the
+// checkpoint in its directory when that decodes. Jobs whose records are
 // incomplete (a torn submit) or whose spec no longer validates are logged
 // and dropped — recovery keeps every job it can and never refuses to
 // start. It returns the jobs to put back on the queue, in submission
@@ -99,7 +99,7 @@ func (s *Service) replay(recs []journalRecord) []*Job {
 		rj := table[rec.Job]
 		if rj == nil {
 			if rec.Type != "submit" || rec.Spec == nil {
-				s.logWarn("recovery: dropping record for unknown job", "job", rec.Job, "type", rec.Type)
+				s.cfg.Logger.Warn("recovery: dropping record for unknown job", "job", rec.Job, "type", rec.Type)
 				continue
 			}
 			rj = &replayJob{spec: *rec.Spec, state: StateQueued}
@@ -108,10 +108,7 @@ func (s *Service) replay(recs []journalRecord) []*Job {
 		}
 		switch rec.Type {
 		case "submit": // handled above
-		case "start":
-			rj.state = StateRunning
-		case "ckpt":
-			rj.barrier = rec.Barrier
+		case "start", "ckpt": // written by older daemons; nothing reads them
 		case "mutate":
 			rj.muts = append(rj.muts, rec)
 		case string(StateDone), string(StateFailed), string(StateCanceled):
@@ -120,7 +117,7 @@ func (s *Service) replay(recs []journalRecord) []*Job {
 		case "evict":
 			rj.evicted = true
 		default:
-			s.logWarn("recovery: unknown journal record type", "job", rec.Job, "type", rec.Type)
+			s.cfg.Logger.Warn("recovery: unknown journal record type", "job", rec.Job, "type", rec.Type)
 		}
 		if n := idNumber(rec.Job); n > s.nextID {
 			s.nextID = n
@@ -147,7 +144,7 @@ func (s *Service) replay(recs []journalRecord) []*Job {
 			j, err = newJob(rj.spec, &s.cfg)
 		}
 		if err != nil {
-			s.logWarn("recovery: dropping job with invalid spec", "job", id, "error", err)
+			s.cfg.Logger.Warn("recovery: dropping job with invalid spec", "job", id, "error", err)
 			continue
 		}
 		j.svc = s
@@ -173,17 +170,16 @@ func (s *Service) replay(recs []journalRecord) []*Job {
 			s.recovered++
 		} else {
 			// Queued or mid-run at the crash: back on the queue, resuming
-			// from the latest checkpoint that reached disk. A checkpoint
-			// shipped in the spec (a migrated job) stays in place unless
-			// the local file is newer — it carries at least that barrier.
-			if rj.barrier > 0 {
-				if ck, raw := s.loadCheckpoint(id); ck != nil {
-					j.resume = ck
-					j.setCheckpoint(ck.Barrier, raw)
-				}
+			// from the checkpoint in the job's directory. The job started
+			// in an empty directory, so that file is its own latest, newer
+			// than any checkpoint a migration shipped in the spec; without
+			// one the job starts from its spec.
+			if ck, raw := s.loadCheckpoint(id); ck != nil {
+				j.resume = ck
+				j.setCheckpoint(ck.Barrier, raw)
 			}
 			if len(rj.muts) > 0 && j.dyn == nil {
-				s.logWarn("recovery: dropping mutations for a job that is no longer mutable", "job", id, "batches", len(rj.muts))
+				s.cfg.Logger.Warn("recovery: dropping mutations for a job that is no longer mutable", "job", id, "batches", len(rj.muts))
 			}
 			if j.dyn != nil && (len(rj.muts) > 0 || j.resume != nil) {
 				s.replayMutations(j, rj.muts)
@@ -238,14 +234,14 @@ func (s *Service) replayMutations(j *Job, muts []journalRecord) {
 			// so skipping it here reproduces the spliced instance.
 			d, err := dynamic.Project(folded, rec.Muts[i:i+1])
 			if err != nil {
-				s.logWarn("recovery: skipping mutation the run rejected", "job", j.ID, "epoch", rec.Barrier, "error", err)
+				s.cfg.Logger.Warn("recovery: skipping mutation the run rejected", "job", j.ID, "epoch", rec.Barrier, "error", err)
 				continue
 			}
 			folded = d
 		}
 	}
 	if j.resume != nil && core.InstanceDigest(folded) != j.resume.InstanceDigest {
-		s.logWarn("recovery: checkpoint does not match the folded mutation log; restarting job from scratch",
+		s.cfg.Logger.Warn("recovery: checkpoint does not match the folded mutation log; restarting job from scratch",
 			"job", j.ID, "barrier", barrier, "batches", len(recs))
 		j.resume = nil
 		j.setCheckpoint(0, nil)
@@ -260,7 +256,7 @@ func (s *Service) replayMutations(j *Job, muts []journalRecord) {
 	}
 	for _, rec := range later {
 		if err := j.dyn.AddAt(rec.Barrier, rec.Muts); err != nil {
-			s.logWarn("recovery: re-priming mutation batch", "job", j.ID, "epoch", rec.Barrier, "error", err)
+			s.cfg.Logger.Warn("recovery: re-priming mutation batch", "job", j.ID, "epoch", rec.Barrier, "error", err)
 		}
 	}
 	// Compaction must keep every record: the folded ones rebuild j.in on
@@ -269,22 +265,18 @@ func (s *Service) replayMutations(j *Job, muts []journalRecord) {
 }
 
 // compactRecords renders the post-replay job table as a minimal journal:
-// one submit record per retained job plus its latest relevant transition
-// (and, for incomplete dynamic jobs, their mutate records — the fold
-// needs all of them to reconstruct the mutated instance).
+// one submit record per retained job plus its terminal record, or, for an
+// incomplete job, its mutate records — the fold needs all of them to
+// reconstruct the mutated instance.
 func (s *Service) compactRecords() []journalRecord {
 	var recs []journalRecord
 	for _, id := range s.order {
 		j := s.jobs[id]
 		spec := j.Spec
 		recs = append(recs, journalRecord{Type: "submit", Job: id, Spec: &spec})
-		switch {
-		case j.state.Terminal():
+		if j.state.Terminal() {
 			recs = append(recs, j.terminalRecord())
-		case j.resume != nil:
-			recs = append(recs, journalRecord{Type: "ckpt", Job: id, Barrier: j.resume.Barrier})
-		}
-		if !j.state.Terminal() {
+		} else {
 			recs = append(recs, j.recoveredMuts...)
 		}
 	}
@@ -302,7 +294,7 @@ func (s *Service) loadResult(id string) *resultio.FrontFile {
 	defer f.Close()
 	ff, err := resultio.Read(f)
 	if err != nil {
-		s.logWarn("recovery: unreadable result file", "job", id, "error", err)
+		s.cfg.Logger.Warn("recovery: unreadable result file", "job", id, "error", err)
 		return nil
 	}
 	return ff
@@ -310,17 +302,20 @@ func (s *Service) loadResult(id string) *resultio.FrontFile {
 
 // loadCheckpoint reads and decodes a job's latest checkpoint (returning
 // both the decoded form and the raw envelope, which seeds the migration
-// cache); nil when the file is missing or damaged — the job then restarts
-// from scratch, which is always safe.
+// cache); nil when the file is missing, which is not logged — the job has
+// not reached its first barrier — or damaged, which is. The job then
+// starts from its spec, which is always safe.
 func (s *Service) loadCheckpoint(id string) (*core.Checkpoint, []byte) {
 	data, err := os.ReadFile(filepath.Join(s.jobDir(id), "ckpt.json"))
-	if err != nil {
-		s.logWarn("recovery: missing checkpoint, restarting job from scratch", "job", id, "error", err)
+	if os.IsNotExist(err) {
 		return nil, nil
 	}
-	ck, err := core.DecodeCheckpoint(data)
+	var ck *core.Checkpoint
+	if err == nil {
+		ck, err = core.DecodeCheckpoint(data)
+	}
 	if err != nil {
-		s.logWarn("recovery: undecodable checkpoint, restarting job from scratch", "job", id, "error", err)
+		s.cfg.Logger.Warn("recovery: unreadable checkpoint, starting job from its spec", "job", id, "error", err)
 		return nil, nil
 	}
 	return ck, data
@@ -329,12 +324,6 @@ func (s *Service) loadCheckpoint(id string) (*core.Checkpoint, []byte) {
 // jobDir is the per-job durable directory (checkpoints and results).
 func (s *Service) jobDir(id string) string {
 	return filepath.Join(s.cfg.DataDir, "jobs", id)
-}
-
-func (s *Service) logWarn(msg string, args ...any) {
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Warn(msg, args...)
-	}
 }
 
 // idNumber parses the numeric part of a service job id ("j000042" -> 42),

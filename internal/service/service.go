@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -102,8 +103,12 @@ type Config struct {
 	// of it after a crash or restart. Empty means in-memory only.
 	DataDir string
 	// CheckpointEvery is the search-snapshot interval in master
-	// iterations for durable jobs. Default DefaultCheckpointEvery when
-	// DataDir is set; ignored otherwise.
+	// iterations. Default DefaultCheckpointEvery when DataDir is set, none
+	// otherwise. An in-memory service with it set checkpoints too: its
+	// jobs keep their latest checkpoint in memory for GET
+	// /v1/jobs/{id}/checkpoint (the cluster's migration artifact) and
+	// accept instance mutations. A resumed job keeps the interval of the
+	// checkpoint it resumes.
 	CheckpointEvery int
 	// ShareDial, when non-nil, lets cluster-share jobs (JobSpec.ShareGroup
 	// with ShareShards > 1) gather sibling-shard batches: it is called
@@ -115,7 +120,7 @@ type Config struct {
 	ShareDial func(group string, shard, shards int, tel *telemetry.Telemetry) (ShareGatherer, error)
 	// Version is reported by GET /v1/healthz (see internal/buildinfo).
 	Version string
-	// Logger, when non-nil, receives job lifecycle log lines.
+	// Logger receives job lifecycle log lines; nil discards them.
 	Logger *slog.Logger
 	// TraceDir, when set, exports each terminal job's span recording as
 	// OTLP/JSON to <TraceDir>/<job-id>.trace.json.
@@ -157,6 +162,9 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Tenants == nil {
 		c.Tenants = tenant.NewRegistry(nil)
+	}
+	if c.Logger == nil {
+		c.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
 	}
 }
 
@@ -300,10 +308,16 @@ func (s *Service) SubmitAs(tn string, spec JobSpec) (*Job, error) {
 	j.submitted = time.Now()
 	if s.jl != nil {
 		// Write-ahead: the job exists once its submit record is durable;
-		// only then is it acknowledged or runnable. A failed write arms
-		// load-shed mode: the disk gets one RetryAfter window of quiet,
-		// then the next submission probes it again.
-		err := os.MkdirAll(s.jobDir(j.ID), 0o755)
+		// only then is it acknowledged or runnable. It starts in an empty
+		// directory: recovery resumes a job from the checkpoint there, and
+		// a job recovery dropped leaves its files behind under an ID the
+		// next restart hands out again. A failed write arms load-shed
+		// mode: the disk gets one RetryAfter window of quiet, then the
+		// next submission probes it again.
+		err := os.RemoveAll(s.jobDir(j.ID))
+		if err == nil {
+			err = os.MkdirAll(s.jobDir(j.ID), 0o755)
+		}
 		if err == nil {
 			err = s.jl.append(journalRecord{Type: "submit", Job: j.ID, Spec: &spec})
 		}
@@ -337,10 +351,8 @@ func (s *Service) SubmitAs(tn string, spec JobSpec) (*Job, error) {
 	s.evictLocked()
 	s.mu.Unlock()
 	s.met.submitTenant(tn)
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Info("job queued", "job", j.ID, "instance", j.instName, "tenant", tn,
-			"algorithm", j.alg.String(), "processors", j.cfg.Processors, "backend", j.backend)
-	}
+	s.cfg.Logger.Info("job queued", "job", j.ID, "instance", j.instName, "tenant", tn,
+		"algorithm", j.alg.String(), "processors", j.cfg.Processors, "backend", j.backend)
 	return j, nil
 }
 
@@ -441,10 +453,10 @@ func (s *Service) dropJobLocked(id string, j *Job) {
 	}
 	if s.jl != nil {
 		if err := s.jl.append(journalRecord{Type: "evict", Job: id}); err != nil {
-			s.logWarn("journal: evict record", "job", id, "error", err)
+			s.cfg.Logger.Warn("journal: evict record", "job", id, "error", err)
 		}
 		if err := os.RemoveAll(s.jobDir(id)); err != nil {
-			s.logWarn("evict: removing job dir", "job", id, "error", err)
+			s.cfg.Logger.Warn("evict: removing job dir", "job", id, "error", err)
 		}
 	}
 	if j.Spec.ShareGroup != "" {
@@ -479,9 +491,7 @@ func (s *Service) Cancel(id string) (*Job, error) {
 		return nil, ErrNotFound
 	}
 	j.Cancel()
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Info("job cancel requested", "job", id)
-	}
+	s.cfg.Logger.Info("job cancel requested", "job", id)
 	return j, nil
 }
 
@@ -534,15 +544,7 @@ func (s *Service) runJob(j *Job) {
 	if !j.begin() {
 		return
 	}
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Info("job started", "job", j.ID, "resume", j.resume != nil)
-	}
-	if s.jl != nil {
-		if err := s.jl.append(journalRecord{Type: "start", Job: j.ID}); err != nil {
-			s.logWarn("journal: start record", "job", j.ID, "error", err)
-		}
-	}
-	s.armCheckpoints(j)
+	s.cfg.Logger.Info("job started", "job", j.ID, "resume", j.resume != nil)
 	if done, err := s.armShares(j); err != nil {
 		j.finish(nil, err)
 		return
@@ -583,58 +585,12 @@ func (s *Service) runJob(j *Job) {
 		res, err = core.RunContext(ctx, j.alg, j.in, j.cfg, rt)
 	}
 	j.finish(res, err)
-	if s.cfg.Logger != nil {
-		st := j.Status()
-		s.cfg.Logger.Info("job finished", "job", j.ID, "state", string(st.State),
-			"evaluations", st.Evaluations, "front", len(st.Front))
+	// From the result, not Status: Status computes the front's hypervolume.
+	var evals, front int
+	if res != nil {
+		evals, front = res.Evaluations, len(res.Front)
 	}
-}
-
-// armCheckpoints wires a job's search to its checkpoint sinks. Every
-// checkpointed job — durable or not — keeps the latest envelope in memory,
-// where GET /v1/jobs/{id}/checkpoint serves it to the cluster coordinator
-// as a migration artifact; durable jobs additionally install each snapshot
-// atomically at jobs/<id>/ckpt.json and point a journal record at it, so
-// recovery only ever resumes from a checkpoint that fully reached disk.
-// Runs that cannot be checkpointed deterministically — the combined
-// variant, or an in-run MaxSeconds budget (both rejected by the solver's
-// own validation) — simply run without snapshots and restart from scratch
-// after a crash.
-func (s *Service) armCheckpoints(j *Job) {
-	every := s.cfg.CheckpointEvery
-	if j.resume != nil {
-		// A resumed run must keep the interval it was cut at: the barrier
-		// cadence is part of the deterministic trajectory.
-		every = j.resume.Every
-	}
-	if every <= 0 || j.alg == core.Combined || j.cfg.MaxSeconds > 0 {
-		return
-	}
-	j.cfg.CheckpointEvery = every
-	if j.dyn != nil {
-		// Live instance mutations ride the same barriers: the schedule
-		// halts the run at a mutation epoch, splices, and persists the
-		// patched checkpoint itself (jobMutations.Apply) — the core skips
-		// the sink at halt barriers, so a mutation epoch's checkpoint only
-		// ever reaches disk in its patched form.
-		j.cfg.Dynamic = &jobMutations{j: j, sc: j.dyn}
-	}
-	path := filepath.Join(s.jobDir(j.ID), "ckpt.json")
-	j.cfg.CheckpointSink = func(ck *core.Checkpoint) error {
-		data, err := core.EncodeCheckpoint(ck)
-		if err != nil {
-			return err
-		}
-		j.setCheckpoint(ck.Barrier, data)
-		if s.jl == nil {
-			return nil
-		}
-		if err := writeFileSync(path, data); err != nil {
-			return err
-		}
-		return s.jl.append(journalRecord{Type: "ckpt", Job: j.ID, Barrier: ck.Barrier,
-			Note: fingerprintNote(ck.GranularK)})
-	}
+	s.cfg.Logger.Info("job finished", "job", j.ID, "state", string(j.State()), "evaluations", evals, "front", front)
 }
 
 // armShares wires a cluster-share job to its outbound feed and — for
@@ -678,11 +634,11 @@ func (s *Service) persistTerminal(j *Job, state State) {
 			err = writeFileSync(filepath.Join(s.jobDir(j.ID), "result.json"), data)
 		}
 		if err != nil {
-			s.logWarn("persisting result", "job", j.ID, "error", err)
+			s.cfg.Logger.Warn("persisting result", "job", j.ID, "error", err)
 		}
 	}
 	if err := s.jl.append(j.terminalRecord()); err != nil {
-		s.logWarn("journal: terminal record", "job", j.ID, "state", string(state), "error", err)
+		s.cfg.Logger.Warn("journal: terminal record", "job", j.ID, "state", string(state), "error", err)
 	}
 }
 
@@ -701,12 +657,12 @@ func (s *Service) exportTrace(j *Job) {
 			err = trace.ExportFile(filepath.Join(s.cfg.TraceDir, j.ID+".trace.json"), "tsmod", j.tr)
 		}
 		if err != nil {
-			s.logWarn("exporting trace file", "job", j.ID, "error", err)
+			s.cfg.Logger.Warn("exporting trace file", "job", j.ID, "error", err)
 		}
 	}
 	if s.cfg.TraceCollector != "" {
 		if err := trace.PostOTLP(s.cfg.TraceCollector, "tsmod", nil, j.tr); err != nil {
-			s.logWarn("posting trace to collector", "job", j.ID, "error", err)
+			s.cfg.Logger.Warn("posting trace to collector", "job", j.ID, "error", err)
 		}
 	}
 }
@@ -736,7 +692,7 @@ func (s *Service) Drain(ctx context.Context) error {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.workerWG.Wait()
 	if err := s.jl.Close(); err != nil {
-		s.logWarn("closing journal", "error", err)
+		s.cfg.Logger.Warn("closing journal", "error", err)
 	}
 	return nil
 }
@@ -754,7 +710,7 @@ func (s *Service) Close() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.workerWG.Wait()
 	if err := s.jl.Close(); err != nil {
-		s.logWarn("closing journal", "error", err)
+		s.cfg.Logger.Warn("closing journal", "error", err)
 	}
 }
 

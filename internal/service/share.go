@@ -80,10 +80,9 @@ type jobExchange struct {
 	gather ShareGatherer // nil for a single-shard group: nothing to gather
 }
 
-func (x *jobExchange) Publish(b core.ShareBatch) error {
+func (x *jobExchange) Publish(b core.ShareBatch) {
 	b.Shard = x.shard
 	x.feed.Append(b)
-	return nil
 }
 
 func (x *jobExchange) Gather(ctx context.Context, epoch int) ([]core.ShareBatch, error) {
